@@ -37,22 +37,33 @@ class RivalGraph:
 
     def __init__(self, nodes: Iterable[str], arcs: Iterable[Arc], source: str):
         self.nodes = tuple(dict.fromkeys(nodes))
+        known = set(self.nodes)
         self.arcs: dict[ArcId, Arc] = {}
         for arc in arcs:
             if arc.id in self.arcs:
                 raise ValueError(f"duplicate arc id {arc.id!r}")
-            if arc.tail not in set(self.nodes) or arc.head not in set(self.nodes):
+            if arc.tail not in known or arc.head not in known:
                 raise ValueError(f"arc {arc.id!r} references unknown node")
             self.arcs[arc.id] = arc
-        if source not in set(self.nodes):
+        if source not in known:
             raise ValueError(f"unknown source {source!r}")
         self.source = source
+        self._known_symmetric = False
         self.out: dict[str, tuple[Arc, ...]] = {n: () for n in self.nodes}
         grouped: dict[str, list[Arc]] = {n: [] for n in self.nodes}
         for arc in self.arcs.values():
             grouped[arc.tail].append(arc)
         for n, lst in grouped.items():
             self.out[n] = tuple(lst)
+
+    @classmethod
+    def _symmetric_by_construction(cls, nodes: Iterable[str], arcs: Iterable[Arc],
+                                   source: str) -> "RivalGraph":
+        """A graph whose rival sets are symmetric by construction, such as
+        the router's auxiliary graph: solve() skips its symmetry check."""
+        g = cls(nodes, arcs, source)
+        g._known_symmetric = True
+        return g
 
     def is_symmetric(self) -> bool:
         for arc in self.arcs.values():
@@ -235,9 +246,9 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
     limit raises ResourceLimitExceeded carrying the partial result, with all
     unsettled nodes undecided.
     """
-    if not g.is_symmetric():
+    if not (g._known_symmetric or g.is_symmetric()):
         g = symmetrize(g)
-    if target is not None and target not in set(g.nodes):
+    if target is not None and target not in g.out:
         raise ValueError(f"unknown target {target!r}")
 
     stores: dict[str, _NodeStore] = {n: _NodeStore() for n in g.nodes}

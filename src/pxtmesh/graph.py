@@ -157,6 +157,15 @@ class Walk:
                 raise GraphError(f"edge {e} does not join {self.nodes[i]} and {self.nodes[i + 1]}")
 
     @classmethod
+    def _trusted(cls, nodes: tuple[str, ...], edges: tuple[EdgeId, ...]) -> "Walk":
+        """Construct without the alternation check, for pieces of walks that
+        passed it already (slices and reversals)."""
+        walk = object.__new__(cls)
+        object.__setattr__(walk, "nodes", nodes)
+        object.__setattr__(walk, "edges", edges)
+        return walk
+
+    @classmethod
     def from_sequence(cls, seq: Iterable) -> "Walk":
         """Build from an alternating [node, edge, node, ...] sequence."""
         items = list(seq)
@@ -191,7 +200,7 @@ class Walk:
         return {e.link for e in self.edges}
 
     def reversed(self) -> "Walk":
-        return Walk(self.nodes[::-1], self.edges[::-1])
+        return Walk._trusted(self.nodes[::-1], self.edges[::-1])
 
     def __str__(self) -> str:
         parts = [self.nodes[0]]

@@ -17,6 +17,7 @@ so intermediate nodes never switch in real time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graph import (
     EdgeId,
@@ -96,14 +97,25 @@ class PXT:
 
 
 class _Trail:
-    """Mutable trail under incremental extension/merging."""
+    """Mutable trail under incremental extension/merging.
 
-    __slots__ = ("nodes", "edges", "closed")
+    `cached` holds the trail's (sort key, canonical PXT) once computed; every
+    change to the trail must reset it to None.
+    """
+
+    __slots__ = ("nodes", "edges", "closed", "cached")
 
     def __init__(self, nodes: list[str], edges: list[EdgeId]):
         self.nodes = nodes
         self.edges = edges
         self.closed = False
+        self.cached: tuple[tuple, PXT] | None = None
+
+    def canonical(self) -> tuple[tuple, PXT]:
+        if self.cached is None:
+            pxt = _canonical_pxt(self.nodes, self.edges, self.closed)
+            self.cached = (_pxt_sort_key(pxt), pxt)
+        return self.cached
 
     def end_slots(self) -> tuple[tuple[EdgeId, str], tuple[EdgeId, str]]:
         return ((self.edges[0], self.nodes[0]), (self.edges[-1], self.nodes[-1]))
@@ -307,27 +319,26 @@ class AllocationPlan:
         t2 = self._trail_ends.pop((f, x))
         self._partner[(e, x)] = f
         self._partner[(f, x)] = e
+        a = self._trails[t1]
+        a.cached = None
         if t1 == t2:
-            self._trails[t1].closed = True
+            a.closed = True
             return
-        a, b = self._trails[t1], self._trails[t2]
+        b = self._trails.pop(t2)
         if a.end_slots()[1] != (e, x):
             a.reverse()
         if b.end_slots()[0] != (f, x):
             b.reverse()
         a.nodes.extend(b.nodes[1:])
         a.edges.extend(b.edges)
-        del self._trails[t2]
-        for slot in list(self._trail_ends):
-            if self._trail_ends[slot] == t2:
-                self._trail_ends[slot] = t1
+        # b's far end, the only end slot it had left, is now a's
+        self._trail_ends[a.end_slots()[1]] = t1
 
     @property
     def pxts(self) -> list[PXT]:
         """PXTs from the incrementally maintained trails, canonically ordered."""
-        out = [_canonical_pxt(t.nodes, t.edges, t.closed) for t in self._trails.values()]
-        out.sort(key=_pxt_sort_key)
-        return out
+        ranked = sorted((t.canonical() for t in self._trails.values()), key=itemgetter(0))
+        return [pxt for _, pxt in ranked]
 
     # -- derived views -------------------------------------------------------
 

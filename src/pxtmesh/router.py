@@ -7,6 +7,21 @@ zero-cost "shortcut" arcs stand for whole reusable segments of existing PXTs
 unit-cost "unused" arcs stand for fresh edges.  Arc pairs whose expansions
 would collide in the real graph are marked rivals, and the constrained search
 guarantees the expanded protection route is a simple path.
+
+Routing one demand reuses what earlier demands left behind instead of
+recomputing it:
+
+- rival marks come from node -> arc indexes, not from comparing every pair
+  of aux edges; aux-edge order, arc ids, tie-breaks and the rival sets are
+  those of the pairwise rule, so plans are unchanged;
+- the aux graph is symmetric by construction, so the search skips its
+  per-call symmetry check;
+- RouterState indexes every entry's working path by link and by node, so
+  conflicts are read off the index; the index catches up with entries added
+  to the plan directly on its next use;
+- the plan caches each trail's canonical PXT and sort key; merging or closing
+  a trail drops that trail's cache, and nothing else invalidates it;
+- subtrails are slices of those PXTs, built without re-validation.
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ from .cdijkstra import (
     SearchLimits,
     solve,
 )
-from .graph import EdgeId, Graph, Walk, disjoint, is_path, link_key, shortest_path
+from .graph import EdgeId, Graph, Walk, is_path, link_key, shortest_path
 from .plan import AllocationPlan, Demand, PlanEntry, PlanError
 
 
@@ -77,8 +92,12 @@ class RouterState:
         self.plan = AllocationPlan(graph, mode=mode)
         self.limits = limits
         self.log = log
-        # node -> indices of entries whose working path touches it
-        self._working_touch: dict[str, list[int]] = {}
+        # indices of entries by where their working path runs: per link, and
+        # (node mode only) per node, split by whether the node is an end or
+        # an interior node of that path
+        self._working_on_link: dict[tuple[str, str], list[int]] = {}
+        self._working_end: dict[str, list[int]] = {}
+        self._working_interior: dict[str, list[int]] = {}
         self._indexed = 0
 
     def route(self, demand: Demand) -> PlanEntry:
@@ -86,24 +105,38 @@ class RouterState:
 
     def _sync_index(self) -> None:
         # entries may also be seeded directly into the plan
+        node_mode = self.plan.mode == "node"
         for idx in range(self._indexed, len(self.plan.entries)):
-            for n in self.plan.entries[idx].working.nodes:
-                self._working_touch.setdefault(n, []).append(idx)
+            nodes = self.plan.entries[idx].working.nodes
+            for i in range(len(nodes) - 1):
+                self._working_on_link.setdefault(
+                    link_key(nodes[i], nodes[i + 1]), []).append(idx)
+            if node_mode:
+                for n in nodes[1:-1]:
+                    self._working_interior.setdefault(n, []).append(idx)
+                for n in (nodes[0], nodes[-1]):
+                    self._working_end.setdefault(n, []).append(idx)
         self._indexed = len(self.plan.entries)
 
     def conflicting_entries(self, working: Walk) -> list[PlanEntry]:
         """Entries whose working path is not disjoint from `working`."""
+        return [self.plan.entries[idx] for idx in sorted(self._conflicting(working))]
+
+    def _conflicting(self, working: Walk) -> set[int]:
+        # working paths are paths, so two of them fail to be node-disjoint
+        # exactly when they share a link or a node interior to either one
         self._sync_index()
-        mode = self.plan.mode
-        candidates: set[int] = set()
-        for n in working.nodes:
-            candidates.update(self._working_touch.get(n, ()))
-        out = []
-        for idx in sorted(candidates):
-            entry = self.plan.entries[idx]
-            if not disjoint(entry.working, working, mode):
-                out.append(entry)
-        return out
+        hits: set[int] = set()
+        for link in working.link_set():
+            hits.update(self._working_on_link.get(link, ()))
+        if self.plan.mode == "node":
+            nodes = working.nodes
+            for n in nodes[1:-1]:
+                hits.update(self._working_interior.get(n, ()))
+                hits.update(self._working_end.get(n, ()))
+            for n in (nodes[0], nodes[-1]):
+                hits.update(self._working_interior.get(n, ()))
+        return hits
 
 
 def _all_shortest_workings(state: RouterState, u: str, v: str) -> list[tuple[str, ...]]:
@@ -166,8 +199,10 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
         usage = sum(plan.used_on_link(p[i], p[i + 1]) for i in range(len(p) - 1))
         return (usage, p)
 
-    feasible = [p for p in candidates if _protection_feasible(state, p)]
-    nodes = min(feasible or candidates, key=rank)
+    # the first feasible route in rank order is the best feasible one, so
+    # the detour search runs only until one is found
+    ranked = sorted(candidates, key=rank)
+    nodes = next((p for p in ranked if _protection_feasible(state, p)), ranked[0])
     edges = tuple(plan.fresh_edge(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1))
     return Walk(nodes, edges)
 
@@ -181,6 +216,8 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Subtrail]:
     discarded: they could never be part of a protection path.
     """
     u, v = demand.u, demand.v
+    # slices of a valid trail are valid walks: build them unchecked
+    trusted = Walk._trusted
     out: list[Subtrail] = []
     for pxt in state.plan.pxts:
         nodes, edges = pxt.walk.nodes, pxt.walk.edges
@@ -198,17 +235,18 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Subtrail]:
                 else:
                     seg_nodes = nodes[a:k] + nodes[:b + 1]
                     seg_edges = edges[a:] + edges[:b]
-                out.append(Subtrail(Walk(seg_nodes, seg_edges), "terminal", "terminal"))
+                out.append(Subtrail(trusted(seg_nodes, seg_edges), "terminal", "terminal"))
         else:
             positions = sorted({0, k} | {i for i in range(k + 1) if nodes[i] in (u, v)})
             for a, b in zip(positions, positions[1:]):
-                seg = Walk(nodes[a:b + 1], edges[a:b])
+                seg = trusted(nodes[a:b + 1], edges[a:b])
                 out.append(Subtrail(
                     seg,
                     "terminal" if nodes[a] in (u, v) else "trail-end",
                     "terminal" if nodes[b] in (u, v) else "trail-end",
                 ))
-    return [s for s in out if is_path(s.walk)]
+    # no segment is empty, so a path is one that repeats no node
+    return [s for s in out if len(set(s.walk.nodes)) == len(s.walk.nodes)]
 
 
 def prohibited_edges(state: RouterState, demand: Demand, working: Walk):
@@ -220,19 +258,57 @@ def prohibited_edges(state: RouterState, demand: Demand, working: Walk):
     working conflicts with this one (those backups may be needed at the same
     time, so sharing is off).
     """
-    mode = state.plan.mode
-    interior = working.interior() if mode == "node" else set()
-    w_links = working.link_set()
-    conflict_edges: set[EdgeId] = set()
-    for entry in state.conflicting_entries(working):
-        conflict_edges.update(entry.protection.edges)
+    return _prohibited(state, working, *_working_footprint(state.plan, working))
+
+
+def _working_footprint(plan: AllocationPlan, working: Walk):
+    """The nodes (node mode only) and links no protection edge may touch."""
+    return (working.interior() if plan.mode == "node" else set()), working.link_set()
+
+
+def _prohibited(state: RouterState, working: Walk, interior: set[str],
+                w_links: set[tuple[str, str]]):
+    conflicting = state._conflicting(working)
+    users = state.plan.protection_users
 
     def prohibited(e: EdgeId) -> bool:
         return (e.u in interior or e.v in interior
                 or e.link in w_links
-                or e in conflict_edges)
+                or not conflicting.isdisjoint(users(e)))
 
     return prohibited
+
+
+def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[frozenset[int]]:
+    """Per aux edge, the arc ids of its rivals.
+
+    Aux edge i owns arcs 2i and 2i+1.  Two aux edges are rivals when their
+    expansions share a node that is not an endpoint of both.  The first
+    `n_unused` edges are fresh-capacity edges, which expand to their two
+    endpoints only, so two of them never are.  The rivals are read off two
+    node -> arcs indexes instead of comparing every pair: an edge's rivals
+    are the arcs of every other edge covering one of its interior nodes,
+    plus those of every edge having one of its endpoints as an interior
+    node.
+    """
+    covers: dict[str, set[int]] = {}  # node -> arcs whose expansion covers it
+    inner: dict[str, set[int]] = {}   # node -> arcs with it as an interior node
+    for i, e in enumerate(aux_edges):
+        own = (2 * i, 2 * i + 1)
+        nodes = (e.u, e.v) if i < n_unused else e.subtrail.walk.nodes
+        for n in nodes:
+            covers.setdefault(n, set()).update(own)
+        for n in nodes[1:-1]:
+            inner.setdefault(n, set()).update(own)
+    empty: set[int] = set()
+    out = []
+    for i, e in enumerate(aux_edges):
+        rivals = inner.get(e.u, empty) | inner.get(e.v, empty)
+        if i >= n_unused:
+            rivals = rivals.union(*(covers[n] for n in e.subtrail.walk.nodes[1:-1]))
+            rivals -= {2 * i, 2 * i + 1}
+        out.append(frozenset(rivals))
+    return out
 
 
 def build_aux(state: RouterState, demand: Demand, working: Walk,
@@ -240,9 +316,8 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     """Auxiliary search graph: unit-cost fresh-capacity arcs plus zero-cost
     shortcut arcs, with rival marks wherever two expansions would collide."""
     plan = state.plan
-    prohibited = prohibited_edges(state, demand, working)
-    interior = working.interior() if plan.mode == "node" else set()
-    w_links = working.link_set()
+    interior, w_links = _working_footprint(plan, working)
+    prohibited = _prohibited(state, working, interior, w_links)
 
     aux_edges: list[AuxEdge] = []
     for u, v in state.graph.links():
@@ -251,6 +326,7 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
         if (u, v) in w_links or u in interior or v in interior:
             continue
         aux_edges.append(AuxEdge("unused", u, v, 1))
+    n_unused = len(aux_edges)
     for s in subtrails:
         if any(prohibited(e) for e in s.walk.edges):
             continue
@@ -259,25 +335,12 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
             continue  # would re-enter where it left: never expands to a path
         aux_edges.append(AuxEdge("shortcut", a, b, 0, subtrail=s))
 
-    rivals: dict[int, set[int]] = {i: set() for i in range(len(aux_edges))}
-    expansions = [e.expansion_nodes() for e in aux_edges]
-    endpoints = [frozenset((e.u, e.v)) for e in aux_edges]
-    for i in range(len(aux_edges)):
-        for j in range(i + 1, len(aux_edges)):
-            if aux_edges[i].kind == "unused" and aux_edges[j].kind == "unused":
-                continue  # two fresh-capacity arcs only ever meet at endpoints
-            shared = expansions[i] & expansions[j]
-            if shared - (endpoints[i] & endpoints[j]):
-                rivals[i].add(j)
-                rivals[j].add(i)
-
     arcs = []
-    for i, e in enumerate(aux_edges):
-        rival_arcs = frozenset(x for r in rivals[i] for x in (2 * r, 2 * r + 1))
+    for i, (e, rival_arcs) in enumerate(zip(aux_edges, _rival_arcs(aux_edges, n_unused))):
         tiebreak = 1 if e.kind == "shortcut" else 0
         arcs.append(Arc(2 * i, e.u, e.v, e.cost, rival_arcs, tiebreak))
         arcs.append(Arc(2 * i + 1, e.v, e.u, e.cost, rival_arcs, tiebreak))
-    rg = RivalGraph(state.graph.sorted_nodes(), arcs, demand.u)
+    rg = RivalGraph._symmetric_by_construction(state.graph.sorted_nodes(), arcs, demand.u)
     return AuxGraph(rg, aux_edges)
 
 
@@ -296,7 +359,10 @@ def _expand_route(state: RouterState, demand: Demand, aux: AuxGraph,
             seg = edge.subtrail.walk
             if reverse:
                 seg = seg.reversed()
-            assert seg.nodes[0] == nodes[-1]
+            if seg.nodes[0] != nodes[-1]:
+                raise RoutingError(
+                    f"demand {demand.id}: shortcut {edge.u}-{edge.v} does not "
+                    f"continue the route at {nodes[-1]}")
             nodes.extend(seg.nodes[1:])
             edges.extend(seg.edges)
     return Walk(tuple(nodes), tuple(edges))

@@ -1,13 +1,18 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, Walk, classify, is_path
+from pxtmesh import router
+from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
+from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, Walk, classify, disjoint, is_path
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry
 from pxtmesh.router import (
     RouterState,
     RoutingError,
+    Subtrail,
+    _expand_route,
     build_aux,
     collect_subtrails,
     find_working,
@@ -16,6 +21,7 @@ from pxtmesh.router import (
     route_demand,
 )
 from pxtmesh.topologies import standard_topology
+from pxtmesh.traffic import generate
 
 
 def walk(*seq):
@@ -359,3 +365,130 @@ def test_route_all(five_node):
     state = RouterState(five_node)
     plan = route_all(state, demands)
     assert len(plan.entries) == 2
+
+
+def test_expand_route_rejects_mismatched_shortcut(five_node):
+    state = RouterState(five_node)
+    d = Demand(0, "C", "D")
+    seg = walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")
+    aux = build_aux(state, d, walk("C", ("C", "D", 0), "D"),
+                    [Subtrail(seg, "trail-end", "trail-end")])
+    (si,) = [i for i, e in enumerate(aux.edges) if e.kind == "shortcut"]
+    # the route starts at C, but the shortcut's arc leaves from A
+    with pytest.raises(RoutingError, match="does not continue"):
+        _expand_route(state, d, aux, (2 * si,))
+
+
+# sha256 of plan.serialize() for the committed instances routed with the
+# default PXT settings at seed 0, recorded before the router's bookkeeping
+# was made incremental: any change to these plans shows here
+GOLDEN_PXT_PLANS = {
+    ("cycle12plus3", "uniform"): "9c4f3e157142b5eb989ae094b62306b2b572166bd33ac0cce238fe2f94a5b434",
+    ("cycle12plus3", "neighbor"): "63611da01152ee169db93aeafcb12f01ac8b04b5d8bfab69e5fd2c934cda2313",
+    ("cycle12plus3", "unbalanced"): "988c6892ff2e494ef04d5597e1772ba6706c9969ed86aa11e96cca37ec7a8eb1",
+    ("grid3x4", "uniform"): "dda8c5f0d7ac2f4935e0d52f50f8b8d743f4952497367f7a454af4864c2d36ce",
+    ("grid3x4", "neighbor"): "9739bc51ad3e0c740bc2bc287fddd5a534b3075b6cc0a7b1a4b17642b14338cd",
+    ("grid3x4", "unbalanced"): "0a5ff35d16bf9b326a3beb7ce5085c800f7dbd5e476678f1412f7e91dac50ef0",
+    ("tietze", "uniform"): "675fd3b1b4e324e2ca29a4e7b3bb4b33eb0270c4e37cdb054ec883648c14287f",
+    ("tietze", "neighbor"): "9028a7521aa92206e9b2da8819d13df2bfa6fdfe4a6fc8d97eb7ac632d59a6d3",
+    ("tietze", "unbalanced"): "cce02a886b23047fcbaa73eafbb309c67ef69af173a0c798677fb4d45038c0e5",
+    ("icosahedron", "uniform"): "91637b77e16ebbd16b6f0df85253ae2c16d7c24929cc849825a7fc1d89ff3d45",
+    ("icosahedron", "neighbor"): "6f28939f2798136e2edf75bd06bbfacef854c3db5c6845353871692429f34e24",
+    ("icosahedron", "unbalanced"): "3f6f77950e0badde86aa733fe4c18f21bf160a89d82000cbf29d5cb801a5f0ac",
+    ("k66", "uniform"): "db74a13a2e755f6847062dbaa8047e9561241ae6713a71e98ea55318aa7ef3b5",
+    ("k66", "neighbor"): "8d53415f29938c78891a2fcdf21c753024d9139593160840aaa480006966c5ca",
+    ("k66", "unbalanced"): "f10d16d6868a53c10e57e16f06e333b39212f6e97fda1fa248bd563f9cf5369e",
+}
+
+
+@pytest.mark.parametrize("name", ["cycle12plus3", "grid3x4", "tietze", "icosahedron", "k66"])
+def test_pxt_plans_byte_identical(name):
+    g = standard_topology(name)
+    for pattern in PATTERNS:
+        plan = route_with_scheme(g, "pxt", generate(g, traffic_spec(pattern, name, 0)))
+        got = hashlib.sha256(plan.serialize().encode()).hexdigest()
+        assert got == GOLDEN_PXT_PLANS[(name, pattern)], (name, pattern)
+
+
+def random_connected_graph(rng: random.Random, n: int, tight: bool) -> Graph:
+    """A random spanning tree plus extra links; with `tight`, many links
+    carry 1-3 units so capacity runs out while routing."""
+    nodes = [f"n{i}" for i in range(n)]
+    pairs = {tuple(sorted((nodes[i], nodes[rng.randrange(i)]))) for i in range(1, n)}
+    while len(pairs) < int(1.8 * n):
+        pairs.add(tuple(sorted(rng.sample(nodes, 2))))
+
+    def cap():
+        return rng.randint(1, 3) if tight and rng.random() < 0.4 else UNBOUNDED
+
+    return Graph(nodes, [(u, v, cap()) for u, v in sorted(pairs)])
+
+
+def pairwise_rivals(aux_edges) -> set[tuple[int, int]]:
+    """Reference rival rule: expansions share a node that is not an endpoint
+    of both; two fresh-capacity edges are never rivals."""
+    expansions = [e.expansion_nodes() for e in aux_edges]
+    endpoints = [frozenset((e.u, e.v)) for e in aux_edges]
+    out = set()
+    for i, j in itertools.combinations(range(len(aux_edges)), 2):
+        if aux_edges[i].kind == aux_edges[j].kind == "unused":
+            continue
+        if (expansions[i] & expansions[j]) - (endpoints[i] & endpoints[j]):
+            out.add((i, j))
+    return out
+
+
+def rival_pairs(aux) -> set[tuple[int, int]]:
+    arcs = aux.graph.arcs
+    out = set()
+    for i in range(len(aux.edges)):
+        fwd, back = arcs[2 * i].rivals, arcs[2 * i + 1].rivals
+        assert fwd == back
+        assert all(r ^ 1 in fwd for r in fwd)  # both arcs of a rival edge
+        out.update((min(i, r // 2), max(i, r // 2)) for r in fwd)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+@pytest.mark.parametrize("seed", range(6))
+def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, rng.randint(8, 40), tight=seed % 2 == 1)
+    nodes = g.sorted_nodes()
+
+    def demands(first, count):
+        return [Demand(first + i, *rng.sample(nodes, 2)) for i in range(count)]
+
+    # entries seeded straight into the plan, which the router has not indexed
+    donor = RouterState(g, mode=mode)
+    for d in demands(0, 4):
+        try:
+            route_demand(donor, d)
+        except RoutingError:
+            pass
+    state = RouterState(g, mode=mode)
+    for entry in donor.plan.entries:
+        state.plan.add_entry(entry)
+
+    real_build_aux = router.build_aux
+    built = []
+
+    def checked_build_aux(state, demand, working, subtrails):
+        aux = real_build_aux(state, demand, working, subtrails)
+        assert aux.graph.is_symmetric()
+        assert rival_pairs(aux) == pairwise_rivals(aux.edges)
+        expect = [e for e in state.plan.entries
+                  if not disjoint(e.working, working, state.plan.mode)]
+        assert state.conflicting_entries(working) == expect
+        built.append(aux)
+        return aux
+
+    monkeypatch.setattr(router, "build_aux", checked_build_aux)
+    for d in demands(100, 25):
+        try:
+            route_demand(state, d)
+        except RoutingError:
+            continue
+        assert state.plan.pxts == state.plan.extract_pxts()
+    assert built
+    assert state.plan.validate() == []

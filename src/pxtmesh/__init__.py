@@ -6,6 +6,7 @@ from .graph import (
     Graph,
     GraphError,
     Walk,
+    all_shortest_paths,
     classify,
     disjoint,
     distance_sum,
@@ -23,6 +24,7 @@ __all__ = [
     "Graph",
     "GraphError",
     "Walk",
+    "all_shortest_paths",
     "classify",
     "disjoint",
     "distance_sum",

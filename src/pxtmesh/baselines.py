@@ -9,10 +9,10 @@ pre-cross-connectable.
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass
 
-from .graph import Graph, Walk, link_key
+from .graph import Graph, Walk, _avoiding, all_shortest_paths, disjoint, link_key, shortest_path
 from .plan import AllocationPlan, Demand, PlanEntry
 
 
@@ -27,60 +27,6 @@ class DisjointPair:
     mode: str
 
 
-def _all_shortest_paths(g: Graph, u: str, v: str) -> list[tuple[str, ...]]:
-    """Every minimum-hop node path u..v, lexicographically ordered."""
-    dist = {v: 0}
-    q = deque([v])
-    while q:
-        x = q.popleft()
-        for w in g.neighbors(x):
-            if w not in dist:
-                dist[w] = dist[x] + 1
-                q.append(w)
-    if u not in dist:
-        return []
-    out: list[tuple[str, ...]] = []
-
-    def rec(cur, acc):
-        if cur == v:
-            out.append(tuple(acc))
-            return
-        for w in g.neighbors(cur):
-            if dist.get(w, -2) == dist[cur] - 1:
-                rec(w, acc + [w])
-
-    rec(u, [u])
-    return out
-
-
-def _shortest_avoiding(g: Graph, u: str, v: str, banned_nodes: set[str],
-                       banned_links: set[tuple[str, str]]) -> tuple[str, ...] | None:
-    def usable(a, b):
-        return b not in banned_nodes and a not in banned_nodes \
-            and link_key(a, b) not in banned_links
-
-    dist = {v: 0}
-    q = deque([v])
-    while q:
-        x = q.popleft()
-        for w in g.neighbors(x):
-            if not usable(x, w) or w in dist:
-                continue
-            dist[w] = dist[x] + 1
-            q.append(w)
-    if u not in dist:
-        return None
-    path = [u]
-    cur = u
-    while cur != v:
-        for w in g.neighbors(cur):
-            if usable(cur, w) and dist.get(w, -2) == dist[cur] - 1:
-                path.append(w)
-                cur = w
-                break
-    return tuple(path)
-
-
 def disjoint_pair(g: Graph, u: str, v: str, mode: str = "node") -> DisjointPair:
     """Shortest working, then the shortest protection disjoint from it.
 
@@ -91,10 +37,8 @@ def disjoint_pair(g: Graph, u: str, v: str, mode: str = "node") -> DisjointPair:
     if u == v:
         raise PairError("terminals must be distinct")
     best = None
-    for working in _all_shortest_paths(g, u, v):
-        interior = set(working[1:-1]) if mode == "node" else set()
-        links = {link_key(working[i], working[i + 1]) for i in range(len(working) - 1)}
-        protection = _shortest_avoiding(g, u, v, interior, links)
+    for working in all_shortest_paths(g, u, v):
+        protection = shortest_path(g, u, v, _avoiding(working, mode))
         if protection is None:
             continue
         key = (len(protection), working, protection)
@@ -124,36 +68,6 @@ def route_1plus1(g: Graph, demands: list[Demand], mode: str = "node") -> Allocat
     return plan
 
 
-def _all_shortest_avoiding(g: Graph, u: str, v: str, banned_nodes: set[str],
-                           banned_links: set[tuple[str, str]]) -> list[tuple[str, ...]]:
-    def usable(a, b):
-        return (a not in banned_nodes and b not in banned_nodes
-                and link_key(a, b) not in banned_links)
-
-    dist = {v: 0}
-    q = deque([v])
-    while q:
-        x = q.popleft()
-        for w in g.neighbors(x):
-            if usable(x, w) and w not in dist:
-                dist[w] = dist[x] + 1
-                q.append(w)
-    if u not in dist:
-        return []
-    out: list[tuple[str, ...]] = []
-
-    def rec(cur, acc):
-        if cur == v:
-            out.append(tuple(acc))
-            return
-        for w in g.neighbors(cur):
-            if usable(cur, w) and dist.get(w, -2) == dist[cur] - 1:
-                rec(w, acc + [w])
-
-    rec(u, [u])
-    return out
-
-
 def fixed_pair_routes(g: Graph, mode: str = "node",
                       overlap_cap: int = 3) -> dict[frozenset, DisjointPair]:
     """One disjoint pair per terminal pair, placed to cluster protections.
@@ -164,16 +78,12 @@ def fixed_pair_routes(g: Graph, mode: str = "node",
     (counting each link up to overlap_cap).  Clustering protections onto
     common corridors is what lets copies of different demands share edges.
     """
-    import itertools
-
     chosen: dict[frozenset, DisjointPair] = {}
     used: dict[tuple[str, str], int] = {}
     for u, v in itertools.combinations(sorted(g.nodes), 2):
         best = None
-        for working in _all_shortest_paths(g, u, v):
-            interior = set(working[1:-1]) if mode == "node" else set()
-            links = {link_key(working[i], working[i + 1]) for i in range(len(working) - 1)}
-            for prot in _all_shortest_avoiding(g, u, v, interior, links):
+        for working in all_shortest_paths(g, u, v):
+            for prot in all_shortest_paths(g, u, v, _avoiding(working, mode)):
                 overlap = sum(min(overlap_cap, used.get(link_key(prot[i], prot[i + 1]), 0))
                               for i in range(len(prot) - 1))
                 key = (len(prot), -overlap, working, prot)
@@ -214,18 +124,13 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node",
                 if plan.role(e) != "protection":
                     continue
                 users = plan.protection_users(e)
-                if all(_disjoint_workings(plan, idx, working) for idx in users):
+                if all(disjoint(plan.entries[idx].working, working, plan.mode)
+                       for idx in users):
                     chosen = e
                     break
             p_edges.append(chosen if chosen is not None else plan.fresh_edge(a, b))
         plan.add_entry(PlanEntry(d, working, Walk(p_nodes, tuple(p_edges))))
     return plan
-
-
-def _disjoint_workings(plan: AllocationPlan, idx: int, working: Walk) -> bool:
-    from .graph import disjoint
-
-    return disjoint(plan.entries[idx].working, working, plan.mode)
 
 
 def _orient(nodes: tuple[str, ...], start: str) -> tuple[str, ...]:

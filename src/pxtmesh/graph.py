@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 UNBOUNDED = None
 
@@ -259,6 +259,18 @@ def disjoint(w1: Walk, w2: Walk, mode: str = "node") -> bool:
     raise ValueError(f"unknown disjointness mode {mode!r}")
 
 
+def _avoiding(nodes: tuple[str, ...], mode: str) -> Callable[[str, str], bool]:
+    """Link predicate for routes disjoint from the path `nodes`: it rejects
+    the path's links and, in node mode, every link touching its interior."""
+    interior = set(nodes[1:-1]) if mode == "node" else set()
+    links = {link_key(a, b) for a, b in zip(nodes, nodes[1:])}
+
+    def usable(a: str, b: str) -> bool:
+        return a not in interior and b not in interior and link_key(a, b) not in links
+
+    return usable
+
+
 def validate_walk(graph: Graph, walk: Walk) -> None:
     """Check every node exists and every edge is within its link's capacity."""
     for n in walk.nodes:
@@ -276,12 +288,52 @@ def bfs_distances(graph: Graph, source: str,
     while queue:
         x = queue.popleft()
         for w in graph.neighbors(x):
-            if usable is not None and not usable(x, w):
-                continue
-            if w not in dist:
+            if w not in dist and (usable is None or usable(x, w)):
                 dist[w] = dist[x] + 1
                 queue.append(w)
     return dist
+
+
+def all_shortest_paths(graph: Graph, u: str, v: str,
+                       usable: Callable[[str, str], bool] | None = None
+                       ) -> Iterator[tuple[str, ...]]:
+    """Every minimum-hop node sequence from u to v over links accepted by
+    `usable`, in lexicographic order; nothing if v is unreachable.
+
+    Walks the BFS DAG towards v depth-first over the sorted neighbor lists.
+    Every node of that DAG reaches v, so no branch dead-ends, and each
+    node's successors are computed once per call: `usable` is asked at most
+    once per DAG link.
+    """
+    if u not in graph.nodes or v not in graph.nodes:
+        raise GraphError(f"unknown terminal {u if u not in graph.nodes else v}")
+    dist = bfs_distances(graph, v, usable)
+    if u not in dist:
+        return
+    if u == v:
+        yield (u,)
+        return
+    succ: dict[str, tuple[str, ...]] = {}
+
+    def successors(x: str) -> Iterator[str]:
+        if x not in succ:
+            step = dist[x] - 1
+            succ[x] = tuple(w for w in graph.neighbors(x)
+                            if dist.get(w) == step and (usable is None or usable(x, w)))
+        return iter(succ[x])
+
+    path = [u]
+    branches = [successors(u)]
+    while branches:
+        w = next(branches[-1], None)
+        if w is None:
+            branches.pop()
+            path.pop()
+        elif w == v:
+            yield (*path, w)
+        else:
+            path.append(w)
+            branches.append(successors(w))
 
 
 def shortest_path(graph: Graph, u: str, v: str,
@@ -291,25 +343,7 @@ def shortest_path(graph: Graph, u: str, v: str,
     Deterministic: among all shortest paths, returns the lexicographically
     smallest node sequence.
     """
-    if u not in graph.nodes or v not in graph.nodes:
-        raise GraphError(f"unknown terminal {u if u not in graph.nodes else v}")
-    dist = bfs_distances(graph, v, usable)
-    if u not in dist:
-        return None
-    path = [u]
-    cur = u
-    while cur != v:
-        # neighbors() is sorted, so the first admissible step is the smallest
-        for w in graph.neighbors(cur):
-            if usable is not None and not usable(cur, w):
-                continue
-            if dist.get(w, -2) == dist[cur] - 1:
-                path.append(w)
-                cur = w
-                break
-        else:
-            raise GraphError("BFS invariant broken")  # pragma: no cover
-    return tuple(path)
+    return next(all_shortest_paths(graph, u, v, usable), None)
 
 
 def distance_sum(graph: Graph) -> int:

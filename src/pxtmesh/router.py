@@ -36,7 +36,16 @@ from .cdijkstra import (
     SearchLimits,
     solve,
 )
-from .graph import EdgeId, Graph, Walk, is_path, link_key, shortest_path
+from .graph import (
+    EdgeId,
+    Graph,
+    Walk,
+    _avoiding,
+    all_shortest_paths,
+    is_path,
+    link_key,
+    shortest_path,
+)
 from .plan import AllocationPlan, Demand, PlanEntry, PlanError
 
 
@@ -139,46 +148,15 @@ class RouterState:
         return hits
 
 
-def _all_shortest_workings(state: RouterState, u: str, v: str) -> list[tuple[str, ...]]:
-    g, plan = state.graph, state.plan
-    dist = {}
-    frontier = [v]
-    dist[v] = 0
-    from collections import deque
-    q = deque(frontier)
-    while q:
-        x = q.popleft()
-        for w in g.neighbors(x):
-            if plan.has_free_edge(x, w) and w not in dist:
-                dist[w] = dist[x] + 1
-                q.append(w)
-    if u not in dist:
-        return []
-    out: list[tuple[str, ...]] = []
-
-    def rec(cur, acc):
-        if cur == v:
-            out.append(tuple(acc))
-            return
-        for w in g.neighbors(cur):
-            if plan.has_free_edge(cur, w) and dist.get(w, -2) == dist[cur] - 1:
-                rec(w, acc + [w])
-
-    rec(u, [u])
-    return out
-
-
 def _protection_feasible(state: RouterState, nodes: tuple[str, ...]) -> bool:
     """Cheap sufficient check: a disjoint all-fresh detour exists."""
-    g, plan = state.graph, state.plan
-    interior = set(nodes[1:-1]) if plan.mode == "node" else set()
-    links = {link_key(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)}
+    plan = state.plan
+    avoid = _avoiding(nodes, plan.mode)
 
     def usable(a, b):
-        return (a not in interior and b not in interior
-                and link_key(a, b) not in links and plan.has_free_edge(a, b))
+        return avoid(a, b) and plan.has_free_edge(a, b)
 
-    return shortest_path(g, nodes[0], nodes[-1], usable) is not None
+    return shortest_path(state.graph, nodes[0], nodes[-1], usable) is not None
 
 
 def find_working(state: RouterState, demand: Demand) -> Walk:
@@ -190,18 +168,18 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
     off from any disjoint protection are avoided when an alternative exists.
     """
     plan = state.plan
-    candidates = _all_shortest_workings(state, demand.u, demand.v)
-    if not candidates:
-        raise RoutingError(f"demand {demand.id}: no working route "
-                           f"between {demand.u} and {demand.v}")
 
     def rank(p):
         usage = sum(plan.used_on_link(p[i], p[i + 1]) for i in range(len(p) - 1))
         return (usage, p)
 
+    ranked = sorted(all_shortest_paths(state.graph, demand.u, demand.v, plan.has_free_edge),
+                    key=rank)
+    if not ranked:
+        raise RoutingError(f"demand {demand.id}: no working route "
+                           f"between {demand.u} and {demand.v}")
     # the first feasible route in rank order is the best feasible one, so
     # the detour search runs only until one is found
-    ranked = sorted(candidates, key=rank)
     nodes = next((p for p in ranked if _protection_feasible(state, p)), ranked[0])
     edges = tuple(plan.fresh_edge(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1))
     return Walk(nodes, edges)

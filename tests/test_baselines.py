@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from pxtmesh.baselines import DisjointPair, PairError, disjoint_pair, route_1plus1, route_shared_path
+from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
 from pxtmesh.graph import UNBOUNDED, Graph
 from pxtmesh.plan import Demand
 from pxtmesh.topologies import LARGE_NODE_SETS, standard_topology
@@ -147,3 +150,51 @@ class TestSharedPath:
         demands = demands_for(grid3x4, uniform(k=1))
         assert route_shared_path(grid3x4, demands).bandwidth()[0] == \
             route_1plus1(grid3x4, demands).bandwidth()[0]
+
+
+# sha256 of plan.serialize() for the committed instances routed by both
+# baselines at seed 0, recorded before the baselines' path enumeration moved
+# to graph.all_shortest_paths: any change to these plans shows here
+GOLDEN_BASELINE_PLANS = {
+    ("cycle12plus3", "uniform", "one-plus-one"): "7fd104876ce04861a2c71eba42d437496e638a74335b9641e5e9801ce0156770",
+    ("cycle12plus3", "uniform", "shared-path"): "c7308defe9f932709c265c51a4eb6878ce5b2679cc5511de0806a6a7a21592fb",
+    ("cycle12plus3", "neighbor", "one-plus-one"): "e0d7bb912adce8234a6aeec556d1227b4f1e6c48fa9dc8a83b45585872acff0f",
+    ("cycle12plus3", "neighbor", "shared-path"): "fb83a4bf645db80cdb2f1a326383890ecec7a15e7bdf1d56bbe4c0195514fe9c",
+    ("cycle12plus3", "unbalanced", "one-plus-one"): "e8f37f142edb7668ddf7b54422e6c9e411c4b34fb2b03702fbcb7e535cd7533a",
+    ("cycle12plus3", "unbalanced", "shared-path"): "b270d544e2e29168d1da820843689621863493b7084929d7c2b3e85d4d60e2f7",
+    ("grid3x4", "uniform", "one-plus-one"): "6a469f20a46f4e88d2483fc70d797355d496b5b5281e664f839b2840571c7a9c",
+    ("grid3x4", "uniform", "shared-path"): "1d63b1d782e3efcd59b275e3b1164bc141e9a30340271bc5bb7f4aaca4b1b970",
+    ("grid3x4", "neighbor", "one-plus-one"): "eb28b44164c3b450b60608b83a331eac7a5fcb0449c8265349e98a8ba295e3be",
+    ("grid3x4", "neighbor", "shared-path"): "b37d2e68c5e46e384a5d1e4debfb290fb3e96de03526b13ba4071a9a194113b3",
+    ("grid3x4", "unbalanced", "one-plus-one"): "d4f0e2ae76308f892c1261617be30b6f1cbf4cf6aa1ee405d351824e9ab15915",
+    ("grid3x4", "unbalanced", "shared-path"): "b79392e5a67a2ada3e15c99eb283c962417dab6d423b94b67fabe260e41b29cd",
+    ("tietze", "uniform", "one-plus-one"): "fe6a7554922593cd4ad6f7fe9e34da61e27a5e8b33e9c002468750fd16953e5a",
+    ("tietze", "uniform", "shared-path"): "2f348068a4547d3694993e1f8ad37d1b916c074dc8295d681dbe67eb7f9f5da0",
+    ("tietze", "neighbor", "one-plus-one"): "1577f6c14ce8f239e39f04d2c04c3fcefc69e854188e56783a8d3659d53c51d5",
+    ("tietze", "neighbor", "shared-path"): "02ac3da7238cf6f4a6efaceffad3a04ac2383182190e39aa710c742f136b5fda",
+    ("tietze", "unbalanced", "one-plus-one"): "12a1963adbff4b9d1f6fc1a0ce0f820febb8cac9911c89ad46ae452d06608134",
+    ("tietze", "unbalanced", "shared-path"): "c67a981423a2b079111b540a8598dfc4e23fbc8716cf700b6ea5a6b1246d062d",
+    ("icosahedron", "uniform", "one-plus-one"): "325ddbe091f4043da0f03d5947de93e866f9e5a8b50c51040c74d5bc1d6d6715",
+    ("icosahedron", "uniform", "shared-path"): "7290b8db0a8720b6bde5abb0478e178cd83535f2fb3696e1f5005081b2e70c78",
+    ("icosahedron", "neighbor", "one-plus-one"): "5b5096febe113e229ea0d821e9494b0adfb0a4a89a83b640e4ada19dd96627b6",
+    ("icosahedron", "neighbor", "shared-path"): "97f27f030d1695022d9633a1aad6d1be20ddf08734b09297ac4162a3d3adf4c1",
+    ("icosahedron", "unbalanced", "one-plus-one"): "dc9c29bfc627359827924d0b77bdaae7ffa8d62f54e3da075855888ecb128fe9",
+    ("icosahedron", "unbalanced", "shared-path"): "0c736368e7c2c727957885e32bef2798f90c1b4e08019e838feaf6c2b1455605",
+    ("k66", "uniform", "one-plus-one"): "789732c5be40d3010b849e77844d1771d9269a69364a79f89dfa3fc763b932da",
+    ("k66", "uniform", "shared-path"): "653b1dc7976d2c4fb80da653e50f1318ed157c742593c20c10cbd8641b73adaf",
+    ("k66", "neighbor", "one-plus-one"): "f94b4c7f22d464eb0dc762b36a3afb69994d19fe266a6d9b5d1b812ba53ffe3d",
+    ("k66", "neighbor", "shared-path"): "f0be2180f46575665d41f113815b1cc7edf422a68443e693cc7a4ce46e6d8637",
+    ("k66", "unbalanced", "one-plus-one"): "5e3bb2b66572e42eddfb055b9687c06308b3bff6e81ad07158935e56a5a281fe",
+    ("k66", "unbalanced", "shared-path"): "c2fd7a03203fcf0237922643b8c2b986e963d347a1f5eb53b76bbdc43a1ece0a",
+}
+
+
+@pytest.mark.parametrize("name", ["cycle12plus3", "grid3x4", "tietze", "icosahedron", "k66"])
+def test_baseline_plans_byte_identical(name):
+    g = standard_topology(name)
+    for pattern in PATTERNS:
+        demands = generate(g, traffic_spec(pattern, name, 0))
+        for scheme in ("one-plus-one", "shared-path"):
+            plan = route_with_scheme(g, scheme, demands)
+            got = hashlib.sha256(plan.serialize().encode()).hexdigest()
+            assert got == GOLDEN_BASELINE_PLANS[(name, pattern, scheme)], (name, pattern, scheme)

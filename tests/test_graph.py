@@ -1,3 +1,7 @@
+import math
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +13,13 @@ from pxtmesh.graph import (
     GraphError,
     GraphParseError,
     Walk,
+    all_shortest_paths,
     bfs_distances,
     classify,
     disjoint,
     distance_sum,
     dump_graph,
+    link_key,
     load_graph,
     shortest_path,
 )
@@ -256,10 +262,100 @@ class TestShortestPath:
             for v in g.sorted_nodes():
                 p = shortest_path(g, u, v)
                 assert len(p) - 1 == dist[v]
+                assert p == next(all_shortest_paths(g, u, v), None)
 
     def test_lexicographic_tie_break(self, k66):
         # many 2-hop routes a0-b?-a1; must pick the smallest intermediate
         assert shortest_path(k66, "a0", "a1") == ("a0", "b0", "a1")
+
+
+def grid(n: int) -> Graph:
+    nodes = [f"r{r}c{c}" for r in range(n) for c in range(n)]
+    links = [(f"r{r}c{c}", f"r{r}c{c + 1}", UNBOUNDED) for r in range(n) for c in range(n - 1)]
+    links += [(f"r{r}c{c}", f"r{r + 1}c{c}", UNBOUNDED) for r in range(n - 1) for c in range(n)]
+    return Graph(nodes, links)
+
+
+def recursive_shortest_paths(g, u, v, usable):
+    """Reference enumerator: BFS from v, then every descending walk from u,
+    collected recursively into a list."""
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        x = queue.popleft()
+        for w in g.neighbors(x):
+            if usable(x, w) and w not in dist:
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    if u not in dist:
+        return []
+    out = []
+
+    def rec(cur, acc):
+        if cur == v:
+            out.append(tuple(acc))
+            return
+        for w in g.neighbors(cur):
+            if usable(cur, w) and dist.get(w, -2) == dist[cur] - 1:
+                rec(w, acc + [w])
+
+    rec(u, [u])
+    return out
+
+
+class TestAllShortestPaths:
+    def test_grid_corner_to_corner(self):
+        paths = list(all_shortest_paths(grid(5), "r0c0", "r4c4"))
+        assert len(paths) == math.comb(8, 4) == 70
+        assert len(set(paths)) == 70
+        assert paths == sorted(paths)
+        assert all(len(p) - 1 == 8 and p[0] == "r0c0" and p[-1] == "r4c4" for p in paths)
+
+    def test_same_terminal(self, icosahedron):
+        assert list(all_shortest_paths(icosahedron, "n", "n")) == [("n",)]
+
+    def test_unreachable_yields_nothing(self, five_node):
+        g = Graph("ABCD", [("A", "B", UNBOUNDED), ("C", "D", UNBOUNDED)])
+        assert list(all_shortest_paths(g, "A", "D")) == []
+        assert list(all_shortest_paths(five_node, "A", "B", usable=lambda a, b: False)) == []
+
+    def test_unknown_terminal(self, five_node):
+        with pytest.raises(GraphError):
+            list(all_shortest_paths(five_node, "A", "Z"))
+        with pytest.raises(GraphError):
+            list(all_shortest_paths(five_node, "Z", "A"))
+
+    def test_asks_usable_once_per_link_direction(self):
+        g = grid(4)
+        asked = []
+
+        def usable(a, b):
+            asked.append((a, b))
+            return True
+
+        assert len(list(all_shortest_paths(g, "r0c0", "r3c3", usable))) == math.comb(6, 3)
+        assert len(asked) == len(set(asked))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_recursive_enumerator(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(6, 30)
+        nodes = [f"n{i}" for i in range(n)]
+        pairs = {link_key(nodes[i], nodes[rng.randrange(i)]) for i in range(1, n)}
+        while len(pairs) < int(1.8 * n):
+            pairs.add(link_key(*rng.sample(nodes, 2)))
+        g = Graph(nodes, [(u, v, UNBOUNDED) for u, v in sorted(pairs)])
+        banned = set(rng.sample(sorted(pairs), len(pairs) // 5))
+
+        def usable(a, b):
+            return link_key(a, b) not in banned
+
+        for _ in range(20):
+            u, v = rng.choice(nodes), rng.choice(nodes)
+            assert list(all_shortest_paths(g, u, v, usable)) == \
+                recursive_shortest_paths(g, u, v, usable)
+            assert list(all_shortest_paths(g, u, v)) == \
+                recursive_shortest_paths(g, u, v, lambda a, b: True)
 
 
 def test_distance_sum_disconnected():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import EdgeId, Graph, Walk, link_key
-from .plan import AllocationPlan, PlanError
+from .plan import AllocationPlan, PlanEntry, PlanError
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,15 @@ def restore(plan: AllocationPlan, failure: Failure,
         violations = plan.validate()
         if violations:
             raise PlanError(violations)
+    return _restore_hit(plan, failure, [e for e in plan.entries if _hits_walk(failure, e.working)])
+
+
+def _restore_hit(plan: AllocationPlan, failure: Failure,
+                 hit: list[PlanEntry]) -> RestorationResult:
+    """restore() over the entries whose working paths the failure cuts, in entry order."""
     result = RestorationResult(failure)
-    for entry in plan.entries:
+    for entry in hit:
         d = entry.demand
-        if not _hits_walk(failure, entry.working):
-            continue
         if failure.kind == "node" and failure.element in (d.u, d.v):
             result.unrestorable.append(d.id)
             continue
@@ -168,20 +172,26 @@ def audit(plan: AllocationPlan, mode: str | None = None) -> AuditReport:
     mode = mode or plan.mode
     report = AuditReport(mode)
     terminals = {e.demand.id: e.demand.terminals for e in plan.entries}
+    # entries by the links (link_key tuples) and nodes their workings touch
+    hit_by: dict[tuple[str, str] | str, list[PlanEntry]] = {}
+    for entry in plan.entries:
+        for element in entry.working.link_set() | entry.working.node_set():
+            hit_by.setdefault(element, []).append(entry)
     for failure in enumerate_failures(plan.graph, mode):
         try:
-            r = restore(plan, failure, pre_validated=True)
+            r = _restore_hit(plan, failure, hit_by.get(failure.element, []))
         except RestorationError as exc:
             raise AuditError(failure, str(exc), exc.demands) from exc
         edge_users: dict[EdgeId, list[int]] = {}
         for did, walk in r.activated.items():
             for e in walk.edges:
                 edge_users.setdefault(e, []).append(did)
-        for e, users in sorted(edge_users.items(), key=lambda kv: str(kv[0])):
-            if len(users) > 1:
-                raise AuditError(
-                    failure, f"protection edge {e} needed by demands "
-                    f"{sorted(users)} at once", tuple(sorted(users)))
+        contended = [e for e, users in edge_users.items() if len(users) > 1]
+        if contended:
+            e = min(contended, key=str)
+            users = sorted(edge_users[e])
+            raise AuditError(failure, f"protection edge {e} needed by demands {users} at once",
+                             tuple(users))
         report.max_concurrent_load = max(
             report.max_concurrent_load,
             max((len(u) for u in edge_users.values()), default=0))

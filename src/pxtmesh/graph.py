@@ -136,10 +136,13 @@ class Graph:
 
     def edge(self, u: str, v: str, index: int = 0) -> EdgeId:
         """Materialize an EdgeId, validating the link and capacity bound."""
+        self._check_ordinal(u, v, index)
+        return EdgeId(u, v, index)
+
+    def _check_ordinal(self, u: str, v: str, index: int) -> None:
         cap = self.capacity(u, v)
         if cap is not UNBOUNDED and index >= cap:
             raise GraphError(f"edge ordinal {index} exceeds capacity {cap} on {u}-{v}")
-        return EdgeId(u, v, index)
 
 
 @dataclass(frozen=True)
@@ -186,9 +189,6 @@ class Walk:
     @property
     def ends(self) -> tuple[str, str]:
         return (self.nodes[0], self.nodes[-1])
-
-    def interior(self) -> set[str]:
-        return set(self.nodes[1:-1])
 
     def node_set(self) -> set[str]:
         return set(self.nodes)
@@ -246,17 +246,22 @@ def disjoint(w1: Walk, w2: Walk, mode: str = "node") -> bool:
     """
     if mode == "edge":
         return not (w1.edge_set() & w2.edge_set())
+    if mode not in ("link", "node"):
+        raise ValueError(f"unknown disjointness mode {mode!r}")
+    return not footprints_meet(footprint(w1, mode), footprint(w2, mode))
+
+
+def footprint(walk: Walk, mode: str) -> tuple:
+    """(link set, nodes, interior set) of a walk; link mode leaves the last two empty."""
     if mode == "link":
-        return not (w1.link_set() & w2.link_set())
-    if mode == "node":
-        if w1.link_set() & w2.link_set():
-            return False
-        if w1.interior() & w2.node_set():
-            return False
-        if w2.interior() & w1.node_set():
-            return False
-        return True
-    raise ValueError(f"unknown disjointness mode {mode!r}")
+        return walk.link_set(), (), frozenset()
+    return walk.link_set(), walk.nodes, set(walk.nodes[1:-1])
+
+
+def footprints_meet(a: tuple, b: tuple) -> bool:
+    """not disjoint() in node or link mode, on footprints.  Either side may be
+    a member-wise union of footprints: the other then meets one of them."""
+    return not (a[0].isdisjoint(b[0]) and a[2].isdisjoint(b[1]) and b[2].isdisjoint(a[1]))
 
 
 def _avoiding(nodes: tuple[str, ...], mode: str) -> Callable[[str, str], bool]:
@@ -277,7 +282,7 @@ def validate_walk(graph: Graph, walk: Walk) -> None:
         if n not in graph.nodes:
             raise GraphError(f"unknown node {n}")
     for e in walk.edges:
-        graph.edge(e.u, e.v, e.index)
+        graph._check_ordinal(e.u, e.v, e.index)
 
 
 def bfs_distances(graph: Graph, source: str,

@@ -25,6 +25,8 @@ from .graph import (
     GraphError,
     Walk,
     disjoint,
+    footprint,
+    footprints_meet,
     is_path,
     link_key,
     validate_walk,
@@ -154,6 +156,17 @@ def _canonical_pxt(nodes: list[str], edges: list[EdgeId], closed: bool) -> PXT:
 
 def _pxt_sort_key(p: PXT):
     return (str(min(p.walk.edges)), p.walk.nodes, p.walk.edges)
+
+
+def _any_conflict(fps: list[tuple]) -> bool:
+    """Whether any two footprints meet: each is tested against the union of those before it."""
+    union: tuple[set, set, set] = (set(), set(), set())
+    for fp in fps:
+        if footprints_meet(fp, union):
+            return True
+        for acc, part in zip(union, fp):
+            acc.update(part)
+    return False
 
 
 class AllocationPlan:
@@ -364,7 +377,9 @@ class AllocationPlan:
                 if len(partners) > 1}
 
     def validate(self) -> list[PlanViolation]:
-        """Full re-check of rules a-d from the entries alone."""
+        """Full re-check of rules a-d from the entries alone, reading nothing
+        add_entry maintains.  Rule c takes protection edges in path order and
+        compares pairs only where _any_conflict finds two users' workings meet."""
         out: list[PlanViolation] = []
         for entry in self.entries:
             try:
@@ -375,61 +390,61 @@ class AllocationPlan:
                 out.append(PlanViolation(
                     "a", (entry.demand.id,),
                     f"working and protection are not {self.mode}-disjoint"))
-        usage: dict[EdgeId, list[tuple[int, str]]] = {}
-        for entry in self.entries:
-            for e in entry.working.edges:
-                usage.setdefault(e, []).append((entry.demand.id, "working"))
-            for e in entry.protection.edges:
-                usage.setdefault(e, []).append((entry.demand.id, "protection"))
-        for e, users in sorted(usage.items(), key=lambda kv: str(kv[0])):
-            w_users = {d for d, kind in users if kind == "working"}
-            others = {d for d, _ in users} - w_users
-            if w_users and (others or len(w_users) > 1):
-                ids = tuple(sorted({d for d, _ in users}))
-                out.append(PlanViolation("b", ids, f"working edge {e} shared"))
-        shared_flagged: set[tuple[int, int]] = set()
+        working_ids: dict[EdgeId, list[int]] = {}
         users_by_edge: dict[EdgeId, list[int]] = {}
         for i, entry in enumerate(self.entries):
-            for e in set(entry.protection.edges):
+            for e in entry.working.edges:
+                working_ids.setdefault(e, []).append(entry.demand.id)
+            for e in dict.fromkeys(entry.protection.edges):
                 users_by_edge.setdefault(e, []).append(i)
+        shared = []
+        for e, ids in working_ids.items():
+            ids = set(ids).union(self.entries[i].demand.id for i in users_by_edge.get(e, ()))
+            if len(ids) > 1:
+                shared.append((str(e), tuple(sorted(ids))))
+        out.extend(PlanViolation("b", ids, f"working edge {name} shared")
+                   for name, ids in sorted(shared))
+        fps = [footprint(entry.working, self.mode) for entry in self.entries]
+        shared_flagged: set[tuple[int, int]] = set()
         for e, idxs in users_by_edge.items():
+            if not _any_conflict([fps[i] for i in idxs]):
+                continue
             for ai in range(len(idxs)):
                 for bi in range(ai + 1, len(idxs)):
-                    e1, e2 = self.entries[idxs[ai]], self.entries[idxs[bi]]
-                    pair = (e1.demand.id, e2.demand.id)
+                    pair = (self.entries[idxs[ai]].demand.id, self.entries[idxs[bi]].demand.id)
                     if pair in shared_flagged:
                         continue
-                    if not disjoint(e1.working, e2.working, self.mode):
+                    if footprints_meet(fps[idxs[ai]], fps[idxs[bi]]):
                         shared_flagged.add(pair)
                         out.append(PlanViolation(
                             "c", pair, f"shared protection edge {e} but conflicting workings"))
-        for (e, x), partners in sorted(self._pairing_from_paths().items(),
-                                       key=lambda kv: (str(kv[0][0]), kv[0][1])):
-            if len(partners) > 1:
-                names = ", ".join(sorted(str(p) for p in partners))
-                out.append(PlanViolation(
-                    "d", self._demands_pairing(e, x),
-                    f"branch point at {x}: {e} cross-connected to {names}"))
+        out.extend(self._branch_violations(self._pairing_from_paths()))
         return out
 
-    def _demands_pairing(self, e: EdgeId, x: str) -> tuple[int, ...]:
-        ids = []
+    def _branch_violations(self, pairs: dict) -> list[PlanViolation]:
+        """Rule d: each slot of `pairs` with two partners, and who pairs it."""
+        branched = {slot: set() for slot, partners in pairs.items() if len(partners) > 1}
+        if not branched:
+            return []
         for entry in self.entries:
             p = entry.protection
-            for i in range(len(p.edges) - 1):
-                if p.nodes[i + 1] == x and e in (p.edges[i], p.edges[i + 1]):
-                    ids.append(entry.demand.id)
-                    break
-        return tuple(sorted(set(ids)))
+            for e, x, f in zip(p.edges, p.nodes[1:], p.edges[1:]):
+                for slot in branched.keys() & {(e, x), (f, x)}:
+                    branched[slot].add(entry.demand.id)
+        out = []
+        for (e, x), ids in sorted(branched.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+            names = ", ".join(sorted(str(p) for p in pairs[(e, x)]))
+            out.append(PlanViolation("d", tuple(sorted(ids)),
+                                     f"branch point at {x}: {e} cross-connected to {names}"))
+        return out
 
     def extract_pxts(self) -> list[PXT]:
         """Recompute the PXT decomposition from scratch (cross-check path)."""
-        violations = [v for v in self.validate() if v.condition == "d"]
+        pairs = self._pairing_from_paths()
+        violations = self._branch_violations(pairs)
         if violations:
             raise PlanError(violations)
-        partner: dict[tuple[EdgeId, str], EdgeId] = {}
-        for (e, x), partners in self._pairing_from_paths().items():
-            partner[(e, x)] = next(iter(partners))
+        partner = {slot: next(iter(partners)) for slot, partners in pairs.items()}
         edges = sorted({e for en in self.entries for e in en.protection.edges}, key=str)
         seen: set[EdgeId] = set()
         out = []

@@ -42,6 +42,7 @@ from .graph import (
     Walk,
     _avoiding,
     all_shortest_paths,
+    footprint,
     is_path,
     link_key,
     shortest_path,
@@ -236,12 +237,8 @@ def prohibited_edges(state: RouterState, demand: Demand, working: Walk):
     working conflicts with this one (those backups may be needed at the same
     time, so sharing is off).
     """
-    return _prohibited(state, working, *_working_footprint(state.plan, working))
-
-
-def _working_footprint(plan: AllocationPlan, working: Walk):
-    """The nodes (node mode only) and links no protection edge may touch."""
-    return (working.interior() if plan.mode == "node" else set()), working.link_set()
+    w_links, _, interior = footprint(working, state.plan.mode)
+    return _prohibited(state, working, interior, w_links)
 
 
 def _prohibited(state: RouterState, working: Walk, interior: set[str],
@@ -294,7 +291,7 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     """Auxiliary search graph: unit-cost fresh-capacity arcs plus zero-cost
     shortcut arcs, with rival marks wherever two expansions would collide."""
     plan = state.plan
-    interior, w_links = _working_footprint(plan, working)
+    w_links, _, interior = footprint(working, plan.mode)
     prohibited = _prohibited(state, working, interior, w_links)
 
     aux_edges: list[AuxEdge] = []

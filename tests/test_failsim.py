@@ -2,7 +2,11 @@ import pytest
 
 from pxtmesh.failsim import (
     AuditError,
+    AuditReport,
+    AuditRow,
     RestorationError,
+    RestorationResult,
+    SwitchEvent,
     audit,
     enumerate_failures,
     link_failure,
@@ -137,8 +141,120 @@ class TestAudit:
             audit(plan, mode="link")
         assert "needed by demands" in str(exc.value)
         assert exc.value.demands == (0, 1)
+        # both protection edges are contended; the least by name is the witness
+        assert str(exc.value) == "link:A-B: protection edge B~D#0 needed by demands [0, 1] at once"
 
     def test_empty_plan_vacuous(self, five_node):
         report = audit(AllocationPlan(five_node), mode="link")
         assert report.failures_checked == 7
         assert report.max_concurrent_load == 0
+
+
+# -- audit() and restore() against their full-scan oracles ----------------------
+
+
+def oracle_restore(plan, failure):
+    """restore(pre_validated=True) as it was before the per-failure entry
+    index: every entry is tested against the failure."""
+    def hits(walk):
+        if failure.kind == "link":
+            return failure.element in {e.link for e in walk.edges}
+        return failure.element in walk.nodes
+
+    result = RestorationResult(failure)
+    for entry in plan.entries:
+        d = entry.demand
+        if not hits(entry.working):
+            continue
+        if failure.kind == "node" and failure.element in (d.u, d.v):
+            result.unrestorable.append(d.id)
+            continue
+        if hits(entry.protection):
+            raise RestorationError(
+                f"{failure.id}: protection of demand {d.id} is hit by the same "
+                f"failure; working and protection were not disjoint", (d.id,))
+        result.affected.append(d.id)
+        result.activated[d.id] = entry.protection
+        p = entry.protection
+        for i in range(len(p.edges) - 1):
+            x = p.nodes[i + 1]
+            if plan.crossconnect_partner(p.edges[i], x) != p.edges[i + 1]:
+                raise RestorationError(
+                    f"{failure.id}: protection of demand {d.id} is not "
+                    f"pre-cross-connected at {x}", (d.id,))
+        result.pass_through += len(p.nodes) - 2
+        for terminal, end_edge in ((p.nodes[0], p.edges[0]), (p.nodes[-1], p.edges[-1])):
+            result.switch_events.append(SwitchEvent(terminal, "bridge-at-endnode", d.id))
+            if plan.crossconnect_partner(end_edge, terminal) is not None:
+                result.switch_events.append(
+                    SwitchEvent(terminal, "break-crossconnect-at-endnode", d.id))
+    return result
+
+
+def oracle_audit(plan, mode):
+    """audit() as it was before the per-failure entry index: a full restore
+    per failure, and every activated edge sorted."""
+    report = AuditReport(mode)
+    terminals = {e.demand.id: e.demand.terminals for e in plan.entries}
+    for failure in enumerate_failures(plan.graph, mode):
+        try:
+            r = oracle_restore(plan, failure)
+        except RestorationError as exc:
+            raise AuditError(failure, str(exc), exc.demands) from exc
+        edge_users = {}
+        for did, w in r.activated.items():
+            for e in w.edges:
+                edge_users.setdefault(e, []).append(did)
+        for e, users in sorted(edge_users.items(), key=lambda kv: str(kv[0])):
+            if len(users) > 1:
+                raise AuditError(
+                    failure, f"protection edge {e} needed by demands "
+                    f"{sorted(users)} at once", tuple(sorted(users)))
+        report.max_concurrent_load = max(
+            report.max_concurrent_load,
+            max((len(u) for u in edge_users.values()), default=0))
+        for ev in r.switch_events:
+            if ev.node not in terminals[ev.demand]:
+                raise AuditError(
+                    failure, f"switch event at non-terminal {ev.node} "
+                    f"for demand {ev.demand}", (ev.demand,))
+        report.rows.append(AuditRow(failure.id, len(r.affected), len(r.unrestorable),
+                                    len(r.switch_events), r.pass_through))
+    return report
+
+
+def outcome(fn, *args):
+    """What a call returned, or the message and demands of what it raised."""
+    try:
+        result = fn(*args)
+    except (AuditError, RestorationError) as exc:
+        return type(exc).__name__, str(exc), exc.demands
+    if isinstance(result, AuditReport):
+        return result.to_csv(), result.max_concurrent_load
+    return result
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+@pytest.mark.parametrize("seed", range(16))
+def test_audit_and_restore_match_oracles(random_plan, seed, mode):
+    plan = random_plan(seed, mode)
+    for failure_mode in ("link", "node"):
+        assert outcome(audit, plan, failure_mode) == outcome(oracle_audit, plan, failure_mode)
+    for failure in enumerate_failures(plan.graph, "node"):
+        assert (outcome(restore, plan, failure, True)
+                == outcome(oracle_restore, plan, failure))
+
+
+def test_random_plans_reach_every_audit_outcome(random_plan):
+    # passes, contention, and both restoration errors all occur
+    kinds = set()
+    for seed in range(16):
+        for mode in ("node", "link"):
+            result = outcome(audit, random_plan(seed, mode), mode)
+            if len(result) == 2:
+                kinds.add("pass")
+            else:
+                kinds.add(next(k for k in ("needed by demands", "pre-cross-connected",
+                                           "hit by the same failure") if k in result[1]))
+    assert kinds == {"pass", "needed by demands", "pre-cross-connected",
+                     "hit by the same failure"}

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pxtmesh
 from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, Walk
 from pxtmesh.plan import (
     AllocationPlan,
     Demand,
     PlanEntry,
     PlanError,
+    PlanViolation,
     PXT,
 )
 
@@ -238,3 +245,128 @@ class TestFreshEdges:
         assert plan.fresh_edge("A", "B") == EdgeId("A", "B", 1)
         assert plan.fresh_edge("A", "E") == EdgeId("A", "E", 1)
         assert plan.fresh_edge("C", "D") == EdgeId("C", "D", 0)
+
+
+# -- validate() against its pairwise oracle -------------------------------------
+
+
+def _oracle_disjoint(w1, w2, mode):
+    links = not ({e.link for e in w1.edges} & {e.link for e in w2.edges})
+    if mode == "link" or not links:
+        return links
+    return not (set(w1.nodes[1:-1]) & set(w2.nodes) or set(w2.nodes[1:-1]) & set(w1.nodes))
+
+
+def oracle_validate(plan):
+    """validate() as it was before the indexed rule-c check: every pair of
+    users of every protection edge is compared, and every edge is sorted.
+    Protection edges are taken in path order, so the result is reproducible."""
+    out = []
+    for entry in plan.entries:
+        try:
+            plan._structural_check(entry)
+        except PlanError as exc:
+            out.extend(exc.violations)
+        if not _oracle_disjoint(entry.working, entry.protection, plan.mode):
+            out.append(PlanViolation(
+                "a", (entry.demand.id,),
+                f"working and protection are not {plan.mode}-disjoint"))
+    usage = {}
+    for entry in plan.entries:
+        for e in entry.working.edges:
+            usage.setdefault(e, []).append((entry.demand.id, "working"))
+        for e in entry.protection.edges:
+            usage.setdefault(e, []).append((entry.demand.id, "protection"))
+    for e, users in sorted(usage.items(), key=lambda kv: str(kv[0])):
+        w_users = {d for d, kind in users if kind == "working"}
+        others = {d for d, _ in users} - w_users
+        if w_users and (others or len(w_users) > 1):
+            ids = tuple(sorted({d for d, _ in users}))
+            out.append(PlanViolation("b", ids, f"working edge {e} shared"))
+    shared_flagged = set()
+    users_by_edge = {}
+    for i, entry in enumerate(plan.entries):
+        for e in dict.fromkeys(entry.protection.edges):
+            users_by_edge.setdefault(e, []).append(i)
+    for e, idxs in users_by_edge.items():
+        for ai in range(len(idxs)):
+            for bi in range(ai + 1, len(idxs)):
+                e1, e2 = plan.entries[idxs[ai]], plan.entries[idxs[bi]]
+                pair = (e1.demand.id, e2.demand.id)
+                if pair in shared_flagged:
+                    continue
+                if not _oracle_disjoint(e1.working, e2.working, plan.mode):
+                    shared_flagged.add(pair)
+                    out.append(PlanViolation(
+                        "c", pair, f"shared protection edge {e} but conflicting workings"))
+    pairs = {}
+    for entry in plan.entries:
+        p = entry.protection
+        for i in range(len(p.edges) - 1):
+            e, f, x = p.edges[i], p.edges[i + 1], p.nodes[i + 1]
+            pairs.setdefault((e, x), set()).add(f)
+            pairs.setdefault((f, x), set()).add(e)
+    for (e, x), partners in sorted(pairs.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+        if len(partners) > 1:
+            ids = set()
+            for entry in plan.entries:
+                p = entry.protection
+                for i in range(len(p.edges) - 1):
+                    if p.nodes[i + 1] == x and e in (p.edges[i], p.edges[i + 1]):
+                        ids.add(entry.demand.id)
+            names = ", ".join(sorted(str(p) for p in partners))
+            out.append(PlanViolation("d", tuple(sorted(ids)),
+                                     f"branch point at {x}: {e} cross-connected to {names}"))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+@pytest.mark.parametrize("seed", range(16))
+def test_validate_matches_pairwise_oracle(random_plan, seed, mode):
+    plan = random_plan(seed, mode)
+    replay = AllocationPlan(plan.graph, mode=mode, enforce=plan.enforce)
+    for entry in plan.entries:
+        replay.add_entry(entry)
+        assert replay.validate() == oracle_validate(replay)
+    d_violations = [v for v in oracle_validate(plan) if v.condition == "d"]
+    if d_violations:
+        with pytest.raises(PlanError) as exc:
+            plan.extract_pxts()
+        assert exc.value.violations == d_violations
+    elif "d" in plan.enforce:
+        assert plan.extract_pxts() == plan.pxts
+
+
+def test_random_plans_break_every_rule(random_plan):
+    # the differential test above is only as strong as the plans it sees
+    seen = {v.condition for seed in range(16) for mode in ("node", "link")
+            for v in random_plan(seed, mode, "").validate()}
+    assert seen == set("abcd")
+
+
+HASH_SEED_SCRIPT = """
+from pxtmesh.graph import EdgeId, Graph, Walk
+from pxtmesh.plan import AllocationPlan, Demand, PlanEntry
+
+g = Graph("ABCDE", [(a, b, None) for a, b in ("AB", "BC", "AD", "DE", "EC")])
+plan = AllocationPlan(g, mode="link", enforce="")
+protection = Walk(tuple("ADEC"), (EdgeId("A", "D", 0), EdgeId("D", "E", 0), EdgeId("E", "C", 0)))
+for k in range(2):
+    working = Walk(tuple("ABC"), (EdgeId("A", "B", k), EdgeId("B", "C", k)))
+    plan.add_entry(PlanEntry(Demand(k, "A", "C"), working, protection))
+for v in plan.validate():
+    print(v)
+"""
+
+
+def test_condition_c_witness_independent_of_hash_seed():
+    src = str(Path(pxtmesh.__file__).resolve().parent.parent)
+    outputs = set()
+    for hash_seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        outputs.add(run.stdout)
+    assert outputs == {"condition c (demands 0,1): shared protection edge A~D#0 "
+                       "but conflicting workings\n"}

@@ -18,8 +18,11 @@ from typing import Hashable, Iterable, Mapping
 ArcId = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Arc:
+    """One directed arc; the router builds arcs per demand, so it is slotted
+    rather than frozen.  Nothing hashes an Arc: graphs key arcs by id."""
+
     id: ArcId
     tail: str
     head: str

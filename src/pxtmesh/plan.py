@@ -17,7 +17,6 @@ so intermediate nodes never switch in real time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .graph import (
     EdgeId,
@@ -101,23 +100,34 @@ class PXT:
 class _Trail:
     """Mutable trail under incremental extension/merging.
 
-    `cached` holds the trail's (sort key, canonical PXT) once computed; every
-    change to the trail must reset it to None.
+    `cached` holds the trail's (sort key, canonical PXT) and `pos` maps each
+    node to its positions on that canonical walk (on the ring when closed),
+    both computed on first use.  Every change to the trail must reset both to
+    None, and the plan's canonical trail order with them.
     """
 
-    __slots__ = ("nodes", "edges", "closed", "cached")
+    __slots__ = ("nodes", "edges", "closed", "cached", "pos")
 
     def __init__(self, nodes: list[str], edges: list[EdgeId]):
         self.nodes = nodes
         self.edges = edges
         self.closed = False
         self.cached: tuple[tuple, PXT] | None = None
+        self.pos: dict[str, list[int]] | None = None
 
     def canonical(self) -> tuple[tuple, PXT]:
         if self.cached is None:
             pxt = _canonical_pxt(self.nodes, self.edges, self.closed)
             self.cached = (_pxt_sort_key(pxt), pxt)
         return self.cached
+
+    def positions(self) -> dict[str, list[int]]:
+        if self.pos is None:
+            nodes = self.canonical()[1].walk.nodes
+            self.pos = {}
+            for i in range(len(nodes) - 1 if self.closed else len(nodes)):
+                self.pos.setdefault(nodes[i], []).append(i)
+        return self.pos
 
     def end_slots(self) -> tuple[tuple[EdgeId, str], tuple[EdgeId, str]]:
         return ((self.edges[0], self.nodes[0]), (self.edges[-1], self.nodes[-1]))
@@ -184,6 +194,8 @@ class AllocationPlan:
         self.entries: list[PlanEntry] = []
         self._roles: dict[EdgeId, str] = {}
         self._used_ordinals: dict[tuple[str, str], set[int]] = {}
+        # (u, v) and (v, u) for every link with spare capacity
+        self._free = {pair for u, v in graph.links() for pair in ((u, v), (v, u))}
         self._protection_users: dict[EdgeId, list[int]] = {}
         # cross-connect pairing and incremental trail state (only when rule d
         # is enforced; without it the pairing is not well defined)
@@ -191,6 +203,7 @@ class AllocationPlan:
         self._trails: dict[int, _Trail] = {}
         self._trail_ends: dict[tuple[EdgeId, str], int] = {}
         self._next_trail_id = 0
+        self._ranked: list[_Trail] | None = None  # trails in canonical order
 
     # -- edge pool ---------------------------------------------------------
 
@@ -198,8 +211,10 @@ class AllocationPlan:
         return len(self._used_ordinals.get(link_key(u, v), ()))
 
     def has_free_edge(self, u: str, v: str) -> bool:
-        cap = self.graph.capacity(u, v)
-        return cap is None or self.used_on_link(u, v) < cap
+        if (u, v) in self._free:
+            return True
+        self.graph.capacity(u, v)  # raises GraphError for an unknown link
+        return False
 
     def fresh_edge(self, u: str, v: str) -> EdgeId:
         """Smallest unused ordinal on the link; raises when capacity is full."""
@@ -258,15 +273,18 @@ class AllocationPlan:
                 if self._roles.get(e) == "working":
                     out.append(PlanViolation("b", (d.id,), f"protection reuses working edge {e}"))
         if "c" in self.enforce:
+            fp = footprint(entry.working, self.mode)
+            meets: dict[int, bool] = {}  # other entry -> do the workings meet
             flagged = set()
             for e in entry.protection.edges:
                 for idx in self._protection_users.get(e, ()):
                     other = self.entries[idx]
-                    key = other.demand.id
-                    if key in flagged:
+                    if other.demand.id in flagged:
                         continue
-                    if not disjoint(entry.working, other.working, self.mode):
-                        flagged.add(key)
+                    if idx not in meets:
+                        meets[idx] = footprints_meet(fp, footprint(other.working, self.mode))
+                    if meets[idx]:
+                        flagged.add(other.demand.id)
                         out.append(PlanViolation(
                             "c", (d.id, other.demand.id),
                             f"shared protection edge {e} but conflicting workings"))
@@ -284,7 +302,13 @@ class AllocationPlan:
         return out
 
     def add_entry(self, entry: PlanEntry) -> None:
-        """Append one routed demand; raises PlanError rather than mutate on failure."""
+        """Append one routed demand; raises PlanError rather than mutate on failure.
+
+        Every check comes before the first write.  Once they pass, the trail
+        updates cannot fail: each protection edge has a trail (a singleton
+        for an edge new to protection, whatever its role), and rule d leaves
+        every slot to connect either already paired or a trail end.
+        """
         self._structural_check(entry)
         violations = self._entry_violations(entry)
         if violations:
@@ -296,15 +320,15 @@ class AllocationPlan:
                 if cap is not None and len(used) >= cap:
                     raise PlanError(f"link {e.u}-{e.v} capacity exhausted")
         idx = len(self.entries)
+        untrailed = [e for e in entry.protection.edges if e not in self._protection_users]
         for e in entry.working.edges:
             self._set_role(e, "working")
-        new_protection = [e for e in entry.protection.edges if e not in self._roles]
         for e in entry.protection.edges:
             if e not in self._roles:
                 self._set_role(e, "protection")
             self._protection_users.setdefault(e, []).append(idx)
         if "d" in self.enforce:
-            for e in new_protection:
+            for e in untrailed:
                 self._new_singleton_trail(e)
             for i in range(len(entry.protection.edges) - 1):
                 e, f = entry.protection.edges[i], entry.protection.edges[i + 1]
@@ -315,7 +339,11 @@ class AllocationPlan:
 
     def _set_role(self, e: EdgeId, role: str) -> None:
         self._roles[e] = role
-        self._used_ordinals.setdefault(e.link, set()).add(e.index)
+        used = self._used_ordinals.setdefault(e.link, set())
+        used.add(e.index)
+        cap = self.graph.capacity(e.u, e.v)
+        if cap is not None and len(used) >= cap:
+            self._free.difference_update(((e.u, e.v), (e.v, e.u)))
 
     # -- incremental PXT maintenance ----------------------------------------
 
@@ -326,6 +354,7 @@ class AllocationPlan:
         self._trails[tid] = t
         self._trail_ends[(e, e.u)] = tid
         self._trail_ends[(e, e.v)] = tid
+        self._ranked = None
 
     def _connect(self, e: EdgeId, f: EdgeId, x: str) -> None:
         t1 = self._trail_ends.pop((e, x))
@@ -333,7 +362,8 @@ class AllocationPlan:
         self._partner[(e, x)] = f
         self._partner[(f, x)] = e
         a = self._trails[t1]
-        a.cached = None
+        a.cached = a.pos = None
+        self._ranked = None
         if t1 == t2:
             a.closed = True
             return
@@ -347,11 +377,16 @@ class AllocationPlan:
         # b's far end, the only end slot it had left, is now a's
         self._trail_ends[a.end_slots()[1]] = t1
 
+    def _ranked_trails(self) -> list[_Trail]:
+        """The trails in canonical PXT order, cached until a trail changes."""
+        if self._ranked is None:
+            self._ranked = sorted(self._trails.values(), key=lambda t: t.canonical()[0])
+        return self._ranked
+
     @property
     def pxts(self) -> list[PXT]:
         """PXTs from the incrementally maintained trails, canonically ordered."""
-        ranked = sorted((t.canonical() for t in self._trails.values()), key=itemgetter(0))
-        return [pxt for _, pxt in ranked]
+        return [t.canonical()[1] for t in self._ranked_trails()]
 
     # -- derived views -------------------------------------------------------
 

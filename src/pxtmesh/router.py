@@ -19,9 +19,16 @@ recomputing it:
 - RouterState indexes every entry's working path by link and by node, so
   conflicts are read off the index; the index catches up with entries added
   to the plan directly on its next use;
-- the plan caches each trail's canonical PXT and sort key; merging or closing
-  a trail drops that trail's cache, and nothing else invalidates it;
-- subtrails are slices of those PXTs, built without re-validation.
+- the plan caches each trail's canonical PXT and sort key, and the map from
+  each node to its positions on that PXT; merging or closing a trail drops
+  both, and nothing else invalidates them;
+- the plan caches its trails in canonical order; a new trail, or merging or
+  closing one, drops that order;
+- subtrails are slices of those PXTs, cut where the position index puts the
+  terminals and built without re-validation;
+- the plan keeps the set of links with spare capacity, and RouterState keeps
+  the fresh-capacity aux edges built from it; they are rebuilt only when that
+  set shrinks, and filtered by the working path per demand.
 """
 
 from __future__ import annotations
@@ -109,6 +116,10 @@ class RouterState:
         self._working_end: dict[str, list[int]] = {}
         self._working_interior: dict[str, list[int]] = {}
         self._indexed = 0
+        # an "unused" aux edge per link with spare capacity, as of when the
+        # plan had `_fresh_free` free link orientations
+        self._fresh: list[AuxEdge] = []
+        self._fresh_free = -1
 
     def route(self, demand: Demand) -> PlanEntry:
         return route_demand(self, demand)
@@ -127,6 +138,14 @@ class RouterState:
                 for n in (nodes[0], nodes[-1]):
                     self._working_end.setdefault(n, []).append(idx)
         self._indexed = len(self.plan.entries)
+
+    def fresh_aux_edges(self) -> list[AuxEdge]:
+        """An "unused" aux edge per link with spare capacity, in link order."""
+        if self._fresh_free != len(self.plan._free):
+            self._fresh = [AuxEdge("unused", u, v, 1) for u, v in self.graph.links()
+                           if self.plan.has_free_edge(u, v)]
+            self._fresh_free = len(self.plan._free)
+        return self._fresh
 
     def conflicting_entries(self, working: Walk) -> list[PlanEntry]:
         """Entries whose working path is not disjoint from `working`."""
@@ -198,34 +217,38 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Subtrail]:
     # slices of a valid trail are valid walks: build them unchecked
     trusted = Walk._trusted
     out: list[Subtrail] = []
-    for pxt in state.plan.pxts:
+    for trail in state.plan._ranked_trails():
+        pxt = trail.canonical()[1]
         nodes, edges = pxt.walk.nodes, pxt.walk.edges
         k = len(edges)
+        pos = trail.positions()
+        at_u, at_v = pos.get(u, []), pos.get(v, [])
+        # no segment is empty, so a path is one that repeats no node; on a
+        # trail that repeats none, every segment is one
+        simple = len(pos) == (k if pxt.closed else k + 1)
         if pxt.closed:
-            ring = nodes[:-1]
-            positions = [i for i in range(k) if ring[i] in (u, v)]
-            if not any(ring[i] == u for i in positions) or \
-               not any(ring[i] == v for i in positions):
+            if not (at_u and at_v):
                 continue
-            for j, a in enumerate(positions):
-                b = positions[(j + 1) % len(positions)]
+            cuts = sorted(at_u + at_v)
+            for a, b in zip(cuts, cuts[1:] + cuts[:1]):
                 if b > a:
                     seg_nodes, seg_edges = nodes[a:b + 1], edges[a:b]
                 else:
                     seg_nodes = nodes[a:k] + nodes[:b + 1]
                     seg_edges = edges[a:] + edges[:b]
-                out.append(Subtrail(trusted(seg_nodes, seg_edges), "terminal", "terminal"))
+                if simple or len(set(seg_nodes)) == len(seg_nodes):
+                    out.append(Subtrail(trusted(seg_nodes, seg_edges), "terminal", "terminal"))
         else:
-            positions = sorted({0, k} | {i for i in range(k + 1) if nodes[i] in (u, v)})
-            for a, b in zip(positions, positions[1:]):
-                seg = trusted(nodes[a:b + 1], edges[a:b])
-                out.append(Subtrail(
-                    seg,
-                    "terminal" if nodes[a] in (u, v) else "trail-end",
-                    "terminal" if nodes[b] in (u, v) else "trail-end",
-                ))
-    # no segment is empty, so a path is one that repeats no node
-    return [s for s in out if len(set(s.walk.nodes)) == len(s.walk.nodes)]
+            cuts = sorted({0, k, *at_u, *at_v})
+            for a, b in zip(cuts, cuts[1:]):
+                seg_nodes = nodes[a:b + 1]
+                if simple or len(set(seg_nodes)) == len(seg_nodes):
+                    out.append(Subtrail(
+                        trusted(seg_nodes, edges[a:b]),
+                        "terminal" if nodes[a] in (u, v) else "trail-end",
+                        "terminal" if nodes[b] in (u, v) else "trail-end",
+                    ))
+    return out
 
 
 def prohibited_edges(state: RouterState, demand: Demand, working: Walk):
@@ -264,25 +287,28 @@ def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[frozenset[int]]
     node -> arcs indexes instead of comparing every pair: an edge's rivals
     are the arcs of every other edge covering one of its interior nodes,
     plus those of every edge having one of its endpoints as an interior
-    node.
+    node.  Only shortcuts have interior nodes, so `inner` is built from them
+    alone and `covers` only at their interior nodes; fresh edges without
+    rivals share one empty set.
     """
-    covers: dict[str, set[int]] = {}  # node -> arcs whose expansion covers it
-    inner: dict[str, set[int]] = {}   # node -> arcs with it as an interior node
+    inner: dict[str, set[int]] = {}  # node -> arcs with it as an interior node
+    for i in range(n_unused, len(aux_edges)):
+        for n in aux_edges[i].subtrail.walk.nodes[1:-1]:
+            inner.setdefault(n, set()).update((2 * i, 2 * i + 1))
+    # node -> arcs whose expansion covers it, only where some edge's rivals ask
+    covers: dict[str, set[int]] = {n: set() for n in inner}
     for i, e in enumerate(aux_edges):
-        own = (2 * i, 2 * i + 1)
-        nodes = (e.u, e.v) if i < n_unused else e.subtrail.walk.nodes
-        for n in nodes:
-            covers.setdefault(n, set()).update(own)
-        for n in nodes[1:-1]:
-            inner.setdefault(n, set()).update(own)
-    empty: set[int] = set()
+        for n in (e.u, e.v) if i < n_unused else e.subtrail.walk.nodes:
+            if n in covers:
+                covers[n].update((2 * i, 2 * i + 1))
+    empty: frozenset[int] = frozenset()
     out = []
     for i, e in enumerate(aux_edges):
         rivals = inner.get(e.u, empty) | inner.get(e.v, empty)
         if i >= n_unused:
             rivals = rivals.union(*(covers[n] for n in e.subtrail.walk.nodes[1:-1]))
             rivals -= {2 * i, 2 * i + 1}
-        out.append(frozenset(rivals))
+        out.append(frozenset(rivals) if rivals else empty)
     return out
 
 
@@ -294,13 +320,8 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     w_links, _, interior = footprint(working, plan.mode)
     prohibited = _prohibited(state, working, interior, w_links)
 
-    aux_edges: list[AuxEdge] = []
-    for u, v in state.graph.links():
-        if not plan.has_free_edge(u, v):
-            continue
-        if (u, v) in w_links or u in interior or v in interior:
-            continue
-        aux_edges.append(AuxEdge("unused", u, v, 1))
+    aux_edges = [e for e in state.fresh_aux_edges()
+                 if (e.u, e.v) not in w_links and e.u not in interior and e.v not in interior]
     n_unused = len(aux_edges)
     for s in subtrails:
         if any(prohibited(e) for e in s.walk.edges):

@@ -80,22 +80,20 @@ def _random_simple_path(rng, g, u, v, usable=None):
     return tuple(path) if dfs(u) else None
 
 
-# rule d is only ever enforced together with a and b: add_entry cannot
-# cross-connect a protection edge that is some working's edge
-RANDOM_ENFORCE = ("", "abd", "ab", "abcd")
+RANDOM_ENFORCE = ("", "abd", "ab", "abcd", "d", "bd")
 
 
 def _random_plan(seed, mode, enforce=None):
     """A plan on a random connected graph of 6-10 nodes, grown from random
     entries by add_entry (entries it refuses are dropped).  `enforce`
-    defaults to RANDOM_ENFORCE[seed % 4].
+    defaults to RANDOM_ENFORCE[seed % len(RANDOM_ENFORCE)].
 
     Ordinals come from a pool of two or three per link, so workings collide,
     protections are shared and trails branch: with enforce="" the plans break
     all four rules.  About one protection in five ignores the working path.
     """
     if enforce is None:
-        enforce = RANDOM_ENFORCE[seed % 4]
+        enforce = RANDOM_ENFORCE[seed % len(RANDOM_ENFORCE)]
     rng = random.Random(seed)
     n = rng.randint(6, 10)
     nodes = [f"n{i}" for i in range(n)]

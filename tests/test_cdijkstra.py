@@ -39,6 +39,26 @@ def worked_example() -> RivalGraph:
     return RivalGraph([f"v{i}" for i in range(1, 7)], arcs, "v1")
 
 
+class TestConstructionChecks:
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="negative length"):
+            Arc("x", "a", "b", -1)
+
+    def test_arcs_equal_field_by_field(self):
+        assert Arc("x", "a", "b", 1) == Arc("x", "a", "b", 1, frozenset(), 0)
+        assert Arc("x", "a", "b", 1) != Arc("x", "a", "b", 1, tiebreak=1)
+
+    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    def test_duplicate_arc_id_rejected(self, build):
+        with pytest.raises(ValueError, match="duplicate arc id"):
+            build("ab", [Arc("x", "a", "b", 1), Arc("x", "b", "a", 1)], "a")
+
+    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    def test_unknown_node_rejected(self, build):
+        with pytest.raises(ValueError, match="unknown node"):
+            build("ab", [Arc("x", "a", "c", 1)], "a")
+
+
 class TestSymmetrize:
     def test_one_directional_becomes_mutual(self):
         g = worked_example()

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import pxtmesh
-from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, Walk
+from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint
 from pxtmesh.plan import (
     AllocationPlan,
     Demand,
@@ -113,6 +113,53 @@ class TestAddEntry:
         with pytest.raises(PlanError) as exc:
             plan.add_entry(copy)
         assert exc.value.violations[0].condition == "c"
+
+    def test_protection_over_working_edges_without_rule_b(self):
+        # rule d alone lets demand 1 protect over demand 0's working edges;
+        # those edges have a role but no trail until then
+        ring = Graph("ABCD", [(a, b, UNBOUNDED) for a, b in ("AB", "BC", "CD", "DA")])
+        plan = AllocationPlan(ring, mode="link", enforce="d")
+        abc = walk("A", AB, "B", ("B", "C", 0), "C")
+        adc = walk("A", ("A", "D", 0), "D", ("D", "C", 0), "C")
+        plan.add_entry(entry(0, "A", "C", abc, adc))
+        plan.add_entry(entry(1, "A", "C", adc, abc))
+        assert plan.protection_users(EdgeId(*AB)) == (1,)
+        assert plan.crossconnect_partner(EdgeId(*AB), "B") == EdgeId("B", "C", 0)
+        assert plan.pxts == plan.extract_pxts()
+        assert [p.walk.nodes for p in plan.pxts] == [tuple("ABC"), tuple("ADC")]
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+@pytest.mark.parametrize("enforce", ["d", "bd", "abd", "abcd"])
+def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
+    """Each add_entry either succeeds with the incremental PXTs equal to the
+    from-scratch ones, or raises PlanError and changes nothing."""
+    real = AllocationPlan.add_entry
+    outcomes = set()
+
+    def checked(plan, new):
+        text = plan.serialize()
+        users = {e: plan.protection_users(e) for e in plan._protection_users}
+        over_working = any(plan.role(e) == "working" for e in new.protection.edges)
+        try:
+            real(plan, new)
+        except PlanError:
+            outcomes.add("refused")
+            assert plan.serialize() == text
+            assert {e: plan.protection_users(e) for e in plan._protection_users} == users
+            raise
+        outcomes.add("added")
+        if over_working:
+            outcomes.add("protection over an earlier working edge")
+        assert plan.pxts == plan.extract_pxts()
+
+    monkeypatch.setattr(AllocationPlan, "add_entry", checked)
+    for seed in range(12):
+        random_plan(seed, mode, enforce)
+    expect = {"added", "refused"}
+    if "b" not in enforce:
+        expect.add("protection over an earlier working edge")
+    assert outcomes == expect
 
 
 class TestValidate:
@@ -246,6 +293,13 @@ class TestFreshEdges:
         assert plan.fresh_edge("A", "E") == EdgeId("A", "E", 1)
         assert plan.fresh_edge("C", "D") == EdgeId("C", "D", 0)
 
+    def test_unknown_link_raises(self, five_node):
+        plan = AllocationPlan(five_node)
+        with pytest.raises(GraphError, match="no link"):
+            plan.has_free_edge("C", "E")
+        with pytest.raises(GraphError, match="no link"):
+            plan.has_free_edge("A", "Z")
+
 
 # -- validate() against its pairwise oracle -------------------------------------
 
@@ -335,6 +389,39 @@ def test_validate_matches_pairwise_oracle(random_plan, seed, mode):
         assert exc.value.violations == d_violations
     elif "d" in plan.enforce:
         assert plan.extract_pxts() == plan.pxts
+
+
+def _pairwise_rule_c(plan, new):
+    """Rule c as _entry_violations checked it before footprints: disjoint()
+    once per protection edge and user."""
+    out, flagged = [], set()
+    for e in new.protection.edges:
+        for idx in plan.protection_users(e):
+            other = plan.entries[idx]
+            if other.demand.id in flagged:
+                continue
+            if not disjoint(new.working, other.working, plan.mode):
+                flagged.add(other.demand.id)
+                out.append(PlanViolation(
+                    "c", (new.demand.id, other.demand.id),
+                    f"shared protection edge {e} but conflicting workings"))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_rule_c_matches_pairwise_loop(random_plan, mode):
+    flagged = 0
+    for seed in range(16):
+        plan = random_plan(seed, mode, "")
+        replay = AllocationPlan(plan.graph, mode=mode, enforce="")
+        for new in plan.entries:
+            replay.enforce = frozenset("c")
+            got = replay._entry_violations(new)
+            replay.enforce = frozenset()
+            assert got == _pairwise_rule_c(replay, new)
+            flagged += len(got)
+            replay.add_entry(new)
+    assert flagged
 
 
 def test_random_plans_break_every_rule(random_plan):

@@ -1,14 +1,20 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pxtmesh
 from pxtmesh import router
 from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
 from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, Walk, classify, disjoint, is_path
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry
 from pxtmesh.router import (
+    AuxEdge,
     RouterState,
     RoutingError,
     Subtrail,
@@ -492,3 +498,99 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
         assert state.plan.pxts == state.plan.extract_pxts()
     assert built
     assert state.plan.validate() == []
+
+
+def full_scan_subtrails(plan: AllocationPlan, demand: Demand) -> list[Subtrail]:
+    """collect_subtrails before the position index: every PXT of the
+    from-scratch decomposition is scanned node by node, each segment is a
+    validated Walk, and non-paths are dropped at the end."""
+    u, v = demand.u, demand.v
+    out = []
+    for pxt in plan.extract_pxts():
+        nodes, edges = pxt.walk.nodes, pxt.walk.edges
+        k = len(edges)
+        if pxt.closed:
+            ring = nodes[:-1]
+            positions = [i for i in range(k) if ring[i] in (u, v)]
+            if not any(ring[i] == u for i in positions) or \
+               not any(ring[i] == v for i in positions):
+                continue
+            for j, a in enumerate(positions):
+                b = positions[(j + 1) % len(positions)]
+                if b > a:
+                    seg = Walk(nodes[a:b + 1], edges[a:b])
+                else:
+                    seg = Walk(nodes[a:k] + nodes[:b + 1], edges[a:] + edges[:b])
+                out.append(Subtrail(seg, "terminal", "terminal"))
+        else:
+            positions = sorted({0, k} | {i for i in range(k + 1) if nodes[i] in (u, v)})
+            for a, b in zip(positions, positions[1:]):
+                out.append(Subtrail(
+                    Walk(nodes[a:b + 1], edges[a:b]),
+                    "terminal" if nodes[a] in (u, v) else "trail-end",
+                    "terminal" if nodes[b] in (u, v) else "trail-end",
+                ))
+    return [s for s in out if is_path(s.walk)]
+
+
+def fresh_edges_from_scratch(plan: AllocationPlan) -> list[AuxEdge]:
+    out = []
+    for u, v in plan.graph.links():
+        cap = plan.graph.capacity(u, v)
+        if cap is None or plan.used_on_link(u, v) < cap:
+            out.append(AuxEdge("unused", u, v, 1))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+@pytest.mark.parametrize("tight", [False, True])
+def test_cached_subtrails_and_fresh_edges_match_full_scans(mode, tight):
+    closed_pairs = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(8, 40), tight)
+        nodes = g.sorted_nodes()
+        state = RouterState(g, mode=mode)
+        for did in range(40):
+            try:
+                route_demand(state, Demand(did, *rng.sample(nodes, 2)))
+            except RoutingError:
+                pass
+            plan = state.plan
+            fresh = fresh_edges_from_scratch(plan)
+            assert state.fresh_aux_edges() == fresh
+            assert [(u, v) for u, v in g.links()
+                    if plan.has_free_edge(u, v) and plan.has_free_edge(v, u)] == \
+                [(e.u, e.v) for e in fresh]
+            pairs = [rng.sample(nodes, 2) for _ in range(3)]
+            for pxt in plan.pxts:
+                if pxt.closed:
+                    pairs.append(rng.sample(sorted(set(pxt.walk.nodes)), 2))
+                    closed_pairs += 1
+            for u, v in pairs:
+                d = Demand(1000 + did, u, v)
+                assert collect_subtrails(state, d) == full_scan_subtrails(plan, d)
+    assert closed_pairs
+
+
+O_SCRIPT = """
+import hashlib
+from pxtmesh.experiments import check_plan, route_with_scheme, traffic_spec
+from pxtmesh.topologies import standard_topology
+from pxtmesh.traffic import generate
+
+g = standard_topology("cycle12plus3")
+plan = route_with_scheme(g, "pxt", generate(g, traffic_spec("neighbor", "cycle12plus3", 0)))
+check_plan(plan, "pxt")
+print(__debug__, hashlib.sha256(plan.serialize().encode()).hexdigest())
+"""
+
+
+def test_pxt_plan_and_checks_under_python_O():
+    # the invariant guards are exceptions, not asserts, so -O keeps them
+    src = str(Path(pxtmesh.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-O", "-c", O_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert run.stdout.split() == ["False", GOLDEN_PXT_PLANS[("cycle12plus3", "neighbor")]]

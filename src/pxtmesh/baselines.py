@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import (Graph, Walk, _avoiding, all_shortest_paths, footprint, footprints_meet,
-                    link_key, shortest_path)
+from .graph import Graph, Walk, _avoiding, all_shortest_paths, link_key, shortest_path
 from .plan import AllocationPlan, Demand, PlanEntry
 
 
@@ -112,11 +111,10 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node",
     """
     plan = AllocationPlan(g, mode=share_mode, enforce="abc")
     pairs = fixed_pair_routes(g, mode) if demands else {}
-    footprints = []  # of each entry's working, in entry order
     for d in demands:
         pair = pairs[d.terminals]
         working = _materialize(plan, _orient(pair.working, d.u))
-        fp = footprint(working, plan.mode)
+        conflicts = plan.conflicts(working)
         p_nodes = _orient(pair.protection, d.u)
         p_edges = []
         for i in range(len(p_nodes) - 1):
@@ -124,15 +122,11 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node",
             chosen = None
             for k in sorted(plan._used_ordinals.get(link_key(a, b), ())):
                 e = g.edge(a, b, k)
-                if plan.role(e) != "protection":
-                    continue
-                if not any(footprints_meet(footprints[idx], fp)
-                           for idx in plan.protection_users(e)):
+                if plan.role(e) == "protection" and plan.may_share(e, conflicts):
                     chosen = e
                     break
             p_edges.append(chosen if chosen is not None else plan.fresh_edge(a, b))
         plan.add_entry(PlanEntry(d, working, Walk(p_nodes, tuple(p_edges))))
-        footprints.append(fp)
     return plan
 
 

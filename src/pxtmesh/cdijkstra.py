@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 ArcId = Hashable
 

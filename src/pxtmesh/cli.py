@@ -14,7 +14,6 @@ import click
 
 from .cdijkstra import DEFAULT_LIMITS, SearchLimits
 from .experiments import (
-    CSV_HEADER,
     ExperimentConfig,
     PATTERNS,
     SCHEMES,

@@ -20,7 +20,7 @@ from .failsim import audit
 from .graph import Graph
 from .plan import AllocationPlan, PlanError
 from .router import RouterState, route_demand
-from .topologies import LARGE_NODE_SETS, TOPOLOGY_NAMES, standard_topology
+from .topologies import LARGE_NODE_SETS, standard_topology
 from .traffic import TrafficSpec, generate, neighbor, unbalanced, uniform
 
 SCHEMES = ("pxt", "one-plus-one", "shared-path")

@@ -12,6 +12,10 @@ The rules, checked per plan and referred to by letter throughout:
 Rule d is what makes the protection edges decompose into pre-cross-connected
 trails (PXTs): chains of protection edges statically joined at shared nodes,
 so intermediate nodes never switch in real time.
+
+Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts
+and AllocationPlan.may_share, which rule c, the router and the shared-path
+baseline all ask.  add_entry keeps their index; validate() reads neither.
 """
 
 from __future__ import annotations
@@ -197,6 +201,11 @@ class AllocationPlan:
         # (u, v) and (v, u) for every link with spare capacity
         self._free = {pair for u, v in graph.links() for pair in ((u, v), (v, u))}
         self._protection_users: dict[EdgeId, list[int]] = {}
+        # entries by where their working path runs: per link, and (node mode
+        # only) per node, split by whether it is an end or an interior node
+        self._working_on_link: dict[tuple[str, str], list[int]] = {}
+        self._working_end: dict[str, list[int]] = {}
+        self._working_interior: dict[str, list[int]] = {}
         # cross-connect pairing and incremental trail state (only when rule d
         # is enforced; without it the pairing is not well defined)
         self._partner: dict[tuple[EdgeId, str], EdgeId] = {}
@@ -239,6 +248,27 @@ class AllocationPlan:
     def crossconnects(self) -> dict[tuple[EdgeId, str], EdgeId]:
         return dict(self._partner)
 
+    # -- protection sharing --------------------------------------------------
+
+    def conflicts(self, working: Walk) -> set[int]:
+        """Indices of the entries whose working path is not disjoint from
+        `working`: sharing a link, or (node mode) a node interior to either."""
+        hits: set[int] = set()
+        for link in working.link_set():
+            hits.update(self._working_on_link.get(link, ()))
+        if self.mode == "node":
+            nodes = working.nodes
+            for n in nodes[1:-1]:
+                hits.update(self._working_interior.get(n, ()))
+                hits.update(self._working_end.get(n, ()))
+            for n in (nodes[0], nodes[-1]):
+                hits.update(self._working_interior.get(n, ()))
+        return hits
+
+    def may_share(self, edge: EdgeId, conflicts: set[int]) -> bool:
+        """Whether no entry of `conflicts` protects over `edge`."""
+        return conflicts.isdisjoint(self._protection_users.get(edge, ()))
+
     # -- construction ------------------------------------------------------
 
     def _structural_check(self, entry: PlanEntry) -> None:
@@ -273,17 +303,14 @@ class AllocationPlan:
                 if self._roles.get(e) == "working":
                     out.append(PlanViolation("b", (d.id,), f"protection reuses working edge {e}"))
         if "c" in self.enforce:
-            fp = footprint(entry.working, self.mode)
-            meets: dict[int, bool] = {}  # other entry -> do the workings meet
+            conflicts = self.conflicts(entry.working)
             flagged = set()
             for e in entry.protection.edges:
-                for idx in self._protection_users.get(e, ()):
+                if self.may_share(e, conflicts):
+                    continue
+                for idx in self._protection_users[e]:
                     other = self.entries[idx]
-                    if other.demand.id in flagged:
-                        continue
-                    if idx not in meets:
-                        meets[idx] = footprints_meet(fp, footprint(other.working, self.mode))
-                    if meets[idx]:
+                    if idx in conflicts and other.demand.id not in flagged:
                         flagged.add(other.demand.id)
                         out.append(PlanViolation(
                             "c", (d.id, other.demand.id),
@@ -335,6 +362,14 @@ class AllocationPlan:
                 x = entry.protection.nodes[i + 1]
                 if self._partner.get((e, x)) != f:
                     self._connect(e, f, x)
+        for e in entry.working.edges:
+            self._working_on_link.setdefault(e.link, []).append(idx)
+        if self.mode == "node":
+            nodes = entry.working.nodes
+            for n in nodes[1:-1]:
+                self._working_interior.setdefault(n, []).append(idx)
+            for n in (nodes[0], nodes[-1]):
+                self._working_end.setdefault(n, []).append(idx)
         self.entries.append(entry)
 
     def _set_role(self, e: EdgeId, role: str) -> None:
@@ -547,6 +582,8 @@ class AllocationPlan:
 
     @classmethod
     def parse(cls, graph: Graph, text: str) -> "AllocationPlan":
+        """Inverse of serialize.  Malformed lines raise PlanError naming the
+        line; a bare `enforce` line is the empty rule set serialize writes."""
         lines = text.splitlines()
         if not lines or not lines[0].startswith("pxtmesh-plan"):
             raise PlanError("missing plan header")
@@ -554,29 +591,34 @@ class AllocationPlan:
         enforce: frozenset[str] = ALL_CONDITIONS
         plan: AllocationPlan | None = None
         pxt_lines, xc_lines = [], []
-        for raw in lines[1:]:
+        for lineno, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            kind, rest = line.split(None, 1)
+            kind, *rest = line.split(None, 1)
+            rest = rest[0] if rest else ""
+            if not rest and kind != "enforce":
+                raise PlanError(f"line {lineno}: {kind!r} needs an argument")
+            if kind in ("mode", "enforce") and plan is not None:
+                raise PlanError(f"line {lineno}: {kind!r} after the first entry")
             if kind == "mode":
-                mode = rest.strip()
+                if rest not in ("node", "link"):
+                    raise PlanError(f"line {lineno}: unknown mode {rest!r}")
+                mode = rest
             elif kind == "enforce":
-                enforce = frozenset(rest.strip())
+                if not set(rest) <= ALL_CONDITIONS:
+                    raise PlanError(f"line {lineno}: unknown conditions in {rest!r}")
+                enforce = frozenset(rest)
             elif kind == "entry":
                 if plan is None:
                     plan = cls(graph, mode=mode, enforce=enforce)
-                head, working, protection = (part.strip() for part in line.split("|"))
-                _, did, u, v = head.split()
-                w = Walk.parse(working.removeprefix("working").strip())
-                p = Walk.parse(protection.removeprefix("protection").strip())
-                plan.add_entry(PlanEntry(Demand(int(did), u, v), w, p))
+                plan.add_entry(_parse_entry(lineno, line))
             elif kind == "pxt":
                 pxt_lines.append(line)
             elif kind == "xc":
                 xc_lines.append(line)
             else:
-                raise PlanError(f"unknown plan directive {kind!r}")
+                raise PlanError(f"line {lineno}: unknown plan directive {kind!r}")
         if plan is None:
             plan = cls(graph, mode=mode, enforce=enforce)
         if "d" in plan.enforce:
@@ -587,3 +629,18 @@ class AllocationPlan:
             if xc_lines and xc_lines != expect_xc:
                 raise PlanError("xc lines do not match the entries' cross-connects")
         return plan
+
+
+def _parse_entry(lineno: int, line: str) -> PlanEntry:
+    """One `entry <id> <u> <v> | working <walk> | protection <walk>` line."""
+    try:
+        [_, did, u, v], [w, *working], [p, *protection] = (f.split() for f in line.split("|"))
+        if (w, p) != ("working", "protection"):
+            raise ValueError
+        return PlanEntry(Demand(int(did), u, v),
+                         Walk.parse(" ".join(working)), Walk.parse(" ".join(protection)))
+    except GraphError as exc:
+        raise PlanError(f"line {lineno}: {exc}") from exc
+    except ValueError:
+        raise PlanError(f"line {lineno}: expected "
+                        f"'entry <id> <u> <v> | working ... | protection ...'") from None

@@ -16,9 +16,9 @@ recomputing it:
   those of the pairwise rule, so plans are unchanged;
 - the aux graph is symmetric by construction, so the search skips its
   per-call symmetry check;
-- RouterState indexes every entry's working path by link and by node, so
-  conflicts are read off the index; the index catches up with entries added
-  to the plan directly on its next use;
+- the plan indexes every entry's working path by link and by node as
+  add_entry commits it, and answers `conflicts` from that index, so shared
+  protection is read off it rather than compared entry by entry;
 - the plan caches each trail's canonical PXT and sort key, and the map from
   each node to its positions on that PXT; merging or closing a trail drops
   both, and nothing else invalidates them;
@@ -49,9 +49,7 @@ from .graph import (
     Walk,
     _avoiding,
     all_shortest_paths,
-    footprint,
     is_path,
-    link_key,
     shortest_path,
 )
 from .plan import AllocationPlan, Demand, PlanEntry, PlanError
@@ -109,13 +107,6 @@ class RouterState:
         self.plan = AllocationPlan(graph, mode=mode)
         self.limits = limits
         self.log = log
-        # indices of entries by where their working path runs: per link, and
-        # (node mode only) per node, split by whether the node is an end or
-        # an interior node of that path
-        self._working_on_link: dict[tuple[str, str], list[int]] = {}
-        self._working_end: dict[str, list[int]] = {}
-        self._working_interior: dict[str, list[int]] = {}
-        self._indexed = 0
         # an "unused" aux edge per link with spare capacity, as of when the
         # plan had `_fresh_free` free link orientations
         self._fresh: list[AuxEdge] = []
@@ -124,21 +115,6 @@ class RouterState:
     def route(self, demand: Demand) -> PlanEntry:
         return route_demand(self, demand)
 
-    def _sync_index(self) -> None:
-        # entries may also be seeded directly into the plan
-        node_mode = self.plan.mode == "node"
-        for idx in range(self._indexed, len(self.plan.entries)):
-            nodes = self.plan.entries[idx].working.nodes
-            for i in range(len(nodes) - 1):
-                self._working_on_link.setdefault(
-                    link_key(nodes[i], nodes[i + 1]), []).append(idx)
-            if node_mode:
-                for n in nodes[1:-1]:
-                    self._working_interior.setdefault(n, []).append(idx)
-                for n in (nodes[0], nodes[-1]):
-                    self._working_end.setdefault(n, []).append(idx)
-        self._indexed = len(self.plan.entries)
-
     def fresh_aux_edges(self) -> list[AuxEdge]:
         """An "unused" aux edge per link with spare capacity, in link order."""
         if self._fresh_free != len(self.plan._free):
@@ -146,26 +122,6 @@ class RouterState:
                            if self.plan.has_free_edge(u, v)]
             self._fresh_free = len(self.plan._free)
         return self._fresh
-
-    def conflicting_entries(self, working: Walk) -> list[PlanEntry]:
-        """Entries whose working path is not disjoint from `working`."""
-        return [self.plan.entries[idx] for idx in sorted(self._conflicting(working))]
-
-    def _conflicting(self, working: Walk) -> set[int]:
-        # working paths are paths, so two of them fail to be node-disjoint
-        # exactly when they share a link or a node interior to either one
-        self._sync_index()
-        hits: set[int] = set()
-        for link in working.link_set():
-            hits.update(self._working_on_link.get(link, ()))
-        if self.plan.mode == "node":
-            nodes = working.nodes
-            for n in nodes[1:-1]:
-                hits.update(self._working_interior.get(n, ()))
-                hits.update(self._working_end.get(n, ()))
-            for n in (nodes[0], nodes[-1]):
-                hits.update(self._working_interior.get(n, ()))
-        return hits
 
 
 def _protection_feasible(state: RouterState, nodes: tuple[str, ...]) -> bool:
@@ -251,7 +207,7 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Subtrail]:
     return out
 
 
-def prohibited_edges(state: RouterState, demand: Demand, working: Walk):
+def prohibited_edges(state: RouterState, working: Walk):
     """Predicate over edges that the protection route must not contain.
 
     An edge is prohibited when it touches the working interior (node mode),
@@ -260,19 +216,12 @@ def prohibited_edges(state: RouterState, demand: Demand, working: Walk):
     working conflicts with this one (those backups may be needed at the same
     time, so sharing is off).
     """
-    w_links, _, interior = footprint(working, state.plan.mode)
-    return _prohibited(state, working, interior, w_links)
-
-
-def _prohibited(state: RouterState, working: Walk, interior: set[str],
-                w_links: set[tuple[str, str]]):
-    conflicting = state._conflicting(working)
-    users = state.plan.protection_users
+    plan = state.plan
+    avoid = _avoiding(working.nodes, plan.mode)
+    conflicts = plan.conflicts(working)
 
     def prohibited(e: EdgeId) -> bool:
-        return (e.u in interior or e.v in interior
-                or e.link in w_links
-                or not conflicting.isdisjoint(users(e)))
+        return not (avoid(e.u, e.v) and plan.may_share(e, conflicts))
 
     return prohibited
 
@@ -316,12 +265,10 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
               subtrails: list[Subtrail]) -> AuxGraph:
     """Auxiliary search graph: unit-cost fresh-capacity arcs plus zero-cost
     shortcut arcs, with rival marks wherever two expansions would collide."""
-    plan = state.plan
-    w_links, _, interior = footprint(working, plan.mode)
-    prohibited = _prohibited(state, working, interior, w_links)
+    avoid = _avoiding(working.nodes, state.plan.mode)
+    prohibited = prohibited_edges(state, working)
 
-    aux_edges = [e for e in state.fresh_aux_edges()
-                 if (e.u, e.v) not in w_links and e.u not in interior and e.v not in interior]
+    aux_edges = [e for e in state.fresh_aux_edges() if avoid(e.u, e.v)]
     n_unused = len(aux_edges)
     for s in subtrails:
         if any(prohibited(e) for e in s.walk.edges):
@@ -387,7 +334,6 @@ def route_demand(state: RouterState, demand: Demand) -> PlanEntry:
     except PlanError as exc:  # pragma: no cover - internal consistency guard
         raise RoutingError(f"demand {demand.id}: routed entry violates the "
                            f"plan invariants: {exc}") from exc
-    state._sync_index()
     if state.log is not None:
         n_short = sum(1 for a in best.arcs if aux.arc_edge(a)[0].kind == "shortcut")
         state.log.append(

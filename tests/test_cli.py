@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import pxtmesh
 from pxtmesh.cli import main
 
 
@@ -111,6 +115,21 @@ class TestRouteValidateSimulate:
                                  "--plan", str(bad)])
         assert r.exit_code == 1
         assert "condition c" in r.output
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_malformed_plan_fails_without_traceback(self, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("pxtmesh-plan 1\nmode\n")
+        src = str(Path(pxtmesh.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run(
+            [sys.executable, "-m", "pxtmesh.cli", command, "--graph", "k66",
+             "--plan", str(bad)], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: unparseable plan: ")
+        assert "line 2: 'mode' needs an argument" in run.stderr
+        assert "Traceback" not in run.stderr + run.stdout
 
     def test_resource_limit_exit_code(self, runner):
         r = runner.invoke(main, ["route", "--graph", "k66", "--pattern", "uniform",

@@ -1,0 +1,63 @@
+"""Source hygiene checks that need no linter: every import in src/pxtmesh is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pxtmesh
+
+SRC = Path(pxtmesh.__file__).resolve().parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> its line; `from __future__` is skipped."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including those inside string annotations."""
+    trees = [tree]
+    for ann in _annotations(tree):
+        for node in ast.walk(ann) if ann is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                trees.append(ast.parse(node.value, mode="eval"))
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def test_modules_found():
+    assert {"plan.py", "router.py", "baselines.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in _imported(tree).items() if name not in used)
+    assert unused == [], f"{path.name} imports names it never uses"
+
+
+def test_check_sees_string_annotations_and_unused_names():
+    tree = ast.parse("from x import A, B, C\n"
+                     "def f(a: 'A') -> 'list[B]':\n    pass\n")
+    assert set(_imported(tree)) - _used(tree) == {"C"}

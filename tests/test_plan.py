@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import pxtmesh
+from conftest import RANDOM_ENFORCE
+from pxtmesh.baselines import route_1plus1, route_shared_path
 from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint
 from pxtmesh.plan import (
     AllocationPlan,
@@ -15,6 +18,7 @@ from pxtmesh.plan import (
     PlanViolation,
     PXT,
 )
+from pxtmesh.traffic import generate, uniform
 
 
 def walk(*seq):
@@ -37,6 +41,29 @@ AE = ("A", "E", 0)
 EB = ("E", "B", 0)
 ED = ("E", "D", 0)
 DB = ("D", "B", 0)
+
+
+ENTRY0 = "entry 0 A B | working A A~B#0 B | protection A A~E#0 E E~B#0 B"
+
+
+# (plan body after the header, line named in the error, what it says)
+MALFORMED_PLAN_LINES = [
+    ("mode", 2, "needs an argument"),
+    ("entry", 2, "needs an argument"),
+    ("pxt", 2, "needs an argument"),
+    ("mode node\nxc", 3, "needs an argument"),
+    ("mode ring", 2, "unknown mode"),
+    ("enforce abx", 2, "unknown conditions"),
+    ("entry 0 A B", 2, "expected 'entry"),
+    ("entry zero A B | working A A~B#0 B | protection A A~E#0 E E~B#0 B", 2, "expected 'entry"),
+    ("entry 0 A B | working A A~B#0 B", 2, "expected 'entry"),
+    ("entry 0 A B | | protection A A~E#0 E E~B#0 B", 2, "expected 'entry"),
+    ("entry 0 A B | protection A A~B#0 B | working A A~E#0 E E~B#0 B", 2, "expected 'entry"),
+    ("entry 0 A B | working A A~B#0 B | protection A AE E", 2, "bad edge token"),
+    (f"{ENTRY0}\nmode link", 3, "after the first entry"),
+    (f"{ENTRY0}\nenforce ab", 3, "after the first entry"),
+    ("frobnicate 1", 2, "unknown plan directive"),
+]
 
 
 def d1_shared(five_node):
@@ -129,29 +156,51 @@ class TestAddEntry:
         assert [p.walk.nodes for p in plan.pxts] == [tuple("ABC"), tuple("ADC")]
 
 
+def _probe_path(rng: random.Random, g: Graph) -> Walk:
+    """A random simple path of at least one link, grown from a random node."""
+    nodes = [rng.choice(g.sorted_nodes())]
+    while True:
+        options = [w for w in g.neighbors(nodes[-1]) if w not in nodes]
+        if not options or (len(nodes) > 1 and rng.random() < 0.3):
+            break
+        nodes.append(rng.choice(options))
+    if len(nodes) == 1:
+        nodes.append(g.neighbors(nodes[0])[0])
+    return Walk(tuple(nodes), tuple(EdgeId(a, b, 0) for a, b in zip(nodes, nodes[1:])))
+
+
 @pytest.mark.parametrize("mode", ["node", "link"])
 @pytest.mark.parametrize("enforce", ["d", "bd", "abd", "abcd"])
 def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
     """Each add_entry either succeeds with the incremental PXTs equal to the
-    from-scratch ones, or raises PlanError and changes nothing."""
+    from-scratch ones and the new entry in `conflicts` exactly where its
+    working meets the query, or raises PlanError and changes nothing."""
     real = AllocationPlan.add_entry
+    rng = random.Random(0)
     outcomes = set()
 
     def checked(plan, new):
         text = plan.serialize()
         users = {e: plan.protection_users(e) for e in plan._protection_users}
         over_working = any(plan.role(e) == "working" for e in new.protection.edges)
+        queries = (new.working, _probe_path(rng, plan.graph))
+        before = [plan.conflicts(w) for w in queries]
         try:
             real(plan, new)
         except PlanError:
             outcomes.add("refused")
             assert plan.serialize() == text
             assert {e: plan.protection_users(e) for e in plan._protection_users} == users
+            assert [plan.conflicts(w) for w in queries] == before
             raise
         outcomes.add("added")
         if over_working:
             outcomes.add("protection over an earlier working edge")
         assert plan.pxts == plan.extract_pxts()
+        idx = len(plan.entries) - 1
+        for w, hits in zip(queries, before):
+            meets = not disjoint(new.working, w, plan.mode)
+            assert plan.conflicts(w) == (hits | {idx} if meets else hits)
 
     monkeypatch.setattr(AllocationPlan, "add_entry", checked)
     for seed in range(12):
@@ -160,6 +209,44 @@ def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
     if "b" not in enforce:
         expect.add("protection over an earlier working edge")
     assert outcomes == expect
+
+
+def _scan_conflicts(plan: AllocationPlan, working: Walk) -> set[int]:
+    return {i for i, e in enumerate(plan.entries) if not disjoint(e.working, working, plan.mode)}
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_conflicts_match_disjoint_scan(monkeypatch, random_plan, grid3x4, mode):
+    """After every insertion, `conflicts` names exactly the entries a
+    disjoint() scan does, for the new working and a random probe path, and
+    `may_share` admits exactly the edges none of those entries protects over."""
+    real = AllocationPlan.add_entry
+    rng = random.Random(1)
+    checked_plans = {}  # id -> plan, holding each plan so no id is reused
+
+    def checked(plan, new):
+        real(plan, new)
+        checked_plans[id(plan)] = plan
+        for w in (new.working, _probe_path(rng, plan.graph)):
+            hits = _scan_conflicts(plan, w)
+            assert plan.conflicts(w) == hits
+            for e in plan._protection_users:
+                assert plan.may_share(e, hits) == all(
+                    e not in plan.entries[i].protection.edges for i in hits)
+
+    monkeypatch.setattr(AllocationPlan, "add_entry", checked)
+    for enforce in RANDOM_ENFORCE:
+        for seed in range(16):
+            plan = random_plan(seed, mode, enforce)
+            again = AllocationPlan.parse(plan.graph, plan.serialize())
+            assert again.serialize() == plan.serialize()
+            assert all(again.conflicts(e.working) == _scan_conflicts(plan, e.working)
+                       for e in plan.entries)
+    demands = generate(grid3x4, uniform(1, seed=0))
+    for plan in (route_shared_path(grid3x4, demands, mode=mode, share_mode=mode),
+                 route_1plus1(grid3x4, demands, mode=mode)):
+        assert plan.mode == mode and len(plan.entries) == len(demands)
+    assert len(checked_plans) == 2 * len(RANDOM_ENFORCE) * 16 + 2
 
 
 class TestValidate:
@@ -275,6 +362,16 @@ class TestSerialization:
     def test_parse_rejects_garbage(self, five_node):
         with pytest.raises(PlanError):
             AllocationPlan.parse(five_node, "not a plan\n")
+        for body, lineno, match in MALFORMED_PLAN_LINES:
+            with pytest.raises(PlanError, match=f"line {lineno}: .*{match}"):
+                AllocationPlan.parse(five_node, f"pxtmesh-plan 1\n{body}\n")
+
+    def test_parse_bare_enforce_is_no_rules(self, five_node):
+        plan = AllocationPlan(five_node, enforce="")
+        plan.add_entry(d1_shared(five_node))
+        again = AllocationPlan.parse(five_node, plan.serialize())
+        assert again.enforce == frozenset()
+        assert again.serialize() == plan.serialize()
 
     def test_serialize_mentions_crossconnects(self, five_node):
         plan = AllocationPlan(five_node)

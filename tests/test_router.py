@@ -156,7 +156,7 @@ class TestProhibitedEdges:
             walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")))
         # new demand C-B working through A
         working = walk("C", ("C", "A", 1), "A", ("A", "B", 1), "B")
-        prohibited = prohibited_edges(state, Demand(1, "B", "C"), working)
+        prohibited = prohibited_edges(state, working)
         assert prohibited(EdgeId("A", "E", 0))      # endnode in working interior
         assert prohibited(EdgeId("C", "A", 2))      # on a working link
         assert prohibited(EdgeId("E", "B", 0))      # protection of conflicting demand
@@ -169,7 +169,7 @@ class TestProhibitedEdges:
             walk("A", ("A", "B", 0), "B"),
             walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")))
         working = walk("C", ("C", "D", 0), "D")
-        prohibited = prohibited_edges(state, Demand(1, "C", "D"), working)
+        prohibited = prohibited_edges(state, working)
         assert not prohibited(EdgeId("A", "E", 0))
 
 
@@ -465,7 +465,7 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
     def demands(first, count):
         return [Demand(first + i, *rng.sample(nodes, 2)) for i in range(count)]
 
-    # entries seeded straight into the plan, which the router has not indexed
+    # entries seeded straight into the plan, not routed by this state
     donor = RouterState(g, mode=mode)
     for d in demands(0, 4):
         try:
@@ -483,9 +483,9 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
         aux = real_build_aux(state, demand, working, subtrails)
         assert aux.graph.is_symmetric()
         assert rival_pairs(aux) == pairwise_rivals(aux.edges)
-        expect = [e for e in state.plan.entries
-                  if not disjoint(e.working, working, state.plan.mode)]
-        assert state.conflicting_entries(working) == expect
+        expect = {i for i, e in enumerate(state.plan.entries)
+                  if not disjoint(e.working, working, state.plan.mode)}
+        assert state.plan.conflicts(working) == expect
         built.append(aux)
         return aux
 

@@ -3,14 +3,17 @@
 An edge is one unit of switchable bandwidth; a link is the set of all parallel
 edges between two adjacent nodes.  Edges are implicit: a link of capacity c
 owns edge ordinals 0..c-1 (every ordinal for unbounded links), and an EdgeId
-names one of them.  Which ordinals are in use is tracked by allocation plans,
-so Graph itself stays immutable and safe to share.
+names one of them.  An EdgeId is the tuple (u, v, index) with u <= v and
+equals that plain tuple, so plans hash and compare edges at C speed; no dict
+mixes the two, as link keys are 2-tuples.  Which ordinals are in use is
+tracked by allocation plans, so Graph itself stays immutable and safe to share.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 UNBOUNDED = None
@@ -34,27 +37,27 @@ def link_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True, order=True)
-class EdgeId:
-    """One unit of capacity on the link u-v; index is the ordinal in the pool."""
+class EdgeId(tuple):
+    """One unit of capacity on the link u-v; index is the ordinal in the pool.
+    It is the tuple (u, v, index) with u <= v, and equals that plain tuple."""
 
-    u: str
-    v: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.u > self.v:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
-        if self.u == self.v:
-            raise GraphError(f"self-loop edge {self.u}")
-        if self.index < 0:
-            raise GraphError(f"negative edge ordinal {self.index}")
+    def __new__(cls, u: str, v: str, index: int) -> "EdgeId":
+        if u == v:
+            raise GraphError(f"self-loop edge {u}")
+        if index < 0:
+            raise GraphError(f"negative edge ordinal {index}")
+        return tuple.__new__(cls, (u, v, index) if u <= v else (v, u, index))
 
-    @property
-    def link(self) -> tuple[str, str]:
-        return (self.u, self.v)
+    u, v, index = (property(itemgetter(i)) for i in range(3))
+    link = property(itemgetter(slice(2)))  # (u, v), a plain tuple
+
+    def __getnewargs__(self) -> tuple[str, str, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"EdgeId(u={self[0]!r}, v={self[1]!r}, index={self[2]!r})"
 
     def other(self, node: str) -> str:
         if node == self.u:
@@ -64,7 +67,7 @@ class EdgeId:
         raise GraphError(f"{node} is not an endpoint of {self}")
 
     def __str__(self) -> str:
-        return f"{self.u}~{self.v}#{self.index}"
+        return f"{self[0]}~{self[1]}#{self[2]}"
 
     @classmethod
     def parse(cls, token: str) -> "EdgeId":
@@ -197,7 +200,7 @@ class Walk:
         return set(self.edges)
 
     def link_set(self) -> set[tuple[str, str]]:
-        return {e.link for e in self.edges}
+        return {e[:2] for e in self.edges}
 
     def reversed(self) -> "Walk":
         return Walk._trusted(self.nodes[::-1], self.edges[::-1])
@@ -278,11 +281,13 @@ def _avoiding(nodes: tuple[str, ...], mode: str) -> Callable[[str, str], bool]:
 
 def validate_walk(graph: Graph, walk: Walk) -> None:
     """Check every node exists and every edge is within its link's capacity."""
+    nodes, caps = graph.nodes, graph._caps
     for n in walk.nodes:
-        if n not in graph.nodes:
+        if n not in nodes:
             raise GraphError(f"unknown node {n}")
     for e in walk.edges:
-        graph._check_ordinal(e.u, e.v, e.index)
+        if (cap := caps.get(e[:2], 0)) is not UNBOUNDED and e[2] >= cap:
+            graph._check_ordinal(*e)  # raises, naming the unknown link or the bound
 
 
 def bfs_distances(graph: Graph, source: str,

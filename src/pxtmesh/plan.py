@@ -83,11 +83,15 @@ class PlanViolation:
 
 
 class PlanError(ValueError):
+    """Rule violations; one built from a message has that message as its text."""
+
     def __init__(self, violations: list[PlanViolation] | str):
         if isinstance(violations, str):
+            super().__init__(violations)
             violations = [PlanViolation("structure", (), violations)]
+        else:
+            super().__init__("; ".join(str(v) for v in violations))
         self.violations = violations
-        super().__init__("; ".join(str(v) for v in violations))
 
 
 @dataclass(frozen=True)
@@ -331,21 +335,18 @@ class AllocationPlan:
     def add_entry(self, entry: PlanEntry) -> None:
         """Append one routed demand; raises PlanError rather than mutate on failure.
 
-        Every check comes before the first write.  Once they pass, the trail
-        updates cannot fail: each protection edge has a trail (a singleton
-        for an edge new to protection, whatever its role), and rule d leaves
-        every slot to connect either already paired or a trail end.
+        Every check comes before the first write.  Capacity needs none of its
+        own: the structural check bounds each ordinal below its link's
+        capacity and only edges with a role hold one, so an edge without a
+        role has room.  Once the checks pass, the trail updates cannot fail:
+        each protection edge has a trail (a singleton for an edge new to
+        protection, whatever its role), and rule d leaves every slot to
+        connect either already paired or a trail end.
         """
         self._structural_check(entry)
         violations = self._entry_violations(entry)
         if violations:
             raise PlanError(violations)
-        for e in set(entry.working.edges) | set(entry.protection.edges):
-            if e not in self._roles:
-                cap = self.graph.capacity(e.u, e.v)
-                used = self._used_ordinals.get(e.link, set())
-                if cap is not None and len(used) >= cap:
-                    raise PlanError(f"link {e.u}-{e.v} capacity exhausted")
         idx = len(self.entries)
         untrailed = [e for e in entry.protection.edges if e not in self._protection_users]
         for e in entry.working.edges:
@@ -430,21 +431,26 @@ class AllocationPlan:
         protection = sum(1 for r in self._roles.values() if r == "protection")
         return working, protection, working + protection
 
-    def _pairing_from_paths(self) -> dict[tuple[EdgeId, str], set[EdgeId]]:
-        pairs: dict[tuple[EdgeId, str], set[EdgeId]] = {}
+    def _pairing_from_paths(self) -> tuple[dict, dict]:
+        """(partner, branched) from the protection paths alone: `partner` maps
+        each cross-connect slot (edge, node) to the first edge a path joins to
+        it there; `branched` maps each slot joined to two or more to all of them."""
+        partner: dict[tuple[EdgeId, str], EdgeId] = {}
+        branched: dict[tuple[EdgeId, str], set[EdgeId]] = {}
         for entry in self.entries:
             p = entry.protection
-            for i in range(len(p.edges) - 1):
-                e, f = p.edges[i], p.edges[i + 1]
-                x = p.nodes[i + 1]
-                pairs.setdefault((e, x), set()).add(f)
-                pairs.setdefault((f, x), set()).add(e)
-        return pairs
+            for e, x, f in zip(p.edges, p.nodes[1:], p.edges[1:]):
+                cur = partner.setdefault((e, x), f)
+                if cur != f:
+                    branched.setdefault((e, x), {cur}).add(f)
+                cur = partner.setdefault((f, x), e)
+                if cur != e:
+                    branched.setdefault((f, x), {cur}).add(e)
+        return partner, branched
 
     def branch_points(self) -> set[str]:
         """Nodes where some edge would need two different cross-connect partners."""
-        return {slot[1] for slot, partners in self._pairing_from_paths().items()
-                if len(partners) > 1}
+        return {slot[1] for slot in self._pairing_from_paths()[1]}
 
     def validate(self) -> list[PlanViolation]:
         """Full re-check of rules a-d from the entries alone, reading nothing
@@ -488,33 +494,32 @@ class AllocationPlan:
                         shared_flagged.add(pair)
                         out.append(PlanViolation(
                             "c", pair, f"shared protection edge {e} but conflicting workings"))
-        out.extend(self._branch_violations(self._pairing_from_paths()))
+        out.extend(self._branch_violations(self._pairing_from_paths()[1]))
         return out
 
-    def _branch_violations(self, pairs: dict) -> list[PlanViolation]:
-        """Rule d: each slot of `pairs` with two partners, and who pairs it."""
-        branched = {slot: set() for slot, partners in pairs.items() if len(partners) > 1}
+    def _branch_violations(self, branched: dict) -> list[PlanViolation]:
+        """Rule d: each slot of `branched`, its partners, and who pairs it."""
         if not branched:
             return []
+        who: dict[tuple[EdgeId, str], set[int]] = {slot: set() for slot in branched}
         for entry in self.entries:
             p = entry.protection
             for e, x, f in zip(p.edges, p.nodes[1:], p.edges[1:]):
-                for slot in branched.keys() & {(e, x), (f, x)}:
-                    branched[slot].add(entry.demand.id)
+                for slot in who.keys() & {(e, x), (f, x)}:
+                    who[slot].add(entry.demand.id)
         out = []
-        for (e, x), ids in sorted(branched.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
-            names = ", ".join(sorted(str(p) for p in pairs[(e, x)]))
+        for (e, x), ids in sorted(who.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+            names = ", ".join(sorted(str(p) for p in branched[(e, x)]))
             out.append(PlanViolation("d", tuple(sorted(ids)),
                                      f"branch point at {x}: {e} cross-connected to {names}"))
         return out
 
     def extract_pxts(self) -> list[PXT]:
         """Recompute the PXT decomposition from scratch (cross-check path)."""
-        pairs = self._pairing_from_paths()
-        violations = self._branch_violations(pairs)
+        partner, branched = self._pairing_from_paths()
+        violations = self._branch_violations(branched)
         if violations:
             raise PlanError(violations)
-        partner = {slot: next(iter(partners)) for slot, partners in pairs.items()}
         edges = sorted({e for en in self.entries for e in en.protection.edges}, key=str)
         seen: set[EdgeId] = set()
         out = []

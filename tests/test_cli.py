@@ -127,8 +127,7 @@ class TestRouteValidateSimulate:
             [sys.executable, "-m", "pxtmesh.cli", command, "--graph", "k66",
              "--plan", str(bad)], env=env, capture_output=True, text=True, timeout=60)
         assert run.returncode == 1
-        assert run.stderr.startswith("error: unparseable plan: ")
-        assert "line 2: 'mode' needs an argument" in run.stderr
+        assert run.stderr == "error: unparseable plan: line 2: 'mode' needs an argument\n"
         assert "Traceback" not in run.stderr + run.stdout
 
     def test_resource_limit_exit_code(self, runner):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import deque
 
@@ -47,6 +49,9 @@ class TestEdgeId:
     def test_canonical_order(self):
         assert EdgeId("E", "D", 1) == EdgeId("D", "E", 1)
         assert str(EdgeId("E", "D", 1)) == "D~E#1"
+        eid = EdgeId("E", "D", 1)
+        assert (eid.u, eid.v, eid.index) == ("D", "E", 1)
+        assert eid.link == link_key("E", "D") and type(eid.link) is tuple
 
     def test_parse_round_trip(self):
         eid = EdgeId.parse("D~E#1")
@@ -54,8 +59,42 @@ class TestEdgeId:
         assert EdgeId.parse(str(eid)) == eid
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"^self-loop edge A$"):
             EdgeId("A", "A", 0)
+
+    def test_negative_ordinal_rejected(self):
+        with pytest.raises(GraphError, match=r"^negative edge ordinal -1$"):
+            EdgeId("B", "A", -1)
+
+    def test_is_the_plain_tuple(self):
+        eid = EdgeId("E", "D", 1)
+        assert eid == ("D", "E", 1) and tuple(eid) == ("D", "E", 1)
+        assert hash(eid) == hash(("D", "E", 1))
+        assert not hasattr(eid, "__dict__")
+        with pytest.raises(AttributeError):
+            eid.u = "A"
+
+    def test_set_order_matches_plain_tuples(self):
+        rng = random.Random(5)
+        raw = [(f"n{rng.randrange(12)}", f"m{rng.randrange(12)}", rng.randrange(4))
+               for _ in range(200)]
+        assert list(set(EdgeId(*t) for t in raw)) == list(set(link_key(u, v) + (i,)
+                                                           for u, v, i in raw))
+
+    def test_sorted_by_u_v_index(self):
+        edges = [EdgeId("B", "C", 0), EdgeId("A", "C", 1), EdgeId("C", "A", 0),
+                 EdgeId("A", "B", 2), EdgeId("B", "A", 10)]
+        assert [str(e) for e in sorted(edges)] == [
+            "A~B#2", "A~B#10", "A~C#0", "A~C#1", "B~C#0"]
+
+    def test_repr_unchanged(self):
+        assert repr(EdgeId("B", "A", 3)) == "EdgeId(u='A', v='B', index=3)"
+
+    def test_pickle_and_copy_round_trip(self):
+        eid = EdgeId("E", "D", 1)
+        for again in (pickle.loads(pickle.dumps(eid)), copy.copy(eid), copy.deepcopy(eid)):
+            assert type(again) is EdgeId
+            assert again == eid and repr(again) == repr(eid)
 
 
 class TestGraphFile:

@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: every import in src/pxtmesh is used."""
+"""Source hygiene checks that need no linter: every import in src/pxtmesh is
+used, and no module guards an invariant with `assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,10 @@ def test_check_sees_string_annotations_and_unused_names():
     tree = ast.parse("from x import A, B, C\n"
                      "def f(a: 'A') -> 'list[B]':\n    pass\n")
     assert set(_imported(tree)) - _used(tree) == {"C"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} uses assert; raise a real exception instead"

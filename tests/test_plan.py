@@ -17,6 +17,8 @@ from pxtmesh.plan import (
     PlanError,
     PlanViolation,
     PXT,
+    _canonical_pxt,
+    _pxt_sort_key,
 )
 from pxtmesh.traffic import generate, uniform
 
@@ -84,6 +86,20 @@ class TestAddEntry:
         [pxt] = plan.pxts
         assert not pxt.closed
         assert pxt.walk.edges == (EdgeId(*AE), EdgeId(*EB))
+
+    def test_ordinal_beyond_capacity_refused(self, multigraph):
+        """The structural check is add_entry's only capacity guard."""
+        plan = AllocationPlan(multigraph, enforce="")
+        protection = walk("A", ("A", "B", 1), "B", ("B", "C", 1), "C")
+        for working, problem in (
+                (walk("A", ("A", "B", 2), "B", ("B", "C", 0), "C"),
+                 "edge ordinal 2 exceeds capacity 2 on A-B"),
+                (walk("A", ("A", "C", 0), "C"), "no link A-C")):
+            with pytest.raises(PlanError) as exc:
+                plan.add_entry(entry(0, "A", "C", working, protection))
+            assert str(exc.value) == (
+                f"condition structure (demands 0): working path invalid: {problem}")
+            assert plan.entries == [] and plan.used_on_link("A", "B") == 0
 
     def test_overlapping_protections_merge_into_one_pxt(self, five_node):
         plan = AllocationPlan(five_node)
@@ -366,6 +382,11 @@ class TestSerialization:
             with pytest.raises(PlanError, match=f"line {lineno}: .*{match}"):
                 AllocationPlan.parse(five_node, f"pxtmesh-plan 1\n{body}\n")
 
+    def test_error_from_message_prints_the_message(self):
+        err = PlanError("x")
+        assert str(err) == "x"
+        assert err.violations == [PlanViolation("structure", (), "x")]
+
     def test_parse_bare_enforce_is_no_rules(self, five_node):
         plan = AllocationPlan(five_node, enforce="")
         plan.add_entry(d1_shared(five_node))
@@ -486,6 +507,88 @@ def test_validate_matches_pairwise_oracle(random_plan, seed, mode):
         assert exc.value.violations == d_violations
     elif "d" in plan.enforce:
         assert plan.extract_pxts() == plan.pxts
+
+
+# -- the cross-connect pairing against its set-per-slot oracle -------------------
+
+
+def _oracle_pairs(plan):
+    """_pairing_from_paths as it was before (partner, branched): a set of
+    partners for every cross-connect slot."""
+    pairs = {}
+    for entry in plan.entries:
+        p = entry.protection
+        for i in range(len(p.edges) - 1):
+            e, f = p.edges[i], p.edges[i + 1]
+            x = p.nodes[i + 1]
+            pairs.setdefault((e, x), set()).add(f)
+            pairs.setdefault((f, x), set()).add(e)
+    return pairs
+
+
+def _oracle_branch_violations(plan, pairs):
+    branched = {slot: set() for slot, partners in pairs.items() if len(partners) > 1}
+    for entry in plan.entries:
+        p = entry.protection
+        for e, x, f in zip(p.edges, p.nodes[1:], p.edges[1:]):
+            for slot in branched.keys() & {(e, x), (f, x)}:
+                branched[slot].add(entry.demand.id)
+    out = []
+    for (e, x), ids in sorted(branched.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+        names = ", ".join(sorted(str(p) for p in pairs[(e, x)]))
+        out.append(PlanViolation("d", tuple(sorted(ids)),
+                                 f"branch point at {x}: {e} cross-connected to {names}"))
+    return out
+
+
+def _oracle_extract_pxts(plan):
+    pairs = _oracle_pairs(plan)
+    violations = _oracle_branch_violations(plan, pairs)
+    if violations:
+        raise PlanError(violations)
+    partner = {slot: next(iter(partners)) for slot, partners in pairs.items()}
+    seen, out = set(), []
+    for start in sorted({e for en in plan.entries for e in en.protection.edges}, key=str):
+        if start not in seen:
+            nodes, trail, closed = plan._walk_trail(start, partner)
+            seen.update(trail)
+            out.append(_canonical_pxt(nodes, trail, closed))
+    return sorted(out, key=_pxt_sort_key)
+
+
+def _pxts_or_error(extract):
+    try:
+        return extract()
+    except PlanError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_pairing_matches_set_per_slot_oracle(monkeypatch, random_plan, mode):
+    """After every insertion, branch_points(), the rule-d violations of
+    validate() and extract_pxts() (or its error) equal what the set-per-slot
+    pairing gives."""
+    real = AllocationPlan.add_entry
+    seen = set()
+
+    def checked(plan, new):
+        real(plan, new)
+        pairs = _oracle_pairs(plan)
+        branches = {x for (_, x), partners in pairs.items() if len(partners) > 1}
+        assert plan.branch_points() == branches
+        assert ([v for v in plan.validate() if v.condition == "d"]
+                == _oracle_branch_violations(plan, pairs))
+        got = _pxts_or_error(plan.extract_pxts)
+        assert got == _pxts_or_error(lambda: _oracle_extract_pxts(plan))
+        seen.add("branched" if branches else "pxts")
+        if any(len(partners) > 2 for partners in pairs.values()):
+            seen.add("a slot with three partners")
+
+    monkeypatch.setattr(AllocationPlan, "add_entry", checked)
+    for enforce in RANDOM_ENFORCE:
+        for seed in range(16):
+            random_plan(seed, mode, enforce)
+    assert seen == {"branched", "pxts", "a slot with three partners"}
 
 
 def _pairwise_rule_c(plan, new):

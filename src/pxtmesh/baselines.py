@@ -68,14 +68,16 @@ def route_1plus1(g: Graph, demands: list[Demand], mode: str = "node") -> Allocat
     return plan
 
 
-def fixed_pair_routes(g: Graph, mode: str = "node",
-                      overlap_cap: int = 3) -> dict[frozenset, DisjointPair]:
+OVERLAP_CAP = 3  # earlier protections counted per link in fixed_pair_routes' tie-break
+
+
+def fixed_pair_routes(g: Graph, mode: str = "node") -> dict[frozenset, DisjointPair]:
     """One disjoint pair per terminal pair, placed to cluster protections.
 
     Pairs are computed in lexicographic terminal order with the same
     lexicographic length objective as disjoint_pair, but ties prefer
     protection routes over links already chosen for other pairs' protections
-    (counting each link up to overlap_cap).  Clustering protections onto
+    (counting each link up to OVERLAP_CAP).  Clustering protections onto
     common corridors is what lets copies of different demands share edges.
     """
     chosen: dict[frozenset, DisjointPair] = {}
@@ -84,7 +86,7 @@ def fixed_pair_routes(g: Graph, mode: str = "node",
         best = None
         for working in all_shortest_paths(g, u, v):
             for prot in all_shortest_paths(g, u, v, _avoiding(working, mode)):
-                overlap = sum(min(overlap_cap, used.get(link_key(prot[i], prot[i + 1]), 0))
+                overlap = sum(min(OVERLAP_CAP, used.get(link_key(prot[i], prot[i + 1]), 0))
                               for i in range(len(prot) - 1))
                 key = (len(prot), -overlap, working, prot)
                 if best is None or key < best:

@@ -135,9 +135,6 @@ class SolveResult:
     stored: int = 0
     work: int = 0
 
-    def length(self, node: str) -> float:
-        return self.paths[node].length
-
 
 class ResourceLimitExceeded(RuntimeError):
     """Search gave up; `result` holds whatever was decided before the limit."""

@@ -43,8 +43,9 @@ def _load_graph_arg(graph: str, murakami_file: str | None):
 
 
 def _limits(max_partial_paths: int | None, max_work: int | None) -> SearchLimits:
-    return SearchLimits(max_partial_paths or DEFAULT_LIMITS.max_stored,
-                        max_work or DEFAULT_LIMITS.max_work)
+    return SearchLimits(
+        DEFAULT_LIMITS.max_stored if max_partial_paths is None else max_partial_paths,
+        DEFAULT_LIMITS.max_work if max_work is None else max_work)
 
 
 graph_option = click.option("--graph", required=True,
@@ -57,10 +58,10 @@ seed_option = click.option("--seed", type=int, default=None,
 mode_option = click.option("--mode", type=click.Choice(["node", "link"]), default=None,
                            help="disjointness mode (default: per-scheme)")
 max_paths_option = click.option(
-    "--max-partial-paths", type=int, default=None,
+    "--max-partial-paths", type=click.IntRange(min=1), default=None,
     help="stored-partial-path limit for the constrained search")
 max_work_option = click.option(
-    "--max-work", type=int, default=None,
+    "--max-work", type=click.IntRange(min=1), default=None,
     help="probe-work limit for the constrained search")
 
 

@@ -77,13 +77,11 @@ def _hits_walk(failure: Failure, walk: Walk) -> bool:
     return failure.element in walk.node_set()
 
 
-def restore(plan: AllocationPlan, failure: Failure,
-            pre_validated: bool = False) -> RestorationResult:
+def restore(plan: AllocationPlan, failure: Failure) -> RestorationResult:
     """Activate protection for every demand whose working path the failure cuts."""
-    if not pre_validated:
-        violations = plan.validate()
-        if violations:
-            raise PlanError(violations)
+    violations = plan.validate()
+    if violations:
+        raise PlanError(violations)
     return _restore_hit(plan, failure, [e for e in plan.entries if _hits_walk(failure, e.working)])
 
 

@@ -120,9 +120,6 @@ class Graph:
     def num_links(self) -> int:
         return len(self._caps)
 
-    def has_link(self, u: str, v: str) -> bool:
-        return link_key(u, v) in self._caps
-
     def capacity(self, u: str, v: str) -> int | None:
         key = link_key(u, v)
         if key not in self._caps:
@@ -133,9 +130,6 @@ class Graph:
         if node not in self._adj:
             raise GraphError(f"unknown node {node}")
         return self._adj[node]
-
-    def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
 
     def edge(self, u: str, v: str, index: int = 0) -> EdgeId:
         """Materialize an EdgeId, validating the link and capacity bound."""

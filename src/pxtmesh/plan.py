@@ -248,10 +248,6 @@ class AllocationPlan:
     def crossconnect_partner(self, edge: EdgeId, node: str) -> EdgeId | None:
         return self._partner.get((edge, node))
 
-    @property
-    def crossconnects(self) -> dict[tuple[EdgeId, str], EdgeId]:
-        return dict(self._partner)
-
     # -- protection sharing --------------------------------------------------
 
     def conflicts(self, working: Walk) -> set[int]:

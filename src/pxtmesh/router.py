@@ -1,12 +1,14 @@
 """Online demand routing: cheapest branch-point-free protection reuse.
 
 One demand at a time: the working path takes the shortest route over links
-with spare capacity; the protection path is found in an auxiliary graph whose
-zero-cost "shortcut" arcs stand for whole reusable segments of existing PXTs
-(between occurrences of the demand's terminals, or open trail ends) and whose
-unit-cost "unused" arcs stand for fresh edges.  Arc pairs whose expansions
-would collide in the real graph are marked rivals, and the constrained search
-guarantees the expanded protection route is a simple path.
+with spare capacity; the protection path is found in an auxiliary graph.  A
+segment is a plain `Walk`: a reusable piece of an existing PXT between
+occurrences of the demand's terminals, or open trail ends.  Each aux edge
+either carries a segment, and its arcs are zero-cost shortcuts (tiebreak 1)
+over that whole segment, or carries none, and its arcs are unit-cost fresh
+edges (tiebreak 0) of one link.  Arc pairs whose expansions would collide in
+the real graph are marked rivals, and the constrained search guarantees the
+expanded protection route is a simple path.
 
 Routing one demand reuses what earlier demands left behind instead of
 recomputing it:
@@ -24,8 +26,9 @@ recomputing it:
   both, and nothing else invalidates them;
 - the plan caches its trails in canonical order; a new trail, or merging or
   closing one, drops that order;
-- subtrails are slices of those PXTs, cut where the position index puts the
-  terminals and built without re-validation;
+- segments are slices of those PXTs, cut where the position index puts the
+  terminals and built without re-validation; an open trail without a cut
+  inside offers its cached canonical walk itself;
 - the plan keeps the set of links with spare capacity, and RouterState keeps
   the fresh-capacity aux edges built from it; they are rebuilt only when that
   set shrinks, and filtered by the working path per demand.
@@ -61,40 +64,24 @@ class RoutingError(RuntimeError):
         self.resource_limit = resource_limit
 
 
-@dataclass(frozen=True)
-class Subtrail:
-    """A contiguous reusable piece of a PXT, bounded by terminal occurrences
-    or open trail ends; usable only in its entirety."""
-
-    walk: Walk
-    start_kind: str  # "terminal" | "trail-end"
-    end_kind: str
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuxEdge:
-    """One undirected auxiliary-graph edge plus its expansion in G."""
+    """One undirected auxiliary-graph edge u-v.
 
-    kind: str  # "unused" | "shortcut"
+    With `segment` None it is a fresh edge of link u-v: length 1, tiebreak
+    0.  Otherwise `segment` is the PXT segment `Walk` from u to v, usable
+    only in its entirety: length 0, tiebreak 1.
+    """
+
     u: str
     v: str
-    cost: int
-    subtrail: Subtrail | None = None
-
-    def expansion_nodes(self) -> frozenset[str]:
-        if self.kind == "unused":
-            return frozenset((self.u, self.v))
-        return frozenset(self.subtrail.walk.nodes)
+    segment: Walk | None = None
 
 
 @dataclass
 class AuxGraph:
-    graph: RivalGraph  # directed, rival-annotated
+    graph: RivalGraph  # directed, rival-annotated; edge i owns arcs 2i, 2i+1
     edges: list[AuxEdge]
-
-    def arc_edge(self, arc_id: int) -> tuple[AuxEdge, bool]:
-        """Map a directed arc id back to (aux edge, reversed?)."""
-        return self.edges[arc_id // 2], bool(arc_id % 2)
 
 
 class RouterState:
@@ -107,8 +94,8 @@ class RouterState:
         self.plan = AllocationPlan(graph, mode=mode)
         self.limits = limits
         self.log = log
-        # an "unused" aux edge per link with spare capacity, as of when the
-        # plan had `_fresh_free` free link orientations
+        # a fresh aux edge per link with spare capacity, as of when the plan
+        # had `_fresh_free` free link orientations
         self._fresh: list[AuxEdge] = []
         self._fresh_free = -1
 
@@ -116,9 +103,9 @@ class RouterState:
         return route_demand(self, demand)
 
     def fresh_aux_edges(self) -> list[AuxEdge]:
-        """An "unused" aux edge per link with spare capacity, in link order."""
+        """A fresh aux edge per link with spare capacity, in link order."""
         if self._fresh_free != len(self.plan._free):
-            self._fresh = [AuxEdge("unused", u, v, 1) for u, v in self.graph.links()
+            self._fresh = [AuxEdge(u, v) for u, v in self.graph.links()
                            if self.plan.has_free_edge(u, v)]
             self._fresh_free = len(self.plan._free)
         return self._fresh
@@ -161,21 +148,23 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
     return Walk(nodes, edges)
 
 
-def collect_subtrails(state: RouterState, demand: Demand) -> list[Subtrail]:
+def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:
     """Cut every PXT into maximal reusable segments for this demand.
 
     Closed PXTs are usable only when both terminals occur on them.  Open PXTs
     are additionally cut at their two ends, since a protection route may enter
     there by extending the trail.  Segments that are not simple paths are
-    discarded: they could never be part of a protection path.
+    discarded: they could never be part of a protection path.  An open PXT
+    with no cut inside yields its cached canonical walk itself.
     """
     u, v = demand.u, demand.v
     # slices of a valid trail are valid walks: build them unchecked
     trusted = Walk._trusted
-    out: list[Subtrail] = []
+    out: list[Walk] = []
     for trail in state.plan._ranked_trails():
         pxt = trail.canonical()[1]
-        nodes, edges = pxt.walk.nodes, pxt.walk.edges
+        walk = pxt.walk
+        nodes, edges = walk.nodes, walk.edges
         k = len(edges)
         pos = trail.positions()
         at_u, at_v = pos.get(u, []), pos.get(v, [])
@@ -193,17 +182,14 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Subtrail]:
                     seg_nodes = nodes[a:k] + nodes[:b + 1]
                     seg_edges = edges[a:] + edges[:b]
                 if simple or len(set(seg_nodes)) == len(seg_nodes):
-                    out.append(Subtrail(trusted(seg_nodes, seg_edges), "terminal", "terminal"))
+                    out.append(trusted(seg_nodes, seg_edges))
         else:
             cuts = sorted({0, k, *at_u, *at_v})
             for a, b in zip(cuts, cuts[1:]):
                 seg_nodes = nodes[a:b + 1]
                 if simple or len(set(seg_nodes)) == len(seg_nodes):
-                    out.append(Subtrail(
-                        trusted(seg_nodes, edges[a:b]),
-                        "terminal" if nodes[a] in (u, v) else "trail-end",
-                        "terminal" if nodes[b] in (u, v) else "trail-end",
-                    ))
+                    # uncut, the segment is the cached trail walk itself
+                    out.append(walk if b - a == k else trusted(seg_nodes, edges[a:b]))
     return out
 
 
@@ -232,7 +218,8 @@ def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[frozenset[int]]
     Aux edge i owns arcs 2i and 2i+1.  Two aux edges are rivals when their
     expansions share a node that is not an endpoint of both.  The first
     `n_unused` edges are fresh-capacity edges, which expand to their two
-    endpoints only, so two of them never are.  The rivals are read off two
+    endpoints only, so two of them never are; a shortcut expands to every
+    node of its segment.  The rivals are read off two
     node -> arcs indexes instead of comparing every pair: an edge's rivals
     are the arcs of every other edge covering one of its interior nodes,
     plus those of every edge having one of its endpoints as an interior
@@ -242,12 +229,12 @@ def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[frozenset[int]]
     """
     inner: dict[str, set[int]] = {}  # node -> arcs with it as an interior node
     for i in range(n_unused, len(aux_edges)):
-        for n in aux_edges[i].subtrail.walk.nodes[1:-1]:
+        for n in aux_edges[i].segment.nodes[1:-1]:
             inner.setdefault(n, set()).update((2 * i, 2 * i + 1))
     # node -> arcs whose expansion covers it, only where some edge's rivals ask
     covers: dict[str, set[int]] = {n: set() for n in inner}
     for i, e in enumerate(aux_edges):
-        for n in (e.u, e.v) if i < n_unused else e.subtrail.walk.nodes:
+        for n in (e.u, e.v) if i < n_unused else e.segment.nodes:
             if n in covers:
                 covers[n].update((2 * i, 2 * i + 1))
     empty: frozenset[int] = frozenset()
@@ -255,14 +242,14 @@ def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[frozenset[int]]
     for i, e in enumerate(aux_edges):
         rivals = inner.get(e.u, empty) | inner.get(e.v, empty)
         if i >= n_unused:
-            rivals = rivals.union(*(covers[n] for n in e.subtrail.walk.nodes[1:-1]))
+            rivals = rivals.union(*(covers[n] for n in e.segment.nodes[1:-1]))
             rivals -= {2 * i, 2 * i + 1}
         out.append(frozenset(rivals) if rivals else empty)
     return out
 
 
 def build_aux(state: RouterState, demand: Demand, working: Walk,
-              subtrails: list[Subtrail]) -> AuxGraph:
+              segments: list[Walk]) -> AuxGraph:
     """Auxiliary search graph: unit-cost fresh-capacity arcs plus zero-cost
     shortcut arcs, with rival marks wherever two expansions would collide."""
     avoid = _avoiding(working.nodes, state.plan.mode)
@@ -270,19 +257,19 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
 
     aux_edges = [e for e in state.fresh_aux_edges() if avoid(e.u, e.v)]
     n_unused = len(aux_edges)
-    for s in subtrails:
-        if any(prohibited(e) for e in s.walk.edges):
+    for seg in segments:
+        if any(prohibited(e) for e in seg.edges):
             continue
-        a, b = s.walk.ends
+        a, b = seg.ends
         if a == b:
             continue  # would re-enter where it left: never expands to a path
-        aux_edges.append(AuxEdge("shortcut", a, b, 0, subtrail=s))
+        aux_edges.append(AuxEdge(a, b, seg))
 
     arcs = []
     for i, (e, rival_arcs) in enumerate(zip(aux_edges, _rival_arcs(aux_edges, n_unused))):
-        tiebreak = 1 if e.kind == "shortcut" else 0
-        arcs.append(Arc(2 * i, e.u, e.v, e.cost, rival_arcs, tiebreak))
-        arcs.append(Arc(2 * i + 1, e.v, e.u, e.cost, rival_arcs, tiebreak))
+        length, tiebreak = (1, 0) if e.segment is None else (0, 1)
+        arcs.append(Arc(2 * i, e.u, e.v, length, rival_arcs, tiebreak))
+        arcs.append(Arc(2 * i + 1, e.v, e.u, length, rival_arcs, tiebreak))
     rg = RivalGraph._symmetric_by_construction(state.graph.sorted_nodes(), arcs, demand.u)
     return AuxGraph(rg, aux_edges)
 
@@ -292,15 +279,15 @@ def _expand_route(state: RouterState, demand: Demand, aux: AuxGraph,
     nodes: list[str] = [demand.u]
     edges: list[EdgeId] = []
     for arc_id in arc_ids:
-        edge, reverse = aux.arc_edge(arc_id)
-        if edge.kind == "unused":
+        edge = aux.edges[arc_id // 2]
+        seg = edge.segment
+        if seg is None:
             tail = nodes[-1]
             head = edge.v if tail == edge.u else edge.u
             edges.append(state.plan.fresh_edge(tail, head))
             nodes.append(head)
         else:
-            seg = edge.subtrail.walk
-            if reverse:
+            if arc_id % 2:  # the reverse arc
                 seg = seg.reversed()
             if seg.nodes[0] != nodes[-1]:
                 raise RoutingError(
@@ -314,8 +301,8 @@ def _expand_route(state: RouterState, demand: Demand, aux: AuxGraph,
 def route_demand(state: RouterState, demand: Demand) -> PlanEntry:
     """Route one demand and commit it to the plan; the plan stays valid."""
     working = find_working(state, demand)
-    subtrails = collect_subtrails(state, demand)
-    aux = build_aux(state, demand, working, subtrails)
+    segments = collect_subtrails(state, demand)
+    aux = build_aux(state, demand, working, segments)
     try:
         res = solve(aux.graph, state.limits, target=demand.v)
     except ResourceLimitExceeded as exc:
@@ -335,17 +322,11 @@ def route_demand(state: RouterState, demand: Demand) -> PlanEntry:
         raise RoutingError(f"demand {demand.id}: routed entry violates the "
                            f"plan invariants: {exc}") from exc
     if state.log is not None:
-        n_short = sum(1 for a in best.arcs if aux.arc_edge(a)[0].kind == "shortcut")
+        n_short = sum(1 for a in best.arcs if aux.edges[a // 2].segment is not None)
         state.log.append(
             f"demand {demand.id} {demand.u}-{demand.v}: "
             f"working={'-'.join(working.nodes)} "
-            f"subtrails={len(subtrails)} aux_edges={len(aux.edges)} "
+            f"subtrails={len(segments)} aux_edges={len(aux.edges)} "
             f"cost={int(best.length)} shortcuts={n_short} "
             f"protection={'-'.join(protection.nodes)}")
     return entry
-
-
-def route_all(state: RouterState, demands: list[Demand]) -> AllocationPlan:
-    for d in demands:
-        route_demand(state, d)
-    return state.plan

@@ -171,3 +171,19 @@ class TestTable1Command:
         assert (tmp_path / "table1.txt").exists()
         csv = (tmp_path / "table1.csv").read_text()
         assert "neighbor,k66,working,360,360,exact" in csv
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("option", ["--max-partial-paths", "--max-work"])
+@pytest.mark.parametrize("command", [
+    ["route", "--graph", "k66", "--pattern", "neighbor"],
+    ["run", "--graph", "k66", "--pattern", "neighbor"],
+    ["table1", "--pattern", "neighbor", "--runs", "1"],
+], ids=lambda args: args[0])
+def test_search_limits_must_be_positive(runner, command, option, value):
+    # neither the default (0 used to stand for it) nor a crash in SearchLimits
+    r = runner.invoke(main, [*command, option, value])
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert f"Invalid value for '{option}': {value} is not in the range x>=1." in r.output
+    assert "Traceback" not in r.output

@@ -154,7 +154,7 @@ class TestAudit:
 
 
 def oracle_restore(plan, failure):
-    """restore(pre_validated=True) as it was before the per-failure entry
+    """restore() without its validation, as it was before the per-failure entry
     index: every entry is tested against the failure."""
     def hits(walk):
         if failure.kind == "link":
@@ -240,9 +240,16 @@ def test_audit_and_restore_match_oracles(random_plan, seed, mode):
     plan = random_plan(seed, mode)
     for failure_mode in ("link", "node"):
         assert outcome(audit, plan, failure_mode) == outcome(oracle_audit, plan, failure_mode)
+    violations = plan.validate()
     for failure in enumerate_failures(plan.graph, "node"):
-        assert (outcome(restore, plan, failure, True)
-                == outcome(oracle_restore, plan, failure))
+        if violations:
+            # restore() validates first; audit() above still runs the
+            # restoration of every invalid plan against its oracle
+            with pytest.raises(PlanError) as exc:
+                restore(plan, failure)
+            assert exc.value.violations == violations
+        else:
+            assert outcome(restore, plan, failure) == outcome(oracle_restore, plan, failure)
 
 
 def test_random_plans_reach_every_audit_outcome(random_plan):

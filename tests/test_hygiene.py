@@ -1,7 +1,10 @@
 """Source hygiene checks that need no linter: every import in src/pxtmesh is
-used, and no module guards an invariant with `assert`, which `python -O` strips."""
+used, no module guards an invariant with `assert`, which `python -O` strips,
+and every function, method and class defined there is named somewhere else."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pxtmesh
 
 SRC = Path(pxtmesh.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -69,3 +73,60 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert; raise a real exception instead"
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of every function, method, property and class, apart from
+    dunders and click commands, which are reached without being named."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        calls = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(c, ast.Attribute) and c.attr in ("command", "group") for c in calls):
+            continue
+        yield node.name, node.lineno
+
+
+def _name_counts(paths) -> Counter:
+    """How often each identifier-like word occurs in the given files, code,
+    strings, comments and prose alike."""
+    counts: Counter = Counter()
+    for path in paths:
+        counts.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
+    return counts
+
+
+def dead_definitions(src_files, other_files) -> list[str]:
+    """`module:line name` of each definition in `src_files` whose name occurs
+    nowhere but at its own definitions."""
+    defs = {path: list(_definitions(ast.parse(path.read_text(), filename=str(path))))
+            for path in src_files}
+    defined = Counter(name for found in defs.values() for name, _ in found)
+    counts = _name_counts([*src_files, *other_files])
+    return sorted(f"{path.name}:{line} {name}" for path, found in defs.items()
+                  for name, line in found if counts[name] <= defined[name])
+
+
+def test_no_dead_definitions():
+    others = [*sorted((ROOT / "tests").rglob("*.py")),
+              *sorted((ROOT / "benchmarks").rglob("*.py")), ROOT / "README.md"]
+    dead = dead_definitions(sorted(SRC.glob("*.py")), others)
+    assert dead == [], "defined in src/pxtmesh but named nowhere else"
+
+
+def test_dead_definition_check_exemptions(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import click\n"
+                   "class Used:\n"
+                   "    def __init__(self): pass\n"
+                   "    @property\n"
+                   "    def orphan(self): pass\n"
+                   "@click.command()\n"
+                   "def cmd(): pass\n"
+                   "def helper(): return Used()\n"
+                   "def unused(): pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("# calls helper()\n")
+    assert dead_definitions([mod], [user]) == ["mod.py:5 orphan", "mod.py:9 unused"]

@@ -17,13 +17,11 @@ from pxtmesh.router import (
     AuxEdge,
     RouterState,
     RoutingError,
-    Subtrail,
     _expand_route,
     build_aux,
     collect_subtrails,
     find_working,
     prohibited_edges,
-    route_all,
     route_demand,
 )
 from pxtmesh.topologies import standard_topology
@@ -100,14 +98,15 @@ class TestCollectSubtrails:
         state = self.seeded_state(five_node)
         subs = collect_subtrails(state, Demand(2, "B", "C"))
         assert len(subs) == 1
-        assert subs[0].walk.length == 4
-        assert set(subs[0].walk.ends) == {"B", "C"}
-        assert (subs[0].start_kind, subs[0].end_kind) == ("terminal", "terminal")
+        assert subs[0].length == 4
+        assert set(subs[0].ends) == {"B", "C"}
+        # the terminals sit at the trail's ends, so nothing cuts it
+        assert subs[0] is state.plan.pxts[0].walk
 
     def test_interior_occurrences_cut(self, five_node):
         state = self.seeded_state(five_node)
         subs = collect_subtrails(state, Demand(2, "D", "C"))
-        spans = sorted(((frozenset(s.walk.ends), s.walk.length) for s in subs),
+        spans = sorted(((frozenset(s.ends), s.length) for s in subs),
                        key=lambda x: x[1])
         assert spans == [(frozenset({"B", "D"}), 1), (frozenset({"C", "D"}), 3)]
 
@@ -119,8 +118,12 @@ class TestCollectSubtrails:
             walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")))
         subs = collect_subtrails(state, Demand(1, "C", "D"))
         assert len(subs) == 1
-        assert subs[0].walk.nodes in (("A", "E", "B"), ("B", "E", "A"))
-        assert (subs[0].start_kind, subs[0].end_kind) == ("trail-end", "trail-end")
+        assert subs[0].nodes in (("A", "E", "B"), ("B", "E", "A"))
+        # neither end is a terminal: the segment is the cached trail walk itself
+        assert not set(subs[0].ends) & {"C", "D"}
+        [pxt] = state.plan.pxts
+        assert subs[0] is pxt.walk
+        assert collect_subtrails(state, Demand(2, "C", "D"))[0] is pxt.walk
 
     def test_closed_pxt_without_terminal_contributes_nothing(self):
         g = Graph("ABCXY", [("A", "B", 2), ("B", "C", 2), ("A", "C", 2),
@@ -144,7 +147,8 @@ class TestCollectSubtrails:
         assert collect_subtrails(plan_state, Demand(4, "A", "X")) == []
         # with both terminals on it, the ring is cut at their occurrences
         subs = collect_subtrails(plan_state, Demand(5, "A", "B"))
-        assert sorted(s.walk.length for s in subs) == [1, 2]
+        assert sorted(s.length for s in subs) == [1, 2]
+        assert all(set(s.ends) == {"A", "B"} for s in subs)
 
 
 class TestProhibitedEdges:
@@ -179,7 +183,7 @@ class TestBuildAux:
         d = Demand(0, "A", "B")
         working = find_working(state, d)
         aux = build_aux(state, d, working, [])
-        assert all(e.kind == "unused" for e in aux.edges)
+        assert all(e.segment is None for e in aux.edges)
         assert all(not a.rivals for a in aux.graph.arcs.values())
         # the working link must not appear
         assert all({e.u, e.v} != {"A", "B"} for e in aux.edges)
@@ -190,33 +194,35 @@ class TestBuildAux:
         state = RouterState(g)
         s1 = walk("A", ("A", "X", 0), "X", ("X", "B", 0), "B")
         s2 = walk("C", ("C", "X", 0), "X", ("X", "D", 0), "D")
-        from pxtmesh.router import Subtrail
-        subs = [Subtrail(s1, "trail-end", "trail-end"),
-                Subtrail(s2, "trail-end", "trail-end")]
         d = Demand(0, "A", "B")
         working = walk("A", ("A", "B", 0), "B")
-        aux = build_aux(state, d, working, subs)
-        shortcuts = [i for i, e in enumerate(aux.edges) if e.kind == "shortcut"]
-        assert len(shortcuts) == 2
+        aux = build_aux(state, d, working, [s1, s2])
+        shortcuts = [i for i, e in enumerate(aux.edges) if e.segment is not None]
+        assert [aux.edges[i].segment for i in shortcuts] == [s1, s2]
+        assert [(aux.edges[i].u, aux.edges[i].v) for i in shortcuts] == [("A", "B"), ("C", "D")]
         i, j = shortcuts
         assert 2 * j in aux.graph.arcs[2 * i].rivals
+        # shortcut arcs cost nothing and lose ties to fresh arcs
+        for a in aux.graph.arcs.values():
+            fresh = aux.edges[a.id // 2].segment is None
+            assert (a.length, a.tiebreak) == ((1, 0) if fresh else (0, 1))
 
     def test_unused_arc_into_subtrail_interior_is_rival(self, five_node):
         state = RouterState(five_node)
-        from pxtmesh.router import Subtrail
         seg = walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")
         d = Demand(0, "C", "D")
         working = walk("C", ("C", "D", 0), "D")
-        aux = build_aux(state, d, working, [Subtrail(seg, "trail-end", "trail-end")])
-        (si,) = [i for i, e in enumerate(aux.edges) if e.kind == "shortcut"]
+        aux = build_aux(state, d, working, [seg])
+        (si,) = [i for i, e in enumerate(aux.edges) if e.segment is not None]
+        assert aux.edges[si].segment is seg
         # unused arcs reaching E would land inside the A..B segment
         for pair in ({"E", "D"}, {"A", "E"}):
             (ui,) = [i for i, e in enumerate(aux.edges)
-                     if e.kind == "unused" and {e.u, e.v} == pair]
+                     if e.segment is None and {e.u, e.v} == pair]
             assert 2 * si in aux.graph.arcs[2 * ui].rivals
         # a disjoint unused arc is not a rival
         (ui,) = [i for i, e in enumerate(aux.edges)
-                 if e.kind == "unused" and {e.u, e.v} == {"C", "A"}]
+                 if e.segment is None and {e.u, e.v} == {"C", "A"}]
         assert 2 * si not in aux.graph.arcs[2 * ui].rivals
 
 
@@ -366,20 +372,12 @@ def test_invariants_on_benchmark_topology():
     assert state.plan.extract_pxts() == state.plan.pxts
 
 
-def test_route_all(five_node):
-    demands = [Demand(0, "A", "B"), Demand(1, "C", "D")]
-    state = RouterState(five_node)
-    plan = route_all(state, demands)
-    assert len(plan.entries) == 2
-
-
 def test_expand_route_rejects_mismatched_shortcut(five_node):
     state = RouterState(five_node)
     d = Demand(0, "C", "D")
     seg = walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")
-    aux = build_aux(state, d, walk("C", ("C", "D", 0), "D"),
-                    [Subtrail(seg, "trail-end", "trail-end")])
-    (si,) = [i for i, e in enumerate(aux.edges) if e.kind == "shortcut"]
+    aux = build_aux(state, d, walk("C", ("C", "D", 0), "D"), [seg])
+    (si,) = [i for i, e in enumerate(aux.edges) if e.segment is not None]
     # the route starts at C, but the shortcut's arc leaves from A
     with pytest.raises(RoutingError, match="does not continue"):
         _expand_route(state, d, aux, (2 * si,))
@@ -432,12 +430,14 @@ def random_connected_graph(rng: random.Random, n: int, tight: bool) -> Graph:
 
 def pairwise_rivals(aux_edges) -> set[tuple[int, int]]:
     """Reference rival rule: expansions share a node that is not an endpoint
-    of both; two fresh-capacity edges are never rivals."""
-    expansions = [e.expansion_nodes() for e in aux_edges]
+    of both; two fresh-capacity edges are never rivals.  A fresh edge expands
+    to its two endpoints, a shortcut to every node of its segment."""
     endpoints = [frozenset((e.u, e.v)) for e in aux_edges]
+    expansions = [ends if e.segment is None else frozenset(e.segment.nodes)
+                  for e, ends in zip(aux_edges, endpoints)]
     out = set()
     for i, j in itertools.combinations(range(len(aux_edges)), 2):
-        if aux_edges[i].kind == aux_edges[j].kind == "unused":
+        if aux_edges[i].segment is None and aux_edges[j].segment is None:
             continue
         if (expansions[i] & expansions[j]) - (endpoints[i] & endpoints[j]):
             out.add((i, j))
@@ -500,7 +500,7 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
     assert state.plan.validate() == []
 
 
-def full_scan_subtrails(plan: AllocationPlan, demand: Demand) -> list[Subtrail]:
+def full_scan_subtrails(plan: AllocationPlan, demand: Demand) -> list[Walk]:
     """collect_subtrails before the position index: every PXT of the
     from-scratch decomposition is scanned node by node, each segment is a
     validated Walk, and non-paths are dropped at the end."""
@@ -521,16 +521,13 @@ def full_scan_subtrails(plan: AllocationPlan, demand: Demand) -> list[Subtrail]:
                     seg = Walk(nodes[a:b + 1], edges[a:b])
                 else:
                     seg = Walk(nodes[a:k] + nodes[:b + 1], edges[a:] + edges[:b])
-                out.append(Subtrail(seg, "terminal", "terminal"))
+                assert seg.nodes[0] in (u, v) and seg.nodes[-1] in (u, v)
+                out.append(seg)
         else:
             positions = sorted({0, k} | {i for i in range(k + 1) if nodes[i] in (u, v)})
             for a, b in zip(positions, positions[1:]):
-                out.append(Subtrail(
-                    Walk(nodes[a:b + 1], edges[a:b]),
-                    "terminal" if nodes[a] in (u, v) else "trail-end",
-                    "terminal" if nodes[b] in (u, v) else "trail-end",
-                ))
-    return [s for s in out if is_path(s.walk)]
+                out.append(Walk(nodes[a:b + 1], edges[a:b]))
+    return [s for s in out if is_path(s)]
 
 
 def fresh_edges_from_scratch(plan: AllocationPlan) -> list[AuxEdge]:
@@ -538,7 +535,7 @@ def fresh_edges_from_scratch(plan: AllocationPlan) -> list[AuxEdge]:
     for u, v in plan.graph.links():
         cap = plan.graph.capacity(u, v)
         if cap is None or plan.used_on_link(u, v) < cap:
-            out.append(AuxEdge("unused", u, v, 1))
+            out.append(AuxEdge(u, v))
     return out
 
 

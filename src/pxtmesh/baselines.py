@@ -101,17 +101,16 @@ def fixed_pair_routes(g: Graph, mode: str = "node") -> dict[frozenset, DisjointP
     return chosen
 
 
-def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node",
-                      share_mode: str = "link") -> AllocationPlan:
+def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node") -> AllocationPlan:
     """Greedy sharing on fixed pair routes, ignoring branch points.
 
     Every copy of a terminal pair rides that pair's fixed routes.  A
     protection hop reuses the lowest-ordinal existing protection edge whose
-    current users' workings are all share_mode-disjoint from this copy's
-    working (link-level by default: no shared link means no common failure),
-    otherwise a fresh edge is materialized.
+    current users' workings are all link-disjoint from this copy's working
+    (no shared link means no common failure), otherwise a fresh edge is
+    materialized.  `mode` picks the disjointness of each pair's fixed routes.
     """
-    plan = AllocationPlan(g, mode=share_mode, enforce="abc")
+    plan = AllocationPlan(g, mode="link", enforce="abc")
     pairs = fixed_pair_routes(g, mode) if demands else {}
     for d in demands:
         pair = pairs[d.terminals]

@@ -3,10 +3,10 @@
 A directed graph where each arc carries a set of "rival" arcs; a path is
 admissible when it contains no arc together with one of that arc's rivals.
 The search keeps, per node, a set of partial paths (path, length, forbidden
-arcs, penciled/inked state), prunes with the domination order (no longer and
-forbids no more), and extends the globally shortest one first.  Worst-case
-cost is exponential, so hard limits on stored paths and probe work make it
-fail gracefully instead of hanging.
+arcs), prunes with the domination order (no longer and forbids no more), and
+extends the globally shortest one first.  It returns one shortest path per
+node it settles.  Worst-case cost is exponential, so hard limits on stored
+paths and probe work make it fail gracefully instead of hanging.
 """
 
 from __future__ import annotations
@@ -106,29 +106,15 @@ DEFAULT_LIMITS = SearchLimits()
 
 @dataclass(frozen=True)
 class PartialPath:
-    """Search record: a path from the source with its accumulated constraints."""
+    """Search result for one node: a shortest admissible path from the source."""
 
     path: tuple[str, ...]
     arcs: tuple[ArcId, ...]
     length: float
-    forbidden: frozenset
-    state: str  # "penciled" | "inked"
-
-
-def dominates(p1: PartialPath, p2: PartialPath) -> bool:
-    """p1 is at least as good: no longer, and forbids no more.
-
-    Both comparisons are non-strict, so equal partial paths dominate each
-    other; callers rely on that to drop exact duplicates.
-    """
-    if p1.path[-1] != p2.path[-1]:
-        raise ValueError("dominates() compares partial paths at the same node")
-    return p1.length <= p2.length and p1.forbidden <= p2.forbidden
 
 
 @dataclass
 class SolveResult:
-    source: str
     paths: dict[str, PartialPath] = field(default_factory=dict)
     unreachable: set[str] = field(default_factory=set)
     undecided: set[str] = field(default_factory=set)
@@ -147,9 +133,9 @@ class ResourceLimitExceeded(RuntimeError):
 
 class _Entry:
     __slots__ = ("node", "arc", "parent", "length", "forb", "nodes",
-                 "secondary", "seq", "inked", "alive")
+                 "secondary", "alive")
 
-    def __init__(self, node, arc, parent, length, forb, nodes, secondary, seq):
+    def __init__(self, node, arc, parent, length, forb, nodes, secondary):
         self.node = node
         self.arc = arc
         self.parent = parent
@@ -157,8 +143,6 @@ class _Entry:
         self.forb = forb
         self.nodes = nodes
         self.secondary = secondary
-        self.seq = seq
-        self.inked = False
         self.alive = True
 
     def tie_key(self):
@@ -177,9 +161,7 @@ class _Entry:
             if cur.arc is not None:
                 rev_arcs.append(cur.arc)
             cur = cur.parent
-        return PartialPath(tuple(reversed(rev_nodes)), tuple(reversed(rev_arcs)),
-                           self.length, self.forb,
-                           "inked" if self.inked else "penciled")
+        return PartialPath(tuple(reversed(rev_nodes)), tuple(reversed(rev_arcs)), self.length)
 
 
 class _NodeStore:
@@ -237,8 +219,7 @@ class _NodeStore:
 
 
 def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
-          target: str | None = None, prune: bool = True,
-          trace: list[str] | None = None) -> SolveResult:
+          target: str | None = None) -> SolveResult:
     """Shortest admissible path from g.source to every node (or to `target`).
 
     Nodes proven to have no admissible path are reported unreachable; nodes
@@ -258,15 +239,14 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
     work = 0
     blacks = 0
 
-    root = _Entry(g.source, None, None, 0, frozenset(), frozenset((g.source,)), 0, seq)
-    root.inked = True
+    root = _Entry(g.source, None, None, 0, frozenset(), frozenset((g.source,)), 0)
     stores[g.source].inked = root
     blacks += 1
     stored += 1
     heapq.heappush(heap, (0, 0, 0, g.source, seq, root))
 
     def result(undecided_rest: bool) -> SolveResult:
-        res = SolveResult(g.source, stored=stored, work=work)
+        res = SolveResult(stored=stored, work=work)
         for n in g.nodes:
             ink = stores[n].inked
             if ink is not None:
@@ -285,7 +265,6 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
         node = active.node
         store = stores[node]
         if store.inked is None:
-            active.inked = True
             store.pencil.pop(active.forb, None)
             bucket = store.by_size.get(len(active.forb))
             if bucket is not None:
@@ -294,10 +273,6 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
                     del store.by_size[len(active.forb)]
             store.inked = active
             blacks += 1
-        if trace is not None:
-            trace.append(f"activate {node} len={active.length:g} "
-                         f"forb={_fmt_set(active.forb)} "
-                         f"{'inked' if active.inked and store.inked is active else 'penciled'}")
         if target is not None and stores[target].inked is not None:
             return result(undecided_rest=True)
         if blacks == len(g.nodes):
@@ -306,39 +281,22 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
             work += 1
             if work > limits.max_work:
                 raise ResourceLimitExceeded("work", result(undecided_rest=True))
-            if arc.id in active.forb:
-                if trace is not None:
-                    trace.append(f"  skip {arc.id}: forbidden")
-                continue
-            if arc.head in active.nodes:
-                if trace is not None:
-                    trace.append(f"  skip {arc.id}: revisits {arc.head}")
+            if arc.id in active.forb or arc.head in active.nodes:
                 continue
             nlen = active.length + arc.length
             nforb = active.forb | arc.rivals
             head_store = stores[arc.head]
             seq += 1
             entry = _Entry(arc.head, arc.id, active, nlen, nforb,
-                           active.nodes | {arc.head}, active.secondary + arc.tiebreak, seq)
-            if prune:
-                if head_store.dominated(entry):
-                    if trace is not None:
-                        trace.append(f"  add {arc.head} via {arc.id}: dominated, dropped")
-                    continue
-                removed = head_store.insert(entry)
-                stored -= len(removed)
-            stored += 1
+                           active.nodes | {arc.head}, active.secondary + arc.tiebreak)
+            if head_store.dominated(entry):
+                continue
+            removed = head_store.insert(entry)
+            stored += 1 - len(removed)
             if stored > limits.max_stored:
                 raise ResourceLimitExceeded("stored", result(undecided_rest=True))
             heapq.heappush(heap, (nlen, entry.secondary, len(nforb), arc.head, seq, entry))
-            if trace is not None:
-                trace.append(f"  add {arc.head} via {arc.id}: len={nlen:g} "
-                             f"forb={_fmt_set(nforb)}")
     return result(undecided_rest=False)
-
-
-def _fmt_set(s: frozenset) -> str:
-    return "{" + ",".join(sorted(str(x) for x in s)) + "}"
 
 
 def reflection_grid(n: int) -> RivalGraph:

@@ -260,10 +260,7 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     for seg in segments:
         if any(prohibited(e) for e in seg.edges):
             continue
-        a, b = seg.ends
-        if a == b:
-            continue  # would re-enter where it left: never expands to a path
-        aux_edges.append(AuxEdge(a, b, seg))
+        aux_edges.append(AuxEdge(*seg.ends, seg))
 
     arcs = []
     for i, (e, rival_arcs) in enumerate(zip(aux_edges, _rival_arcs(aux_edges, n_unused))):

@@ -7,7 +7,6 @@ supplied graph file is required (12 nodes, 24 links, all-pairs distance sum
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .graph import UNBOUNDED, Graph, distance_sum, load_graph
@@ -128,7 +127,7 @@ def standard_topology(name: str, data_file: str | Path | None = None) -> Graph:
                 "murakami_kim needs an external graph file (12 nodes, 24 links, "
                 "all-pairs distance sum 120)")
         g = load_graph(Path(data_file).read_text())
-        if len(g.nodes) != 12 or g.num_links() != 24 or distance_sum(g) != 120:
+        if len(g.nodes) != 12 or (g.num_links(), distance_sum(g)) != TOPOLOGY_STATS[name]:
             raise TopologyError(
                 f"{data_file} does not satisfy the murakami_kim constraints "
                 f"(12 nodes, 24 links, distance sum 120)")
@@ -136,11 +135,6 @@ def standard_topology(name: str, data_file: str | Path | None = None) -> Graph:
     if name not in _BUILDERS:
         raise TopologyError(f"unknown topology {name!r} (expected one of {', '.join(TOPOLOGY_NAMES)})")
     return _BUILDERS[name]()
-
-
-def packaged_graph_text(name: str) -> str:
-    """Raw text of a shipped .graph fixture file."""
-    return resources.files("pxtmesh.data").joinpath(f"{name}.graph").read_text()
 
 
 def load_topology(spec: str, data_file: str | Path | None = None) -> tuple[str, Graph]:

@@ -14,6 +14,10 @@ from .plan import Demand
 
 _MASK = (1 << 64) - 1
 
+# The paper's unbalanced multiplicities: copies of a demand between two small
+# nodes, a small and a large node, and two large nodes.
+K_SS, K_SL, K_LL = 2, 8, 14
+
 
 class SplitMix64:
     """Tiny deterministic PRNG (the standard SplitMix64 constants)."""
@@ -44,9 +48,6 @@ class TrafficSpec:
     pattern: str                     # uniform | neighbor | unbalanced
     k: int = 0                       # per-pair copies (uniform/neighbor)
     large: tuple[str, ...] = ()      # unbalanced "large" nodes
-    k_ss: int = 2
-    k_sl: int = 8
-    k_ll: int = 14
     seed: int | None = None
 
     def __post_init__(self):
@@ -54,11 +55,8 @@ class TrafficSpec:
             raise ValueError(f"unknown traffic pattern {self.pattern!r}")
         if self.pattern in ("uniform", "neighbor") and self.k <= 0:
             raise ValueError("k must be positive")
-        if self.pattern == "unbalanced":
-            if not self.large:
-                raise ValueError("unbalanced traffic needs a large-node set")
-            if min(self.k_ss, self.k_sl, self.k_ll) <= 0:
-                raise ValueError("multiplicities must be positive")
+        if self.pattern == "unbalanced" and not self.large:
+            raise ValueError("unbalanced traffic needs a large-node set")
 
 
 def uniform(k: int = 5, seed: int | None = None) -> TrafficSpec:
@@ -69,10 +67,8 @@ def neighbor(k: int = 10, seed: int | None = None) -> TrafficSpec:
     return TrafficSpec("neighbor", k=k, seed=seed)
 
 
-def unbalanced(large: tuple[str, ...], k_ss: int = 2, k_sl: int = 8,
-               k_ll: int = 14, seed: int | None = None) -> TrafficSpec:
-    return TrafficSpec("unbalanced", large=tuple(large), k_ss=k_ss, k_sl=k_sl,
-                       k_ll=k_ll, seed=seed)
+def unbalanced(large: tuple[str, ...], seed: int | None = None) -> TrafficSpec:
+    return TrafficSpec("unbalanced", large=tuple(large), seed=seed)
 
 
 def base_pairs(g: Graph, spec: TrafficSpec) -> list[tuple[str, str]]:
@@ -92,7 +88,7 @@ def base_pairs(g: Graph, spec: TrafficSpec) -> list[tuple[str, str]]:
         missing = large - set(nodes)
         if missing:
             raise ValueError(f"large nodes not in graph: {sorted(missing)}")
-        mult = {0: spec.k_ss, 1: spec.k_sl, 2: spec.k_ll}
+        mult = {0: K_SS, 1: K_SL, 2: K_LL}
         for i, u in enumerate(nodes):
             for v in nodes[i + 1:]:
                 out.extend([(u, v)] * mult[(u in large) + (v in large)])
@@ -130,10 +126,15 @@ def load_demands(g: Graph, text: str) -> list[Demand]:
         if fields[0] != "demand" or len(fields) not in (3, 4):
             raise ValueError(f"line {lineno}: expected 'demand <u> <v> [count]'")
         u, v = fields[1], fields[2]
-        count = int(fields[3]) if len(fields) == 4 else 1
+        try:
+            count = int(fields[3]) if len(fields) == 4 else 1
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad count {fields[3]!r}") from None
         for x in (u, v):
             if x not in g.nodes:
                 raise ValueError(f"line {lineno}: unknown node {x}")
+        if u == v:
+            raise ValueError(f"line {lineno}: terminals must be distinct")
         if count <= 0:
             raise ValueError(f"line {lineno}: count must be positive")
         for _ in range(count):

@@ -25,7 +25,7 @@ from pxtmesh.graph import (
     load_graph,
     shortest_path,
 )
-from pxtmesh.topologies import TOPOLOGY_STATS, packaged_graph_text, standard_topology
+from pxtmesh.topologies import TOPOLOGY_STATS, standard_topology
 
 
 def W(multigraph, *seq):
@@ -129,19 +129,10 @@ class TestGraphFile:
             g.edge("A", "B", 3)
         assert g.edge("A", "B", 2) == EdgeId("A", "B", 2)
 
-    def test_icosahedron_fixture_file(self):
-        g = load_graph(packaged_graph_text("icosahedron"))
-        assert len(g.nodes) == 12
-        assert g.num_links() == 30
-
     def test_dump_round_trip(self, grid3x4):
         text = dump_graph(grid3x4)
         again = load_graph(text)
         assert dump_graph(again) == text
-
-    def test_fixture_files_match_builders(self):
-        for name in ("cycle12plus3", "grid3x4", "tietze", "icosahedron", "k66"):
-            assert packaged_graph_text(name) == dump_graph(standard_topology(name))
 
 
 class TestTopologies:
@@ -163,6 +154,21 @@ class TestTopologies:
         from pxtmesh.topologies import TopologyError
         with pytest.raises(TopologyError, match="external graph file"):
             standard_topology("murakami_kim")
+
+    @pytest.mark.parametrize("jump,dsum", [(3, 120), (2, 126)])
+    def test_murakami_file_checked(self, tmp_path, jump, dsum):
+        """The circulant C12(1, jump) has 24 links; only distance sum 120 is
+        accepted as murakami_kim."""
+        from pxtmesh.topologies import TopologyError
+        nodes = [f"n{i:02d}" for i in range(12)]
+        links = [(nodes[i], nodes[(i + s) % 12], UNBOUNDED) for i in range(12) for s in (1, jump)]
+        f = tmp_path / "mk.graph"
+        f.write_text(dump_graph(Graph(nodes, links)))
+        if dsum == 120:
+            assert distance_sum(standard_topology("murakami_kim", f)) == 120
+        else:
+            with pytest.raises(TopologyError, match="does not satisfy"):
+                standard_topology("murakami_kim", f)
 
     def test_k66_bipartite_girth_four(self, k66):
         sides = {n[0] for n in k66.nodes}

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import in src/pxtmesh is
 used, no module guards an invariant with `assert`, which `python -O` strips,
-and every function, method and class defined there is named somewhere else."""
+every function, method and class defined there is named somewhere else, and
+every field it declares is read somewhere."""
 
 import ast
 import re
@@ -130,3 +131,66 @@ def test_dead_definition_check_exemptions(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("# calls helper()\n")
     assert dead_definitions([mod], [user]) == ["mod.py:5 orphan", "mod.py:9 unused"]
+
+
+def _declared_fields(tree: ast.Module):
+    """(class, field, line) of each dataclass field and `__slots__` name."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        is_dataclass = any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                           for d in decorators)
+        for stmt in cls.body:
+            if is_dataclass and isinstance(stmt, ast.AnnAssign) \
+                    and isinstance(stmt.target, ast.Name):
+                yield cls.name, stmt.target.id, stmt.lineno
+            elif isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                for elt in getattr(stmt.value, "elts", ()):
+                    yield cls.name, elt.value, stmt.lineno
+
+
+def _attributes_read(paths) -> set[str]:
+    """Every attribute name loaded (or updated in place) in the given files."""
+    read = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store))
+        read.update(node.target.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute))
+    return read
+
+
+def dead_fields(src_files, other_files) -> list[str]:
+    """`module:line Class.field` of each declared field that no file reads."""
+    read = _attributes_read([*src_files, *other_files])
+    return sorted(f"{path.name}:{line} {cls}.{name}" for path in src_files
+                  for cls, name, line in _declared_fields(ast.parse(path.read_text()))
+                  if name not in read)
+
+
+def test_no_dead_fields():
+    others = [*sorted((ROOT / "tests").rglob("*.py")), *sorted((ROOT / "benchmarks").rglob("*.py"))]
+    dead = dead_fields(sorted(SRC.glob("*.py")), others)
+    assert dead == [], "declared in src/pxtmesh but never read"
+
+
+def test_dead_field_check_sees_dataclasses_and_slots(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from dataclasses import dataclass\n"
+                   "@dataclass(frozen=True)\n"
+                   "class Rec:\n"
+                   "    kept: int\n"
+                   "    orphan: int\n"
+                   "class Plain:\n"
+                   "    note: int = 0\n"
+                   "class Slotted:\n"
+                   "    __slots__ = ('count', 'lost')\n"
+                   "    def __init__(self):\n"
+                   "        self.count = 0\n"
+                   "        self.lost = 0\n")
+    user = tmp_path / "user.py"
+    user.write_text("def f(r, s):\n    s.count += 1\n    return r.kept\n")
+    assert dead_fields([mod], [user]) == ["mod.py:5 Rec.orphan", "mod.py:9 Slotted.lost"]

@@ -259,9 +259,10 @@ def test_conflicts_match_disjoint_scan(monkeypatch, random_plan, grid3x4, mode):
             assert all(again.conflicts(e.working) == _scan_conflicts(plan, e.working)
                        for e in plan.entries)
     demands = generate(grid3x4, uniform(1, seed=0))
-    for plan in (route_shared_path(grid3x4, demands, mode=mode, share_mode=mode),
-                 route_1plus1(grid3x4, demands, mode=mode)):
-        assert plan.mode == mode and len(plan.entries) == len(demands)
+    shared = route_shared_path(grid3x4, demands, mode=mode)
+    dedicated = route_1plus1(grid3x4, demands, mode=mode)
+    assert (shared.mode, dedicated.mode) == ("link", mode)
+    assert len(shared.entries) == len(dedicated.entries) == len(demands)
     assert len(checked_plans) == 2 * len(RANDOM_ENFORCE) * 16 + 2
 
 

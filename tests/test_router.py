@@ -566,7 +566,10 @@ def test_cached_subtrails_and_fresh_edges_match_full_scans(mode, tight):
                     closed_pairs += 1
             for u, v in pairs:
                 d = Demand(1000 + did, u, v)
-                assert collect_subtrails(state, d) == full_scan_subtrails(plan, d)
+                segments = collect_subtrails(state, d)
+                assert segments == full_scan_subtrails(plan, d)
+                # build_aux relies on it: no offered segment starts where it ends
+                assert all(s.ends[0] != s.ends[1] for s in segments)
     assert closed_pairs
 
 

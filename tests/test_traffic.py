@@ -97,3 +97,12 @@ class TestDemandFiles:
     def test_bad_count_rejected(self, icosahedron):
         with pytest.raises(ValueError):
             load_demands(icosahedron, "demand n s 0")
+
+    @pytest.mark.parametrize("line,reason", [
+        ("demand a0 b0 x", "bad count 'x'"),
+        ("demand a0 a0 2", "terminals must be distinct"),
+    ])
+    def test_malformed_line_named(self, k66, line, reason):
+        with pytest.raises(ValueError) as exc:
+            load_demands(k66, line + "\n")
+        assert str(exc.value) == f"line 1: {reason}"

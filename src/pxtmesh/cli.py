@@ -182,8 +182,9 @@ def validate(graph, murakami_file, plan_file):
             click.echo(str(v))
         _fail(f"{len(violations)} violation(s)", 1)
     w, p, t = plan.bandwidth()
+    # plan.pxts is kept only under rule d; a clean plan decomposes all the same
     click.echo(f"plan ok: {len(plan.entries)} demands, working {w}, "
-               f"protection {p}, total {t}, {len(plan.pxts)} trails, "
+               f"protection {p}, total {t}, {len(plan.extract_pxts())} trails, "
                f"branch points: none")
 
 

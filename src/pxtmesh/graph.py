@@ -37,6 +37,9 @@ def link_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
+link_of = itemgetter(slice(2))  # an EdgeId's link (u, v), a plain tuple
+
+
 class EdgeId(tuple):
     """One unit of capacity on the link u-v; index is the ordinal in the pool.
     It is the tuple (u, v, index) with u <= v, and equals that plain tuple."""
@@ -51,7 +54,7 @@ class EdgeId(tuple):
         return tuple.__new__(cls, (u, v, index) if u <= v else (v, u, index))
 
     u, v, index = (property(itemgetter(i)) for i in range(3))
-    link = property(itemgetter(slice(2)))  # (u, v), a plain tuple
+    link = property(link_of)
 
     def __getnewargs__(self) -> tuple[str, str, int]:
         return tuple(self)
@@ -131,6 +134,14 @@ class Graph:
             raise GraphError(f"unknown node {node}")
         return self._adj[node]
 
+    def invalid_edges(self, edges: set[EdgeId]) -> set[EdgeId]:
+        """The edges of `edges` on no link, or past their link's capacity."""
+        caps = self._caps
+        bounded = {l for l in set(map(link_of, edges)) if caps.get(l, 0) is not UNBOUNDED}
+        if not bounded:  # every link known and unbounded: no edge to look at
+            return set()
+        return {e for e in edges if e[:2] in bounded and e[2] >= caps.get(e[:2], 0)}
+
     def edge(self, u: str, v: str, index: int = 0) -> EdgeId:
         """Materialize an EdgeId, validating the link and capacity bound."""
         self._check_ordinal(u, v, index)
@@ -194,7 +205,7 @@ class Walk:
         return set(self.edges)
 
     def link_set(self) -> set[tuple[str, str]]:
-        return {e[:2] for e in self.edges}
+        return set(map(link_of, self.edges))
 
     def reversed(self) -> "Walk":
         return Walk._trusted(self.nodes[::-1], self.edges[::-1])
@@ -245,20 +256,10 @@ def disjoint(w1: Walk, w2: Walk, mode: str = "node") -> bool:
         return not (w1.edge_set() & w2.edge_set())
     if mode not in ("link", "node"):
         raise ValueError(f"unknown disjointness mode {mode!r}")
-    return not footprints_meet(footprint(w1, mode), footprint(w2, mode))
-
-
-def footprint(walk: Walk, mode: str) -> tuple:
-    """(link set, nodes, interior set) of a walk; link mode leaves the last two empty."""
-    if mode == "link":
-        return walk.link_set(), (), frozenset()
-    return walk.link_set(), walk.nodes, set(walk.nodes[1:-1])
-
-
-def footprints_meet(a: tuple, b: tuple) -> bool:
-    """not disjoint() in node or link mode, on footprints.  Either side may be
-    a member-wise union of footprints: the other then meets one of them."""
-    return not (a[0].isdisjoint(b[0]) and a[2].isdisjoint(b[1]) and b[2].isdisjoint(a[1]))
+    if not w1.link_set().isdisjoint(w2.link_set()):
+        return False
+    return mode == "link" or (set(w1.nodes[1:-1]).isdisjoint(w2.nodes)
+                              and set(w2.nodes[1:-1]).isdisjoint(w1.nodes))
 
 
 def _avoiding(nodes: tuple[str, ...], mode: str) -> Callable[[str, str], bool]:

@@ -16,11 +16,16 @@ so intermediate nodes never switch in real time.
 Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts
 and AllocationPlan.may_share, which rule c, the router and the shared-path
 baseline all ask.  add_entry keeps their index; validate() reads neither.
+validate() re-checks a plan from scratch in one pass over the paths: each
+rule's offenders are found with set operations and only they are described.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, combinations
+from operator import itemgetter
 
 from .graph import (
     EdgeId,
@@ -28,10 +33,9 @@ from .graph import (
     GraphError,
     Walk,
     disjoint,
-    footprint,
-    footprints_meet,
     is_path,
     link_key,
+    link_of,
     validate_walk,
 )
 
@@ -145,46 +149,31 @@ class _Trail:
         self.edges.reverse()
 
 
-def _canonical_open(nodes: list[str], edges: list[EdgeId]) -> Walk:
-    fwd = tuple(nodes), tuple(edges)
-    rev = tuple(reversed(nodes)), tuple(reversed(edges))
-    return Walk(*min(fwd, rev))
-
-
-def _canonical_closed(nodes: list[str], edges: list[EdgeId]) -> Walk:
-    # nodes[0] == nodes[-1]; pick the smallest among all rotations of both
-    # directions so equality of PXT sets is textual
-    k = len(edges)
-    best = None
-    for wn, we in ((nodes, edges), (nodes[::-1], edges[::-1])):
-        for s in range(k):
-            cand_nodes = tuple(wn[s:-1] + wn[:s + 1])
-            cand_edges = tuple(we[s:] + we[:s])
-            key = (cand_nodes, cand_edges)
-            if best is None or key < best:
-                best = key
-    return Walk(*best)
-
-
 def _canonical_pxt(nodes: list[str], edges: list[EdgeId], closed: bool) -> PXT:
+    """The trail as the smallest of its walks in either direction, from any
+    start when closed (nodes[0] == nodes[-1]), so equal PXT sets print equal."""
     if closed:
-        return PXT(_canonical_closed(nodes, edges), True)
-    return PXT(_canonical_open(nodes, edges), False)
+        first = min(nodes)  # the smallest walk starts there; min() holds one walk at a time
+        walks = ((tuple(wn[s:-1] + wn[:s + 1]), tuple(we[s:] + we[:s]))
+                 for wn, we in ((nodes, edges), (nodes[::-1], edges[::-1]))
+                 for s in range(len(edges)) if wn[s] == first)
+    else:
+        walks = [(tuple(nodes), tuple(edges)), (tuple(nodes[::-1]), tuple(edges[::-1]))]
+    return PXT(Walk(*min(walks)), closed)
 
 
 def _pxt_sort_key(p: PXT):
     return (str(min(p.walk.edges)), p.walk.nodes, p.walk.edges)
 
 
-def _any_conflict(fps: list[tuple]) -> bool:
-    """Whether any two footprints meet: each is tested against the union of those before it."""
-    union: tuple[set, set, set] = (set(), set(), set())
-    for fp in fps:
-        if footprints_meet(fp, union):
-            return True
-        for acc, part in zip(union, fp):
-            acc.update(part)
-    return False
+_slot, _reversed = itemgetter(0, 1), itemgetter(2, 1, 0)  # of an (edge, node, partner) join
+
+
+def _repeated(keys: list) -> set:
+    """The items that occur more than once in `keys`."""
+    if len(set(keys)) == len(keys):
+        return set()
+    return {k for k, n in Counter(keys).items() if n > 1}
 
 
 class AllocationPlan:
@@ -271,7 +260,7 @@ class AllocationPlan:
 
     # -- construction ------------------------------------------------------
 
-    def _structural_check(self, entry: PlanEntry) -> None:
+    def _structural_violations(self, entry: PlanEntry) -> list[PlanViolation]:
         d = entry.demand
         problems = []
         for label, walk in (("working", entry.working), ("protection", entry.protection)):
@@ -284,16 +273,19 @@ class AllocationPlan:
                 problems.append(f"{label} route is not a path")
             if set(walk.ends) != {d.u, d.v}:
                 problems.append(f"{label} path does not connect {d.u} and {d.v}")
-        if problems:
-            raise PlanError([PlanViolation("structure", (d.id,), p) for p in problems])
+        return [PlanViolation("structure", (d.id,), p) for p in problems]
+
+    def _disjointness(self, entry: PlanEntry) -> list[PlanViolation]:
+        """Rule a for `entry`: nothing, or the one violation."""
+        if disjoint(entry.working, entry.protection, self.mode):
+            return []
+        return [PlanViolation("a", (entry.demand.id,),
+                              f"working and protection are not {self.mode}-disjoint")]
 
     def _entry_violations(self, entry: PlanEntry) -> list[PlanViolation]:
         """Violations that adding `entry` would introduce, per enforced rule."""
         d = entry.demand
-        out = []
-        if "a" in self.enforce and not disjoint(entry.working, entry.protection, self.mode):
-            out.append(PlanViolation("a", (d.id,),
-                                     f"working and protection are not {self.mode}-disjoint"))
+        out = self._disjointness(entry) if "a" in self.enforce else []
         if "b" in self.enforce:
             for e in entry.working.edges:
                 role = self._roles.get(e)
@@ -339,8 +331,7 @@ class AllocationPlan:
         protection, whatever its role), and rule d leaves every slot to
         connect either already paired or a trail end.
         """
-        self._structural_check(entry)
-        violations = self._entry_violations(entry)
+        violations = self._structural_violations(entry) or self._entry_violations(entry)
         if violations:
             raise PlanError(violations)
         idx = len(self.entries)
@@ -450,47 +441,80 @@ class AllocationPlan:
 
     def validate(self) -> list[PlanViolation]:
         """Full re-check of rules a-d from the entries alone, reading nothing
-        add_entry maintains.  Rule c takes protection edges in path order and
-        compares pairs only where _any_conflict finds two users' workings meet."""
-        out: list[PlanViolation] = []
-        for entry in self.entries:
-            try:
-                self._structural_check(entry)
-            except PlanError as exc:
-                out.extend(exc.violations)
-            if not disjoint(entry.working, entry.protection, self.mode):
-                out.append(PlanViolation(
-                    "a", (entry.demand.id,),
-                    f"working and protection are not {self.mode}-disjoint"))
-        working_ids: dict[EdgeId, list[int]] = {}
-        users_by_edge: dict[EdgeId, list[int]] = {}
+        add_entry maintains.  One pass over the paths gives each entry a quick
+        verdict on structure and rule a, re-checked in full only where it
+        fails, and gathers what marks each rule's offenders for set operations:
+          b: a working edge seen twice, or also protecting;
+          c: a protection edge on two of the protections of the workings
+             through one link or, in node mode, one interior node, or on one
+             of those and on the protection of a working ending at that node;
+             only its users are compared pairwise;
+          d: a cross-connect slot with two partners; only then is the
+             pairing built."""
+        node_mode = self.mode == "node"
+        rejected: set[int] = set()
+        working: list[EdgeId] = []
+        protection: set[EdgeId] = set()
+        # protection paths by working link or (node mode) interior node, and by working end
+        through: defaultdict[tuple[str, str] | str, list[tuple[EdgeId, ...]]] = defaultdict(list)
+        ending: defaultdict[str, list[tuple[EdgeId, ...]]] = defaultdict(list)
+        joins: set[tuple[EdgeId, str, EdgeId]] = set()
         for i, entry in enumerate(self.entries):
-            for e in entry.working.edges:
-                working_ids.setdefault(e, []).append(entry.demand.id)
-            for e in dict.fromkeys(entry.protection.edges):
-                users_by_edge.setdefault(e, []).append(i)
-        shared = []
-        for e, ids in working_ids.items():
-            ids = set(ids).union(self.entries[i].demand.id for i in users_by_edge.get(e, ()))
-            if len(ids) > 1:
-                shared.append((str(e), tuple(sorted(ids))))
-        out.extend(PlanViolation("b", ids, f"working edge {name} shared")
-                   for name, ids in sorted(shared))
-        fps = [footprint(entry.working, self.mode) for entry in self.entries]
-        shared_flagged: set[tuple[int, int]] = set()
-        for e, idxs in users_by_edge.items():
-            if not _any_conflict([fps[i] for i in idxs]):
-                continue
-            for ai in range(len(idxs)):
-                for bi in range(ai + 1, len(idxs)):
-                    pair = (self.entries[idxs[ai]].demand.id, self.entries[idxs[bi]].demand.id)
-                    if pair in shared_flagged:
-                        continue
-                    if footprints_meet(fps[idxs[ai]], fps[idxs[bi]]):
-                        shared_flagged.add(pair)
-                        out.append(PlanViolation(
-                            "c", pair, f"shared protection edge {e} but conflicting workings"))
-        out.extend(self._branch_violations(self._pairing_from_paths()[1]))
+            d, w, p = entry.demand, entry.working, entry.protection
+            wn, wl = set(w.nodes), set(map(link_of, w.edges))
+            meet = not wl.isdisjoint(map(link_of, p.edges))
+            for link in wl:
+                through[link].append(p.edges)
+            if node_mode:
+                wi = set(w.nodes[1:-1])
+                meet = meet or not (wi.isdisjoint(p.nodes) and wn.isdisjoint(p.nodes[1:-1]))
+                for x in wi:
+                    through[x].append(p.edges)
+                for x in (w.nodes[0], w.nodes[-1]):
+                    ending[x].append(p.edges)
+            # edges on known links, checked below, put a walk on known nodes
+            if meet or not (len(wn) == len(w.nodes) and len(set(p.nodes)) == len(p.nodes)
+                            and {w.nodes[0], w.nodes[-1]} == {p.nodes[0], p.nodes[-1]}
+                            == {d.u, d.v}):
+                rejected.add(i)
+            working.extend(w.edges)
+            protection.update(p.edges)
+            joins.update(zip(p.edges, p.nodes[1:], p.edges[1:]))
+        if bad := self.graph.invalid_edges(protection.union(working)):
+            rejected.update(i for i, en in enumerate(self.entries)
+                            if not bad.isdisjoint(en.working.edges + en.protection.edges))
+        out: list[PlanViolation] = []
+        for entry in map(self.entries.__getitem__, sorted(rejected)):
+            out += self._structural_violations(entry) + self._disjointness(entry)
+        suspects = _repeated(working) | protection.intersection(working)
+        sharers: dict[EdgeId, set[int]] = {e: set() for e in suspects}
+        for entry in self.entries if suspects else ():
+            for e in suspects.intersection(entry.working.edges + entry.protection.edges):
+                sharers[e].add(entry.demand.id)
+        shared = sorted((str(e), tuple(sorted(ids))) for e, ids in sharers.items() if len(ids) > 1)
+        out.extend(PlanViolation("b", ids, f"working edge {name} shared") for name, ids in shared)
+        suspects = set()
+        for key, paths in through.items():
+            used = set().union(*paths)
+            if sum(map(len, paths)) > len(used):
+                suspects |= _repeated(list(chain.from_iterable(paths)))
+            if key in ending:
+                suspects |= used.intersection(chain.from_iterable(ending[key]))
+        protecting: dict[EdgeId, list[PlanEntry]] = {}
+        for entry in self.entries if suspects else ():
+            for e in filter(suspects.__contains__, dict.fromkeys(entry.protection.edges)):
+                protecting.setdefault(e, []).append(entry)
+        flagged: set[tuple[int, int]] = set()
+        for e, users in protecting.items():
+            for a, b in combinations(users, 2):
+                pair = (a.demand.id, b.demand.id)
+                if pair not in flagged and not disjoint(a.working, b.working, self.mode):
+                    flagged.add(pair)
+                    out.append(PlanViolation(
+                        "c", pair, f"shared protection edge {e} but conflicting workings"))
+        joins |= set(map(_reversed, joins))
+        if len(set(map(_slot, joins))) < len(joins):
+            out.extend(self._branch_violations(self._pairing_from_paths()[1]))
         return out
 
     def _branch_violations(self, branched: dict) -> list[PlanViolation]:
@@ -530,39 +554,23 @@ class AllocationPlan:
 
     @staticmethod
     def _walk_trail(start: EdgeId, partner: dict[tuple[EdgeId, str], EdgeId]):
-        # extend forward from start.v, then backward from start.u
-        fwd_edges, fwd_nodes = [], []
-        cur, node = start, start.v
-        closed = False
-        while True:
-            nxt = partner.get((cur, node))
-            if nxt is None:
-                break
-            if nxt == start:
-                # wrapped around: the pairing closes the trail
-                closed = True
-                break
-            fwd_edges.append(nxt)
-            node = nxt.other(node)
-            fwd_nodes.append(node)
-            cur = nxt
+        """(nodes, edges, closed) of the trail `partner` joins `start` into."""
+        def extend(node: str) -> tuple[list[str], list[EdgeId], bool]:
+            # the nodes and edges after start, leaving it at node; True if they wrap
+            nodes, edges, cur = [], [], start
+            while (nxt := partner.get((cur, node))) is not None and nxt != start:
+                node = nxt.other(node)
+                nodes.append(node)
+                edges.append(nxt)
+                cur = nxt
+            return nodes, edges, nxt == start
+
+        fwd_nodes, fwd_edges, closed = extend(start.v)
         if closed:
-            edges = [start] + fwd_edges
-            nodes = [start.u, start.v] + fwd_nodes
-            return nodes, edges, True
-        bwd_edges, bwd_nodes = [], []
-        cur, node = start, start.u
-        while True:
-            nxt = partner.get((cur, node))
-            if nxt is None:
-                break
-            bwd_edges.append(nxt)
-            node = nxt.other(node)
-            bwd_nodes.append(node)
-            cur = nxt
-        edges = bwd_edges[::-1] + [start] + fwd_edges
-        nodes = bwd_nodes[::-1] + [start.u, start.v] + fwd_nodes
-        return nodes, edges, False
+            return [start.u, start.v] + fwd_nodes, [start] + fwd_edges, True
+        bwd_nodes, bwd_edges, _ = extend(start.u)
+        return (bwd_nodes[::-1] + [start.u, start.v] + fwd_nodes,
+                bwd_edges[::-1] + [start] + fwd_edges, False)
 
     # -- serialization -------------------------------------------------------
 

@@ -84,6 +84,21 @@ class TestRouteValidateSimulate:
         assert "30 failures audited" in s.output
         assert csv.read_text().startswith("failure,affected")
 
+    def test_validate_counts_trails_without_rule_d(self, runner, tmp_path):
+        """A shared-path plan does not enforce rule d, so it keeps no trails;
+        the count comes from the protection paths."""
+        demands = tmp_path / "d.txt"
+        demands.write_text("demand l0 l1 3\n")
+        plan_file = tmp_path / "plan.txt"
+        r = runner.invoke(main, ["route", "--graph", "icosahedron", "--demands", str(demands),
+                                 "--scheme", "shared-path", "--out", str(plan_file)])
+        assert r.exit_code == 0, r.output
+        assert "enforce abc\n" in plan_file.read_text()
+        v = runner.invoke(main, ["validate", "--graph", "icosahedron", "--plan", str(plan_file)])
+        assert v.exit_code == 0, v.output
+        assert v.output == ("plan ok: 3 demands, working 3, protection 6, total 9, "
+                            "3 trails, branch points: none\n")
+
     def test_route_demands_file(self, runner, tmp_path):
         demands = tmp_path / "d.txt"
         demands.write_text("demand n s 2\ndemand u0 u1 1\n")

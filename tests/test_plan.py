@@ -1,7 +1,9 @@
+import copy
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import pxtmesh
 from conftest import RANDOM_ENFORCE
 from pxtmesh.baselines import route_1plus1, route_shared_path
+from pxtmesh.experiments import route_with_scheme
 from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint
 from pxtmesh.plan import (
     AllocationPlan,
@@ -312,6 +315,31 @@ class TestPXTs:
         assert pxt.walk.length == 3
         assert pxt.walk.closed
 
+    def test_closed_canonical_is_least_rotation(self):
+        # a figure eight through A: the least node starts two rotations per direction
+        nodes = ["C", "A", "D", "E", "A", "B", "C"]
+        edges = [EdgeId(u, v, 0) for u, v in zip(nodes, nodes[1:])]
+        rotations = [(tuple(wn[s:-1] + wn[:s + 1]), tuple(we[s:] + we[:s]))
+                     for wn, we in ((nodes, edges), (nodes[::-1], edges[::-1]))
+                     for s in range(len(edges))]
+        pxt = _canonical_pxt(nodes, edges, True)
+        assert (pxt.walk.nodes, pxt.walk.edges) == min(rotations)
+        assert pxt.walk.nodes == ("A", "B", "C", "A", "D", "E", "A")
+
+    def test_closed_canonical_memory_is_linear(self):
+        # all 2 * 600 rotations of this ring held at once would take over 10 MB
+        n = 600
+        nodes = [f"n{(i * 7) % n:03d}" for i in range(n)] + ["n000"]
+        edges = [EdgeId(u, v, 0) for u, v in zip(nodes, nodes[1:])]
+        tracemalloc.start()
+        try:
+            pxt = _canonical_pxt(nodes, edges, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pxt.walk.nodes[0] == "n000"
+        assert peak < 1_000_000
+
     def test_extract_matches_incremental(self, five_node):
         plan = AllocationPlan(five_node)
         plan.add_entry(d1_shared(five_node))
@@ -436,10 +464,7 @@ def oracle_validate(plan):
     Protection edges are taken in path order, so the result is reproducible."""
     out = []
     for entry in plan.entries:
-        try:
-            plan._structural_check(entry)
-        except PlanError as exc:
-            out.extend(exc.violations)
+        out.extend(plan._structural_violations(entry))
         if not _oracle_disjoint(entry.working, entry.protection, plan.mode):
             out.append(PlanViolation(
                 "a", (entry.demand.id,),
@@ -508,6 +533,114 @@ def test_validate_matches_pairwise_oracle(random_plan, seed, mode):
         assert exc.value.violations == d_violations
     elif "d" in plan.enforce:
         assert plan.extract_pxts() == plan.pxts
+
+
+def _broken(rng, entry, did):
+    """A copy of `entry`, as demand `did`, with one route broken the way
+    add_entry would refuse: an unknown node, ordinal 7 (past every capacity
+    the random graphs give a link), a working or protection route that is
+    not a path, a route one edge short of its end, or a protection that
+    repeats an edge."""
+    d, w, p = entry.demand, entry.working, entry.protection
+
+    def detour(walk, ordinal):
+        # back over the last link on `ordinal` and forth again on the last edge
+        e = walk.edges[-1]
+        a, b = walk.nodes[-2:]
+        return Walk(walk.nodes + (a, b), walk.edges + (EdgeId(e.u, e.v, ordinal), e))
+
+    kind = rng.randrange(6)
+    if kind == 0:
+        w = Walk((d.u, "zz", d.v), (EdgeId(d.u, "zz", 0), EdgeId("zz", d.v, 0)))
+    elif kind == 1:
+        e = w.edges[0]
+        w = Walk(w.nodes, (EdgeId(e.u, e.v, 7),) + w.edges[1:])
+    elif kind == 2:
+        w = detour(w, w.edges[-1].index + 1)
+    elif kind == 3:
+        p = detour(p, p.edges[-1].index + 1)
+    elif kind == 4:
+        w, p = (w, Walk(p.nodes[:-1], p.edges[:-1])) if rng.random() < 0.5 else (
+            Walk(w.nodes[:-1], w.edges[:-1]), p)
+    else:
+        p = detour(p, p.edges[-1].index)
+    return PlanEntry(Demand(did, d.u, d.v), w, p)
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_validate_matches_oracle_past_add_entry(random_plan, mode):
+    """Entries appended to `entries` behind add_entry's back reach the
+    structural re-check, which random plans grown by add_entry never do.
+    After each one validate() still equals the oracle, in content and order."""
+    seen = set()
+    for seed in range(16):
+        plan = random_plan(seed, mode)
+        rng = random.Random(seed)
+        replay = AllocationPlan(plan.graph, mode=mode, enforce=plan.enforce)
+        for i, entry in enumerate(plan.entries):
+            replay.entries.append(entry)
+            if rng.random() < 0.4:
+                replay.entries.append(_broken(rng, entry, rng.choice((entry.demand.id, 100 + i))))
+            got = replay.validate()
+            assert got == oracle_validate(replay)
+            seen.update(v.witness for v in got if v.condition == "structure")
+    witnesses = "\n".join(seen)
+    for problem in ("path invalid: unknown node zz", "exceeds capacity", "does not connect",
+                    "working route is not a path", "protection route is not a path"):
+        assert problem in witnesses
+
+
+def test_validate_matches_oracle_on_routed_plans(k66):
+    """Every prefix of a routed k66 uniform PXT plan, about ten users to a
+    protection edge, and every tenth of the node-disjoint shared-path routes
+    read as a node-mode plan, which breaks rules c and d."""
+    demands = generate(k66, uniform())
+    pxt = route_with_scheme(k66, "pxt", demands)
+    shared = route_shared_path(k66, demands, mode="node")
+    users = [len(pxt.protection_users(e)) for en in pxt.entries for e in en.protection.edges]
+    assert max(users) >= 9
+    for routed, mode, step in ((pxt, pxt.mode, 1), (shared, "node", 10)):
+        plan = AllocationPlan(k66, mode=mode, enforce="")
+        for i, entry in enumerate(routed.entries, start=1):
+            plan.entries.append(entry)
+            if i % step == 0 or i == len(routed.entries):
+                assert plan.validate() == oracle_validate(plan)
+        if routed is pxt:
+            assert plan.validate() == []
+    assert {v.condition for v in plan.validate()} == {"c", "d"}
+
+
+class _Untouchable:
+    """Stands in for state that add_entry keeps: any use of it raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("validate() read state that add_entry keeps")
+
+    __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = __bool__ = _refuse
+    __eq__ = __hash__ = _refuse
+
+
+INCREMENTAL_STATE = ("_roles", "_used_ordinals", "_free", "_protection_users",
+                     "_working_on_link", "_working_end", "_working_interior", "_partner",
+                     "_trails", "_trail_ends", "_next_trail_id", "_ranked")
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_validate_reads_nothing_add_entry_keeps(random_plan, mode):
+    """validate() is an oracle for the incremental state: with all of that
+    state replaced by objects that raise when used, it returns the same."""
+    broken = 0
+    for seed in range(16):
+        plan = random_plan(seed, mode, "" if seed % 2 else None)
+        expected = plan.validate()
+        blind = copy.deepcopy(plan)
+        for name in INCREMENTAL_STATE:
+            setattr(blind, name, _Untouchable())
+        assert blind.validate() == expected
+        with pytest.raises(AssertionError, match="add_entry keeps"):
+            blind.conflicts(plan.entries[0].working)
+        broken += bool(expected)
+    assert broken >= 8
 
 
 # -- the cross-connect pairing against its set-per-slot oracle -------------------

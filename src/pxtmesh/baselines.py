@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import Graph, Walk, _avoiding, all_shortest_paths, link_key, shortest_path
+from .graph import EdgeId, Graph, Walk, _avoiding, all_shortest_paths, link_key, shortest_path
 from .plan import AllocationPlan, Demand, PlanEntry
 
 
@@ -79,6 +79,14 @@ def fixed_pair_routes(g: Graph, mode: str = "node") -> dict[frozenset, DisjointP
     protection routes over links already chosen for other pairs' protections
     (counting each link up to OVERLAP_CAP).  Clustering protections onto
     common corridors is what lets copies of different demands share edges.
+
+    It examines every (working, protection) pair of shortest routes of every
+    terminal pair and has no limit, because the inputs it serves are small:
+    over the five 12-node fixtures the most it examines is 1,800 pairs in one
+    call (k66, in either mode) and 70 for one terminal pair (icosahedron).
+    A 12-node graph has 66 terminal pairs and few shortest routes between
+    any two nodes.  Grids much larger than the fixtures would need a bound,
+    as the count of shortest routes grows exponentially with their side.
     """
     chosen: dict[frozenset, DisjointPair] = {}
     used: dict[tuple[str, str], int] = {}
@@ -109,24 +117,28 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node") -> Al
     current users' workings are all link-disjoint from this copy's working
     (no shared link means no common failure), otherwise a fresh edge is
     materialized.  `mode` picks the disjointness of each pair's fixed routes.
+
+    The protection edges allocated so far are kept per link, in ordinal
+    order: a fresh edge is appended, and that keeps the order, because
+    fresh_edge returns an ordinal above every one in use and this plan
+    never frees one.
     """
     plan = AllocationPlan(g, mode="link", enforce="abc")
     pairs = fixed_pair_routes(g, mode) if demands else {}
+    protecting: dict[tuple[str, str], list[EdgeId]] = {}
     for d in demands:
         pair = pairs[d.terminals]
         working = _materialize(plan, _orient(pair.working, d.u))
         conflicts = plan.conflicts(working)
         p_nodes = _orient(pair.protection, d.u)
         p_edges = []
-        for i in range(len(p_nodes) - 1):
-            a, b = p_nodes[i], p_nodes[i + 1]
-            chosen = None
-            for k in sorted(plan._used_ordinals.get(link_key(a, b), ())):
-                e = g.edge(a, b, k)
-                if plan.role(e) == "protection" and plan.may_share(e, conflicts):
-                    chosen = e
-                    break
-            p_edges.append(chosen if chosen is not None else plan.fresh_edge(a, b))
+        for a, b in zip(p_nodes, p_nodes[1:]):
+            on_link = protecting.setdefault(link_key(a, b), [])
+            chosen = next((e for e in on_link if plan.may_share(e, conflicts)), None)
+            if chosen is None:
+                chosen = plan.fresh_edge(a, b)
+                on_link.append(chosen)
+            p_edges.append(chosen)
         plan.add_entry(PlanEntry(d, working, Walk(p_nodes, tuple(p_edges))))
     return plan
 

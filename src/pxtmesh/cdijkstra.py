@@ -12,6 +12,7 @@ paths and probe work make it fail gracefully instead of hanging.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
@@ -40,24 +41,20 @@ class RivalGraph:
 
     def __init__(self, nodes: Iterable[str], arcs: Iterable[Arc], source: str):
         self.nodes = tuple(dict.fromkeys(nodes))
-        known = set(self.nodes)
+        # each node's out-arcs in arc order, filled in the one pass over arcs
+        self.out: dict[str, list[Arc]] = {n: [] for n in self.nodes}
         self.arcs: dict[ArcId, Arc] = {}
         for arc in arcs:
             if arc.id in self.arcs:
                 raise ValueError(f"duplicate arc id {arc.id!r}")
-            if arc.tail not in known or arc.head not in known:
+            if arc.tail not in self.out or arc.head not in self.out:
                 raise ValueError(f"arc {arc.id!r} references unknown node")
             self.arcs[arc.id] = arc
-        if source not in known:
+            self.out[arc.tail].append(arc)
+        if source not in self.out:
             raise ValueError(f"unknown source {source!r}")
         self.source = source
         self._known_symmetric = False
-        self.out: dict[str, tuple[Arc, ...]] = {n: () for n in self.nodes}
-        grouped: dict[str, list[Arc]] = {n: [] for n in self.nodes}
-        for arc in self.arcs.values():
-            grouped[arc.tail].append(arc)
-        for n, lst in grouped.items():
-            self.out[n] = tuple(lst)
 
     @classmethod
     def _symmetric_by_construction(cls, nodes: Iterable[str], arcs: Iterable[Arc],
@@ -226,13 +223,18 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
     the search never settled (early target exit) are undecided.  Exceeding a
     limit raises ResourceLimitExceeded carrying the partial result, with all
     unsettled nodes undecided.
+
+    With a `target`, `paths` holds the target's path alone, if it has one:
+    the other nodes the search settled are in none of `paths`, `undecided`
+    and `unreachable`.  `undecided` and `unreachable` still name every node
+    left unsettled.
     """
     if not (g._known_symmetric or g.is_symmetric()):
         g = symmetrize(g)
     if target is not None and target not in g.out:
         raise ValueError(f"unknown target {target!r}")
 
-    stores: dict[str, _NodeStore] = {n: _NodeStore() for n in g.nodes}
+    stores: defaultdict[str, _NodeStore] = defaultdict(_NodeStore)  # made as paths reach nodes
     heap: list = []
     seq = 0
     stored = 0
@@ -248,9 +250,10 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
     def result(undecided_rest: bool) -> SolveResult:
         res = SolveResult(stored=stored, work=work)
         for n in g.nodes:
-            ink = stores[n].inked
+            ink = stores[n].inked if n in stores else None
             if ink is not None:
-                res.paths[n] = ink.materialize()
+                if target is None or n == target:
+                    res.paths[n] = ink.materialize()
             elif undecided_rest:
                 res.undecided.add(n)
             else:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import click
 
+from .baselines import PairError
 from .cdijkstra import DEFAULT_LIMITS, SearchLimits
 from .experiments import (
     ExperimentConfig,
@@ -151,7 +152,7 @@ def route(graph, murakami_file, pattern, seed, demands_file, scheme, mode, large
         if log:
             click.echo("\n".join(log), err=True)
         _fail(str(exc), 3 if exc.resource_limit else 1)
-    except PlanError as exc:
+    except (PairError, PlanError) as exc:
         _fail(str(exc), 1)
     if log:
         click.echo("\n".join(log), err=True)
@@ -248,7 +249,7 @@ def run(graph, murakami_file, pattern, scheme, mode, seed, runs, large, out,
         report = run_experiment(config)
     except RoutingError as exc:
         _fail(str(exc), 3 if exc.resource_limit else 1)
-    except (PlanError, AuditError) as exc:
+    except (PairError, PlanError, AuditError) as exc:
         _fail(str(exc), 1)
     except (TopologyError, ValueError) as exc:
         _fail(str(exc), 2)
@@ -285,7 +286,7 @@ def table1_cmd(murakami_file, patterns, runs, seed, out, max_partial_paths, max_
                         limits=_limits(max_partial_paths, max_work))
     except RoutingError as exc:
         _fail(str(exc), 3 if exc.resource_limit else 1)
-    except (PlanError, AuditError) as exc:
+    except (PairError, PlanError, AuditError) as exc:
         _fail(str(exc), 1)
     except (TopologyError, ValueError) as exc:
         _fail(str(exc), 2)

@@ -191,6 +191,7 @@ class AllocationPlan:
         self.entries: list[PlanEntry] = []
         self._roles: dict[EdgeId, str] = {}
         self._used_ordinals: dict[tuple[str, str], set[int]] = {}
+        self._unused_from: dict[tuple[str, str], int] = {}  # fresh_edge's low-water marks
         # (u, v) and (v, u) for every link with spare capacity
         self._free = {pair for u, v in graph.links() for pair in ((u, v), (v, u))}
         self._protection_users: dict[EdgeId, list[int]] = {}
@@ -219,13 +220,22 @@ class AllocationPlan:
         return False
 
     def fresh_edge(self, u: str, v: str) -> EdgeId:
-        """Smallest unused ordinal on the link; raises when capacity is full."""
+        """Smallest unused ordinal on the link; raises when capacity is full.
+
+        The scan resumes from the link's low-water mark, the smallest unused
+        ordinal the last call found.  Used ordinals only ever grow, so every
+        ordinal below the mark is still used: the answer is the same as a
+        scan from 0, also after parse leaves gaps or when a returned edge is
+        never committed.
+        """
         if not self.has_free_edge(u, v):
             raise PlanError(f"link {u}-{v} capacity exhausted")
-        used = self._used_ordinals.get(link_key(u, v), set())
-        k = 0
+        link = link_key(u, v)
+        used = self._used_ordinals.get(link, ())
+        k = self._unused_from.get(link, 0)
         while k in used:
             k += 1
+        self._unused_from[link] = k
         return self.graph.edge(u, v, k)
 
     def role(self, edge: EdgeId) -> str | None:

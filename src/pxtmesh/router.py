@@ -21,6 +21,9 @@ recomputing it:
 - the plan indexes every entry's working path by link and by node as
   add_entry commits it, and answers `conflicts` from that index, so shared
   protection is read off it rather than compared entry by entry;
+- a segment is admitted whole or not at all, by set tests against the
+  working's interior nodes and links and by the plan's `may_share` on its
+  edges, which reads the protection users add_entry keeps;
 - the plan caches each trail's canonical PXT and sort key, and the map from
   each node to its positions on that PXT; merging or closing a trail drops
   both, and nothing else invalidates them;
@@ -53,7 +56,7 @@ from .graph import (
     _avoiding,
     all_shortest_paths,
     is_path,
-    shortest_path,
+    link_of,
 )
 from .plan import AllocationPlan, Demand, PlanEntry, PlanError
 
@@ -112,14 +115,29 @@ class RouterState:
 
 
 def _protection_feasible(state: RouterState, nodes: tuple[str, ...]) -> bool:
-    """Cheap sufficient check: a disjoint all-fresh detour exists."""
+    """Cheap sufficient check: a disjoint all-fresh detour exists.
+
+    A depth-first search from one end over links with spare capacity that
+    keep off the route, stopping the first time it reaches the other end.
+    """
     plan = state.plan
-    avoid = _avoiding(nodes, plan.mode)
-
-    def usable(a, b):
-        return avoid(a, b) and plan.has_free_edge(a, b)
-
-    return shortest_path(state.graph, nodes[0], nodes[-1], usable) is not None
+    start, goal = nodes[0], nodes[-1]
+    route = {(a, b) for a, b in zip(nodes, nodes[1:])}
+    route |= {(b, a) for a, b in route}
+    free = plan._free
+    # the interior counts as seen, so the search never enters it
+    seen = {start, *nodes[1:-1]} if plan.mode == "node" else {start}
+    stack = [start]
+    neighbors = state.graph.neighbors
+    while stack:
+        x = stack.pop()
+        for w in neighbors(x):
+            if w not in seen and (x, w) in free and (x, w) not in route:
+                if w == goal:
+                    return True
+                seen.add(w)
+                stack.append(w)
+    return False
 
 
 def find_working(state: RouterState, demand: Demand) -> Walk:
@@ -193,25 +211,6 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:
     return out
 
 
-def prohibited_edges(state: RouterState, working: Walk):
-    """Predicate over edges that the protection route must not contain.
-
-    An edge is prohibited when it touches the working interior (node mode),
-    when it lies on a link of the working path (they could never be
-    disjoint), or when it belongs to the protection path of a demand whose
-    working conflicts with this one (those backups may be needed at the same
-    time, so sharing is off).
-    """
-    plan = state.plan
-    avoid = _avoiding(working.nodes, plan.mode)
-    conflicts = plan.conflicts(working)
-
-    def prohibited(e: EdgeId) -> bool:
-        return not (avoid(e.u, e.v) and plan.may_share(e, conflicts))
-
-    return prohibited
-
-
 def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[frozenset[int]]:
     """Per aux edge, the arc ids of its rivals.
 
@@ -224,27 +223,32 @@ def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[frozenset[int]]
     are the arcs of every other edge covering one of its interior nodes,
     plus those of every edge having one of its endpoints as an interior
     node.  Only shortcuts have interior nodes, so `inner` is built from them
-    alone and `covers` only at their interior nodes; fresh edges without
-    rivals share one empty set.
+    alone and `covers` only at their interior nodes.  A fresh edge's rivals
+    are the frozen `inner` sets of its endpoints, shared as they are when
+    only one endpoint has any; edges without rivals share one empty set.
     """
     inner: dict[str, set[int]] = {}  # node -> arcs with it as an interior node
     for i in range(n_unused, len(aux_edges)):
         for n in aux_edges[i].segment.nodes[1:-1]:
             inner.setdefault(n, set()).update((2 * i, 2 * i + 1))
+    empty: frozenset[int] = frozenset()
+    if not inner:
+        return [empty] * len(aux_edges)
     # node -> arcs whose expansion covers it, only where some edge's rivals ask
     covers: dict[str, set[int]] = {n: set() for n in inner}
     for i, e in enumerate(aux_edges):
         for n in (e.u, e.v) if i < n_unused else e.segment.nodes:
             if n in covers:
                 covers[n].update((2 * i, 2 * i + 1))
-    empty: frozenset[int] = frozenset()
+    frozen = {n: frozenset(arcs) for n, arcs in inner.items()}
     out = []
     for i, e in enumerate(aux_edges):
-        rivals = inner.get(e.u, empty) | inner.get(e.v, empty)
+        a, b = frozen.get(e.u, empty), frozen.get(e.v, empty)
+        rivals = a | b if a and b else a or b
         if i >= n_unused:
             rivals = rivals.union(*(covers[n] for n in e.segment.nodes[1:-1]))
             rivals -= {2 * i, 2 * i + 1}
-        out.append(frozenset(rivals) if rivals else empty)
+        out.append(rivals or empty)
     return out
 
 
@@ -252,15 +256,21 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
               segments: list[Walk]) -> AuxGraph:
     """Auxiliary search graph: unit-cost fresh-capacity arcs plus zero-cost
     shortcut arcs, with rival marks wherever two expansions would collide."""
-    avoid = _avoiding(working.nodes, state.plan.mode)
-    prohibited = prohibited_edges(state, working)
-
+    plan = state.plan
+    avoid = _avoiding(working.nodes, plan.mode)
     aux_edges = [e for e in state.fresh_aux_edges() if avoid(e.u, e.v)]
     n_unused = len(aux_edges)
+    # a segment is admitted whole or not at all: it keeps off the working
+    # interior (node mode) and the working links, and the plan may share
+    # each of its edges with this working
+    interior = set(working.nodes[1:-1]) if plan.mode == "node" else set()
+    links = working.link_set()
+    conflicts = plan.conflicts(working)
+    may_share = plan.may_share
     for seg in segments:
-        if any(prohibited(e) for e in seg.edges):
-            continue
-        aux_edges.append(AuxEdge(*seg.ends, seg))
+        if (interior.isdisjoint(seg.nodes) and links.isdisjoint(map(link_of, seg.edges))
+                and all(may_share(e, conflicts) for e in seg.edges)):
+            aux_edges.append(AuxEdge(*seg.ends, seg))
 
     arcs = []
     for i, (e, rival_arcs) in enumerate(zip(aux_edges, _rival_arcs(aux_edges, n_unused))):

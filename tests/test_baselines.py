@@ -1,11 +1,19 @@
 import hashlib
+import random
 
 import pytest
 
-from pxtmesh.baselines import DisjointPair, PairError, disjoint_pair, route_1plus1, route_shared_path
+from pxtmesh.baselines import (
+    DisjointPair,
+    PairError,
+    disjoint_pair,
+    fixed_pair_routes,
+    route_1plus1,
+    route_shared_path,
+)
 from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
-from pxtmesh.graph import UNBOUNDED, Graph
-from pxtmesh.plan import Demand
+from pxtmesh.graph import UNBOUNDED, Graph, Walk, link_key
+from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.topologies import LARGE_NODE_SETS, standard_topology
 from pxtmesh.traffic import TrafficSpec, generate, neighbor, unbalanced, uniform
 
@@ -198,3 +206,90 @@ def test_baseline_plans_byte_identical(name):
             plan = route_with_scheme(g, scheme, demands)
             got = hashlib.sha256(plan.serialize().encode()).hexdigest()
             assert got == GOLDEN_BASELINE_PLANS[(name, pattern, scheme)], (name, pattern, scheme)
+
+
+def shared_path_by_full_scan(g, demands, mode):
+    """route_shared_path before it kept its own per-link list: each
+    protection hop scans every used ordinal on its link, in order, for a
+    protection edge the plan may share, and every fresh edge is the first
+    unused ordinal counted from 0."""
+    plan = AllocationPlan(g, mode="link", enforce="abc")
+    pairs = fixed_pair_routes(g, mode) if demands else {}
+
+    def fresh(a, b):
+        if not plan.has_free_edge(a, b):
+            raise PlanError(f"link {a}-{b} capacity exhausted")
+        k = 0
+        while k in plan._used_ordinals.get(link_key(a, b), ()):
+            k += 1
+        return g.edge(a, b, k)
+
+    def oriented(nodes, start):
+        return nodes if nodes[0] == start else nodes[::-1]
+
+    for d in demands:
+        pair = pairs[d.terminals]
+        w_nodes = oriented(pair.working, d.u)
+        working = Walk(w_nodes, tuple(fresh(a, b) for a, b in zip(w_nodes, w_nodes[1:])))
+        conflicts = plan.conflicts(working)
+        p_nodes = oriented(pair.protection, d.u)
+        p_edges = []
+        for a, b in zip(p_nodes, p_nodes[1:]):
+            chosen = None
+            for k in sorted(plan._used_ordinals.get(link_key(a, b), ())):
+                e = g.edge(a, b, k)
+                if plan.role(e) == "protection" and plan.may_share(e, conflicts):
+                    chosen = e
+                    break
+            p_edges.append(chosen if chosen is not None else fresh(a, b))
+        plan.add_entry(PlanEntry(d, working, Walk(p_nodes, tuple(p_edges))))
+    return plan
+
+
+def random_ring_graph(rng: random.Random, bounded: bool) -> Graph:
+    """A ring with random chords; with `bounded`, most links carry 4-30
+    units.  A chord can leave some pair's shortest routes without a
+    disjoint partner, which fixed_pair_routes refuses: callers skip those."""
+    n = rng.randint(5, 12)
+    nodes = [f"n{i}" for i in range(n)]
+    links = {link_key(nodes[i], nodes[(i + 1) % n]) for i in range(n)}
+    for _ in range(rng.randint(0, n)):
+        links.add(link_key(*rng.sample(nodes, 2)))
+
+    def cap():
+        return rng.randint(4, 30) if bounded and rng.random() < 0.7 else UNBOUNDED
+
+    return Graph(nodes, [(u, v, cap()) for u, v in sorted(links)])
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_shared_path_choice_matches_full_scan(mode):
+    # plans compared, bounded ones among them, and runs out of capacity in both
+    outcomes = {"plan": 0, "bounded": 0, "full": 0}
+    reused = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        bounded = seed % 2 == 1
+        g = random_ring_graph(rng, bounded)
+        try:
+            fixed_pair_routes(g, mode)
+        except PairError:
+            continue
+        nodes = g.sorted_nodes()
+        pairs = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(2, 8))]
+        demands = [Demand(i, *rng.choice(pairs)) for i in range(rng.randint(4, 24))]
+        try:
+            expect = shared_path_by_full_scan(g, demands, mode)
+        except PlanError as exc:
+            with pytest.raises(PlanError, match="capacity exhausted") as got:
+                route_shared_path(g, demands, mode)
+            assert str(got.value) == str(exc)
+            outcomes["full"] += 1
+            continue
+        plan = route_shared_path(g, demands, mode)
+        assert plan.serialize() == expect.serialize()
+        outcomes["plan"] += 1
+        outcomes["bounded"] += bounded
+        reused += sum(e.protection.length for e in plan.entries) - plan.bandwidth()[1]
+    assert outcomes["plan"] >= 25 and outcomes["bounded"] >= 8 and outcomes["full"]
+    assert reused

@@ -4,6 +4,7 @@ import pytest
 
 from pxtmesh.cdijkstra import (
     Arc,
+    PartialPath,
     ResourceLimitExceeded,
     RivalGraph,
     SearchLimits,
@@ -54,6 +55,12 @@ class TestConstructionChecks:
     def test_unknown_node_rejected(self, build):
         with pytest.raises(ValueError, match="unknown node"):
             build("ab", [Arc("x", "a", "c", 1)], "a")
+
+
+    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    def test_unknown_source_rejected(self, build):
+        with pytest.raises(ValueError, match="unknown source"):
+            build("ab", [Arc("x", "a", "b", 1)], "c")
 
 
 class TestSymmetrize:
@@ -227,6 +234,16 @@ class TestLimits:
         res = solve(g, target="v4")
         assert res.paths["v4"].length == 1
         assert "v3" in res.undecided
+
+    def test_target_result_holds_the_target_path_only(self):
+        res = solve(worked_example(), target="v4")
+        assert res.paths == {"v4": PartialPath(("v1", "v4"), ("e3",), 1)}
+        # v1 and v5 were settled on the way: neither undecided nor unreachable
+        assert res.undecided == {"v2", "v3", "v6"}
+        assert res.unreachable == set()
+        cut = RivalGraph("abc", [Arc("x", "a", "b", 1), Arc("y", "b", "a", 1)], "a")
+        res = solve(cut, target="c")
+        assert (res.paths, res.undecided, res.unreachable) == ({}, set(), {"c"})
 
     def test_bad_limits_rejected(self):
         with pytest.raises(ValueError):

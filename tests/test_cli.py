@@ -188,6 +188,22 @@ class TestTable1Command:
         assert "neighbor,k66,working,360,360,exact" in csv
 
 
+@pytest.mark.parametrize("scheme", ["shared-path", "one-plus-one"])
+@pytest.mark.parametrize("command", ["route", "run"])
+def test_baseline_without_disjoint_pair_fails_cleanly(runner, tmp_path, command, scheme):
+    # on the path a-b-c no terminal pair has a disjoint pair: the baselines
+    # report it as PXT reports no protection route, an error with exit 1
+    graph = tmp_path / "path.graph"
+    graph.write_text("node a\nnode b\nnode c\nlink a b\nlink b c\n")
+    demands = tmp_path / "d.txt"
+    demands.write_text("demand a c 1\n")
+    source = ["--demands", str(demands)] if command == "route" else ["--pattern", "uniform"]
+    r = runner.invoke(main, [command, "--graph", str(graph), *source, "--scheme", scheme])
+    assert r.exit_code == 1, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "error: no node-disjoint path pair between a and" in r.output
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 @pytest.mark.parametrize("option", ["--max-partial-paths", "--max-work"])
 @pytest.mark.parametrize("command", [

@@ -12,7 +12,7 @@ import pxtmesh
 from conftest import RANDOM_ENFORCE
 from pxtmesh.baselines import route_1plus1, route_shared_path
 from pxtmesh.experiments import route_with_scheme
-from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint
+from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint, link_key
 from pxtmesh.plan import (
     AllocationPlan,
     Demand,
@@ -447,6 +447,81 @@ class TestFreshEdges:
         with pytest.raises(GraphError, match="no link"):
             plan.has_free_edge("A", "Z")
 
+    # fresh_edge against the scan from 0 it replaced
+    def assert_fresh_edge_agrees(self, plan, u, v):
+        try:
+            expect = fresh_edge_from_zero(plan, u, v)
+        except PlanError:
+            with pytest.raises(PlanError, match="capacity exhausted"):
+                plan.fresh_edge(u, v)
+            return None
+        assert plan.fresh_edge(u, v) == expect
+        return expect
+
+    @pytest.mark.parametrize("mode", ["node", "link"])
+    def test_matches_scan_from_zero_over_random_entries(self, random_plan, mode):
+        """Replays random plans, whose ordinals leave gaps and fill links to
+        capacity, asking fresh_edge on random links before every entry."""
+        full = gaps = 0
+        for seed in range(16):
+            source = random_plan(seed, mode, "")
+            rng = random.Random(seed)
+            links = source.graph.links()
+            plan = AllocationPlan(source.graph, mode=mode, enforce="")
+            for en in source.entries:
+                for u, v in rng.sample(links, min(5, len(links))):
+                    got = self.assert_fresh_edge_agrees(plan, *rng.sample((u, v), 2))
+                    full += got is None
+                    used = plan._used_ordinals.get(link_key(u, v), ())
+                    gaps += got is not None and any(k > got.index for k in used)
+                plan.add_entry(en)
+        assert full and gaps
+
+    def test_parsed_gaps_are_filled_in_order(self, five_node):
+        plan = AllocationPlan(five_node)
+        plan.add_entry(entry(0, "A", "B", walk("A", ("A", "B", 2), "B"),
+                             walk("A", ("A", "E", 0), "E", ("E", "B", 3), "B")))
+        plan.add_entry(entry(1, "A", "B", walk("A", ("A", "B", 0), "B"),
+                             walk("A", CA, "C", ("C", "D", 1), "D", DB, "B")))
+        parsed = AllocationPlan.parse(five_node, plan.serialize())
+        assert self.assert_fresh_edge_agrees(parsed, "A", "B") == EdgeId("A", "B", 1)
+        assert self.assert_fresh_edge_agrees(parsed, "E", "B") == EdgeId("B", "E", 0)
+        parsed.add_entry(entry(2, "A", "B", walk("A", ("A", "B", 1), "B"),
+                               walk("A", ("A", "E", 1), "E", ("E", "B", 0), "B")))
+        assert self.assert_fresh_edge_agrees(parsed, "A", "B") == EdgeId("A", "B", 3)
+        assert self.assert_fresh_edge_agrees(parsed, "B", "E") == EdgeId("B", "E", 1)
+        assert self.assert_fresh_edge_agrees(parsed, "A", "E") == EdgeId("A", "E", 2)
+
+    def test_uncommitted_edge_is_returned_again(self, five_node):
+        plan = AllocationPlan(five_node)
+        first = plan.fresh_edge("C", "D")
+        assert self.assert_fresh_edge_agrees(plan, "D", "C") == first == EdgeId("C", "D", 0)
+        plan.add_entry(entry(0, "C", "D", walk("C", first, "D"),
+                             walk("C", CA, "A", ("A", "E", 0), "E", ED, "D")))
+        assert self.assert_fresh_edge_agrees(plan, "C", "D") == EdgeId("C", "D", 1)
+
+    def test_bounded_link_filled_to_capacity(self):
+        g = Graph("ABC", [("A", "B", 2), ("B", "C", UNBOUNDED), ("A", "C", UNBOUNDED)])
+        plan = AllocationPlan(g)
+        for did in range(2):
+            e = self.assert_fresh_edge_agrees(plan, "A", "B")
+            plan.add_entry(entry(did, "A", "B", walk("A", e, "B"),
+                                 walk("A", ("A", "C", did), "C", ("C", "B", did), "B")))
+        assert self.assert_fresh_edge_agrees(plan, "A", "B") is None
+        assert self.assert_fresh_edge_agrees(plan, "A", "C") == EdgeId("A", "C", 2)
+
+
+def fresh_edge_from_zero(plan, u, v):
+    """fresh_edge before its low-water mark: the smallest unused ordinal,
+    scanned for from 0 on every call."""
+    if not plan.has_free_edge(u, v):
+        raise PlanError(f"link {u}-{v} capacity exhausted")
+    used = plan._used_ordinals.get(link_key(u, v), set())
+    k = 0
+    while k in used:
+        k += 1
+    return plan.graph.edge(u, v, k)
+
 
 # -- validate() against its pairwise oracle -------------------------------------
 
@@ -620,7 +695,7 @@ class _Untouchable:
     __eq__ = __hash__ = _refuse
 
 
-INCREMENTAL_STATE = ("_roles", "_used_ordinals", "_free", "_protection_users",
+INCREMENTAL_STATE = ("_roles", "_used_ordinals", "_unused_from", "_free", "_protection_users",
                      "_working_on_link", "_working_end", "_working_interior", "_partner",
                      "_trails", "_trail_ends", "_next_trail_id", "_ranked")
 

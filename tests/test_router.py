@@ -11,17 +11,28 @@ import pytest
 import pxtmesh
 from pxtmesh import router
 from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
-from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, Walk, classify, disjoint, is_path
+from pxtmesh.graph import (
+    UNBOUNDED,
+    EdgeId,
+    Graph,
+    Walk,
+    _avoiding,
+    all_shortest_paths,
+    classify,
+    disjoint,
+    is_path,
+    shortest_path,
+)
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry
 from pxtmesh.router import (
     AuxEdge,
     RouterState,
     RoutingError,
     _expand_route,
+    _protection_feasible,
     build_aux,
     collect_subtrails,
     find_working,
-    prohibited_edges,
     route_demand,
 )
 from pxtmesh.topologies import standard_topology
@@ -151,7 +162,40 @@ class TestCollectSubtrails:
         assert all(set(s.ends) == {"A", "B"} for s in subs)
 
 
+def prohibited_edges(state: RouterState, working: Walk):
+    """Predicate over edges that the protection route must not contain, one
+    edge at a time: the admission oracle for build_aux's segments.
+
+    An edge is prohibited when it touches the working interior (node mode),
+    when it lies on a link of the working path (they could never be
+    disjoint), or when it belongs to the protection path of a demand whose
+    working conflicts with this one (those backups may be needed at the same
+    time, so sharing is off).
+    """
+    plan = state.plan
+    avoid = _avoiding(working.nodes, plan.mode)
+    conflicts = plan.conflicts(working)
+
+    def prohibited(e: EdgeId) -> bool:
+        return not (avoid(e.u, e.v) and plan.may_share(e, conflicts))
+
+    return prohibited
+
+
+def admitted(aux) -> list[Walk]:
+    """The segments build_aux turned into shortcuts, in order."""
+    return [e.segment for e in aux.edges if e.segment is not None]
+
+
 class TestProhibitedEdges:
+    @staticmethod
+    def assert_build_aux_agrees(state, demand, working, edges):
+        # each edge as a one-edge segment: build_aux admits the allowed ones
+        segments = [Walk((e.u, e.v), (e,)) for e in edges]
+        prohibited = prohibited_edges(state, working)
+        assert admitted(build_aux(state, demand, working, segments)) == \
+            [s for s in segments if not prohibited(s.edges[0])]
+
     def test_rules(self, five_node):
         state = RouterState(five_node)
         state.plan.add_entry(PlanEntry(
@@ -165,6 +209,10 @@ class TestProhibitedEdges:
         assert prohibited(EdgeId("C", "A", 2))      # on a working link
         assert prohibited(EdgeId("E", "B", 0))      # protection of conflicting demand
         assert not prohibited(EdgeId("E", "D", 0))  # far from everything
+        # E-D #0 is on no protection path: shareable, not a KeyError
+        self.assert_build_aux_agrees(state, Demand(1, "B", "C"), working, [
+            EdgeId("A", "E", 0), EdgeId("C", "A", 2), EdgeId("E", "B", 0),
+            EdgeId("E", "D", 0)])
 
     def test_disjoint_demand_allows_sharing(self, five_node):
         state = RouterState(five_node)
@@ -175,6 +223,8 @@ class TestProhibitedEdges:
         working = walk("C", ("C", "D", 0), "D")
         prohibited = prohibited_edges(state, working)
         assert not prohibited(EdgeId("A", "E", 0))
+        self.assert_build_aux_agrees(state, Demand(1, "C", "D"), working,
+                                     [EdgeId("A", "E", 0), EdgeId("E", "B", 0)])
 
 
 class TestBuildAux:
@@ -498,6 +548,70 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
         assert state.plan.pxts == state.plan.extract_pxts()
     assert built
     assert state.plan.validate() == []
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_segment_admission_matches_prohibited_oracle(monkeypatch, mode):
+    """build_aux admits exactly the segments with no prohibited edge."""
+    real_build_aux = router.build_aux
+    counts = {"admitted": 0, "apart": 0, "shared": 0}
+
+    def checked_build_aux(state, demand, working, subtrails):
+        aux = real_build_aux(state, demand, working, subtrails)
+        prohibited = prohibited_edges(state, working)
+        avoid = _avoiding(working.nodes, state.plan.mode)
+        expect = [s for s in subtrails if not any(prohibited(e) for e in s.edges)]
+        assert admitted(aux) == expect
+        counts["admitted"] += len(expect)
+        for s in subtrails:
+            if not all(avoid(e.u, e.v) for e in s.edges):
+                counts["apart"] += 1
+            elif s not in expect:  # refused only by the sharing verdict
+                counts["shared"] += 1
+        return aux
+
+    monkeypatch.setattr(router, "build_aux", checked_build_aux)
+    for seed in range(6):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(8, 30), tight=seed % 2 == 1)
+        nodes = g.sorted_nodes()
+        state = RouterState(g, mode=mode)
+        for did in range(60):
+            try:
+                route_demand(state, Demand(did, *rng.sample(nodes, 2)))
+            except RoutingError:
+                pass
+    assert min(counts.values()) > 100, counts
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_protection_feasible_matches_shortest_path(mode):
+    """The early-exit search answers as a full shortest-path search would."""
+    answers = {True: 0, False: 0}
+    saturated = 0  # checks made while some link was full
+    for seed in range(8):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(8, 30), tight=True)
+        nodes = g.sorted_nodes()
+        state = RouterState(g, mode=mode)
+        plan = state.plan
+        for did in range(40):
+            try:
+                route_demand(state, Demand(did, *rng.sample(nodes, 2)))
+            except RoutingError:
+                pass
+            u, v = rng.sample(nodes, 2)
+            routes = list(itertools.islice(all_shortest_paths(g, u, v), 4))
+            for _ in range(2):
+                routes.append(tuple(rng.sample(nodes, rng.randint(2, 5))))
+            for route in routes:
+                avoid = _avoiding(route, mode)
+                expect = shortest_path(g, route[0], route[-1], lambda a, b: (
+                    avoid(a, b) and plan.has_free_edge(a, b))) is not None
+                assert _protection_feasible(state, route) == expect, (seed, route)
+                answers[expect] += 1
+                saturated += len(plan._free) < 2 * g.num_links()
+    assert min(answers.values()) > 100 and saturated > 100, (answers, saturated)
 
 
 def full_scan_subtrails(plan: AllocationPlan, demand: Demand) -> list[Walk]:

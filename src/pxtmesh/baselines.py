@@ -87,6 +87,9 @@ def fixed_pair_routes(g: Graph, mode: str = "node") -> dict[frozenset, DisjointP
     A 12-node graph has 66 terminal pairs and few shortest routes between
     any two nodes.  Grids much larger than the fixtures would need a bound,
     as the count of shortest routes grows exponentially with their side.
+
+    A terminal pair with no disjoint pair gets no entry and leaves the
+    clustering counts alone: only a demand for that pair fails.
     """
     chosen: dict[frozenset, DisjointPair] = {}
     used: dict[tuple[str, str], int] = {}
@@ -100,7 +103,7 @@ def fixed_pair_routes(g: Graph, mode: str = "node") -> dict[frozenset, DisjointP
                 if best is None or key < best:
                     best = key
         if best is None:
-            raise PairError(f"no {mode}-disjoint path pair between {u} and {v}")
+            continue
         _, _, working, prot = best
         chosen[frozenset((u, v))] = DisjointPair(working, prot, mode)
         for i in range(len(prot) - 1):
@@ -116,7 +119,8 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node") -> Al
     protection hop reuses the lowest-ordinal existing protection edge whose
     current users' workings are all link-disjoint from this copy's working
     (no shared link means no common failure), otherwise a fresh edge is
-    materialized.  `mode` picks the disjointness of each pair's fixed routes.
+    materialized.  `mode` picks the disjointness of each pair's fixed routes;
+    a demand for a pair that has none raises PairError.
 
     The protection edges allocated so far are kept per link, in ordinal
     order: a fresh edge is appended, and that keeps the order, because
@@ -127,7 +131,9 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node") -> Al
     pairs = fixed_pair_routes(g, mode) if demands else {}
     protecting: dict[tuple[str, str], list[EdgeId]] = {}
     for d in demands:
-        pair = pairs[d.terminals]
+        pair = pairs.get(d.terminals)
+        if pair is None:
+            raise PairError(f"no {mode}-disjoint path pair between {d.u} and {d.v}")
         working = _materialize(plan, _orient(pair.working, d.u))
         conflicts = plan.conflicts(working)
         p_nodes = _orient(pair.protection, d.u)

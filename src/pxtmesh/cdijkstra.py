@@ -7,6 +7,14 @@ arcs), prunes with the domination order (no longer and forbids no more), and
 extends the globally shortest one first.  It returns one shortest path per
 node it settles.  Worst-case cost is exponential, so hard limits on stored
 paths and probe work make it fail gracefully instead of hanging.
+
+Arc ids are non-negative ints, and every arc set is an int bitset with bit i
+set for arc i: an arc's rivals are an `ArcSet`, and a partial path's
+forbidden arcs, like its visited nodes (bit i for `g.nodes[i]`), a plain
+int.  The bitset must stand for exactly the arc set it replaces: the heap
+orders equal-length paths by the size of that set and domination is subset
+order, so search order, the `stored` and `work` counters and the paths found
+all depend on it.
 """
 
 from __future__ import annotations
@@ -14,21 +22,63 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Iterable, Iterator
 
-ArcId = Hashable
+ArcId = int
+
+
+class ArcSet(int):
+    """A set of arc ids as an int bitset: bit i set means arc i is a member.
+
+    `len`, `in` and iteration (in increasing id order) read it as a set.
+    Arithmetic and bitwise operators are int's own, so `a | b` and `a & b`
+    are the plain-int masks of the union and the intersection; wrap one in
+    ArcSet to read it as a set again.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, ids: Iterable[ArcId]) -> "ArcSet":
+        mask = 0
+        for i in ids:
+            mask |= 1 << i
+        return cls(mask)
+
+    def __len__(self) -> int:
+        return self.bit_count()
+
+    def __contains__(self, arc_id: object) -> bool:
+        return isinstance(arc_id, int) and arc_id >= 0 and self >> arc_id & 1 == 1
+
+    def __iter__(self) -> Iterator[ArcId]:
+        mask = int(self)
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def __repr__(self) -> str:
+        return f"ArcSet.of({list(self)})"
+
+
+NO_ARCS = ArcSet()
 
 
 @dataclass(slots=True)
 class Arc:
     """One directed arc; the router builds arcs per demand, so it is slotted
-    rather than frozen.  Nothing hashes an Arc: graphs key arcs by id."""
+    rather than frozen.  Nothing hashes an Arc: graphs key arcs by id.
+
+    `id` is a non-negative int and `rivals` the `ArcSet` of the ids of the
+    arcs that may not share a path with this one.
+    """
 
     id: ArcId
     tail: str
     head: str
     length: float
-    rivals: frozenset = frozenset()
+    rivals: ArcSet = NO_ARCS
     tiebreak: int = 0  # secondary cost, used only to order equal-length results
 
     def __post_init__(self):
@@ -45,11 +95,14 @@ class RivalGraph:
         self.out: dict[str, list[Arc]] = {n: [] for n in self.nodes}
         self.arcs: dict[ArcId, Arc] = {}
         for arc in arcs:
-            if arc.id in self.arcs:
-                raise ValueError(f"duplicate arc id {arc.id!r}")
+            aid = arc.id
+            if type(aid) is not int or aid < 0:  # a bool is no arc id either
+                raise ValueError(f"arc id {aid!r} is not a non-negative int")
+            if aid in self.arcs:
+                raise ValueError(f"duplicate arc id {aid!r}")
             if arc.tail not in self.out or arc.head not in self.out:
-                raise ValueError(f"arc {arc.id!r} references unknown node")
-            self.arcs[arc.id] = arc
+                raise ValueError(f"arc {aid!r} references unknown node")
+            self.arcs[aid] = arc
             self.out[arc.tail].append(arc)
         if source not in self.out:
             raise ValueError(f"unknown source {source!r}")
@@ -65,25 +118,27 @@ class RivalGraph:
         g._known_symmetric = True
         return g
 
-    def is_symmetric(self) -> bool:
+    def _check_rivals(self) -> None:
+        known = sum(1 << a for a in self.arcs)
         for arc in self.arcs.values():
-            for rid in arc.rivals:
-                if rid not in self.arcs:
-                    raise ValueError(f"arc {arc.id!r} lists unknown rival {rid!r}")
-                if arc.id not in self.arcs[rid].rivals:
-                    return False
-        return True
+            if arc.rivals & ~known:
+                rid = next(r for r in arc.rivals if r not in self.arcs)
+                raise ValueError(f"arc {arc.id!r} lists unknown rival {rid!r}")
+
+    def is_symmetric(self) -> bool:
+        self._check_rivals()
+        return all(self.arcs[rid].rivals >> arc.id & 1
+                   for arc in self.arcs.values() for rid in arc.rivals)
 
 
 def symmetrize(g: RivalGraph) -> RivalGraph:
     """Close the rival relation under symmetry; admissibility is unchanged."""
-    extra: dict[ArcId, set] = {a: set(arc.rivals) for a, arc in g.arcs.items()}
+    g._check_rivals()
+    masks: dict[ArcId, int] = {a: arc.rivals for a, arc in g.arcs.items()}
     for arc in g.arcs.values():
         for rid in arc.rivals:
-            if rid not in g.arcs:
-                raise ValueError(f"arc {arc.id!r} lists unknown rival {rid!r}")
-            extra[rid].add(arc.id)
-    arcs = [Arc(a.id, a.tail, a.head, a.length, frozenset(extra[a.id]), a.tiebreak)
+            masks[rid] |= 1 << arc.id
+    arcs = [Arc(a.id, a.tail, a.head, a.length, ArcSet(masks[a.id]), a.tiebreak)
             for a in g.arcs.values()]
     return RivalGraph(g.nodes, arcs, g.source)
 
@@ -162,57 +217,62 @@ class _Entry:
 
 
 class _NodeStore:
+    """One node's partial paths: the settled (inked) one, and the penciled
+    ones keyed by their forbidden-arc bitset and grouped by its size."""
+
     __slots__ = ("inked", "pencil", "by_size")
 
     def __init__(self):
         self.inked: _Entry | None = None
-        self.pencil: dict[frozenset, _Entry] = {}
-        self.by_size: dict[int, set[frozenset]] = {}
+        self.pencil: dict[int, _Entry] = {}
+        self.by_size: dict[int, set[int]] = {}
 
     def dominated(self, entry: _Entry) -> bool:
         length, forb = entry.length, entry.forb
         ink = self.inked
-        if ink is not None and ink.length <= length and ink.forb <= forb:
+        if ink is not None and ink.length <= length and ink.forb & forb == ink.forb:
             return True
         # a same-size dominator must be the exact same set: hash, don't scan
         same = self.pencil.get(forb)
         if same is not None and same.length <= length:
             if not (same.length == length and entry.tie_key() < same.tie_key()):
                 return True
-        size = len(forb)
+        size = forb.bit_count()
         for s, bucket in self.by_size.items():
             if s >= size:
                 continue
             for f in bucket:
-                if self.pencil[f].length <= length and f <= forb:
+                if f & forb == f and self.pencil[f].length <= length:
                     return True
         return False
 
     def insert(self, entry: _Entry) -> list[_Entry]:
         """Store entry; returns the penciled entries it displaces."""
         removed = []
-        size = len(entry.forb)
-        same = self.pencil.get(entry.forb)
+        forb = entry.forb
+        size = forb.bit_count()
+        same = self.pencil.get(forb)
         if same is not None and entry.length <= same.length:
             removed.append(same)
-            self._remove(entry.forb)
+            self._remove(forb)
         for s in [s for s in self.by_size if s > size]:
             for f in list(self.by_size[s]):
                 old = self.pencil[f]
-                if entry.length <= old.length and entry.forb <= f:
+                if entry.length <= old.length and forb & f == forb:
                     removed.append(old)
                     self._remove(f)
-        self.pencil[entry.forb] = entry
-        self.by_size.setdefault(size, set()).add(entry.forb)
+        self.pencil[forb] = entry
+        self.by_size.setdefault(size, set()).add(forb)
         return removed
 
-    def _remove(self, f: frozenset) -> None:
+    def _remove(self, f: int) -> None:
         entry = self.pencil.pop(f)
         entry.alive = False
-        bucket = self.by_size[len(f)]
+        size = f.bit_count()
+        bucket = self.by_size[size]
         bucket.discard(f)
         if not bucket:
-            del self.by_size[len(f)]
+            del self.by_size[size]
 
 
 def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
@@ -234,6 +294,7 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
     if target is not None and target not in g.out:
         raise ValueError(f"unknown target {target!r}")
 
+    node_bit = {n: 1 << i for i, n in enumerate(g.nodes)}
     stores: defaultdict[str, _NodeStore] = defaultdict(_NodeStore)  # made as paths reach nodes
     heap: list = []
     seq = 0
@@ -241,7 +302,7 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
     work = 0
     blacks = 0
 
-    root = _Entry(g.source, None, None, 0, frozenset(), frozenset((g.source,)), 0)
+    root = _Entry(g.source, None, None, 0, 0, node_bit[g.source], 0)
     stores[g.source].inked = root
     blacks += 1
     stored += 1
@@ -266,14 +327,16 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
         if not active.alive:
             continue
         node = active.node
+        forb, visited = active.forb, active.nodes
         store = stores[node]
         if store.inked is None:
-            store.pencil.pop(active.forb, None)
-            bucket = store.by_size.get(len(active.forb))
+            store.pencil.pop(forb, None)
+            size = key[2]
+            bucket = store.by_size.get(size)
             if bucket is not None:
-                bucket.discard(active.forb)
+                bucket.discard(forb)
                 if not bucket:
-                    del store.by_size[len(active.forb)]
+                    del store.by_size[size]
             store.inked = active
             blacks += 1
         if target is not None and stores[target].inked is not None:
@@ -284,21 +347,22 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
             work += 1
             if work > limits.max_work:
                 raise ResourceLimitExceeded("work", result(undecided_rest=True))
-            if arc.id in active.forb or arc.head in active.nodes:
+            head_bit = node_bit[arc.head]
+            if forb >> arc.id & 1 or visited & head_bit:
                 continue
             nlen = active.length + arc.length
-            nforb = active.forb | arc.rivals
+            nforb = forb | arc.rivals
             head_store = stores[arc.head]
             seq += 1
             entry = _Entry(arc.head, arc.id, active, nlen, nforb,
-                           active.nodes | {arc.head}, active.secondary + arc.tiebreak)
+                           visited | head_bit, active.secondary + arc.tiebreak)
             if head_store.dominated(entry):
                 continue
             removed = head_store.insert(entry)
             stored += 1 - len(removed)
             if stored > limits.max_stored:
                 raise ResourceLimitExceeded("stored", result(undecided_rest=True))
-            heapq.heappush(heap, (nlen, entry.secondary, len(nforb), arc.head, seq, entry))
+            heapq.heappush(heap, (nlen, entry.secondary, nforb.bit_count(), arc.head, seq, entry))
     return result(undecided_rest=False)
 
 
@@ -311,26 +375,18 @@ def reflection_grid(n: int) -> RivalGraph:
     graceful failure.
     """
     nodes = [f"{x},{y}" for x in range(-n, n + 1) for y in range(-n, n + 1)]
-    arcs = []
 
-    def reflect(x1, y1, x2, y2):
+    def reflect(start, end):
         # reflection across x + y = 0 maps (x, y) to (-y, -x); re-orient the
         # image so it points south or west again
-        a, b = (-y1, -x1), (-y2, -x2)
-        (sx, sy), (tx, ty) = max(a, b), min(a, b)
-        return sx, sy, tx, ty
+        a, b = (-start[1], -start[0]), (-end[1], -end[0])
+        return max(a, b), min(a, b)
 
-    def arc_id(x1, y1, x2, y2):
-        return f"{x1},{y1}->{x2},{y2}"
-
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            for dx, dy in ((0, -1), (-1, 0)):  # south, west
-                x2, y2 = x + dx, y + dy
-                if x2 < -n or y2 < -n:
-                    continue
-                rx1, ry1, rx2, ry2 = reflect(x, y, x2, y2)
-                rival = arc_id(rx1, ry1, rx2, ry2)
-                arcs.append(Arc(arc_id(x, y, x2, y2), f"{x},{y}", f"{x2},{y2}",
-                                1, frozenset((rival,))))
+    # arcs numbered in the order built: per node, south before west
+    ends = [((x, y), (x + dx, y + dy)) for x in range(-n, n + 1) for y in range(-n, n + 1)
+            for dx, dy in ((0, -1), (-1, 0)) if x + dx >= -n and y + dy >= -n]
+    arc_id = {e: i for i, e in enumerate(ends)}
+    label = "{},{}".format
+    arcs = [Arc(i, label(*start), label(*end), 1, ArcSet(1 << arc_id[reflect(start, end)]))
+            for i, (start, end) in enumerate(ends)]
     return RivalGraph(nodes, arcs, f"{n},{n}")

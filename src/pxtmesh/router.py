@@ -16,6 +16,9 @@ recomputing it:
 - rival marks come from node -> arc indexes, not from comparing every pair
   of aux edges; aux-edge order, arc ids, tie-breaks and the rival sets are
   those of the pairwise rule, so plans are unchanged;
+- rival marks are int bitsets over the arc ids, from those indexes through
+  the search's forbidden sets, so marking and probing OR and AND ints
+  instead of building and hashing frozensets;
 - the aux graph is symmetric by construction, so the search skips its
   per-call symmetry check;
 - the plan indexes every entry's working path by link and by node as
@@ -43,7 +46,9 @@ from dataclasses import dataclass
 
 from .cdijkstra import (
     DEFAULT_LIMITS,
+    NO_ARCS,
     Arc,
+    ArcSet,
     ResourceLimitExceeded,
     RivalGraph,
     SearchLimits,
@@ -211,44 +216,44 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:
     return out
 
 
-def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[frozenset[int]]:
+def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[ArcSet]:
     """Per aux edge, the arc ids of its rivals.
 
     Aux edge i owns arcs 2i and 2i+1.  Two aux edges are rivals when their
     expansions share a node that is not an endpoint of both.  The first
     `n_unused` edges are fresh-capacity edges, which expand to their two
     endpoints only, so two of them never are; a shortcut expands to every
-    node of its segment.  The rivals are read off two
-    node -> arcs indexes instead of comparing every pair: an edge's rivals
-    are the arcs of every other edge covering one of its interior nodes,
-    plus those of every edge having one of its endpoints as an interior
-    node.  Only shortcuts have interior nodes, so `inner` is built from them
-    alone and `covers` only at their interior nodes.  A fresh edge's rivals
-    are the frozen `inner` sets of its endpoints, shared as they are when
-    only one endpoint has any; edges without rivals share one empty set.
+    node of its segment.  The rivals are read off two node -> arc bitset
+    indexes instead of comparing every pair: an edge's rivals are the arcs
+    of every other edge covering one of its interior nodes, plus those of
+    every edge having one of its endpoints as an interior node.  Only
+    shortcuts have interior nodes, so `inner` is built from them alone and
+    `covers` only at their interior nodes.  A fresh edge's rivals are
+    `inner[u] | inner[v]`; a shortcut's add the OR of `covers` over its
+    interior nodes, less its own two arcs.
     """
-    inner: dict[str, set[int]] = {}  # node -> arcs with it as an interior node
+    inner: dict[str, int] = {}  # node -> arcs with it as an interior node
     for i in range(n_unused, len(aux_edges)):
+        own = 3 << 2 * i
         for n in aux_edges[i].segment.nodes[1:-1]:
-            inner.setdefault(n, set()).update((2 * i, 2 * i + 1))
-    empty: frozenset[int] = frozenset()
+            inner[n] = inner.get(n, 0) | own
     if not inner:
-        return [empty] * len(aux_edges)
+        return [NO_ARCS] * len(aux_edges)
     # node -> arcs whose expansion covers it, only where some edge's rivals ask
-    covers: dict[str, set[int]] = {n: set() for n in inner}
+    covers = dict.fromkeys(inner, 0)
     for i, e in enumerate(aux_edges):
+        own = 3 << 2 * i
         for n in (e.u, e.v) if i < n_unused else e.segment.nodes:
             if n in covers:
-                covers[n].update((2 * i, 2 * i + 1))
-    frozen = {n: frozenset(arcs) for n, arcs in inner.items()}
+                covers[n] |= own
     out = []
     for i, e in enumerate(aux_edges):
-        a, b = frozen.get(e.u, empty), frozen.get(e.v, empty)
-        rivals = a | b if a and b else a or b
+        rivals = inner.get(e.u, 0) | inner.get(e.v, 0)
         if i >= n_unused:
-            rivals = rivals.union(*(covers[n] for n in e.segment.nodes[1:-1]))
-            rivals -= {2 * i, 2 * i + 1}
-        out.append(rivals or empty)
+            for n in e.segment.nodes[1:-1]:
+                rivals |= covers[n]
+            rivals &= ~(3 << 2 * i)
+        out.append(ArcSet(rivals) if rivals else NO_ARCS)
     return out
 
 

@@ -249,7 +249,8 @@ def shared_path_by_full_scan(g, demands, mode):
 def random_ring_graph(rng: random.Random, bounded: bool) -> Graph:
     """A ring with random chords; with `bounded`, most links carry 4-30
     units.  A chord can leave some pair's shortest routes without a
-    disjoint partner, which fixed_pair_routes refuses: callers skip those."""
+    disjoint partner, which fixed_pair_routes leaves out: callers skip those
+    graphs."""
     n = rng.randint(5, 12)
     nodes = [f"n{i}" for i in range(n)]
     links = {link_key(nodes[i], nodes[(i + 1) % n]) for i in range(n)}
@@ -271,9 +272,8 @@ def test_shared_path_choice_matches_full_scan(mode):
         rng = random.Random(seed)
         bounded = seed % 2 == 1
         g = random_ring_graph(rng, bounded)
-        try:
-            fixed_pair_routes(g, mode)
-        except PairError:
+        n = len(g.nodes)
+        if len(fixed_pair_routes(g, mode)) < n * (n - 1) // 2:
             continue
         nodes = g.sorted_nodes()
         pairs = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(2, 8))]
@@ -293,3 +293,36 @@ def test_shared_path_choice_matches_full_scan(mode):
         reused += sum(e.protection.length for e in plan.entries) - plan.bandwidth()[1]
     assert outcomes["plan"] >= 25 and outcomes["bounded"] >= 8 and outcomes["full"]
     assert reused
+
+
+def triangle_with_pendant() -> Graph:
+    """Triangle a-b-c with d hanging off c: every pair with d has no
+    disjoint pair, the triangle's pairs do."""
+    return Graph("abcd", [("a", "b", UNBOUNDED), ("b", "c", UNBOUNDED),
+                          ("a", "c", UNBOUNDED), ("c", "d", UNBOUNDED)])
+
+
+class TestPairsWithoutDisjointPair:
+    @pytest.mark.parametrize("mode", ["node", "link"])
+    def test_fixed_pairs_leave_out_only_those_pairs(self, mode):
+        pairs = fixed_pair_routes(triangle_with_pendant(), mode)
+        assert set(pairs) == {frozenset("ab"), frozenset("ac"), frozenset("bc")}
+        assert pairs[frozenset("ab")] == disjoint_pair(triangle_with_pendant(), "a", "b", mode)
+
+    def test_demanded_pairs_route_under_both_baselines(self):
+        g = triangle_with_pendant()
+        demands = [Demand(0, "a", "b")]
+        assert route_1plus1(g, demands).bandwidth() == (1, 2, 3)
+        plan = route_shared_path(g, demands)
+        assert plan.bandwidth() == (1, 2, 3)
+        assert plan.entries[0].protection.nodes == ("a", "c", "b")
+
+    @pytest.mark.parametrize("mode", ["node", "link"])
+    def test_demand_without_pair_still_refused(self, mode):
+        g = triangle_with_pendant()
+        demands = [Demand(0, "a", "b"), Demand(1, "d", "a")]
+        with pytest.raises(PairError, match=f"no {mode}-disjoint path pair between a and d"):
+            route_shared_path(g, demands, mode)
+        with pytest.raises(PairError, match=f"no {mode}-disjoint path pair between a and d"):
+            route_1plus1(g, demands, mode)
+

@@ -1,13 +1,21 @@
+import heapq
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pxtmesh.cdijkstra import (
+    DEFAULT_LIMITS,
     Arc,
+    ArcSet,
     PartialPath,
     ResourceLimitExceeded,
     RivalGraph,
     SearchLimits,
+    SolveResult,
+    _Entry,
     reflection_grid,
     solve,
     symmetrize,
@@ -19,20 +27,20 @@ def worked_example() -> RivalGraph:
 
     The unconstrained optimum v1->v3 rides e4 then e6, which are rivals, so
     the admissible optimum detours via v4.  Lengths/rivals are pinned by the
-    optimal paths and the search counters asserted below.
+    optimal paths and the search counters asserted below.  Arc ei has id i.
     """
     arcs = [
-        Arc("e1", "v1", "v2", 4),
-        Arc("e2", "v2", "v3", 1),
-        Arc("e3", "v1", "v4", 1),
-        Arc("e4", "v1", "v5", 0, frozenset({"e1", "e6"})),
-        Arc("e5", "v5", "v4", 1),
-        Arc("e6", "v5", "v2", 1),
-        Arc("e7", "v6", "v3", 9),
-        Arc("e8", "v2", "v6", 9),
-        Arc("e9", "v4", "v5", 0),
-        Arc("e10", "v4", "v6", 9),
-        Arc("e11", "v5", "v6", 2, frozenset({"e5"})),
+        Arc(1, "v1", "v2", 4),
+        Arc(2, "v2", "v3", 1),
+        Arc(3, "v1", "v4", 1),
+        Arc(4, "v1", "v5", 0, ArcSet.of({1, 6})),
+        Arc(5, "v5", "v4", 1),
+        Arc(6, "v5", "v2", 1),
+        Arc(7, "v6", "v3", 9),
+        Arc(8, "v2", "v6", 9),
+        Arc(9, "v4", "v5", 0),
+        Arc(10, "v4", "v6", 9),
+        Arc(11, "v5", "v6", 2, ArcSet.of({5})),
     ]
     return RivalGraph([f"v{i}" for i in range(1, 7)], arcs, "v1")
 
@@ -40,39 +48,53 @@ def worked_example() -> RivalGraph:
 class TestConstructionChecks:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="negative length"):
-            Arc("x", "a", "b", -1)
+            Arc(0, "a", "b", -1)
 
     def test_arcs_equal_field_by_field(self):
-        assert Arc("x", "a", "b", 1) == Arc("x", "a", "b", 1, frozenset(), 0)
-        assert Arc("x", "a", "b", 1) != Arc("x", "a", "b", 1, tiebreak=1)
+        assert Arc(0, "a", "b", 1) == Arc(0, "a", "b", 1, ArcSet(), 0)
+        assert Arc(0, "a", "b", 1) != Arc(0, "a", "b", 1, tiebreak=1)
 
     @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
     def test_duplicate_arc_id_rejected(self, build):
         with pytest.raises(ValueError, match="duplicate arc id"):
-            build("ab", [Arc("x", "a", "b", 1), Arc("x", "b", "a", 1)], "a")
+            build("ab", [Arc(0, "a", "b", 1), Arc(0, "b", "a", 1)], "a")
 
     @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
     def test_unknown_node_rejected(self, build):
         with pytest.raises(ValueError, match="unknown node"):
-            build("ab", [Arc("x", "a", "c", 1)], "a")
-
+            build("ab", [Arc(0, "a", "c", 1)], "a")
 
     @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
     def test_unknown_source_rejected(self, build):
         with pytest.raises(ValueError, match="unknown source"):
-            build("ab", [Arc("x", "a", "b", 1)], "c")
+            build("ab", [Arc(0, "a", "b", 1)], "c")
+
+    @pytest.mark.parametrize("bad_id", ["x", -1, True, False, 1.0, None])
+    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    def test_arc_id_must_be_a_non_negative_int(self, build, bad_id):
+        # ids are bit positions, so a name, a negative or a bool is refused
+        with pytest.raises(ValueError, match="not a non-negative int"):
+            build("ab", [Arc(0, "b", "a", 1), Arc(bad_id, "a", "b", 1)], "a")
+
+    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    def test_unknown_rival_bit_rejected(self, build):
+        g = build("ab", [Arc(0, "a", "b", 1, ArcSet.of({0, 70}))], "a")
+        with pytest.raises(ValueError, match="unknown rival 70"):
+            g.is_symmetric()
 
 
 class TestSymmetrize:
     def test_one_directional_becomes_mutual(self):
         g = worked_example()
         sym = symmetrize(g)
-        assert "e4" in sym.arcs["e6"].rivals
-        assert "e6" in sym.arcs["e4"].rivals
+        assert 4 in sym.arcs[6].rivals
+        assert 6 in sym.arcs[4].rivals
+        assert set(sym.arcs[1].rivals) == {4}
+        assert sym.is_symmetric() and not g.is_symmetric()
 
     def test_empty_unchanged(self):
-        g = RivalGraph("ab", [Arc("x", "a", "b", 1)], "a")
-        assert symmetrize(g).arcs["x"].rivals == frozenset()
+        g = RivalGraph("ab", [Arc(0, "a", "b", 1)], "a")
+        assert symmetrize(g).arcs[0].rivals == ArcSet()
 
     def test_idempotent(self):
         g = symmetrize(worked_example())
@@ -81,8 +103,8 @@ class TestSymmetrize:
                {a: arc.rivals for a, arc in again.arcs.items()}
 
     def test_unknown_rival_rejected(self):
-        g = RivalGraph("ab", [Arc("x", "a", "b", 1, frozenset({"ghost"}))], "a")
-        with pytest.raises(ValueError, match="unknown rival"):
+        g = RivalGraph("ab", [Arc(0, "a", "b", 1, ArcSet.of({3}))], "a")
+        with pytest.raises(ValueError, match="unknown rival 3"):
             symmetrize(g)
 
 
@@ -91,11 +113,11 @@ class TestWorkedExample:
         res = solve(worked_example())
         got = {n: res.paths[n].length for n in res.paths}
         assert got == {"v1": 0, "v2": 2, "v3": 3, "v4": 1, "v5": 0, "v6": 2}
-        assert res.paths["v2"].arcs == ("e3", "e9", "e6")
+        assert res.paths["v2"].arcs == (3, 9, 6)
         # the final hop of the v3 optimum rides e6 (not e9 twice: a path
         # cannot repeat an arc, whatever a hasty transcription may suggest)
-        assert res.paths["v3"].arcs == ("e3", "e9", "e6", "e2")
-        assert res.paths["v6"].arcs == ("e4", "e11")
+        assert res.paths["v3"].arcs == (3, 9, 6, 2)
+        assert res.paths["v6"].arcs == (4, 11)
 
     def test_results_do_not_form_a_tree(self):
         res = solve(worked_example())
@@ -126,7 +148,7 @@ def brute_force_lengths(g: RivalGraph) -> dict[str, float]:
             nl = length + arc.length
             if nl < best.get(arc.head, float("inf")):
                 best[arc.head] = nl
-            rec(arc.head, visited | {arc.head}, forb | arc.rivals, nl)
+            rec(arc.head, visited | {arc.head}, forb.union(arc.rivals), nl)
 
     rec(g.source, {g.source}, frozenset(), 0.0)
     return best
@@ -139,14 +161,14 @@ def random_instance(rng: random.Random, n_nodes=8, n_arcs=20, n_rivals=6,
     for i in range(rng.randint(1, n_arcs)):
         tail, head = rng.sample(nodes, 2) if len(nodes) > 1 else (nodes[0], nodes[0])
         lo = 0 if zero_lengths else 1
-        arcs.append(Arc(f"a{i}", tail, head, rng.randint(lo, 9)))
+        arcs.append(Arc(i, tail, head, rng.randint(lo, 9)))
     ids = [a.id for a in arcs]
-    rivals: dict[str, set] = {i: set() for i in ids}
+    rivals: dict[int, set] = {i: set() for i in ids}
     for _ in range(rng.randint(0, n_rivals)):
         x, y = rng.choice(ids), rng.choice(ids)
         if x != y:
             rivals[x].add(y)
-    arcs = [Arc(a.id, a.tail, a.head, a.length, frozenset(rivals[a.id])) for a in arcs]
+    arcs = [Arc(a.id, a.tail, a.head, a.length, ArcSet.of(rivals[a.id])) for a in arcs]
     return RivalGraph(nodes, arcs, nodes[0])
 
 
@@ -204,7 +226,7 @@ def test_returned_paths_admissible_and_simple(seed):
         assert len(set(p.path)) == len(p.path)
         used = set(p.arcs)
         for aid in p.arcs:
-            assert not (g.arcs[aid].rivals & used)
+            assert used.isdisjoint(g.arcs[aid].rivals)
         assert sum(g.arcs[a].length for a in p.arcs) == p.length
 
 
@@ -237,14 +259,242 @@ class TestLimits:
 
     def test_target_result_holds_the_target_path_only(self):
         res = solve(worked_example(), target="v4")
-        assert res.paths == {"v4": PartialPath(("v1", "v4"), ("e3",), 1)}
+        assert res.paths == {"v4": PartialPath(("v1", "v4"), (3,), 1)}
         # v1 and v5 were settled on the way: neither undecided nor unreachable
         assert res.undecided == {"v2", "v3", "v6"}
         assert res.unreachable == set()
-        cut = RivalGraph("abc", [Arc("x", "a", "b", 1), Arc("y", "b", "a", 1)], "a")
+        cut = RivalGraph("abc", [Arc(0, "a", "b", 1), Arc(1, "b", "a", 1)], "a")
         res = solve(cut, target="c")
         assert (res.paths, res.undecided, res.unreachable) == ({}, set(), {"c"})
 
     def test_bad_limits_rejected(self):
         with pytest.raises(ValueError):
             SearchLimits(max_stored=0)
+
+
+# -- differential oracle: the frozenset search ---------------------------------
+
+class FrozensetNodeStore:
+    __slots__ = ("inked", "pencil", "by_size")
+
+    def __init__(self):
+        self.inked: _Entry | None = None
+        self.pencil: dict[frozenset, _Entry] = {}
+        self.by_size: dict[int, set[frozenset]] = {}
+
+    def dominated(self, entry: _Entry) -> bool:
+        length, forb = entry.length, entry.forb
+        ink = self.inked
+        if ink is not None and ink.length <= length and ink.forb <= forb:
+            return True
+        # a same-size dominator must be the exact same set: hash, don't scan
+        same = self.pencil.get(forb)
+        if same is not None and same.length <= length:
+            if not (same.length == length and entry.tie_key() < same.tie_key()):
+                return True
+        size = len(forb)
+        for s, bucket in self.by_size.items():
+            if s >= size:
+                continue
+            for f in bucket:
+                if self.pencil[f].length <= length and f <= forb:
+                    return True
+        return False
+
+    def insert(self, entry: _Entry) -> list[_Entry]:
+        """Store entry; returns the penciled entries it displaces."""
+        removed = []
+        size = len(entry.forb)
+        same = self.pencil.get(entry.forb)
+        if same is not None and entry.length <= same.length:
+            removed.append(same)
+            self._remove(entry.forb)
+        for s in [s for s in self.by_size if s > size]:
+            for f in list(self.by_size[s]):
+                old = self.pencil[f]
+                if entry.length <= old.length and entry.forb <= f:
+                    removed.append(old)
+                    self._remove(f)
+        self.pencil[entry.forb] = entry
+        self.by_size.setdefault(size, set()).add(entry.forb)
+        return removed
+
+    def _remove(self, f: frozenset) -> None:
+        entry = self.pencil.pop(f)
+        entry.alive = False
+        bucket = self.by_size[len(f)]
+        bucket.discard(f)
+        if not bucket:
+            del self.by_size[len(f)]
+
+
+def frozenset_solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
+          target: str | None = None) -> SolveResult:
+    """Shortest admissible path from g.source to every node (or to `target`).
+
+    The search as it was before rival sets became int bitsets, kept as the
+    differential oracle: it needs arcs whose rivals are frozensets of ids.
+
+    Nodes proven to have no admissible path are reported unreachable; nodes
+    the search never settled (early target exit) are undecided.  Exceeding a
+    limit raises ResourceLimitExceeded carrying the partial result, with all
+    unsettled nodes undecided.
+
+    With a `target`, `paths` holds the target's path alone, if it has one:
+    the other nodes the search settled are in none of `paths`, `undecided`
+    and `unreachable`.  `undecided` and `unreachable` still name every node
+    left unsettled.
+    """
+    if not (g._known_symmetric or g.is_symmetric()):
+        g = symmetrize(g)
+    if target is not None and target not in g.out:
+        raise ValueError(f"unknown target {target!r}")
+
+    stores: defaultdict[str, FrozensetNodeStore] = defaultdict(FrozensetNodeStore)  # made as paths reach nodes
+    heap: list = []
+    seq = 0
+    stored = 0
+    work = 0
+    blacks = 0
+
+    root = _Entry(g.source, None, None, 0, frozenset(), frozenset((g.source,)), 0)
+    stores[g.source].inked = root
+    blacks += 1
+    stored += 1
+    heapq.heappush(heap, (0, 0, 0, g.source, seq, root))
+
+    def result(undecided_rest: bool) -> SolveResult:
+        res = SolveResult(stored=stored, work=work)
+        for n in g.nodes:
+            ink = stores[n].inked if n in stores else None
+            if ink is not None:
+                if target is None or n == target:
+                    res.paths[n] = ink.materialize()
+            elif undecided_rest:
+                res.undecided.add(n)
+            else:
+                res.unreachable.add(n)
+        return res
+
+    while heap:
+        key = heapq.heappop(heap)
+        active = key[5]
+        if not active.alive:
+            continue
+        node = active.node
+        store = stores[node]
+        if store.inked is None:
+            store.pencil.pop(active.forb, None)
+            bucket = store.by_size.get(len(active.forb))
+            if bucket is not None:
+                bucket.discard(active.forb)
+                if not bucket:
+                    del store.by_size[len(active.forb)]
+            store.inked = active
+            blacks += 1
+        if target is not None and stores[target].inked is not None:
+            return result(undecided_rest=True)
+        if blacks == len(g.nodes):
+            return result(undecided_rest=False)
+        for arc in g.out[node]:
+            work += 1
+            if work > limits.max_work:
+                raise ResourceLimitExceeded("work", result(undecided_rest=True))
+            if arc.id in active.forb or arc.head in active.nodes:
+                continue
+            nlen = active.length + arc.length
+            nforb = active.forb | arc.rivals
+            head_store = stores[arc.head]
+            seq += 1
+            entry = _Entry(arc.head, arc.id, active, nlen, nforb,
+                           active.nodes | {arc.head}, active.secondary + arc.tiebreak)
+            if head_store.dominated(entry):
+                continue
+            removed = head_store.insert(entry)
+            stored += 1 - len(removed)
+            if stored > limits.max_stored:
+                raise ResourceLimitExceeded("stored", result(undecided_rest=True))
+            heapq.heappush(heap, (nlen, entry.secondary, len(nforb), arc.head, seq, entry))
+    return result(undecided_rest=False)
+
+
+def with_frozenset_rivals(g: RivalGraph) -> RivalGraph:
+    """The same symmetric graph with every rival set a frozenset of arc ids,
+    as frozenset_solve reads it."""
+    assert g.is_symmetric()
+    arcs = [Arc(a.id, a.tail, a.head, a.length, frozenset(a.rivals), a.tiebreak)
+            for a in g.arcs.values()]
+    return RivalGraph._symmetric_by_construction(g.nodes, arcs, g.source)
+
+
+def relabeled(g: RivalGraph, new_id) -> RivalGraph:
+    """g with arc id i renamed new_id(i), arc order kept."""
+    arcs = [Arc(new_id(a.id), a.tail, a.head, a.length,
+                ArcSet.of(map(new_id, a.rivals)), a.tiebreak) for a in g.arcs.values()]
+    return RivalGraph(g.nodes, arcs, g.source)
+
+
+def outcome(solver, g, limits=DEFAULT_LIMITS, target=None):
+    """(limit hit or None, paths, unreachable, undecided, stored, work)."""
+    try:
+        res, limit = solver(g, limits, target=target), None
+    except ResourceLimitExceeded as exc:
+        res, limit = exc.result, exc.limit
+    return limit, res.paths, res.unreachable, res.undecided, res.stored, res.work
+
+
+def assert_matches_frozenset_search(g: RivalGraph, limits=DEFAULT_LIMITS, target=None):
+    got = outcome(solve, g, limits, target)
+    assert got == outcome(frozenset_solve, with_frozenset_rivals(g), limits, target)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_bitset_search_matches_frozenset_search(seed):
+    rng = random.Random(5000 + seed)
+    dense = seed % 3 == 0  # domination displaces many penciled paths
+    g = random_instance(rng, n_nodes=10, n_arcs=40 if dense else 20,
+                        n_rivals=30 if dense else 8)
+    if seed % 2:
+        # ids past one machine word, and not consecutive
+        g = relabeled(g, lambda i: 7 * i + 61)
+    g = symmetrize(g)
+    assert_matches_frozenset_search(g)
+    for target in g.nodes:
+        assert_matches_frozenset_search(g, target=target)
+
+
+@pytest.mark.parametrize("limits", [
+    SearchLimits(max_stored=40, max_work=10**6),
+    SearchLimits(max_stored=200, max_work=10**6),
+    SearchLimits(max_stored=10**6, max_work=50),
+    SearchLimits(max_stored=10**6, max_work=700),
+], ids=lambda lim: f"stored{lim.max_stored}-work{lim.max_work}")
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_bitset_search_matches_frozenset_search_under_limits(n, limits):
+    got = assert_matches_frozenset_search(reflection_grid(n), limits)
+    target = assert_matches_frozenset_search(reflection_grid(n), limits, target=f"{-n},{-n}")
+    assert got[0] is not None and target[0] is not None
+
+
+def test_bitset_search_matches_frozenset_search_to_completion():
+    limit, paths, *_ = assert_matches_frozenset_search(reflection_grid(3))
+    assert limit is None and len(paths) == 49
+
+
+# -- ArcSet reads as the set of its bit positions -------------------------------
+
+ids = st.frozensets(st.integers(min_value=0, max_value=200), max_size=12)
+
+
+@given(ids, ids, st.integers(min_value=-3, max_value=210))
+def test_arcset_agrees_with_frozenset(a_ids, b_ids, probe):
+    a, b = ArcSet.of(a_ids), ArcSet.of(b_ids)
+    assert len(a) == len(a_ids)
+    assert (probe in a) == (probe in a_ids)
+    assert list(a) == sorted(a_ids)
+    assert frozenset(ArcSet(a | b)) == a_ids | b_ids
+    assert frozenset(ArcSet(a & b)) == a_ids & b_ids
+    assert ((a & b) == a) == (a_ids <= b_ids)
+    assert eval(repr(a)) == a
+    assert bool(a) == bool(a_ids)

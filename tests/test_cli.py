@@ -204,6 +204,22 @@ def test_baseline_without_disjoint_pair_fails_cleanly(runner, tmp_path, command,
     assert "error: no node-disjoint path pair between a and" in r.output
 
 
+@pytest.mark.parametrize("scheme", ["shared-path", "one-plus-one"])
+def test_baseline_routes_pair_beside_pendant_node(runner, tmp_path, scheme):
+    # d hangs off the triangle a-b-c, so no pair with d has a disjoint pair;
+    # the demand a-b has one, and only demanded pairs matter
+    graph = tmp_path / "pendant.graph"
+    graph.write_text("node a\nnode b\nnode c\nnode d\n"
+                     "link a b\nlink b c\nlink a c\nlink c d\n")
+    demands = tmp_path / "d.txt"
+    demands.write_text("demand a b 1\n")
+    r = runner.invoke(main, ["route", "--graph", str(graph), "--demands", str(demands),
+                             "--scheme", scheme])
+    assert r.exit_code == 0, r.output
+    assert "1 demands routed" in r.output
+    assert "working 1, protection 2, total 3" in r.output
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 @pytest.mark.parametrize("option", ["--max-partial-paths", "--max-work"])
 @pytest.mark.parametrize("command", [

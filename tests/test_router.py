@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import importlib.util
 import itertools
 import os
 import random
@@ -37,6 +39,10 @@ from pxtmesh.router import (
 )
 from pxtmesh.topologies import standard_topology
 from pxtmesh.traffic import generate
+
+from test_cdijkstra import assert_matches_frozenset_search
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def walk(*seq):
@@ -582,6 +588,69 @@ def test_segment_admission_matches_prohibited_oracle(monkeypatch, mode):
             except RoutingError:
                 pass
     assert min(counts.values()) > 100, counts
+
+
+def routed_random_plans(mode, seeds=range(4), demands=40):
+    """Route random demands on seeded random graphs, half of them tight."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(8, 30), tight=seed % 2 == 1)
+        nodes = g.sorted_nodes()
+        state = RouterState(g, mode=mode)
+        for did in range(demands):
+            try:
+                route_demand(state, Demand(did, *rng.sample(nodes, 2)))
+            except RoutingError:
+                pass
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_aux_search_matches_frozenset_search(monkeypatch, mode):
+    """On the router's own aux graphs the bitset search finds what the
+    frozenset search did, with the same counters."""
+    real_solve = router.solve
+    probes = 0
+
+    def checked_solve(g, limits, target=None):
+        nonlocal probes
+        probes += assert_matches_frozenset_search(g, limits, target)[5]
+        return real_solve(g, limits, target=target)
+
+    monkeypatch.setattr(router, "solve", checked_solve)
+    routed_random_plans(mode)
+    assert probes > 1000
+
+
+def load_benchmark_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracing", ROOT / "benchmarks" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_benchmark_aux_counters_match_pairwise_rule(monkeypatch, mode):
+    """The traced benchmark counts rival pairs from `len(a.rivals)` and
+    `a.id % 2`; on routed plans its count is the pairwise rule's."""
+    count_aux = load_benchmark_tracing()._count_aux
+    real_build_aux = router.build_aux
+    pairs = 0
+
+    def checked_build_aux(state, demand, working, subtrails):
+        nonlocal pairs
+        aux = real_build_aux(state, demand, working, subtrails)
+        counts = collections.Counter()
+        count_aux(counts, aux, None, (state, demand, working, subtrails), {})
+        expect = len(pairwise_rivals(aux.edges))
+        assert counts == {"router.build_aux.aux_edges": len(aux.edges),
+                          "router.build_aux.rival_pairs": expect}
+        pairs += expect
+        return aux
+
+    monkeypatch.setattr(router, "build_aux", checked_build_aux)
+    routed_random_plans(mode, seeds=range(2))
+    assert pairs > 100
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])

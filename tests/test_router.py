@@ -556,6 +556,20 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
     assert state.plan.validate() == []
 
 
+def routed_random_plans(mode, seeds=range(4), demands=40):
+    """Route random demands on seeded random graphs, half of them tight."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(8, 30), tight=seed % 2 == 1)
+        nodes = g.sorted_nodes()
+        state = RouterState(g, mode=mode)
+        for did in range(demands):
+            try:
+                route_demand(state, Demand(did, *rng.sample(nodes, 2)))
+            except RoutingError:
+                pass
+
+
 @pytest.mark.parametrize("mode", ["node", "link"])
 def test_segment_admission_matches_prohibited_oracle(monkeypatch, mode):
     """build_aux admits exactly the segments with no prohibited edge."""
@@ -577,31 +591,8 @@ def test_segment_admission_matches_prohibited_oracle(monkeypatch, mode):
         return aux
 
     monkeypatch.setattr(router, "build_aux", checked_build_aux)
-    for seed in range(6):
-        rng = random.Random(seed)
-        g = random_connected_graph(rng, rng.randint(8, 30), tight=seed % 2 == 1)
-        nodes = g.sorted_nodes()
-        state = RouterState(g, mode=mode)
-        for did in range(60):
-            try:
-                route_demand(state, Demand(did, *rng.sample(nodes, 2)))
-            except RoutingError:
-                pass
+    routed_random_plans(mode, seeds=range(6), demands=60)
     assert min(counts.values()) > 100, counts
-
-
-def routed_random_plans(mode, seeds=range(4), demands=40):
-    """Route random demands on seeded random graphs, half of them tight."""
-    for seed in seeds:
-        rng = random.Random(seed)
-        g = random_connected_graph(rng, rng.randint(8, 30), tight=seed % 2 == 1)
-        nodes = g.sorted_nodes()
-        state = RouterState(g, mode=mode)
-        for did in range(demands):
-            try:
-                route_demand(state, Demand(did, *rng.sample(nodes, 2)))
-            except RoutingError:
-                pass
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])

@@ -14,7 +14,10 @@ forbidden arcs, like its visited nodes (bit i for `g.nodes[i]`), a plain
 int.  The bitset must stand for exactly the arc set it replaces: the heap
 orders equal-length paths by the size of that set and domination is subset
 order, so search order, the `stored` and `work` counters and the paths found
-all depend on it.
+all depend on it.  They depend on nothing else about the ids: relabelling
+arcs consistently, each node's out-arc order kept, changes no result.  A
+lazy graph makes a node's out-arcs when the search first expands the node,
+so the arcs of nodes it never expands are never built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 ArcId = int
 
@@ -86,61 +90,103 @@ class Arc:
             raise ValueError(f"arc {self.id} has negative length")
 
 
+class _OutLists(dict):
+    """node -> out-arcs; a node's list is made by `make` on first access."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[str], list[Arc]]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, node: str) -> list[Arc]:
+        arcs = self[node] = self.make(node)
+        return arcs
+
+
 class RivalGraph:
-    """Directed arcs with rival sets; arc order fixes all tie-breaking."""
+    """Directed arcs with rival sets; each node's out-arc order fixes all
+    tie-breaking."""
 
     def __init__(self, nodes: Iterable[str], arcs: Iterable[Arc], source: str):
         self.nodes = tuple(dict.fromkeys(nodes))
-        # each node's out-arcs in arc order, filled in the one pass over arcs
-        self.out: dict[str, list[Arc]] = {n: [] for n in self.nodes}
-        self.arcs: dict[ArcId, Arc] = {}
+        self.out: dict[str, list[Arc]] = self.out_lists(self.nodes, arcs)
+        self._make_out: Callable[[str], list[Arc]] = self.out.__getitem__
+        self._set_source(source)
+        self._known_symmetric = False
+
+    @classmethod
+    def lazy(cls, nodes: Iterable[str], source: str,
+             make_out: Callable[[str], list[Arc]]) -> "RivalGraph":
+        """A graph whose out-lists `make_out(node)` builds when the search
+        first expands the node, and whose rival sets are symmetric by
+        construction, such as the router's auxiliary graph: solve() skips
+        its symmetry check.  The caller puts the arcs `make_out` returns
+        through `out_lists`' checks; only the source is checked here."""
+        g = cls.__new__(cls)
+        g.nodes = tuple(dict.fromkeys(nodes))
+        g.out = _OutLists(make_out)
+        g._make_out = make_out
+        g._set_source(source)
+        g._known_symmetric = True
+        return g
+
+    @staticmethod
+    def out_lists(nodes: Iterable[str], arcs: Iterable[Arc]) -> dict[str, list[Arc]]:
+        """Each node's out-arcs in arc order, filled in one pass over arcs
+        that checks every arc id is a non-negative int used once and every
+        arc joins two of `nodes`."""
+        out: dict[str, list[Arc]] = {n: [] for n in nodes}
+        seen: set[ArcId] = set()
         for arc in arcs:
             aid = arc.id
             if type(aid) is not int or aid < 0:  # a bool is no arc id either
                 raise ValueError(f"arc id {aid!r} is not a non-negative int")
-            if aid in self.arcs:
+            if aid in seen:
                 raise ValueError(f"duplicate arc id {aid!r}")
-            if arc.tail not in self.out or arc.head not in self.out:
+            if arc.tail not in out or arc.head not in out:
                 raise ValueError(f"arc {aid!r} references unknown node")
-            self.arcs[aid] = arc
-            self.out[arc.tail].append(arc)
-        if source not in self.out:
+            seen.add(aid)
+            out[arc.tail].append(arc)
+        return out
+
+    def _set_source(self, source: str) -> None:
+        if source not in self.nodes:
             raise ValueError(f"unknown source {source!r}")
         self.source = source
-        self._known_symmetric = False
 
-    @classmethod
-    def _symmetric_by_construction(cls, nodes: Iterable[str], arcs: Iterable[Arc],
-                                   source: str) -> "RivalGraph":
-        """A graph whose rival sets are symmetric by construction, such as
-        the router's auxiliary graph: solve() skips its symmetry check."""
-        g = cls(nodes, arcs, source)
-        g._known_symmetric = True
-        return g
+    @cached_property
+    def arcs(self) -> dict[ArcId, Arc]:
+        """Every arc by id, node by node in out-list order.  The first read
+        builds its own copy of every list, so it makes none of a lazy graph's
+        lists: what the search builds, the search pays for."""
+        make = self._make_out
+        return {arc.id: arc for n in self.nodes for arc in make(n)}
 
-    def _check_rivals(self) -> None:
-        known = sum(1 << a for a in self.arcs)
-        for arc in self.arcs.values():
+    def _check_rivals(self) -> dict[ArcId, Arc]:
+        arcs = self.arcs
+        known = sum(1 << a for a in arcs)
+        for arc in arcs.values():
             if arc.rivals & ~known:
-                rid = next(r for r in arc.rivals if r not in self.arcs)
+                rid = next(r for r in arc.rivals if r not in arcs)
                 raise ValueError(f"arc {arc.id!r} lists unknown rival {rid!r}")
+        return arcs
 
     def is_symmetric(self) -> bool:
-        self._check_rivals()
-        return all(self.arcs[rid].rivals >> arc.id & 1
-                   for arc in self.arcs.values() for rid in arc.rivals)
+        arcs = self._check_rivals()
+        return all(arcs[rid].rivals >> arc.id & 1
+                   for arc in arcs.values() for rid in arc.rivals)
 
 
 def symmetrize(g: RivalGraph) -> RivalGraph:
     """Close the rival relation under symmetry; admissibility is unchanged."""
-    g._check_rivals()
-    masks: dict[ArcId, int] = {a: arc.rivals for a, arc in g.arcs.items()}
-    for arc in g.arcs.values():
+    arcs = g._check_rivals()
+    masks: dict[ArcId, int] = {a: arc.rivals for a, arc in arcs.items()}
+    for arc in arcs.values():
         for rid in arc.rivals:
             masks[rid] |= 1 << arc.id
-    arcs = [Arc(a.id, a.tail, a.head, a.length, ArcSet(masks[a.id]), a.tiebreak)
-            for a in g.arcs.values()]
-    return RivalGraph(g.nodes, arcs, g.source)
+    return RivalGraph(g.nodes, [Arc(a.id, a.tail, a.head, a.length, ArcSet(masks[a.id]),
+                                    a.tiebreak) for a in arcs.values()], g.source)
 
 
 @dataclass(frozen=True)
@@ -291,10 +337,9 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
     """
     if not (g._known_symmetric or g.is_symmetric()):
         g = symmetrize(g)
-    if target is not None and target not in g.out:
-        raise ValueError(f"unknown target {target!r}")
-
     node_bit = {n: 1 << i for i, n in enumerate(g.nodes)}
+    if target is not None and target not in node_bit:
+        raise ValueError(f"unknown target {target!r}")
     stores: defaultdict[str, _NodeStore] = defaultdict(_NodeStore)  # made as paths reach nodes
     heap: list = []
     seq = 0

@@ -14,13 +14,15 @@ Routing one demand reuses what earlier demands left behind instead of
 recomputing it:
 
 - rival marks come from node -> arc indexes, not from comparing every pair
-  of aux edges; aux-edge order, arc ids, tie-breaks and the rival sets are
-  those of the pairwise rule, so plans are unchanged;
+  of aux edges; aux-edge order, each node's out-arc order, tie-breaks and
+  the rival sets are those of the pairwise rule, with arcs numbered by
+  edge index instead of position, so plans are unchanged;
 - rival marks are int bitsets over the arc ids, from those indexes through
   the search's forbidden sets, so marking and probing OR and AND ints
   instead of building and hashing frozensets;
 - the aux graph is symmetric by construction, so the search skips its
-  per-call symmetry check;
+  per-call symmetry check, and it is lazy: a node's out-arcs are made when
+  the search first expands the node, so most arcs are never built;
 - the plan indexes every entry's working path by link and by node as
   add_entry commits it, and answers `conflicts` from that index, so shared
   protection is read off it rather than compared entry by entry;
@@ -36,8 +38,10 @@ recomputing it:
   terminals and built without re-validation; an open trail without a cut
   inside offers its cached canonical walk itself;
 - the plan keeps the set of links with spare capacity, and RouterState keeps
-  the fresh-capacity aux edges built from it; they are rebuilt only when that
-  set shrinks, and filtered by the working path per demand.
+  the fresh-capacity aux edges and arcs built from it, with stable ids by
+  link index; they are rebuilt only when that set shrinks.  Per demand, the
+  working path excludes some of them by one bitset, and a fresh arc is copied
+  only to carry rivals, when its ends are interior to an admitted shortcut.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from dataclasses import dataclass
 
 from .cdijkstra import (
     DEFAULT_LIMITS,
-    NO_ARCS,
     Arc,
     ArcSet,
     ResourceLimitExceeded,
@@ -58,7 +61,6 @@ from .graph import (
     EdgeId,
     Graph,
     Walk,
-    _avoiding,
     all_shortest_paths,
     is_path,
     link_of,
@@ -88,8 +90,22 @@ class AuxEdge:
 
 @dataclass
 class AuxGraph:
-    graph: RivalGraph  # directed, rival-annotated; edge i owns arcs 2i, 2i+1
-    edges: list[AuxEdge]
+    graph: RivalGraph  # directed, rival-annotated, out-arcs made lazily
+    # the edges present, by index: link L of graph.links() is edge L and the
+    # j-th admitted shortcut edge n_links + j; edge i owns arcs 2i and 2i+1
+    edges: dict[int, AuxEdge]
+
+
+@dataclass(slots=True)
+class FreshArcs:
+    """The fresh-capacity aux edges of the links with spare capacity and
+    their arcs, prebuilt without rivals: link index L owns arcs 2L (u -> v)
+    and 2L+1 (v -> u)."""
+
+    free: int  # len(plan._free) when built
+    edges: dict[int, AuxEdge]  # link index -> fresh aux edge, in link order
+    out: dict[str, list[Arc]]  # node -> its fresh out-arcs, in link order
+    mask: dict[str, int]  # node -> the bits of every fresh arc at it
 
 
 class RouterState:
@@ -102,20 +118,26 @@ class RouterState:
         self.plan = AllocationPlan(graph, mode=mode)
         self.limits = limits
         self.log = log
-        # a fresh aux edge per link with spare capacity, as of when the plan
-        # had `_fresh_free` free link orientations
-        self._fresh: list[AuxEdge] = []
-        self._fresh_free = -1
+        self.nodes = tuple(graph.sorted_nodes())
+        self.link_index = {link: i for i, link in enumerate(graph.links())}
+        self._fresh: FreshArcs | None = None
 
     def route(self, demand: Demand) -> PlanEntry:
         return route_demand(self, demand)
 
-    def fresh_aux_edges(self) -> list[AuxEdge]:
-        """A fresh aux edge per link with spare capacity, in link order."""
-        if self._fresh_free != len(self.plan._free):
-            self._fresh = [AuxEdge(u, v) for u, v in self.graph.links()
-                           if self.plan.has_free_edge(u, v)]
-            self._fresh_free = len(self.plan._free)
+    def fresh_arcs(self) -> FreshArcs:
+        """The fresh aux edges and arcs of every link with spare capacity,
+        rebuilt only when the plan's set of free links has shrunk."""
+        free = self.plan._free
+        if self._fresh is None or self._fresh.free != len(free):
+            edges = {i: AuxEdge(u, v) for (u, v), i in self.link_index.items()
+                     if (u, v) in free}
+            arcs = [Arc(2 * i + back, *ends, 1) for i, e in edges.items()
+                    for back, ends in enumerate(((e.u, e.v), (e.v, e.u)))]
+            # the id, duplicate and node checks of every RivalGraph, once per rebuild
+            out = RivalGraph.out_lists(self.nodes, arcs)
+            mask = {n: sum(3 << (a.id & ~1) for a in out_n) for n, out_n in out.items()}
+            self._fresh = FreshArcs(len(free), edges, out, mask)
         return self._fresh
 
 
@@ -216,74 +238,86 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:
     return out
 
 
-def _rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[ArcSet]:
-    """Per aux edge, the arc ids of its rivals.
-
-    Aux edge i owns arcs 2i and 2i+1.  Two aux edges are rivals when their
-    expansions share a node that is not an endpoint of both.  The first
-    `n_unused` edges are fresh-capacity edges, which expand to their two
-    endpoints only, so two of them never are; a shortcut expands to every
-    node of its segment.  The rivals are read off two node -> arc bitset
-    indexes instead of comparing every pair: an edge's rivals are the arcs
-    of every other edge covering one of its interior nodes, plus those of
-    every edge having one of its endpoints as an interior node.  Only
-    shortcuts have interior nodes, so `inner` is built from them alone and
-    `covers` only at their interior nodes.  A fresh edge's rivals are
-    `inner[u] | inner[v]`; a shortcut's add the OR of `covers` over its
-    interior nodes, less its own two arcs.
-    """
-    inner: dict[str, int] = {}  # node -> arcs with it as an interior node
-    for i in range(n_unused, len(aux_edges)):
-        own = 3 << 2 * i
-        for n in aux_edges[i].segment.nodes[1:-1]:
-            inner[n] = inner.get(n, 0) | own
-    if not inner:
-        return [NO_ARCS] * len(aux_edges)
-    # node -> arcs whose expansion covers it, only where some edge's rivals ask
-    covers = dict.fromkeys(inner, 0)
-    for i, e in enumerate(aux_edges):
-        own = 3 << 2 * i
-        for n in (e.u, e.v) if i < n_unused else e.segment.nodes:
-            if n in covers:
-                covers[n] |= own
-    out = []
-    for i, e in enumerate(aux_edges):
-        rivals = inner.get(e.u, 0) | inner.get(e.v, 0)
-        if i >= n_unused:
-            for n in e.segment.nodes[1:-1]:
-                rivals |= covers[n]
-            rivals &= ~(3 << 2 * i)
-        out.append(ArcSet(rivals) if rivals else NO_ARCS)
-    return out
-
-
 def build_aux(state: RouterState, demand: Demand, working: Walk,
               segments: list[Walk]) -> AuxGraph:
     """Auxiliary search graph: unit-cost fresh-capacity arcs plus zero-cost
-    shortcut arcs, with rival marks wherever two expansions would collide."""
+    shortcut arcs, with rival marks wherever two expansions would collide.
+
+    Two aux edges are rivals when their expansions share a node that is not
+    an endpoint of both.  A fresh edge expands to its two endpoints and a
+    shortcut to every node of its segment, so only shortcuts have interior
+    nodes and two fresh edges are never rivals.  The rivals are read off two
+    node -> arc bitset indexes built from the shortcuts alone: `inner`, the
+    arcs with the node as an interior node, and `covers`, at those nodes
+    only, the arcs whose expansion covers it.  A fresh edge's rivals are
+    `inner[u] | inner[v]`; a shortcut's add the OR of `covers` over its
+    interior nodes, less its own two arcs.
+
+    Only what depends on the demand is built here; the fresh arcs come
+    prebuilt from `state.fresh_arcs()`, and a node's out-arcs are made when
+    the search first expands the node: its fresh arcs the working leaves, in
+    link order, then its shortcut arcs, in admission order.
+    """
     plan = state.plan
-    avoid = _avoiding(working.nodes, plan.mode)
-    aux_edges = [e for e in state.fresh_aux_edges() if avoid(e.u, e.v)]
-    n_unused = len(aux_edges)
+    fresh = state.fresh_arcs()
+    interior = set(working.nodes[1:-1]) if plan.mode == "node" else set()
+    links = working.link_set()
+    # the fresh edges the working excludes: its own links and, in node mode,
+    # every link at one of its interior nodes
+    gone = {state.link_index[link] for link in links}
+    for n in interior:
+        gone.update(arc.id >> 1 for arc in fresh.out[n])
+    edges = dict(fresh.edges)
+    excluded = 0
+    for i in gone:
+        edges.pop(i, None)
+        excluded |= 3 << 2 * i
     # a segment is admitted whole or not at all: it keeps off the working
     # interior (node mode) and the working links, and the plan may share
     # each of its edges with this working
-    interior = set(working.nodes[1:-1]) if plan.mode == "node" else set()
-    links = working.link_set()
     conflicts = plan.conflicts(working)
     may_share = plan.may_share
-    for seg in segments:
-        if (interior.isdisjoint(seg.nodes) and links.isdisjoint(map(link_of, seg.edges))
-                and all(may_share(e, conflicts) for e in seg.edges)):
-            aux_edges.append(AuxEdge(*seg.ends, seg))
+    shortcuts = [seg for seg in segments
+                 if interior.isdisjoint(seg.nodes)
+                 and links.isdisjoint(map(link_of, seg.edges))
+                 and all(may_share(e, conflicts) for e in seg.edges)]
 
+    first = len(state.link_index)
+    inner: dict[str, int] = {}
+    for i, seg in enumerate(shortcuts, first):
+        own = 3 << 2 * i
+        for n in seg.nodes[1:-1]:
+            inner[n] = inner.get(n, 0) | own
+    covers = {n: fresh.mask[n] & ~excluded for n in inner}
+    for i, seg in enumerate(shortcuts, first):
+        own = 3 << 2 * i
+        for n in seg.nodes:
+            if n in covers:
+                covers[n] |= own
     arcs = []
-    for i, (e, rival_arcs) in enumerate(zip(aux_edges, _rival_arcs(aux_edges, n_unused))):
-        length, tiebreak = (1, 0) if e.segment is None else (0, 1)
-        arcs.append(Arc(2 * i, e.u, e.v, length, rival_arcs, tiebreak))
-        arcs.append(Arc(2 * i + 1, e.v, e.u, length, rival_arcs, tiebreak))
-    rg = RivalGraph._symmetric_by_construction(state.graph.sorted_nodes(), arcs, demand.u)
-    return AuxGraph(rg, aux_edges)
+    for i, seg in enumerate(shortcuts, first):
+        u, v = seg.ends
+        rivals = inner.get(u, 0) | inner.get(v, 0)
+        for n in seg.nodes[1:-1]:
+            rivals |= covers[n]
+        rivals = ArcSet(rivals & ~(3 << 2 * i))
+        arcs += (Arc(2 * i, u, v, 0, rivals, 1), Arc(2 * i + 1, v, u, 0, rivals, 1))
+        edges[i] = AuxEdge(u, v, seg)
+    # the id, duplicate and node checks of every RivalGraph, on the shortcut arcs
+    shortcut_out = RivalGraph.out_lists(state.nodes, arcs)
+    fresh_out = fresh.out
+
+    def out_arcs(x: str) -> list[Arc]:
+        at_x = inner.get(x, 0)
+        out = []
+        for arc in fresh_out[x]:
+            if not excluded >> arc.id & 1:
+                rivals = at_x | inner.get(arc.head, 0)
+                out.append(Arc(arc.id, x, arc.head, 1, ArcSet(rivals)) if rivals else arc)
+        out += shortcut_out[x]
+        return out
+
+    return AuxGraph(RivalGraph.lazy(state.nodes, demand.u, out_arcs), edges)
 
 
 def _expand_route(state: RouterState, demand: Demand, aux: AuxGraph,

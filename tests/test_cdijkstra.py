@@ -45,6 +45,13 @@ def worked_example() -> RivalGraph:
     return RivalGraph([f"v{i}" for i in range(1, 7)], arcs, "v1")
 
 
+def lazy_graph(nodes, arcs, source) -> RivalGraph:
+    """The lazy constructor over the arcs, checked by `out_lists` as the
+    router checks the arcs it hands a lazy graph."""
+    out = RivalGraph.out_lists(nodes, arcs)
+    return RivalGraph.lazy(nodes, source, lambda n: list(out[n]))
+
+
 class TestConstructionChecks:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="negative length"):
@@ -54,33 +61,66 @@ class TestConstructionChecks:
         assert Arc(0, "a", "b", 1) == Arc(0, "a", "b", 1, ArcSet(), 0)
         assert Arc(0, "a", "b", 1) != Arc(0, "a", "b", 1, tiebreak=1)
 
-    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
     def test_duplicate_arc_id_rejected(self, build):
         with pytest.raises(ValueError, match="duplicate arc id"):
             build("ab", [Arc(0, "a", "b", 1), Arc(0, "b", "a", 1)], "a")
 
-    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
     def test_unknown_node_rejected(self, build):
         with pytest.raises(ValueError, match="unknown node"):
             build("ab", [Arc(0, "a", "c", 1)], "a")
 
-    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
     def test_unknown_source_rejected(self, build):
         with pytest.raises(ValueError, match="unknown source"):
             build("ab", [Arc(0, "a", "b", 1)], "c")
 
     @pytest.mark.parametrize("bad_id", ["x", -1, True, False, 1.0, None])
-    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
     def test_arc_id_must_be_a_non_negative_int(self, build, bad_id):
         # ids are bit positions, so a name, a negative or a bool is refused
         with pytest.raises(ValueError, match="not a non-negative int"):
             build("ab", [Arc(0, "b", "a", 1), Arc(bad_id, "a", "b", 1)], "a")
 
-    @pytest.mark.parametrize("build", [RivalGraph, RivalGraph._symmetric_by_construction])
+    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
     def test_unknown_rival_bit_rejected(self, build):
         g = build("ab", [Arc(0, "a", "b", 1, ArcSet.of({0, 70}))], "a")
         with pytest.raises(ValueError, match="unknown rival 70"):
             g.is_symmetric()
+
+    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
+    def test_unknown_target_rejected(self, build):
+        g = build("ab", [Arc(0, "a", "b", 1), Arc(1, "b", "a", 1)], "a")
+        with pytest.raises(ValueError, match="unknown target 'c'"):
+            solve(g, target="c")
+
+    def test_lazy_target_with_unmade_list_accepted(self):
+        # c is known but no arc reaches it, so its out-list is never made
+        g = lazy_graph("abc", [Arc(0, "a", "b", 1), Arc(1, "b", "a", 1)], "a")
+        res = solve(g, target="c")
+        assert (res.paths, res.undecided, res.unreachable) == ({}, set(), {"c"})
+        assert set(g.out) == {"a", "b"}
+
+    def test_lazy_lists_made_on_first_expansion_only(self):
+        made = []
+        eager = worked_example()
+
+        def make(n):
+            made.append(n)
+            return list(eager.out[n])
+
+        g = RivalGraph.lazy(eager.nodes, "v1", make)
+        assert made == [] and dict(g.out) == {}
+        # the view copies every list and keeps none of them
+        assert g.arcs == eager.arcs
+        assert len(made) == 6 and dict(g.out) == {}
+        made.clear()
+        # the search makes the lists of the nodes it expands, in that order:
+        # v4 is settled before it is expanded
+        res = solve(g, target="v4")
+        assert (res.stored, res.work) == (5, 6)
+        assert made == list(g.out) == ["v1", "v5"]
 
 
 class TestSymmetrize:
@@ -424,7 +464,9 @@ def with_frozenset_rivals(g: RivalGraph) -> RivalGraph:
     assert g.is_symmetric()
     arcs = [Arc(a.id, a.tail, a.head, a.length, frozenset(a.rivals), a.tiebreak)
             for a in g.arcs.values()]
-    return RivalGraph._symmetric_by_construction(g.nodes, arcs, g.source)
+    out = RivalGraph(g.nodes, arcs, g.source)
+    out._known_symmetric = True  # as g is; a frozenset is no bitset to check
+    return out
 
 
 def relabeled(g: RivalGraph, new_id) -> RivalGraph:

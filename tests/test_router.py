@@ -13,6 +13,7 @@ import pytest
 import pxtmesh
 from pxtmesh import router
 from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
+from pxtmesh.cdijkstra import NO_ARCS, Arc, ArcSet, RivalGraph, solve
 from pxtmesh.graph import (
     UNBOUNDED,
     EdgeId,
@@ -23,11 +24,13 @@ from pxtmesh.graph import (
     classify,
     disjoint,
     is_path,
+    link_of,
     shortest_path,
 )
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry
 from pxtmesh.router import (
     AuxEdge,
+    AuxGraph,
     RouterState,
     RoutingError,
     _expand_route,
@@ -40,7 +43,7 @@ from pxtmesh.router import (
 from pxtmesh.topologies import standard_topology
 from pxtmesh.traffic import generate
 
-from test_cdijkstra import assert_matches_frozenset_search
+from test_cdijkstra import assert_matches_frozenset_search, outcome
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -190,7 +193,7 @@ def prohibited_edges(state: RouterState, working: Walk):
 
 def admitted(aux) -> list[Walk]:
     """The segments build_aux turned into shortcuts, in order."""
-    return [e.segment for e in aux.edges if e.segment is not None]
+    return [e.segment for e in aux.edges.values() if e.segment is not None]
 
 
 class TestProhibitedEdges:
@@ -239,10 +242,10 @@ class TestBuildAux:
         d = Demand(0, "A", "B")
         working = find_working(state, d)
         aux = build_aux(state, d, working, [])
-        assert all(e.segment is None for e in aux.edges)
+        assert all(e.segment is None for e in aux.edges.values())
         assert all(not a.rivals for a in aux.graph.arcs.values())
         # the working link must not appear
-        assert all({e.u, e.v} != {"A", "B"} for e in aux.edges)
+        assert all({e.u, e.v} != {"A", "B"} for e in aux.edges.values())
 
     def test_crossing_subtrails_are_rivals(self):
         g = Graph("ABCDX", [("A", "X", 2), ("X", "B", 2), ("C", "X", 2),
@@ -253,7 +256,7 @@ class TestBuildAux:
         d = Demand(0, "A", "B")
         working = walk("A", ("A", "B", 0), "B")
         aux = build_aux(state, d, working, [s1, s2])
-        shortcuts = [i for i, e in enumerate(aux.edges) if e.segment is not None]
+        shortcuts = [i for i, e in aux.edges.items() if e.segment is not None]
         assert [aux.edges[i].segment for i in shortcuts] == [s1, s2]
         assert [(aux.edges[i].u, aux.edges[i].v) for i in shortcuts] == [("A", "B"), ("C", "D")]
         i, j = shortcuts
@@ -269,15 +272,15 @@ class TestBuildAux:
         d = Demand(0, "C", "D")
         working = walk("C", ("C", "D", 0), "D")
         aux = build_aux(state, d, working, [seg])
-        (si,) = [i for i, e in enumerate(aux.edges) if e.segment is not None]
+        (si,) = [i for i, e in aux.edges.items() if e.segment is not None]
         assert aux.edges[si].segment is seg
         # unused arcs reaching E would land inside the A..B segment
         for pair in ({"E", "D"}, {"A", "E"}):
-            (ui,) = [i for i, e in enumerate(aux.edges)
+            (ui,) = [i for i, e in aux.edges.items()
                      if e.segment is None and {e.u, e.v} == pair]
             assert 2 * si in aux.graph.arcs[2 * ui].rivals
         # a disjoint unused arc is not a rival
-        (ui,) = [i for i, e in enumerate(aux.edges)
+        (ui,) = [i for i, e in aux.edges.items()
                  if e.segment is None and {e.u, e.v} == {"C", "A"}]
         assert 2 * si not in aux.graph.arcs[2 * ui].rivals
 
@@ -433,7 +436,7 @@ def test_expand_route_rejects_mismatched_shortcut(five_node):
     d = Demand(0, "C", "D")
     seg = walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")
     aux = build_aux(state, d, walk("C", ("C", "D", 0), "D"), [seg])
-    (si,) = [i for i, e in enumerate(aux.edges) if e.segment is not None]
+    (si,) = [i for i, e in aux.edges.items() if e.segment is not None]
     # the route starts at C, but the shortcut's arc leaves from A
     with pytest.raises(RoutingError, match="does not continue"):
         _expand_route(state, d, aux, (2 * si,))
@@ -484,15 +487,16 @@ def random_connected_graph(rng: random.Random, n: int, tight: bool) -> Graph:
     return Graph(nodes, [(u, v, cap()) for u, v in sorted(pairs)])
 
 
-def pairwise_rivals(aux_edges) -> set[tuple[int, int]]:
-    """Reference rival rule: expansions share a node that is not an endpoint
-    of both; two fresh-capacity edges are never rivals.  A fresh edge expands
-    to its two endpoints, a shortcut to every node of its segment."""
-    endpoints = [frozenset((e.u, e.v)) for e in aux_edges]
-    expansions = [ends if e.segment is None else frozenset(e.segment.nodes)
-                  for e, ends in zip(aux_edges, endpoints)]
+def pairwise_rivals(aux_edges: dict[int, AuxEdge]) -> set[tuple[int, int]]:
+    """Reference rival rule over edges by index: expansions share a node
+    that is not an endpoint of both; two fresh-capacity edges are never
+    rivals.  A fresh edge expands to its two endpoints, a shortcut to every
+    node of its segment."""
+    endpoints = {i: frozenset((e.u, e.v)) for i, e in aux_edges.items()}
+    expansions = {i: endpoints[i] if e.segment is None else frozenset(e.segment.nodes)
+                  for i, e in aux_edges.items()}
     out = set()
-    for i, j in itertools.combinations(range(len(aux_edges)), 2):
+    for i, j in itertools.combinations(sorted(aux_edges), 2):
         if aux_edges[i].segment is None and aux_edges[j].segment is None:
             continue
         if (expansions[i] & expansions[j]) - (endpoints[i] & endpoints[j]):
@@ -501,9 +505,10 @@ def pairwise_rivals(aux_edges) -> set[tuple[int, int]]:
 
 
 def rival_pairs(aux) -> set[tuple[int, int]]:
+    """The rival relation of aux's arcs, as pairs of edge indices."""
     arcs = aux.graph.arcs
     out = set()
-    for i in range(len(aux.edges)):
+    for i in aux.edges:
         fwd, back = arcs[2 * i].rivals, arcs[2 * i + 1].rivals
         assert fwd == back
         assert all(r ^ 1 in fwd for r in fwd)  # both arcs of a rival edge
@@ -554,6 +559,201 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
         assert state.plan.pxts == state.plan.extract_pxts()
     assert built
     assert state.plan.validate() == []
+
+
+def parent_rival_arcs(aux_edges: list[AuxEdge], n_unused: int) -> list[ArcSet]:
+    """Per aux edge, the arc ids of its rivals.
+
+    Aux edge i owns arcs 2i and 2i+1.  Two aux edges are rivals when their
+    expansions share a node that is not an endpoint of both.  The first
+    `n_unused` edges are fresh-capacity edges, which expand to their two
+    endpoints only, so two of them never are; a shortcut expands to every
+    node of its segment.  The rivals are read off two node -> arc bitset
+    indexes instead of comparing every pair: an edge's rivals are the arcs
+    of every other edge covering one of its interior nodes, plus those of
+    every edge having one of its endpoints as an interior node.  Only
+    shortcuts have interior nodes, so `inner` is built from them alone and
+    `covers` only at their interior nodes.  A fresh edge's rivals are
+    `inner[u] | inner[v]`; a shortcut's add the OR of `covers` over its
+    interior nodes, less its own two arcs.
+    """
+    inner: dict[str, int] = {}  # node -> arcs with it as an interior node
+    for i in range(n_unused, len(aux_edges)):
+        own = 3 << 2 * i
+        for n in aux_edges[i].segment.nodes[1:-1]:
+            inner[n] = inner.get(n, 0) | own
+    if not inner:
+        return [NO_ARCS] * len(aux_edges)
+    # node -> arcs whose expansion covers it, only where some edge's rivals ask
+    covers = dict.fromkeys(inner, 0)
+    for i, e in enumerate(aux_edges):
+        own = 3 << 2 * i
+        for n in (e.u, e.v) if i < n_unused else e.segment.nodes:
+            if n in covers:
+                covers[n] |= own
+    out = []
+    for i, e in enumerate(aux_edges):
+        rivals = inner.get(e.u, 0) | inner.get(e.v, 0)
+        if i >= n_unused:
+            for n in e.segment.nodes[1:-1]:
+                rivals |= covers[n]
+            rivals &= ~(3 << 2 * i)
+        out.append(ArcSet(rivals) if rivals else NO_ARCS)
+    return out
+
+
+def parent_build_aux(state: RouterState, demand: Demand, working: Walk,
+                     segments: list[Walk]) -> AuxGraph:
+    """The eager build, kept as the differential oracle of the lazy one:
+    every aux edge numbered by position, fresh ones first, and every arc and
+    out-list built up front.  As it was but for two calls whose code is
+    gone: the fresh edges come from `fresh_edges_from_scratch`, and the
+    graph is a plain RivalGraph, which solve checks for symmetry."""
+    plan = state.plan
+    avoid = _avoiding(working.nodes, plan.mode)
+    aux_edges = [e for e in fresh_edges_from_scratch(plan) if avoid(e.u, e.v)]
+    n_unused = len(aux_edges)
+    # a segment is admitted whole or not at all: it keeps off the working
+    # interior (node mode) and the working links, and the plan may share
+    # each of its edges with this working
+    interior = set(working.nodes[1:-1]) if plan.mode == "node" else set()
+    links = working.link_set()
+    conflicts = plan.conflicts(working)
+    may_share = plan.may_share
+    for seg in segments:
+        if (interior.isdisjoint(seg.nodes) and links.isdisjoint(map(link_of, seg.edges))
+                and all(may_share(e, conflicts) for e in seg.edges)):
+            aux_edges.append(AuxEdge(*seg.ends, seg))
+
+    arcs = []
+    for i, (e, rival_arcs) in enumerate(zip(aux_edges, parent_rival_arcs(aux_edges, n_unused))):
+        length, tiebreak = (1, 0) if e.segment is None else (0, 1)
+        arcs.append(Arc(2 * i, e.u, e.v, length, rival_arcs, tiebreak))
+        arcs.append(Arc(2 * i + 1, e.v, e.u, length, rival_arcs, tiebreak))
+    rg = RivalGraph(state.graph.sorted_nodes(), arcs, demand.u)
+    return AuxGraph(rg, aux_edges)
+
+
+def out_list_shapes(aux, position) -> dict[str, list[tuple]]:
+    """Each node's out-list as (edge, direction, length, tiebreak, rivals),
+    edges named by their position in aux.edges."""
+    def arc_name(a):
+        return position[a >> 1], a & 1
+
+    return {n: [(*arc_name(a.id), a.length, a.tiebreak, {arc_name(r) for r in a.rivals})
+                for a in aux.graph.out[n]] for n in aux.graph.nodes}
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_lazy_aux_graph_matches_eager_build(monkeypatch, mode):
+    """The lazy aux graph is the eager one with edges renumbered: the same
+    edges in the same order, the same rivals and out-lists, and the same
+    search, counters and protection route."""
+    real_build_aux = router.build_aux
+    skeletons = collections.defaultdict(list)  # state -> skeletons it used
+    made = total = 0
+
+    def checked_build_aux(state, demand, working, segments):
+        nonlocal made, total
+        eager = parent_build_aux(state, demand, working, segments)
+        eager = AuxGraph(eager.graph, dict(enumerate(eager.edges)))
+        lazy = real_build_aux(state, demand, working, segments)
+        skeleton = state.fresh_arcs()
+        if not skeletons[state] or skeletons[state][-1] is not skeleton:
+            skeletons[state].append(skeleton)
+        assert [(e.u, e.v, e.segment) for e in lazy.edges.values()] == \
+            [(e.u, e.v, e.segment) for e in eager.edges.values()]
+        position = {i: p for p, i in enumerate(lazy.edges)}
+
+        got = outcome(solve, lazy.graph, state.limits, demand.v)
+        want = outcome(solve, eager.graph, state.limits, demand.v)
+        assert got[0] is None and want[0] is None
+        assert got[2:] == want[2:]  # unreachable, undecided, stored, work
+        assert got[1].keys() == want[1].keys()
+        if demand.v in got[1]:
+            assert _expand_route(state, demand, lazy, got[1][demand.v].arcs) == \
+                _expand_route(state, demand, eager, want[1][demand.v].arcs)
+        made += len(lazy.graph.out)
+        total += len(lazy.graph.nodes)
+
+        assert {(position[i], position[j]) for i, j in rival_pairs(lazy)} == \
+            rival_pairs(eager)
+        assert out_list_shapes(lazy, position) == \
+            out_list_shapes(eager, dict(enumerate(eager.edges)))
+        return real_build_aux(state, demand, working, segments)
+
+    monkeypatch.setattr(router, "build_aux", checked_build_aux)
+    routed_random_plans(mode)
+    # the skeleton is rebuilt only when a link fills, which only tight graphs see
+    rebuilds = {tight: [len(seen) - 1 for state, seen in skeletons.items()
+                        if tight == any(state.graph.capacity(u, v) is not UNBOUNDED
+                                        for u, v in state.graph.links())]
+                for tight in (False, True)}
+    assert rebuilds[False] == [0, 0] and min(rebuilds[True]) > 0, rebuilds
+    # the search made fewer out-lists than there are nodes
+    assert made < total
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_reading_arcs_view_changes_no_search(monkeypatch, mode):
+    """The traced benchmark's `_count_aux` reads `aux.graph.arcs` before
+    solve: that makes none of the search's out-lists and changes no result."""
+    count_aux = load_benchmark_tracing()._count_aux
+    real_build_aux = router.build_aux
+    checked = 0
+
+    def checked_build_aux(*args):
+        nonlocal checked
+        aux = real_build_aux(*args)
+        count_aux(collections.Counter(), aux, None, args, {})
+        assert dict(aux.graph.out) == {}
+        untouched = real_build_aux(*args).graph
+        state, demand = args[:2]
+        assert outcome(solve, aux.graph, state.limits, demand.v) == \
+            outcome(solve, untouched, state.limits, demand.v)
+        assert list(aux.graph.out) == list(untouched.out)
+        checked += 1
+        return real_build_aux(*args)
+
+    monkeypatch.setattr(router, "build_aux", checked_build_aux)
+    routed_random_plans(mode, seeds=range(2))
+    assert checked > 50
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_benchmark_shortcut_count_matches_route(monkeypatch, mode):
+    """The traced benchmark's `_count_solve` counts used shortcuts as the
+    tiebreaks of `g.arcs[a]` along the found path, after solve; on routed
+    plans that is the number of shortcut edges on the chosen route."""
+    count_solve = load_benchmark_tracing()._count_solve
+    real_build_aux, real_solve = router.build_aux, router.solve
+    built = []
+    used = 0
+
+    def keep_build_aux(*args):
+        built.append(real_build_aux(*args))
+        return built[-1]
+
+    def checked_solve(g, limits, target=None):
+        nonlocal used
+        res = real_solve(g, limits, target=target)
+        aux = built[-1]
+        assert aux.graph is g
+        counts = collections.Counter()
+        count_solve(counts, res, None, (g, limits), {"target": target})
+        best = res.paths.get(target)
+        expect = 0 if best is None else \
+            sum(1 for a in best.arcs if aux.edges[a // 2].segment is not None)
+        assert counts["router.shortcuts_used"] == expect
+        assert (counts["cdijkstra.solve.work"], counts["cdijkstra.solve.stored"]) == \
+            (res.work, res.stored)
+        used += expect
+        return res
+
+    monkeypatch.setattr(router, "build_aux", keep_build_aux)
+    monkeypatch.setattr(router, "solve", checked_solve)
+    routed_random_plans(mode)
+    assert used > 20, used
 
 
 def routed_random_plans(mode, seeds=range(4), demands=40):
@@ -729,10 +929,24 @@ def test_cached_subtrails_and_fresh_edges_match_full_scans(mode, tight):
                 pass
             plan = state.plan
             fresh = fresh_edges_from_scratch(plan)
-            assert state.fresh_aux_edges() == fresh
+            skeleton = state.fresh_arcs()
+            assert list(skeleton.edges.values()) == fresh
             assert [(u, v) for u, v in g.links()
                     if plan.has_free_edge(u, v) and plan.has_free_edge(v, u)] == \
                 [(e.u, e.v) for e in fresh]
+            # link index i owns arcs 2i (u -> v) and 2i+1 (v -> u); a node
+            # lists its fresh arcs in link order, and masks both arcs of each
+            links = g.links()
+            out = {n: [] for n in nodes}
+            mask = dict.fromkeys(nodes, 0)
+            for e in fresh:
+                i = links.index((e.u, e.v))
+                out[e.u].append(Arc(2 * i, e.u, e.v, 1))
+                out[e.v].append(Arc(2 * i + 1, e.v, e.u, 1))
+                mask[e.u] |= 3 << 2 * i
+                mask[e.v] |= 3 << 2 * i
+            assert [links[i] for i in skeleton.edges] == [(e.u, e.v) for e in fresh]
+            assert skeleton.out == out and skeleton.mask == mask
             pairs = [rng.sample(nodes, 2) for _ in range(3)]
             for pxt in plan.pxts:
                 if pxt.closed:

@@ -49,11 +49,6 @@ def disjoint_pair(g: Graph, u: str, v: str, mode: str = "node") -> DisjointPair:
     return DisjointPair(best[1], best[2], mode)
 
 
-def _materialize(plan: AllocationPlan, nodes: tuple[str, ...]) -> Walk:
-    edges = tuple(plan.fresh_edge(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1))
-    return Walk(nodes, edges)
-
-
 def route_1plus1(g: Graph, demands: list[Demand], mode: str = "node") -> AllocationPlan:
     """Dedicated protection: every copy gets fresh bandwidth on both paths."""
     plan = AllocationPlan(g, mode=mode)
@@ -62,8 +57,8 @@ def route_1plus1(g: Graph, demands: list[Demand], mode: str = "node") -> Allocat
         if d.terminals not in cache:
             cache[d.terminals] = disjoint_pair(g, d.u, d.v, mode)
         pair = cache[d.terminals]
-        working = _materialize(plan, _orient(pair.working, d.u))
-        protection = _materialize(plan, _orient(pair.protection, d.u))
+        working = plan.fresh_walk(_orient(pair.working, d.u))
+        protection = plan.fresh_walk(_orient(pair.protection, d.u))
         plan.add_entry(PlanEntry(d, working, protection))
     return plan
 
@@ -134,7 +129,7 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node") -> Al
         pair = pairs.get(d.terminals)
         if pair is None:
             raise PairError(f"no {mode}-disjoint path pair between {d.u} and {d.v}")
-        working = _materialize(plan, _orient(pair.working, d.u))
+        working = plan.fresh_walk(_orient(pair.working, d.u))
         conflicts = plan.conflicts(working)
         p_nodes = _orient(pair.protection, d.u)
         p_edges = []

@@ -1,8 +1,9 @@
 """Command-line front end for topology inspection, traffic generation,
 routing, plan validation, failure simulation, and the experiment sweeps.
 
-Exit codes: 0 success, 1 validation or audit failure, 2 usage error,
-3 search resource limit exceeded.
+Exit codes: 0 success, 1 validation or audit failure, 2 usage error
+(an input file that cannot be read is one), 3 search resource limit exceeded.
+Every command runs under one map from exception to exit code, `_Commands`.
 """
 
 from __future__ import annotations
@@ -15,20 +16,21 @@ import click
 from .baselines import PairError
 from .cdijkstra import DEFAULT_LIMITS, SearchLimits
 from .experiments import (
-    ExperimentConfig,
     PATTERNS,
     SCHEMES,
-    run_experiment,
+    ExperimentReport,
+    route_with_scheme,
+    run_instance,
     table1,
     write_outputs,
 )
+from .experiments import traffic_spec as make_traffic_spec
 from .failsim import AuditError, audit
-from .graph import GraphError, distance_sum, dump_graph
+from .graph import Graph, GraphError, distance_sum, dump_graph
 from .plan import AllocationPlan, PlanError
 from .router import RoutingError
-from .topologies import TOPOLOGY_NAMES, TopologyError, load_topology
+from .topologies import TOPOLOGY_NAMES, load_topology
 from .traffic import dump_demands, generate, load_demands
-from .experiments import traffic_spec as make_traffic_spec
 
 
 def _fail(message: str, code: int) -> None:
@@ -36,11 +38,29 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _load_graph_arg(graph: str, murakami_file: str | None):
+class _Commands(click.Group):
+    """The command group; it maps what a command raises to an exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RoutingError as exc:
+            _fail(str(exc), 3 if exc.resource_limit else 1)
+        except (PairError, PlanError, AuditError) as exc:
+            _fail(str(exc), 1)
+        # ValueError covers TopologyError and GraphError; it comes after the
+        # clause above, since PairError and PlanError are ValueErrors too
+        except (ValueError, OSError) as exc:
+            _fail(str(exc), 2)
+
+
+def _load_plan(g: Graph, plan_file: str) -> AllocationPlan:
+    """A plan that does not parse exits 1; a file that cannot be read, 2."""
+    text = Path(plan_file).read_text()
     try:
-        return load_topology(graph, murakami_file)
-    except (TopologyError, GraphError, OSError) as exc:
-        _fail(str(exc), 2)
+        return AllocationPlan.parse(g, text)
+    except (PlanError, GraphError) as exc:
+        _fail(f"unparseable plan: {exc}", 1)
 
 
 def _limits(max_partial_paths: int | None, max_work: int | None) -> SearchLimits:
@@ -66,7 +86,7 @@ max_work_option = click.option(
     help="probe-work limit for the constrained search")
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(package_name="pxtmesh")
 def main():
     """Shared mesh protection planning with pre-cross-connected trails."""
@@ -78,7 +98,7 @@ def main():
 @click.option("--out", type=click.Path(), default=None, help="write the graph file here")
 def topo(graph, murakami_file, out):
     """Emit or inspect a topology."""
-    name, g = _load_graph_arg(graph, murakami_file)
+    name, g = load_topology(graph, murakami_file)
     text = dump_graph(g)
     if out:
         Path(out).write_text(text)
@@ -98,13 +118,9 @@ def topo(graph, murakami_file, out):
 @click.option("--out", type=click.Path(), default=None, help="write the demand file here")
 def traffic_cmd(graph, murakami_file, pattern, seed, large, out):
     """Generate a demand list for a traffic pattern."""
-    name, g = _load_graph_arg(graph, murakami_file)
-    try:
-        spec = make_traffic_spec(pattern, name, seed,
-                                 tuple(large.split(",")) if large else None)
-        demands = generate(g, spec)
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    name, g = load_topology(graph, murakami_file)
+    spec = make_traffic_spec(pattern, name, seed, tuple(large.split(",")) if large else None)
+    demands = generate(g, spec)
     text = dump_demands(demands)
     if out:
         Path(out).write_text(text)
@@ -130,32 +146,22 @@ def traffic_cmd(graph, murakami_file, pattern, seed, large, out):
 def route(graph, murakami_file, pattern, seed, demands_file, scheme, mode, large,
           out, verbose, max_partial_paths, max_work):
     """Route one traffic instance into an allocation plan."""
-    from .experiments import route_with_scheme
-
-    name, g = _load_graph_arg(graph, murakami_file)
+    name, g = load_topology(graph, murakami_file)
     if (pattern is None) == (demands_file is None):
         _fail("give exactly one of --pattern or --demands", 2)
-    try:
-        if demands_file:
-            demands = load_demands(g, Path(demands_file).read_text())
-        else:
-            spec = make_traffic_spec(pattern, name, seed,
-                                     tuple(large.split(",")) if large else None)
-            demands = generate(g, spec)
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    if demands_file:
+        demands = load_demands(g, Path(demands_file).read_text())
+    else:
+        spec = make_traffic_spec(pattern, name, seed,
+                                 tuple(large.split(",")) if large else None)
+        demands = generate(g, spec)
     log: list[str] | None = [] if verbose else None
     try:
         plan = route_with_scheme(g, scheme, demands, mode=mode,
                                  limits=_limits(max_partial_paths, max_work), log=log)
-    except RoutingError as exc:
+    finally:  # the log comes before the error line when routing fails
         if log:
             click.echo("\n".join(log), err=True)
-        _fail(str(exc), 3 if exc.resource_limit else 1)
-    except (PairError, PlanError) as exc:
-        _fail(str(exc), 1)
-    if log:
-        click.echo("\n".join(log), err=True)
     working, protection, total = plan.bandwidth()
     click.echo(f"{len(demands)} demands routed ({scheme}): working {working}, "
                f"protection {protection}, total {total}")
@@ -172,11 +178,7 @@ def route(graph, murakami_file, pattern, seed, demands_file, scheme, mode, large
 @click.option("--plan", "plan_file", type=click.Path(exists=True), required=True)
 def validate(graph, murakami_file, plan_file):
     """Check a plan file against the sharing rules."""
-    name, g = _load_graph_arg(graph, murakami_file)
-    try:
-        plan = AllocationPlan.parse(g, Path(plan_file).read_text())
-    except (PlanError, GraphError) as exc:
-        _fail(f"unparseable plan: {exc}", 1)
+    plan = _load_plan(load_topology(graph, murakami_file)[1], plan_file)
     violations = plan.validate()
     if violations:
         for v in violations:
@@ -198,19 +200,12 @@ def validate(graph, murakami_file, plan_file):
 @click.option("--csv", "csv_out", type=click.Path(), default=None)
 def simulate(graph, murakami_file, plan_file, mode, csv_out):
     """Sweep single failures and audit restoration semantics."""
-    name, g = _load_graph_arg(graph, murakami_file)
-    try:
-        plan = AllocationPlan.parse(g, Path(plan_file).read_text())
-    except (PlanError, GraphError) as exc:
-        _fail(f"unparseable plan: {exc}", 1)
+    plan = _load_plan(load_topology(graph, murakami_file)[1], plan_file)
     violations = plan.validate()
     if violations:
         _fail(f"plan invalid ({len(violations)} violation(s)); audit needs a "
               f"valid plan", 1)
-    try:
-        report = audit(plan, mode=mode)
-    except AuditError as exc:
-        _fail(str(exc), 1)
+    report = audit(plan, mode=mode)
     click.echo(report.summary())
     if csv_out:
         Path(csv_out).write_text(report.to_csv())
@@ -224,7 +219,7 @@ def simulate(graph, murakami_file, plan_file, mode, csv_out):
 @click.option("--scheme", type=click.Choice(SCHEMES), default="pxt")
 @mode_option
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--runs", type=int, default=1, show_default=True)
+@click.option("--runs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--large", default=None)
 @click.option("--out", type=click.Path(), default=None,
               help="directory for runs.csv")
@@ -237,22 +232,13 @@ def simulate(graph, murakami_file, plan_file, mode, csv_out):
 def run(graph, murakami_file, pattern, scheme, mode, seed, runs, large, out,
         measure_runtime, verbose, max_partial_paths, max_work):
     """Run one experiment instance over one or more seeds."""
-    if runs < 1:
-        _fail("--runs must be at least 1", 2)
-    config = ExperimentConfig(
-        graph=graph, pattern=pattern, scheme=scheme, mode=mode, seed=seed,
-        runs=runs, limits=_limits(max_partial_paths, max_work),
-        murakami_file=murakami_file,
-        large=tuple(large.split(",")) if large else None,
-        measure_runtime=measure_runtime)
-    try:
-        report = run_experiment(config)
-    except RoutingError as exc:
-        _fail(str(exc), 3 if exc.resource_limit else 1)
-    except (PairError, PlanError, AuditError) as exc:
-        _fail(str(exc), 1)
-    except (TopologyError, ValueError) as exc:
-        _fail(str(exc), 2)
+    name, g = load_topology(graph, murakami_file)
+    limits = _limits(max_partial_paths, max_work)
+    large_nodes = tuple(large.split(",")) if large else None
+    report = ExperimentReport([
+        run_instance(name, g, pattern, scheme, s, mode=mode, limits=limits,
+                     large=large_nodes, measure_runtime=measure_runtime)
+        for s in range(seed, seed + runs)])
     if verbose:
         for row in report.rows:
             click.echo(row.csv_row(), err=True)
@@ -268,7 +254,7 @@ def run(graph, murakami_file, pattern, scheme, mode, seed, runs, large, out,
 @murakami_option
 @click.option("--pattern", "patterns", type=click.Choice(PATTERNS), multiple=True,
               help="restrict to one or more patterns (default: all)")
-@click.option("--runs", type=int, default=10, show_default=True,
+@click.option("--runs", type=click.IntRange(min=1), default=10, show_default=True,
               help="seeds per order-dependent cell (Path, PXT medians)")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None,
@@ -277,19 +263,9 @@ def run(graph, murakami_file, pattern, scheme, mode, seed, runs, large, out,
 @max_work_option
 def table1_cmd(murakami_file, patterns, runs, seed, out, max_partial_paths, max_work):
     """Reproduce the full published bandwidth comparison."""
-    if runs < 1:
-        _fail("--runs must be at least 1", 2)
-    try:
-        report = table1(runs=runs, seed=seed,
-                        patterns=patterns or PATTERNS,
-                        murakami_file=murakami_file,
-                        limits=_limits(max_partial_paths, max_work))
-    except RoutingError as exc:
-        _fail(str(exc), 3 if exc.resource_limit else 1)
-    except (PairError, PlanError, AuditError) as exc:
-        _fail(str(exc), 1)
-    except (TopologyError, ValueError) as exc:
-        _fail(str(exc), 2)
+    report = table1(runs=runs, seed=seed, patterns=patterns or PATTERNS,
+                    murakami_file=murakami_file,
+                    limits=_limits(max_partial_paths, max_work))
     text = report.render()
     click.echo(text, nl=False)
     if out:

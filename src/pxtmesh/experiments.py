@@ -136,23 +136,6 @@ def run_instance(graph_name: str, g: Graph, pattern: str, scheme: str, seed: int
 
 
 @dataclass
-class ExperimentConfig:
-    graph: str                      # topology name or graph file path
-    pattern: str
-    scheme: str
-    mode: str | None = None
-    seed: int = 0
-    runs: int = 1
-    limits: SearchLimits = DEFAULT_LIMITS
-    murakami_file: str | None = None
-    large: tuple[str, ...] | None = None
-    measure_runtime: bool = False
-
-    def seeds(self) -> list[int]:
-        return [self.seed + i for i in range(self.runs)]
-
-
-@dataclass
 class ExperimentReport:
     rows: list[InstanceResult]
 
@@ -166,18 +149,6 @@ class ExperimentReport:
                 f"protection min {min(protections)} / median "
                 f"{statistics.median(protections):g} / max {max(protections)} "
                 f"over {len(self.rows)} run(s)")
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    from .topologies import load_topology
-
-    name, g = load_topology(config.graph, config.murakami_file)
-    rows = [run_instance(name, g, config.pattern, config.scheme, seed,
-                         mode=config.mode, limits=config.limits,
-                         large=config.large,
-                         measure_runtime=config.measure_runtime)
-            for seed in config.seeds()]
-    return ExperimentReport(rows)
 
 
 @dataclass

@@ -203,9 +203,8 @@ class AllocationPlan:
         # cross-connect pairing and incremental trail state (only when rule d
         # is enforced; without it the pairing is not well defined)
         self._partner: dict[tuple[EdgeId, str], EdgeId] = {}
-        self._trails: dict[int, _Trail] = {}
-        self._trail_ends: dict[tuple[EdgeId, str], int] = {}
-        self._next_trail_id = 0
+        self._trails: set[_Trail] = set()
+        self._trail_ends: dict[tuple[EdgeId, str], _Trail] = {}
         self._ranked: list[_Trail] | None = None  # trails in canonical order
 
     # -- edge pool ---------------------------------------------------------
@@ -237,6 +236,10 @@ class AllocationPlan:
             k += 1
         self._unused_from[link] = k
         return self.graph.edge(u, v, k)
+
+    def fresh_walk(self, nodes: tuple[str, ...]) -> Walk:
+        """The route through `nodes` over each link's fresh_edge, in order."""
+        return Walk(nodes, tuple(self.fresh_edge(a, b) for a, b in zip(nodes, nodes[1:])))
 
     def role(self, edge: EdgeId) -> str | None:
         return self._roles.get(edge)
@@ -381,26 +384,23 @@ class AllocationPlan:
     # -- incremental PXT maintenance ----------------------------------------
 
     def _new_singleton_trail(self, e: EdgeId) -> None:
-        tid = self._next_trail_id
-        self._next_trail_id += 1
         t = _Trail([e.u, e.v], [e])
-        self._trails[tid] = t
-        self._trail_ends[(e, e.u)] = tid
-        self._trail_ends[(e, e.v)] = tid
+        self._trails.add(t)
+        self._trail_ends[(e, e.u)] = t
+        self._trail_ends[(e, e.v)] = t
         self._ranked = None
 
     def _connect(self, e: EdgeId, f: EdgeId, x: str) -> None:
-        t1 = self._trail_ends.pop((e, x))
-        t2 = self._trail_ends.pop((f, x))
+        a = self._trail_ends.pop((e, x))
+        b = self._trail_ends.pop((f, x))
         self._partner[(e, x)] = f
         self._partner[(f, x)] = e
-        a = self._trails[t1]
         a.cached = a.pos = None
         self._ranked = None
-        if t1 == t2:
+        if a is b:
             a.closed = True
             return
-        b = self._trails.pop(t2)
+        self._trails.remove(b)
         if a.end_slots()[1] != (e, x):
             a.reverse()
         if b.end_slots()[0] != (f, x):
@@ -408,12 +408,13 @@ class AllocationPlan:
         a.nodes.extend(b.nodes[1:])
         a.edges.extend(b.edges)
         # b's far end, the only end slot it had left, is now a's
-        self._trail_ends[a.end_slots()[1]] = t1
+        self._trail_ends[a.end_slots()[1]] = a
 
     def _ranked_trails(self) -> list[_Trail]:
         """The trails in canonical PXT order, cached until a trail changes."""
         if self._ranked is None:
-            self._ranked = sorted(self._trails.values(), key=lambda t: t.canonical()[0])
+            # the key is unique per trail, so the set's order never shows
+            self._ranked = sorted(self._trails, key=lambda t: t.canonical()[0])
         return self._ranked
 
     @property

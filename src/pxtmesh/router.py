@@ -189,8 +189,7 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
     # the first feasible route in rank order is the best feasible one, so
     # the detour search runs only until one is found
     nodes = next((p for p in ranked if _protection_feasible(state, p)), ranked[0])
-    edges = tuple(plan.fresh_edge(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1))
-    return Walk(nodes, edges)
+    return plan.fresh_walk(nodes)
 
 
 def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:

@@ -15,6 +15,15 @@ def runner():
     return CliRunner()
 
 
+def run_cli_process(*args: str) -> subprocess.CompletedProcess:
+    """`python -m pxtmesh.cli` in a child process, importing this checkout's pxtmesh."""
+    src = str(Path(pxtmesh.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "pxtmesh.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestTopo:
     def test_builtin(self, runner):
         r = runner.invoke(main, ["topo", "--graph", "icosahedron"])
@@ -135,12 +144,7 @@ class TestRouteValidateSimulate:
     def test_malformed_plan_fails_without_traceback(self, tmp_path, command):
         bad = tmp_path / "bad.txt"
         bad.write_text("pxtmesh-plan 1\nmode\n")
-        src = str(Path(pxtmesh.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        run = subprocess.run(
-            [sys.executable, "-m", "pxtmesh.cli", command, "--graph", "k66",
-             "--plan", str(bad)], env=env, capture_output=True, text=True, timeout=60)
+        run = run_cli_process(command, "--graph", "k66", "--plan", str(bad))
         assert run.returncode == 1
         assert run.stderr == "error: unparseable plan: line 2: 'mode' needs an argument\n"
         assert "Traceback" not in run.stderr + run.stdout
@@ -172,9 +176,11 @@ class TestRun:
         assert a.output == b.output
 
     def test_runs_must_be_positive(self, runner):
-        r = runner.invoke(main, ["run", "--graph", "k66", "--pattern", "neighbor",
-                                 "--scheme", "pxt", "--runs", "0"])
-        assert r.exit_code == 2
+        for command in (["run", "--graph", "k66", "--pattern", "neighbor", "--scheme", "pxt"],
+                        ["table1", "--pattern", "neighbor"]):
+            r = runner.invoke(main, [*command, "--runs", "0"])
+            assert r.exit_code == 2, r.output
+            assert "Invalid value for '--runs': 0 is not in the range x>=1." in r.output
 
 
 class TestTable1Command:
@@ -218,6 +224,33 @@ def test_baseline_routes_pair_beside_pendant_node(runner, tmp_path, scheme):
     assert r.exit_code == 0, r.output
     assert "1 demands routed" in r.output
     assert "working 1, protection 2, total 3" in r.output
+
+
+UNREADABLE_INPUTS = {
+    "run --graph": ["run", "--graph", "{dir}", "--pattern", "neighbor"],
+    "table1 --murakami-file": ["table1", "--pattern", "neighbor", "--runs", "1",
+                               "--murakami-file", "{dir}"],
+    "table1 --murakami-file missing": ["table1", "--pattern", "neighbor", "--runs", "1",
+                                       "--murakami-file", "{dir}/missing.graph"],
+    "validate --plan": ["validate", "--graph", "k66", "--plan", "{dir}"],
+    "simulate --plan": ["simulate", "--graph", "k66", "--plan", "{dir}"],
+    "route --demands": ["route", "--graph", "k66", "--demands", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_INPUTS)
+def test_unreadable_input_file_is_a_usage_error(runner, tmp_path, name):
+    args = [a.format(dir=tmp_path) for a in UNREADABLE_INPUTS[name]]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "error: " in r.output
+    assert "Traceback" not in r.output
+    # a child process shows what a user sees: CliRunner catches exceptions itself
+    run = run_cli_process(*args)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr + run.stdout
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

@@ -1,14 +1,15 @@
 import pytest
+from click.testing import CliRunner
 
+from pxtmesh.cli import main
 from pxtmesh.experiments import (
     CSV_HEADER,
-    ExperimentConfig,
     REFERENCE,
-    run_experiment,
     run_instance,
     table1,
     traffic_spec,
 )
+from pxtmesh.graph import dump_graph
 from pxtmesh.topologies import standard_topology
 
 
@@ -39,12 +40,21 @@ class TestRunInstance:
         assert len({r.working for r in rows}) == 1
 
 
+def run_csv(tmp_path, *args: str) -> tuple[str, str]:
+    """`pxtmesh run` with `args`: its summary line and the runs.csv it wrote."""
+    r = CliRunner().invoke(main, ["run", *args, "--out", str(tmp_path)])
+    assert r.exit_code == 0, r.output
+    return r.output.splitlines()[0], (tmp_path / "runs.csv").read_text()
+
+
 class TestRunExperiment:
-    def test_csv_shape_and_determinism(self):
-        config = ExperimentConfig(graph="icosahedron", pattern="neighbor",
-                                  scheme="pxt", seed=5, runs=2)
-        a = run_experiment(config).to_csv()
-        b = run_experiment(config).to_csv()
+    """One experiment instance over consecutive seeds, through `pxtmesh run`."""
+
+    def test_csv_shape_and_determinism(self, tmp_path):
+        args = ["--graph", "icosahedron", "--pattern", "neighbor", "--scheme", "pxt",
+                "--seed", "5", "--runs", "2"]
+        a = run_csv(tmp_path / "a", *args)[1]
+        b = run_csv(tmp_path / "b", *args)[1]
         assert a == b
         lines = a.splitlines()
         assert lines[0] == CSV_HEADER
@@ -52,24 +62,22 @@ class TestRunExperiment:
         assert lines[1].startswith("icosahedron,neighbor,pxt,5,300,")
         assert lines[1].endswith(",0")
 
-    def test_seeds_vary_protection(self):
-        config = ExperimentConfig(graph="k66", pattern="uniform", scheme="pxt",
-                                  seed=0, runs=3)
-        rows = run_experiment(config).rows
-        assert [r.seed for r in rows] == [0, 1, 2]
+    def test_seeds_vary_protection(self, tmp_path):
+        csv = run_csv(tmp_path, "--graph", "k66", "--pattern", "uniform", "--scheme", "pxt",
+                      "--seed", "0", "--runs", "3")[1]
+        assert [row.split(",")[3] for row in csv.splitlines()[1:]] == ["0", "1", "2"]
 
-    def test_summary_mentions_median(self):
-        config = ExperimentConfig(graph="k66", pattern="neighbor",
-                                  scheme="one-plus-one", seed=0, runs=1)
-        assert "median" in run_experiment(config).summary()
+    def test_summary_mentions_median(self, tmp_path):
+        summary = run_csv(tmp_path, "--graph", "k66", "--pattern", "neighbor",
+                          "--scheme", "one-plus-one", "--seed", "0", "--runs", "1")[0]
+        assert "median" in summary
 
     def test_graph_file_path(self, tmp_path):
-        from pxtmesh.graph import dump_graph
         f = tmp_path / "ico.graph"
         f.write_text(dump_graph(standard_topology("icosahedron")))
-        config = ExperimentConfig(graph=str(f), pattern="neighbor",
-                                  scheme="one-plus-one")
-        assert run_experiment(config).rows[0].graph == "ico"
+        csv = run_csv(tmp_path, "--graph", str(f), "--pattern", "neighbor",
+                      "--scheme", "one-plus-one")[1]
+        assert csv.splitlines()[1].split(",")[0] == "ico"
 
 
 @pytest.fixture(scope="module")

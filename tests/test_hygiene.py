@@ -1,7 +1,7 @@
 """Source hygiene checks that need no linter: every import in src/pxtmesh is
-used, no module guards an invariant with `assert`, which `python -O` strips,
-every function, method and class defined there is named somewhere else, and
-every field it declares is read somewhere."""
+used and sits at module level, no module guards an invariant with `assert`,
+which `python -O` strips, every function, method and class defined there is
+named somewhere else, and every field it declares is read somewhere."""
 
 import ast
 import re
@@ -67,6 +67,34 @@ def test_check_sees_string_annotations_and_unused_names():
     tree = ast.parse("from x import A, B, C\n"
                      "def f(a: 'A') -> 'list[B]':\n    pass\n")
     assert set(_imported(tree)) - _used(tree) == {"C"}
+
+
+def function_imports(path: Path) -> list[str]:
+    """`module:line` of each import inside a function body, nested ones once."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = {node.lineno for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert function_imports(path) == [], f"{path.name} imports inside a function"
+
+
+def test_function_import_check_sees_nested_bodies(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import os\n"
+                   "class C:\n"
+                   "    def method(self):\n"
+                   "        from . import x\n"
+                   "def outer():\n"
+                   "    if os:\n"
+                   "        import sys\n"
+                   "    def inner():\n"
+                   "        import json\n")
+    assert function_imports(mod) == ["mod.py:4", "mod.py:7", "mod.py:9"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -697,7 +697,7 @@ class _Untouchable:
 
 INCREMENTAL_STATE = ("_roles", "_used_ordinals", "_unused_from", "_free", "_protection_users",
                      "_working_on_link", "_working_end", "_working_interior", "_partner",
-                     "_trails", "_trail_ends", "_next_trail_id", "_ranked")
+                     "_trails", "_trail_ends", "_ranked")
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])

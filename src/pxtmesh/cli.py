@@ -83,7 +83,7 @@ max_paths_option = click.option(
     help="stored-partial-path limit for the constrained search")
 max_work_option = click.option(
     "--max-work", type=click.IntRange(min=1), default=None,
-    help="probe-work limit for the constrained search")
+    help="probe-work limit for the constrained search and the working-route search")
 
 
 @click.group(cls=_Commands)

@@ -240,17 +240,20 @@ def table1(runs: int = 10, seed: int = 0, patterns=PATTERNS,
            limits: SearchLimits = DEFAULT_LIMITS) -> Table1Report:
     """Reproduce the full published comparison, one row per (pattern, graph)."""
     report = Table1Report([], runs, seed)
+    # every topology is built, and the data file read, before the first row
+    graphs = {name: standard_topology(name, murakami_file) for name in TOPOLOGY_ORDER
+              if name != "murakami_kim" or murakami_file is not None}
     for pattern in patterns:
         for name in TOPOLOGY_ORDER:
             ref_w, ref_1p1, ref_path, ref_pxt = REFERENCE[(pattern, name)]
-            if name == "murakami_kim" and murakami_file is None:
+            if name not in graphs:
                 report.rows.append(Table1Row(
                     pattern, name, *(Table1Cell(None, "skipped") for _ in range(4)),
                     skipped=True))
                 report.notices.append(
                     f"note: {pattern}/{name} skipped (supply --murakami-file)")
                 continue
-            g = standard_topology(name, murakami_file)
+            g = graphs[name]
             seeds = [seed + i for i in range(runs)]
             one = run_instance(name, g, pattern, "one-plus-one", seeds[0], limits=limits)
             paths = [run_instance(name, g, pattern, "shared-path", s, limits=limits)

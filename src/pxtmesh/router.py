@@ -41,12 +41,18 @@ recomputing it:
   the fresh-capacity aux edges and arcs built from it, with stable ids by
   link index; they are rebuilt only when that set shrinks.  Per demand, the
   working path excludes some of them by one bitset, and a fresh arc is copied
-  only to carry rivals, when its ends are interior to an admitted shortcut.
+  only to carry rivals, when its ends are interior to an admitted shortcut;
+- RouterState keeps, per target, the shortest-route DAG over the links with
+  spare capacity, dropped like the fresh arcs when that set shrinks.  The
+  working route is drawn from it in rank order, least usage then nodes: the
+  first by greedy descent along the exact least remaining usage, the rest,
+  only when the first leaves no disjoint detour, by a best-first search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .cdijkstra import (
     DEFAULT_LIMITS,
@@ -60,9 +66,11 @@ from .cdijkstra import (
 from .graph import (
     EdgeId,
     Graph,
+    GraphError,
     Walk,
-    all_shortest_paths,
+    bfs_distances,
     is_path,
+    link_key,
     link_of,
 )
 from .plan import AllocationPlan, Demand, PlanEntry, PlanError
@@ -108,6 +116,13 @@ class FreshArcs:
     mask: dict[str, int]  # node -> the bits of every fresh arc at it
 
 
+# a shortest-route DAG towards one target over the links with spare
+# capacity: each node that reaches the target -> its successors, the
+# neighbours one hop closer over a free link, in neighbour order, each with
+# the key of the link to it
+WorkingDag = dict[str, tuple[tuple[str, tuple[str, str]], ...]]
+
+
 class RouterState:
     """Owns the growing plan; route() calls must stay sequential."""
 
@@ -121,6 +136,12 @@ class RouterState:
         self.nodes = tuple(graph.sorted_nodes())
         self.link_index = {link: i for i, link in enumerate(graph.links())}
         self._fresh: FreshArcs | None = None
+        # each node's neighbours in order, each with the key of the link to
+        # it; every cached DAG shares these pairs
+        self._steps = {x: tuple((w, link_key(x, w)) for w in graph.neighbors(x))
+                       for x in self.nodes}
+        self._dags: dict[str, WorkingDag] = {}
+        self._dags_free = len(self.plan._free)  # len(plan._free) when cached
 
     def route(self, demand: Demand) -> PlanEntry:
         return route_demand(self, demand)
@@ -140,12 +161,47 @@ class RouterState:
             self._fresh = FreshArcs(len(free), edges, out, mask)
         return self._fresh
 
+    def working_dag(self, target: str) -> WorkingDag:
+        """The shortest-route DAG towards `target`, cached per target and
+        dropped when the plan's set of free links has shrunk."""
+        free = self.plan._free
+        if self._dags_free != len(free):
+            self._dags = {}
+            self._dags_free = len(free)
+        dag = self._dags.get(target)
+        if dag is None:
+            dist = bfs_distances(self.graph, target, self.plan.has_free_edge)
+            dag = self._dags[target] = {
+                x: tuple(step for step in self._steps[x]
+                         if dist.get(step[0]) == d - 1 and (x, step[0]) in free)
+                for x, d in dist.items()}
+        return dag
 
-def _protection_feasible(state: RouterState, nodes: tuple[str, ...]) -> bool:
+
+class _Work:
+    """The probe work of one working-route search, against `max_work`."""
+
+    __slots__ = ("done", "limit", "demand")
+
+    def __init__(self, limit: int, demand: Demand):
+        self.done = 0
+        self.limit = limit
+        self.demand = demand
+
+    def add(self, n: int) -> None:
+        self.done += n
+        if self.done > self.limit:
+            raise RoutingError(f"demand {self.demand.id}: working-route search "
+                               f"exceeded the work limit", resource_limit="work")
+
+
+def _protection_feasible(state: RouterState, nodes: tuple[str, ...],
+                         work: _Work | None = None) -> bool:
     """Cheap sufficient check: a disjoint all-fresh detour exists.
 
     A depth-first search from one end over links with spare capacity that
     keep off the route, stopping the first time it reaches the other end.
+    With `work`, the links at each node it expands count against it.
     """
     plan = state.plan
     start, goal = nodes[0], nodes[-1]
@@ -158,6 +214,8 @@ def _protection_feasible(state: RouterState, nodes: tuple[str, ...]) -> bool:
     neighbors = state.graph.neighbors
     while stack:
         x = stack.pop()
+        if work is not None:
+            work.add(len(neighbors(x)))
         for w in neighbors(x):
             if w not in seen and (x, w) in free and (x, w) not in route:
                 if w == goal:
@@ -174,22 +232,59 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
     (spreading copies of repeated demands apart so their backups can share),
     then lexicographically.  Routes whose interior would cut the terminals
     off from any disjoint protection are avoided when an alternative exists.
+
+    The routes are drawn in that rank order from the target's cached DAG,
+    never listed.  `h[x]` is the least usage left from x to the target; the
+    first route steps from each node x to its first successor w with
+    usage(x, w) + h[w] == h[x].  Only when that route has no detour does a
+    best-first search on (usage so far + h, prefix) yield the rest, in
+    order, until one has one.  Heap pushes and the links the detour
+    searches probe count against `limits.max_work`.
     """
-    plan = state.plan
-
-    def rank(p):
-        usage = sum(plan.used_on_link(p[i], p[i + 1]) for i in range(len(p) - 1))
-        return (usage, p)
-
-    ranked = sorted(all_shortest_paths(state.graph, demand.u, demand.v, plan.has_free_edge),
-                    key=rank)
-    if not ranked:
+    u, v = demand.u, demand.v
+    nodes = state.graph.nodes
+    if u not in nodes or v not in nodes:
+        raise GraphError(f"unknown terminal {u if u not in nodes else v}")
+    succ = state.working_dag(v)
+    if u not in succ:
         raise RoutingError(f"demand {demand.id}: no working route "
-                           f"between {demand.u} and {demand.v}")
-    # the first feasible route in rank order is the best feasible one, so
-    # the detour search runs only until one is found
-    nodes = next((p for p in ranked if _protection_feasible(state, p)), ranked[0])
-    return plan.fresh_walk(nodes)
+                           f"between {u} and {v}")
+    # the part of the DAG that u reaches, layer by layer up to v's
+    layers = []
+    layer = {u: None}
+    while v not in layer:
+        layers.append(layer)
+        layer = dict.fromkeys([w for x in layer for w, _ in succ[x]])
+    # h[x] is the least usage left from x; steps[x] lists, in successor
+    # order, (the least usage left from x through successor w, w)
+    usage = state.plan._used_ordinals.get  # used_on_link, by the DAG's link keys
+    h = {v: 0}
+    steps = {}
+    for layer in reversed(layers):
+        for x in layer:
+            steps[x] = step = [(len(usage(link, ())) + h[w], w) for w, link in succ[x]]
+            h[x] = min(step)[0]
+    route = [u]
+    while (x := route[-1]) != v:
+        route.append(next(w for t, w in steps[x] if t == h[x]))
+    first = tuple(route)
+    work = _Work(state.limits.max_work, demand)
+    if _protection_feasible(state, first, work):
+        return state.plan.fresh_walk(first)
+    # the rest in rank order: a prefix's key is a lower bound on the key
+    # (usage, nodes) of every route through it, so routes pop sorted
+    heap = [(h[u], (u,))]
+    while heap:
+        key, prefix = heappop(heap)
+        x = prefix[-1]
+        if x != v:
+            work.add(len(steps[x]))
+            g = key - h[x]  # the usage of the prefix
+            for t, w in steps[x]:
+                heappush(heap, (g + t, prefix + (w,)))
+        elif prefix != first and _protection_feasible(state, prefix, work):
+            return state.plan.fresh_walk(prefix)
+    return state.plan.fresh_walk(first)
 
 
 def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:

@@ -18,6 +18,10 @@ _MASK = (1 << 64) - 1
 # nodes, a small and a large node, and two large nodes.
 K_SS, K_SL, K_LL = 2, 8, 14
 
+# The most demands one demand file may hold, so that no count makes
+# load_demands allocate without bound; the largest published instance has 360.
+MAX_DEMANDS = 100_000
+
 
 class SplitMix64:
     """Tiny deterministic PRNG (the standard SplitMix64 constants)."""
@@ -117,6 +121,7 @@ def dump_demands(demands: list[Demand]) -> str:
 
 
 def load_demands(g: Graph, text: str) -> list[Demand]:
+    """Parse `demand <u> <v> [count]` lines, at most MAX_DEMANDS in all."""
     out: list[Demand] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -137,6 +142,8 @@ def load_demands(g: Graph, text: str) -> list[Demand]:
             raise ValueError(f"line {lineno}: terminals must be distinct")
         if count <= 0:
             raise ValueError(f"line {lineno}: count must be positive")
+        if len(out) + count > MAX_DEMANDS:
+            raise ValueError(f"line {lineno}: more than {MAX_DEMANDS} demands in one file")
         for _ in range(count):
             out.append(Demand(len(out), u, v))
     return out

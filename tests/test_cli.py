@@ -7,7 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 import pxtmesh
+from pxtmesh import experiments
 from pxtmesh.cli import main
+from pxtmesh.traffic import MAX_DEMANDS
 
 
 @pytest.fixture
@@ -251,6 +253,24 @@ def test_unreadable_input_file_is_a_usage_error(runner, tmp_path, name):
     assert run.returncode == 2
     assert run.stderr.startswith("error: ")
     assert "Traceback" not in run.stderr + run.stdout
+
+
+def test_table1_reads_murakami_file_before_the_first_row(runner, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "run_instance", lambda *a, **k: calls.append(a))
+    r = runner.invoke(main, ["table1", "--runs", "1",
+                             "--murakami-file", str(tmp_path / "missing.graph")])
+    assert r.exit_code == 2, r.output
+    assert "missing.graph" in r.output
+    assert calls == []
+
+
+def test_demand_file_over_the_cap_is_a_usage_error(runner, tmp_path):
+    demands = tmp_path / "d.txt"
+    demands.write_text("demand a0 b0 999999999999\n")
+    r = runner.invoke(main, ["route", "--graph", "k66", "--demands", str(demands)])
+    assert r.exit_code == 2, r.output
+    assert f"error: line 1: more than {MAX_DEMANDS} demands in one file" in r.output
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

@@ -13,7 +13,7 @@ import pytest
 import pxtmesh
 from pxtmesh import router
 from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
-from pxtmesh.cdijkstra import NO_ARCS, Arc, ArcSet, RivalGraph, solve
+from pxtmesh.cdijkstra import NO_ARCS, Arc, ArcSet, RivalGraph, SearchLimits, solve
 from pxtmesh.graph import (
     UNBOUNDED,
     EdgeId,
@@ -27,7 +27,7 @@ from pxtmesh.graph import (
     link_of,
     shortest_path,
 )
-from pxtmesh.plan import AllocationPlan, Demand, PlanEntry
+from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.router import (
     AuxEdge,
     AuxGraph,
@@ -99,6 +99,131 @@ class TestFindWorking:
         state.plan._set_role(g.edge("A", "B", 0), "working")
         with pytest.raises(RoutingError, match="no working route"):
             find_working(state, Demand(1, "A", "B"))
+
+
+def detour_trap() -> Graph:
+    """Three shortest routes A-F; the first-ranked, A-B-C-F, leaves no
+    detour in either mode, since D reaches F only through C."""
+    return Graph("ABCDEF", [(a, b, UNBOUNDED) for a, b in
+                            ["AB", "AD", "BC", "DC", "CF", "FE", "EB"]])
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_first_route_without_detour_is_passed_over(mode):
+    state = RouterState(detour_trap(), mode=mode)
+    demand = Demand(0, "A", "F")
+    assert ranked_working_oracle(state, demand) == (("A", "B", "E", "F"), 1)
+    assert find_working(state, demand).nodes == ("A", "B", "E", "F")
+
+
+@pytest.mark.parametrize("max_work", [3, 8, 16])
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_working_search_work_limit(mode, max_work):
+    # the limits bind in the first route's detour search, in the heap and
+    # in the second route's detour search; the whole search takes 17 (node
+    # mode) or 20 (link mode)
+    state = RouterState(detour_trap(), mode=mode, limits=SearchLimits(max_work=max_work))
+    with pytest.raises(RoutingError, match="working-route search exceeded the work limit") \
+            as info:
+        find_working(state, Demand(0, "A", "F"))
+    assert info.value.resource_limit == "work"
+    state = RouterState(detour_trap(), mode=mode, limits=SearchLimits(max_work=20))
+    assert find_working(state, Demand(0, "A", "F")).nodes == ("A", "B", "E", "F")
+
+
+def ranked_working_oracle(state: RouterState, demand: Demand):
+    """find_working before the cached DAG: list every shortest route over
+    links with spare capacity, sort by (usage, nodes) and take the first with
+    a detour, else the first.  Returns (route, its rank), with rank None when
+    no route has a detour and (None, None) when there is no route."""
+    plan = state.plan
+
+    def rank(p):
+        usage = sum(plan.used_on_link(p[i], p[i + 1]) for i in range(len(p) - 1))
+        return (usage, p)
+
+    ranked = sorted(all_shortest_paths(state.graph, demand.u, demand.v, plan.has_free_edge),
+                    key=rank)
+    if not ranked:
+        return None, None
+    pick = next((i for i, p in enumerate(ranked) if _protection_feasible(state, p)), None)
+    return ranked[pick or 0], pick
+
+
+def random_grid_graph(rng: random.Random) -> Graph:
+    """A random connected part of an r x c grid of 8-40 nodes: a random
+    spanning tree plus about half the other grid links, so many routes tie
+    on length; 40% of the links carry 1-3 units."""
+    r = rng.randint(2, 6)
+    c = rng.randint(-(-8 // r), 40 // r)
+    nodes = [f"n{i:02d}" for i in range(r * c)]
+    grid = [(i, i + 1) for i in range(r * c) if (i + 1) % c]
+    grid += [(i, i + c) for i in range(r * c - c)]
+    rng.shuffle(grid)
+    root = list(range(r * c))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    links = []
+    for a, b in grid:
+        if find(a) != find(b) or rng.random() < 0.5:
+            root[find(a)] = find(b)
+            cap = rng.randint(1, 3) if rng.random() < 0.4 else UNBOUNDED
+            links.append((nodes[a], nodes[b], cap))
+    return Graph(nodes, links)
+
+
+def compare_working_routes(mode: str, seeds=range(40), steps=15, checks=4):
+    """Counts of find_working against the oracle, on random grids as random
+    demands are routed into them: before each routed demand, `checks`
+    random pairs are compared on the same plan."""
+    seen = collections.Counter()
+    for seed in seeds:
+        rng = random.Random(seed)
+        g = random_grid_graph(rng)
+        nodes = g.sorted_nodes()
+        state = RouterState(g, mode=mode)
+        for did in range(steps):
+            for _ in range(checks):
+                demand = Demand(did, *rng.sample(nodes, 2))
+                want, pick = ranked_working_oracle(state, demand)
+                try:
+                    got = find_working(state, demand).nodes
+                except (RoutingError, PlanError):
+                    got = None
+                seen["mismatch"] += got != want
+                seen["no route" if want is None else "none feasible" if pick is None
+                     else "first feasible" if pick == 0 else "first rejected"] += 1
+            try:
+                route_demand(state, demand)
+            except (RoutingError, PlanError):  # a PlanError is a mismatch counted above
+                pass
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_find_working_matches_ranked_enumeration(mode):
+    seen = compare_working_routes(mode)
+    assert seen["mismatch"] == 0, seen
+    assert min(seen[k] for k in ("first rejected", "none feasible", "no route")) > 0, seen
+    assert seen["first feasible"] > 300, seen
+
+
+def test_ranked_enumeration_sees_a_dag_cache_blind_to_full_links(monkeypatch):
+    """A DAG cached per target alone, kept after links fill, is caught."""
+    cached = {}
+    real = RouterState.working_dag
+
+    def by_target_alone(state, target):
+        if (state, target) not in cached:
+            cached[state, target] = real(state, target)
+        return cached[state, target]
+
+    monkeypatch.setattr(RouterState, "working_dag", by_target_alone)
+    assert compare_working_routes("node", seeds=range(8))["mismatch"] > 5
 
 
 class TestCollectSubtrails:

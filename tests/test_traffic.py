@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from pxtmesh.plan import Demand
 from pxtmesh.topologies import LARGE_NODE_SETS, standard_topology
 from pxtmesh.traffic import (
+    MAX_DEMANDS,
     SplitMix64,
     TrafficSpec,
     base_pairs,
@@ -106,3 +109,18 @@ class TestDemandFiles:
         with pytest.raises(ValueError) as exc:
             load_demands(k66, line + "\n")
         assert str(exc.value) == f"line 1: {reason}"
+
+    def test_count_over_the_cap_fails_before_allocating(self, k66):
+        text = "demand a0 b0 3\n# a count that would exhaust memory\ndemand a0 b1 999999999999\n"
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            load_demands(k66, text)
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == f"line 3: more than {MAX_DEMANDS} demands in one file"
+
+    def test_cap_counts_the_whole_file(self, k66):
+        half = MAX_DEMANDS // 2
+        assert len(load_demands(k66, f"demand a0 b0 {half}\ndemand a0 b1 {half}\n")) \
+            == 2 * half
+        with pytest.raises(ValueError, match="^line 2: more than"):
+            load_demands(k66, f"demand a0 b0 {half}\ndemand a0 b1 {half + 1}\n")

@@ -15,9 +15,12 @@ int.  The bitset must stand for exactly the arc set it replaces: the heap
 orders equal-length paths by the size of that set and domination is subset
 order, so search order, the `stored` and `work` counters and the paths found
 all depend on it.  They depend on nothing else about the ids: relabelling
-arcs consistently, each node's out-arc order kept, changes no result.  A
-lazy graph makes a node's out-arcs when the search first expands the node,
-so the arcs of nodes it never expands are never built.
+arcs consistently, each node's out-arc order kept, changes no result.
+
+The graph has one constructor, and it is lazy: a node's out-arcs are made
+when the search first expands the node, so the arcs of nodes it never
+expands are never built.  Rival sets must be symmetric, as the router's
+auxiliary graph is by construction: solve neither checks nor repairs them.
 """
 
 from __future__ import annotations
@@ -105,31 +108,20 @@ class _OutLists(dict):
 
 
 class RivalGraph:
-    """Directed arcs with rival sets; each node's out-arc order fixes all
-    tie-breaking."""
+    """Directed arcs with rival sets.  `make_out(node)` builds a node's
+    out-list when the search first expands the node; each node's out-arc
+    order fixes all tie-breaking.  The caller puts the arcs `make_out`
+    returns through `out_lists`' checks, and makes every rival set
+    symmetric: solve() neither checks nor repairs them.  Only the source is
+    checked here."""
 
-    def __init__(self, nodes: Iterable[str], arcs: Iterable[Arc], source: str):
+    def __init__(self, nodes: Iterable[str], source: str,
+                 make_out: Callable[[str], list[Arc]]):
         self.nodes = tuple(dict.fromkeys(nodes))
-        self.out: dict[str, list[Arc]] = self.out_lists(self.nodes, arcs)
-        self._make_out: Callable[[str], list[Arc]] = self.out.__getitem__
-        self._set_source(source)
-        self._known_symmetric = False
-
-    @classmethod
-    def lazy(cls, nodes: Iterable[str], source: str,
-             make_out: Callable[[str], list[Arc]]) -> "RivalGraph":
-        """A graph whose out-lists `make_out(node)` builds when the search
-        first expands the node, and whose rival sets are symmetric by
-        construction, such as the router's auxiliary graph: solve() skips
-        its symmetry check.  The caller puts the arcs `make_out` returns
-        through `out_lists`' checks; only the source is checked here."""
-        g = cls.__new__(cls)
-        g.nodes = tuple(dict.fromkeys(nodes))
-        g.out = _OutLists(make_out)
-        g._make_out = make_out
-        g._set_source(source)
-        g._known_symmetric = True
-        return g
+        if source not in self.nodes:
+            raise ValueError(f"unknown source {source!r}")
+        self.source = source
+        self.out = _OutLists(make_out)
 
     @staticmethod
     def out_lists(nodes: Iterable[str], arcs: Iterable[Arc]) -> dict[str, list[Arc]]:
@@ -150,43 +142,13 @@ class RivalGraph:
             out[arc.tail].append(arc)
         return out
 
-    def _set_source(self, source: str) -> None:
-        if source not in self.nodes:
-            raise ValueError(f"unknown source {source!r}")
-        self.source = source
-
     @cached_property
     def arcs(self) -> dict[ArcId, Arc]:
         """Every arc by id, node by node in out-list order.  The first read
-        builds its own copy of every list, so it makes none of a lazy graph's
-        lists: what the search builds, the search pays for."""
-        make = self._make_out
+        builds its own copy of every list, so it makes none of the lists the
+        search reads: what the search builds, the search pays for."""
+        make = self.out.make
         return {arc.id: arc for n in self.nodes for arc in make(n)}
-
-    def _check_rivals(self) -> dict[ArcId, Arc]:
-        arcs = self.arcs
-        known = sum(1 << a for a in arcs)
-        for arc in arcs.values():
-            if arc.rivals & ~known:
-                rid = next(r for r in arc.rivals if r not in arcs)
-                raise ValueError(f"arc {arc.id!r} lists unknown rival {rid!r}")
-        return arcs
-
-    def is_symmetric(self) -> bool:
-        arcs = self._check_rivals()
-        return all(arcs[rid].rivals >> arc.id & 1
-                   for arc in arcs.values() for rid in arc.rivals)
-
-
-def symmetrize(g: RivalGraph) -> RivalGraph:
-    """Close the rival relation under symmetry; admissibility is unchanged."""
-    arcs = g._check_rivals()
-    masks: dict[ArcId, int] = {a: arc.rivals for a, arc in arcs.items()}
-    for arc in arcs.values():
-        for rid in arc.rivals:
-            masks[rid] |= 1 << arc.id
-    return RivalGraph(g.nodes, [Arc(a.id, a.tail, a.head, a.length, ArcSet(masks[a.id]),
-                                    a.tiebreak) for a in arcs.values()], g.source)
 
 
 @dataclass(frozen=True)
@@ -334,9 +296,10 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
     the other nodes the search settled are in none of `paths`, `undecided`
     and `unreachable`.  `undecided` and `unreachable` still name every node
     left unsettled.
+
+    Every rival set must be symmetric, as RivalGraph says: an arc that one
+    of its rivals does not list back can share a path with it.
     """
-    if not (g._known_symmetric or g.is_symmetric()):
-        g = symmetrize(g)
     node_bit = {n: 1 << i for i, n in enumerate(g.nodes)}
     if target is not None and target not in node_bit:
         raise ValueError(f"unknown target {target!r}")
@@ -410,28 +373,3 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
             heapq.heappush(heap, (nlen, entry.secondary, nforb.bit_count(), arc.head, seq, entry))
     return result(undecided_rest=False)
 
-
-def reflection_grid(n: int) -> RivalGraph:
-    """Worst-case family: the (2n+1)x(2n+1) south/west grid where every arc's
-    rival is its mirror image across the line x + y = 0.
-
-    From source (n, n) the number of undominated partial paths roughly doubles
-    per step, so any fixed limit is exceeded for moderate n; used to exercise
-    graceful failure.
-    """
-    nodes = [f"{x},{y}" for x in range(-n, n + 1) for y in range(-n, n + 1)]
-
-    def reflect(start, end):
-        # reflection across x + y = 0 maps (x, y) to (-y, -x); re-orient the
-        # image so it points south or west again
-        a, b = (-start[1], -start[0]), (-end[1], -end[0])
-        return max(a, b), min(a, b)
-
-    # arcs numbered in the order built: per node, south before west
-    ends = [((x, y), (x + dx, y + dy)) for x in range(-n, n + 1) for y in range(-n, n + 1)
-            for dx, dy in ((0, -1), (-1, 0)) if x + dx >= -n and y + dy >= -n]
-    arc_id = {e: i for i, e in enumerate(ends)}
-    label = "{},{}".format
-    arcs = [Arc(i, label(*start), label(*end), 1, ArcSet(1 << arc_id[reflect(start, end)]))
-            for i, (start, end) in enumerate(ends)]
-    return RivalGraph(nodes, arcs, f"{n},{n}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import EdgeId, Graph, Walk, link_key
+from .graph import EdgeId, Graph, Walk
 from .plan import AllocationPlan, PlanEntry, PlanError
 
 
@@ -30,14 +30,6 @@ class Failure:
         if self.kind == "link":
             return f"link:{self.element[0]}-{self.element[1]}"
         return f"node:{self.element}"
-
-
-def link_failure(u: str, v: str) -> Failure:
-    return Failure("link", link_key(u, v))
-
-
-def node_failure(x: str) -> Failure:
-    return Failure("node", x)
 
 
 @dataclass(frozen=True)
@@ -65,6 +57,8 @@ class RestorationError(RuntimeError):
 
 def enumerate_failures(g: Graph, mode: str = "link") -> list[Failure]:
     """All single link failures, plus node failures when mode is "node"."""
+    if mode not in ("node", "link"):
+        raise ValueError(f"unknown failure mode {mode!r}")
     out = [Failure("link", l) for l in g.links()]
     if mode == "node":
         out.extend(Failure("node", n) for n in g.sorted_nodes())

@@ -176,16 +176,6 @@ class Walk:
         object.__setattr__(walk, "edges", edges)
         return walk
 
-    @classmethod
-    def from_sequence(cls, seq: Iterable) -> "Walk":
-        """Build from an alternating [node, edge, node, ...] sequence."""
-        items = list(seq)
-        return cls(tuple(items[0::2]), tuple(items[1::2]))
-
-    @classmethod
-    def single(cls, node: str) -> "Walk":
-        return cls((node,), ())
-
     @property
     def length(self) -> int:
         return len(self.edges)

@@ -209,9 +209,6 @@ class AllocationPlan:
 
     # -- edge pool ---------------------------------------------------------
 
-    def used_on_link(self, u: str, v: str) -> int:
-        return len(self._used_ordinals.get(link_key(u, v), ()))
-
     def has_free_edge(self, u: str, v: str) -> bool:
         if (u, v) in self._free:
             return True
@@ -243,9 +240,6 @@ class AllocationPlan:
 
     def role(self, edge: EdgeId) -> str | None:
         return self._roles.get(edge)
-
-    def protection_users(self, edge: EdgeId) -> tuple[int, ...]:
-        return tuple(self._protection_users.get(edge, ()))
 
     def crossconnect_partner(self, edge: EdgeId, node: str) -> EdgeId | None:
         return self._partner.get((edge, node))
@@ -603,7 +597,9 @@ class AllocationPlan:
     @classmethod
     def parse(cls, graph: Graph, text: str) -> "AllocationPlan":
         """Inverse of serialize.  Malformed lines raise PlanError naming the
-        line; a bare `enforce` line is the empty rule set serialize writes."""
+        line; a bare `enforce` line is the empty rule set serialize writes.
+        `pxt` and `xc` lines, which serialize writes only under rule d, are
+        refused in a plan without it."""
         lines = text.splitlines()
         if not lines or not lines[0].startswith("pxtmesh-plan"):
             raise PlanError("missing plan header")
@@ -611,6 +607,7 @@ class AllocationPlan:
         enforce: frozenset[str] = ALL_CONDITIONS
         plan: AllocationPlan | None = None
         pxt_lines, xc_lines = [], []
+        first_trail_line: tuple[int, str] | None = None
         for lineno, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -633,10 +630,9 @@ class AllocationPlan:
                 if plan is None:
                     plan = cls(graph, mode=mode, enforce=enforce)
                 plan.add_entry(_parse_entry(lineno, line))
-            elif kind == "pxt":
-                pxt_lines.append(line)
-            elif kind == "xc":
-                xc_lines.append(line)
+            elif kind in ("pxt", "xc"):
+                (pxt_lines if kind == "pxt" else xc_lines).append(line)
+                first_trail_line = first_trail_line or (lineno, kind)
             else:
                 raise PlanError(f"line {lineno}: unknown plan directive {kind!r}")
         if plan is None:
@@ -648,6 +644,9 @@ class AllocationPlan:
             expect_xc = [l for l in plan.serialize().splitlines() if l.startswith("xc ")]
             if xc_lines and xc_lines != expect_xc:
                 raise PlanError("xc lines do not match the entries' cross-connects")
+        elif first_trail_line:
+            raise PlanError("line {}: {!r} line in a plan that does not enforce rule d"
+                            .format(*first_trail_line))
         return plan
 
 

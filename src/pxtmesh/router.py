@@ -20,9 +20,9 @@ recomputing it:
 - rival marks are int bitsets over the arc ids, from those indexes through
   the search's forbidden sets, so marking and probing OR and AND ints
   instead of building and hashing frozensets;
-- the aux graph is symmetric by construction, so the search skips its
-  per-call symmetry check, and it is lazy: a node's out-arcs are made when
-  the search first expands the node, so most arcs are never built;
+- the aux graph's rival sets are symmetric by construction, as the search
+  requires without checking, and the graph is lazy: a node's out-arcs are
+  made when the search first expands the node, so most arcs are never built;
 - the plan indexes every entry's working path by link and by node as
   add_entry commits it, and answers `conflicts` from that index, so shared
   protection is read off it rather than compared entry by entry;
@@ -155,7 +155,7 @@ class RouterState:
                      if (u, v) in free}
             arcs = [Arc(2 * i + back, *ends, 1) for i, e in edges.items()
                     for back, ends in enumerate(((e.u, e.v), (e.v, e.u)))]
-            # the id, duplicate and node checks of every RivalGraph, once per rebuild
+            # out_lists' id, duplicate and node checks, once per rebuild
             out = RivalGraph.out_lists(self.nodes, arcs)
             mask = {n: sum(3 << (a.id & ~1) for a in out_n) for n, out_n in out.items()}
             self._fresh = FreshArcs(len(free), edges, out, mask)
@@ -195,13 +195,12 @@ class _Work:
                                f"exceeded the work limit", resource_limit="work")
 
 
-def _protection_feasible(state: RouterState, nodes: tuple[str, ...],
-                         work: _Work | None = None) -> bool:
+def _protection_feasible(state: RouterState, nodes: tuple[str, ...], work: _Work) -> bool:
     """Cheap sufficient check: a disjoint all-fresh detour exists.
 
     A depth-first search from one end over links with spare capacity that
     keep off the route, stopping the first time it reaches the other end.
-    With `work`, the links at each node it expands count against it.
+    The links at each node it expands count against `work`.
     """
     plan = state.plan
     start, goal = nodes[0], nodes[-1]
@@ -214,8 +213,7 @@ def _protection_feasible(state: RouterState, nodes: tuple[str, ...],
     neighbors = state.graph.neighbors
     while stack:
         x = stack.pop()
-        if work is not None:
-            work.add(len(neighbors(x)))
+        work.add(len(neighbors(x)))
         for w in neighbors(x):
             if w not in seen and (x, w) in free and (x, w) not in route:
                 if w == goal:
@@ -257,7 +255,7 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
         layer = dict.fromkeys([w for x in layer for w, _ in succ[x]])
     # h[x] is the least usage left from x; steps[x] lists, in successor
     # order, (the least usage left from x through successor w, w)
-    usage = state.plan._used_ordinals.get  # used_on_link, by the DAG's link keys
+    usage = state.plan._used_ordinals.get  # link key -> the ordinals in use on it
     h = {v: 0}
     steps = {}
     for layer in reversed(layers):
@@ -397,7 +395,7 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
         rivals = ArcSet(rivals & ~(3 << 2 * i))
         arcs += (Arc(2 * i, u, v, 0, rivals, 1), Arc(2 * i + 1, v, u, 0, rivals, 1))
         edges[i] = AuxEdge(u, v, seg)
-    # the id, duplicate and node checks of every RivalGraph, on the shortcut arcs
+    # out_lists' id, duplicate and node checks, on the shortcut arcs
     shortcut_out = RivalGraph.out_lists(state.nodes, arcs)
     fresh_out = fresh.out
 
@@ -411,7 +409,7 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
         out += shortcut_out[x]
         return out
 
-    return AuxGraph(RivalGraph.lazy(state.nodes, demand.u, out_arcs), edges)
+    return AuxGraph(RivalGraph(state.nodes, demand.u, out_arcs), edges)
 
 
 def _expand_route(state: RouterState, demand: Demand, aux: AuxGraph,

@@ -2,9 +2,91 @@ import random
 
 import pytest
 
+from pxtmesh.cdijkstra import Arc, ArcId, ArcSet, RivalGraph
 from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, Walk, _avoiding, link_key
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.topologies import standard_topology
+
+
+def walk(*seq) -> Walk:
+    """The walk of an alternating node, edge, node, ... sequence, each edge
+    an EdgeId or its (u, v, ordinal) tuple."""
+    items = [EdgeId(*x) if isinstance(x, tuple) else x for x in seq]
+    return Walk(tuple(items[0::2]), tuple(items[1::2]))
+
+
+def used_on_link(plan: AllocationPlan, u: str, v: str) -> int:
+    """How many ordinals of link u-v the plan uses."""
+    return len(plan._used_ordinals.get(link_key(u, v), ()))
+
+
+def protection_users(plan: AllocationPlan, edge: EdgeId) -> tuple[int, ...]:
+    """The indices of the entries whose protection rides `edge`, in order."""
+    return tuple(plan._protection_users.get(edge, ()))
+
+
+# -- rival graphs: what solve requires of its input, built, checked, repaired --
+
+def rival_graph(nodes, arcs, source: str) -> RivalGraph:
+    """An eager graph: every out-list built and checked by `out_lists` up
+    front, then handed to the search as it is."""
+    nodes = tuple(nodes)
+    return RivalGraph(nodes, source, RivalGraph.out_lists(nodes, arcs).__getitem__)
+
+
+def check_rivals(g: RivalGraph) -> dict[ArcId, Arc]:
+    """g's arcs by id, once every rival they list is known to be one of them."""
+    arcs = g.arcs
+    known = sum(1 << a for a in arcs)
+    for arc in arcs.values():
+        if arc.rivals & ~known:
+            rid = next(r for r in arc.rivals if r not in arcs)
+            raise ValueError(f"arc {arc.id!r} lists unknown rival {rid!r}")
+    return arcs
+
+
+def is_symmetric(g: RivalGraph) -> bool:
+    """Whether every arc is listed back by each of its rivals, as solve needs."""
+    arcs = check_rivals(g)
+    return all(arcs[rid].rivals >> arc.id & 1
+               for arc in arcs.values() for rid in arc.rivals)
+
+
+def symmetrize(g: RivalGraph) -> RivalGraph:
+    """Close the rival relation under symmetry; admissibility is unchanged."""
+    arcs = check_rivals(g)
+    masks: dict[ArcId, int] = {a: arc.rivals for a, arc in arcs.items()}
+    for arc in arcs.values():
+        for rid in arc.rivals:
+            masks[rid] |= 1 << arc.id
+    return rival_graph(g.nodes, [Arc(a.id, a.tail, a.head, a.length, ArcSet(masks[a.id]),
+                                     a.tiebreak) for a in arcs.values()], g.source)
+
+
+def reflection_grid(n: int) -> RivalGraph:
+    """Worst-case family: the (2n+1)x(2n+1) south/west grid where every arc's
+    rival is its mirror image across the line x + y = 0.
+
+    From source (n, n) the number of undominated partial paths roughly doubles
+    per step, so any fixed limit is exceeded for moderate n; used to exercise
+    graceful failure.
+    """
+    nodes = [f"{x},{y}" for x in range(-n, n + 1) for y in range(-n, n + 1)]
+
+    def reflect(start, end):
+        # reflection across x + y = 0 maps (x, y) to (-y, -x); re-orient the
+        # image so it points south or west again
+        a, b = (-start[1], -start[0]), (-end[1], -end[0])
+        return max(a, b), min(a, b)
+
+    # arcs numbered in the order built: per node, south before west
+    ends = [((x, y), (x + dx, y + dy)) for x in range(-n, n + 1) for y in range(-n, n + 1)
+            for dx, dy in ((0, -1), (-1, 0)) if x + dx >= -n and y + dy >= -n]
+    arc_id = {e: i for i, e in enumerate(ends)}
+    label = "{},{}".format
+    arcs = [Arc(i, label(*start), label(*end), 1, ArcSet(1 << arc_id[reflect(start, end)]))
+            for i, (start, end) in enumerate(ends)]
+    return rival_graph(nodes, arcs, f"{n},{n}")
 
 
 @pytest.fixture(scope="session")

@@ -16,12 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from pxtmesh.baselines import route_1plus1, route_shared_path
-from pxtmesh.cdijkstra import (
-    DEFAULT_LIMITS,
-    ResourceLimitExceeded,
-    reflection_grid,
-    solve,
-)
+from pxtmesh.cdijkstra import DEFAULT_LIMITS, ResourceLimitExceeded, solve
 from pxtmesh.cli import main as cli_main
 from pxtmesh.experiments import REFERENCE
 from pxtmesh.failsim import audit
@@ -29,6 +24,7 @@ from pxtmesh.router import RouterState, route_demand
 from pxtmesh.topologies import standard_topology
 from pxtmesh.traffic import generate, neighbor, unbalanced, uniform
 
+from conftest import reflection_grid, symmetrize
 from test_cdijkstra import brute_force_lengths, classic_dijkstra, random_instance
 
 SEEDS = list(range(10))
@@ -144,7 +140,7 @@ def test_criterion_4_pxt_bands_and_invariants(pxt_runs):
 def test_criterion_5_constrained_search_oracle():
     start = time.perf_counter()
     for seed in range(220):
-        g = random_instance(random.Random(10_000 + seed))
+        g = symmetrize(random_instance(random.Random(10_000 + seed)))
         res = solve(g)
         got = {n: p.length for n, p in res.paths.items()}
         assert got == brute_force_lengths(g), f"instance seed {seed}"

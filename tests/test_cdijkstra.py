@@ -16,14 +16,15 @@ from pxtmesh.cdijkstra import (
     SearchLimits,
     SolveResult,
     _Entry,
-    reflection_grid,
     solve,
-    symmetrize,
 )
 
+from conftest import is_symmetric, reflection_grid, rival_graph, symmetrize
 
-def worked_example() -> RivalGraph:
-    """Six-node instance reproducing the documented search walk-through.
+
+def one_way_worked_example() -> RivalGraph:
+    """Six-node instance reproducing the documented search walk-through,
+    each rival pair marked on one of its arcs only.
 
     The unconstrained optimum v1->v3 rides e4 then e6, which are rivals, so
     the admissible optimum detours via v4.  Lengths/rivals are pinned by the
@@ -42,14 +43,26 @@ def worked_example() -> RivalGraph:
         Arc(10, "v4", "v6", 9),
         Arc(11, "v5", "v6", 2, ArcSet.of({5})),
     ]
-    return RivalGraph([f"v{i}" for i in range(1, 7)], arcs, "v1")
+    return rival_graph([f"v{i}" for i in range(1, 7)], arcs, "v1")
+
+
+def worked_example() -> RivalGraph:
+    """The worked example with every rival pair marked both ways, as solve
+    requires."""
+    return symmetrize(one_way_worked_example())
 
 
 def lazy_graph(nodes, arcs, source) -> RivalGraph:
-    """The lazy constructor over the arcs, checked by `out_lists` as the
-    router checks the arcs it hands a lazy graph."""
+    """A graph whose out-lists are fresh copies made on first expansion, as
+    the router's are, over arcs checked by `out_lists` as the router checks
+    them."""
     out = RivalGraph.out_lists(nodes, arcs)
-    return RivalGraph.lazy(nodes, source, lambda n: list(out[n]))
+    return RivalGraph(nodes, source, lambda n: list(out[n]))
+
+
+# "RivalGraph": out-lists built up front and handed out as they are;
+# "lazy_graph": copies made on first expansion, as the router's are
+BUILDERS = [pytest.param(rival_graph, id="RivalGraph"), lazy_graph]
 
 
 class TestConstructionChecks:
@@ -61,35 +74,35 @@ class TestConstructionChecks:
         assert Arc(0, "a", "b", 1) == Arc(0, "a", "b", 1, ArcSet(), 0)
         assert Arc(0, "a", "b", 1) != Arc(0, "a", "b", 1, tiebreak=1)
 
-    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
+    @pytest.mark.parametrize("build", BUILDERS)
     def test_duplicate_arc_id_rejected(self, build):
         with pytest.raises(ValueError, match="duplicate arc id"):
             build("ab", [Arc(0, "a", "b", 1), Arc(0, "b", "a", 1)], "a")
 
-    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
+    @pytest.mark.parametrize("build", BUILDERS)
     def test_unknown_node_rejected(self, build):
         with pytest.raises(ValueError, match="unknown node"):
             build("ab", [Arc(0, "a", "c", 1)], "a")
 
-    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
+    @pytest.mark.parametrize("build", BUILDERS)
     def test_unknown_source_rejected(self, build):
         with pytest.raises(ValueError, match="unknown source"):
             build("ab", [Arc(0, "a", "b", 1)], "c")
 
     @pytest.mark.parametrize("bad_id", ["x", -1, True, False, 1.0, None])
-    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
+    @pytest.mark.parametrize("build", BUILDERS)
     def test_arc_id_must_be_a_non_negative_int(self, build, bad_id):
         # ids are bit positions, so a name, a negative or a bool is refused
         with pytest.raises(ValueError, match="not a non-negative int"):
             build("ab", [Arc(0, "b", "a", 1), Arc(bad_id, "a", "b", 1)], "a")
 
-    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
+    @pytest.mark.parametrize("build", BUILDERS)
     def test_unknown_rival_bit_rejected(self, build):
         g = build("ab", [Arc(0, "a", "b", 1, ArcSet.of({0, 70}))], "a")
         with pytest.raises(ValueError, match="unknown rival 70"):
-            g.is_symmetric()
+            is_symmetric(g)
 
-    @pytest.mark.parametrize("build", [RivalGraph, lazy_graph])
+    @pytest.mark.parametrize("build", BUILDERS)
     def test_unknown_target_rejected(self, build):
         g = build("ab", [Arc(0, "a", "b", 1), Arc(1, "b", "a", 1)], "a")
         with pytest.raises(ValueError, match="unknown target 'c'"):
@@ -110,7 +123,7 @@ class TestConstructionChecks:
             made.append(n)
             return list(eager.out[n])
 
-        g = RivalGraph.lazy(eager.nodes, "v1", make)
+        g = RivalGraph(eager.nodes, "v1", make)
         assert made == [] and dict(g.out) == {}
         # the view copies every list and keeps none of them
         assert g.arcs == eager.arcs
@@ -125,25 +138,25 @@ class TestConstructionChecks:
 
 class TestSymmetrize:
     def test_one_directional_becomes_mutual(self):
-        g = worked_example()
+        g = one_way_worked_example()
         sym = symmetrize(g)
         assert 4 in sym.arcs[6].rivals
         assert 6 in sym.arcs[4].rivals
         assert set(sym.arcs[1].rivals) == {4}
-        assert sym.is_symmetric() and not g.is_symmetric()
+        assert is_symmetric(sym) and not is_symmetric(g)
 
     def test_empty_unchanged(self):
-        g = RivalGraph("ab", [Arc(0, "a", "b", 1)], "a")
+        g = rival_graph("ab", [Arc(0, "a", "b", 1)], "a")
         assert symmetrize(g).arcs[0].rivals == ArcSet()
 
     def test_idempotent(self):
-        g = symmetrize(worked_example())
+        g = symmetrize(one_way_worked_example())
         again = symmetrize(g)
         assert {a: arc.rivals for a, arc in g.arcs.items()} == \
                {a: arc.rivals for a, arc in again.arcs.items()}
 
     def test_unknown_rival_rejected(self):
-        g = RivalGraph("ab", [Arc(0, "a", "b", 1, ArcSet.of({3}))], "a")
+        g = rival_graph("ab", [Arc(0, "a", "b", 1, ArcSet.of({3}))], "a")
         with pytest.raises(ValueError, match="unknown rival 3"):
             symmetrize(g)
 
@@ -209,7 +222,7 @@ def random_instance(rng: random.Random, n_nodes=8, n_arcs=20, n_rivals=6,
         if x != y:
             rivals[x].add(y)
     arcs = [Arc(a.id, a.tail, a.head, a.length, ArcSet.of(rivals[a.id])) for a in arcs]
-    return RivalGraph(nodes, arcs, nodes[0])
+    return rival_graph(nodes, arcs, nodes[0])
 
 
 def classic_dijkstra(g: RivalGraph) -> dict[str, float]:
@@ -239,14 +252,14 @@ def assert_matches_brute_force(g: RivalGraph) -> None:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_oracle_equivalence_sample(seed):
-    assert_matches_brute_force(random_instance(random.Random(seed)))
+    assert_matches_brute_force(symmetrize(random_instance(random.Random(seed))))
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_pruning_soundness(seed):
     """Small dense instances, on which domination pruning drops many
     partial paths: what survives still reaches every optimum."""
-    g = random_instance(random.Random(2000 + seed), n_nodes=6, n_arcs=12)
+    g = symmetrize(random_instance(random.Random(2000 + seed), n_nodes=6, n_arcs=12))
     assert_matches_brute_force(g)
 
 
@@ -303,7 +316,7 @@ class TestLimits:
         # v1 and v5 were settled on the way: neither undecided nor unreachable
         assert res.undecided == {"v2", "v3", "v6"}
         assert res.unreachable == set()
-        cut = RivalGraph("abc", [Arc(0, "a", "b", 1), Arc(1, "b", "a", 1)], "a")
+        cut = rival_graph("abc", [Arc(0, "a", "b", 1), Arc(1, "b", "a", 1)], "a")
         res = solve(cut, target="c")
         assert (res.paths, res.undecided, res.unreachable) == ({}, set(), {"c"})
 
@@ -385,9 +398,7 @@ def frozenset_solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
     and `unreachable`.  `undecided` and `unreachable` still name every node
     left unsettled.
     """
-    if not (g._known_symmetric or g.is_symmetric()):
-        g = symmetrize(g)
-    if target is not None and target not in g.out:
+    if target is not None and target not in g.nodes:
         raise ValueError(f"unknown target {target!r}")
 
     stores: defaultdict[str, FrozensetNodeStore] = defaultdict(FrozensetNodeStore)  # made as paths reach nodes
@@ -461,19 +472,17 @@ def frozenset_solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
 def with_frozenset_rivals(g: RivalGraph) -> RivalGraph:
     """The same symmetric graph with every rival set a frozenset of arc ids,
     as frozenset_solve reads it."""
-    assert g.is_symmetric()
+    assert is_symmetric(g)
     arcs = [Arc(a.id, a.tail, a.head, a.length, frozenset(a.rivals), a.tiebreak)
             for a in g.arcs.values()]
-    out = RivalGraph(g.nodes, arcs, g.source)
-    out._known_symmetric = True  # as g is; a frozenset is no bitset to check
-    return out
+    return rival_graph(g.nodes, arcs, g.source)
 
 
 def relabeled(g: RivalGraph, new_id) -> RivalGraph:
     """g with arc id i renamed new_id(i), arc order kept."""
     arcs = [Arc(new_id(a.id), a.tail, a.head, a.length,
                 ArcSet.of(map(new_id, a.rivals)), a.tiebreak) for a in g.arcs.values()]
-    return RivalGraph(g.nodes, arcs, g.source)
+    return rival_graph(g.nodes, arcs, g.source)
 
 
 def outcome(solver, g, limits=DEFAULT_LIMITS, target=None):

@@ -4,22 +4,26 @@ from pxtmesh.failsim import (
     AuditError,
     AuditReport,
     AuditRow,
+    Failure,
     RestorationError,
     RestorationResult,
     SwitchEvent,
     audit,
     enumerate_failures,
-    link_failure,
-    node_failure,
     restore,
 )
-from pxtmesh.graph import EdgeId, Walk
+from pxtmesh.graph import link_key
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 
+from conftest import walk
 
-def walk(*seq):
-    items = [EdgeId(*x) if isinstance(x, tuple) else x for x in seq]
-    return Walk.from_sequence(items)
+
+def link_failure(u: str, v: str) -> Failure:
+    return Failure("link", link_key(u, v))
+
+
+def node_failure(x: str) -> Failure:
+    return Failure("node", x)
 
 
 @pytest.fixture
@@ -110,6 +114,14 @@ class TestEnumerate:
     def test_empty_graph(self):
         from pxtmesh.graph import Graph
         assert enumerate_failures(Graph([], []), "node") == []
+
+    @pytest.mark.parametrize("mode", ["nodes", "Node", ""])
+    def test_unknown_mode_rejected(self, k66, shared_plan, mode):
+        with pytest.raises(ValueError, match=f"unknown failure mode {mode!r}"):
+            enumerate_failures(k66, mode)
+        if mode:  # an empty mode is audit's default, the plan's own
+            with pytest.raises(ValueError, match=f"unknown failure mode {mode!r}"):
+                audit(shared_plan, mode=mode)
 
 
 class TestAudit:

@@ -27,13 +27,12 @@ from pxtmesh.graph import (
 )
 from pxtmesh.topologies import TOPOLOGY_STATS, standard_topology
 
+from conftest import walk
+
 
 def W(multigraph, *seq):
     """Walk from alternating node / edge-spec sequence, e.g. 'C', ('C','D',0), 'D'."""
-    items = []
-    for x in seq:
-        items.append(EdgeId(*x) if isinstance(x, tuple) else x)
-    return Walk.from_sequence(items)
+    return walk(*seq)
 
 
 # named edges of the multigraph fixture
@@ -192,7 +191,7 @@ class TestClassify:
         assert classify(w) == "closed-trail"
 
     def test_single_node_is_zero_length_path(self):
-        assert classify(Walk.single("A")) == "path"
+        assert classify(Walk(("A",), ())) == "path"
 
     def test_open_trail_with_repeated_node(self, multigraph):
         w = W(multigraph, "C", d, "D", f, "E", e, "D", c, "B")

@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every import in src/pxtmesh is
 used and sits at module level, no module guards an invariant with `assert`,
 which `python -O` strips, every function, method and class defined there is
-named somewhere else, and every field it declares is read somewhere."""
+named somewhere else, and somewhere other than the tests, and every field it
+declares is read somewhere."""
 
 import ast
 import re
@@ -159,6 +160,37 @@ def test_dead_definition_check_exemptions(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("# calls helper()\n")
     assert dead_definitions([mod], [user]) == ["mod.py:5 orphan", "mod.py:9 unused"]
+
+
+def named_only_in_tests(root: Path) -> list[str]:
+    """`module:line name` of each definition in root/src/pxtmesh whose name
+    occurs nowhere outside its own definitions, tests/ left out: src/,
+    benchmarks/ and README.md are searched, with the exemptions of
+    `dead_definitions`."""
+    others = [*sorted((root / "benchmarks").rglob("*.py")), root / "README.md"]
+    return dead_definitions(sorted((root / "src" / "pxtmesh").glob("*.py")), others)
+
+
+def test_no_test_only_definitions():
+    found = named_only_in_tests(ROOT)
+    assert found == [], "defined in src/pxtmesh but named only in tests; move it there"
+
+
+def test_test_only_check_reads_all_but_tests(tmp_path):
+    (tmp_path / "src" / "pxtmesh").mkdir(parents=True)
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "pxtmesh" / "mod.py").write_text(
+        "def in_src(): pass\n"
+        "def in_benchmarks(): pass\n"
+        "def in_readme(): pass\n"
+        "def in_tests(): pass\n"
+        "class Orphan: pass\n")
+    (tmp_path / "src" / "pxtmesh" / "other.py").write_text("from .mod import in_src\n")
+    (tmp_path / "benchmarks" / "run.py").write_text("mod.in_benchmarks()\n")
+    (tmp_path / "README.md").write_text("`in_readme` does nothing\n")
+    (tmp_path / "tests" / "test_mod.py").write_text("in_tests(); in_src(); Orphan()\n")
+    assert named_only_in_tests(tmp_path) == ["mod.py:4 in_tests", "mod.py:5 Orphan"]
 
 
 def _declared_fields(tree: ast.Module):

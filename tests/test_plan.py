@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pxtmesh
-from conftest import RANDOM_ENFORCE
+from conftest import RANDOM_ENFORCE, protection_users, used_on_link, walk
 from pxtmesh.baselines import route_1plus1, route_shared_path
 from pxtmesh.experiments import route_with_scheme
 from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint, link_key
@@ -24,13 +24,6 @@ from pxtmesh.plan import (
     _pxt_sort_key,
 )
 from pxtmesh.traffic import generate, uniform
-
-
-def walk(*seq):
-    items = []
-    for x in seq:
-        items.append(EdgeId(*x) if isinstance(x, tuple) else x)
-    return Walk.from_sequence(items)
 
 
 def entry(did, u, v, working, protection):
@@ -68,6 +61,8 @@ MALFORMED_PLAN_LINES = [
     (f"{ENTRY0}\nmode link", 3, "after the first entry"),
     (f"{ENTRY0}\nenforce ab", 3, "after the first entry"),
     ("frobnicate 1", 2, "unknown plan directive"),
+    ("enforce abc\nxc zz yy xx", 3, "'xc' line in a plan that does not enforce rule d"),
+    ("mode link\npxt open A A~B#0 B\nenforce ab", 3, "'pxt' line .* does not enforce rule d"),
 ]
 
 
@@ -102,7 +97,7 @@ class TestAddEntry:
                 plan.add_entry(entry(0, "A", "C", working, protection))
             assert str(exc.value) == (
                 f"condition structure (demands 0): working path invalid: {problem}")
-            assert plan.entries == [] and plan.used_on_link("A", "B") == 0
+            assert plan.entries == [] and used_on_link(plan, "A", "B") == 0
 
     def test_overlapping_protections_merge_into_one_pxt(self, five_node):
         plan = AllocationPlan(five_node)
@@ -169,7 +164,7 @@ class TestAddEntry:
         adc = walk("A", ("A", "D", 0), "D", ("D", "C", 0), "C")
         plan.add_entry(entry(0, "A", "C", abc, adc))
         plan.add_entry(entry(1, "A", "C", adc, abc))
-        assert plan.protection_users(EdgeId(*AB)) == (1,)
+        assert protection_users(plan, EdgeId(*AB)) == (1,)
         assert plan.crossconnect_partner(EdgeId(*AB), "B") == EdgeId("B", "C", 0)
         assert plan.pxts == plan.extract_pxts()
         assert [p.walk.nodes for p in plan.pxts] == [tuple("ABC"), tuple("ADC")]
@@ -200,7 +195,7 @@ def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
 
     def checked(plan, new):
         text = plan.serialize()
-        users = {e: plan.protection_users(e) for e in plan._protection_users}
+        users = {e: protection_users(plan, e) for e in plan._protection_users}
         over_working = any(plan.role(e) == "working" for e in new.protection.edges)
         queries = (new.working, _probe_path(rng, plan.graph))
         before = [plan.conflicts(w) for w in queries]
@@ -209,7 +204,7 @@ def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
         except PlanError:
             outcomes.add("refused")
             assert plan.serialize() == text
-            assert {e: plan.protection_users(e) for e in plan._protection_users} == users
+            assert {e: protection_users(plan, e) for e in plan._protection_users} == users
             assert [plan.conflicts(w) for w in queries] == before
             raise
         outcomes.add("added")
@@ -672,7 +667,7 @@ def test_validate_matches_oracle_on_routed_plans(k66):
     demands = generate(k66, uniform())
     pxt = route_with_scheme(k66, "pxt", demands)
     shared = route_shared_path(k66, demands, mode="node")
-    users = [len(pxt.protection_users(e)) for en in pxt.entries for e in en.protection.edges]
+    users = [len(protection_users(pxt, e)) for en in pxt.entries for e in en.protection.edges]
     assert max(users) >= 9
     for routed, mode, step in ((pxt, pxt.mode, 1), (shared, "node", 10)):
         plan = AllocationPlan(k66, mode=mode, enforce="")
@@ -805,7 +800,7 @@ def _pairwise_rule_c(plan, new):
     once per protection edge and user."""
     out, flagged = [], set()
     for e in new.protection.edges:
-        for idx in plan.protection_users(e):
+        for idx in protection_users(plan, e):
             other = plan.entries[idx]
             if other.demand.id in flagged:
                 continue

@@ -13,7 +13,7 @@ import pytest
 import pxtmesh
 from pxtmesh import router
 from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
-from pxtmesh.cdijkstra import NO_ARCS, Arc, ArcSet, RivalGraph, SearchLimits, solve
+from pxtmesh.cdijkstra import NO_ARCS, Arc, ArcSet, SearchLimits, solve
 from pxtmesh.graph import (
     UNBOUNDED,
     EdgeId,
@@ -35,6 +35,7 @@ from pxtmesh.router import (
     RoutingError,
     _expand_route,
     _protection_feasible,
+    _Work,
     build_aux,
     collect_subtrails,
     find_working,
@@ -43,14 +44,10 @@ from pxtmesh.router import (
 from pxtmesh.topologies import standard_topology
 from pxtmesh.traffic import generate
 
+from conftest import is_symmetric, rival_graph, used_on_link, walk
 from test_cdijkstra import assert_matches_frozenset_search, outcome
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def walk(*seq):
-    items = [EdgeId(*x) if isinstance(x, tuple) else x for x in seq]
-    return Walk.from_sequence(items)
 
 
 @pytest.fixture
@@ -139,15 +136,20 @@ def ranked_working_oracle(state: RouterState, demand: Demand):
     plan = state.plan
 
     def rank(p):
-        usage = sum(plan.used_on_link(p[i], p[i + 1]) for i in range(len(p) - 1))
+        usage = sum(used_on_link(plan, p[i], p[i + 1]) for i in range(len(p) - 1))
         return (usage, p)
 
     ranked = sorted(all_shortest_paths(state.graph, demand.u, demand.v, plan.has_free_edge),
                     key=rank)
     if not ranked:
         return None, None
-    pick = next((i for i, p in enumerate(ranked) if _protection_feasible(state, p)), None)
+    pick = next((i for i, p in enumerate(ranked) if feasible(state, p)), None)
     return ranked[pick or 0], pick
+
+
+def feasible(state: RouterState, route: tuple[str, ...]) -> bool:
+    """_protection_feasible under a work limit that never binds."""
+    return _protection_feasible(state, route, _Work(10**12, Demand(0, route[0], route[-1])))
 
 
 def random_grid_graph(rng: random.Random) -> Graph:
@@ -667,7 +669,7 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
 
     def checked_build_aux(state, demand, working, subtrails):
         aux = real_build_aux(state, demand, working, subtrails)
-        assert aux.graph.is_symmetric()
+        assert is_symmetric(aux.graph)
         assert rival_pairs(aux) == pairwise_rivals(aux.edges)
         expect = {i for i, e in enumerate(state.plan.entries)
                   if not disjoint(e.working, working, state.plan.mode)}
@@ -733,7 +735,8 @@ def parent_build_aux(state: RouterState, demand: Demand, working: Walk,
     every aux edge numbered by position, fresh ones first, and every arc and
     out-list built up front.  As it was but for two calls whose code is
     gone: the fresh edges come from `fresh_edges_from_scratch`, and the
-    graph is a plain RivalGraph, which solve checks for symmetry."""
+    graph is eager, and its rival sets are asserted symmetric here, since
+    solve does not check them."""
     plan = state.plan
     avoid = _avoiding(working.nodes, plan.mode)
     aux_edges = [e for e in fresh_edges_from_scratch(plan) if avoid(e.u, e.v)]
@@ -755,7 +758,8 @@ def parent_build_aux(state: RouterState, demand: Demand, working: Walk,
         length, tiebreak = (1, 0) if e.segment is None else (0, 1)
         arcs.append(Arc(2 * i, e.u, e.v, length, rival_arcs, tiebreak))
         arcs.append(Arc(2 * i + 1, e.v, e.u, length, rival_arcs, tiebreak))
-    rg = RivalGraph(state.graph.sorted_nodes(), arcs, demand.u)
+    rg = rival_graph(state.graph.sorted_nodes(), arcs, demand.u)
+    assert is_symmetric(rg)
     return AuxGraph(rg, aux_edges)
 
 
@@ -993,7 +997,7 @@ def test_protection_feasible_matches_shortest_path(mode):
                 avoid = _avoiding(route, mode)
                 expect = shortest_path(g, route[0], route[-1], lambda a, b: (
                     avoid(a, b) and plan.has_free_edge(a, b))) is not None
-                assert _protection_feasible(state, route) == expect, (seed, route)
+                assert feasible(state, route) == expect, (seed, route)
                 answers[expect] += 1
                 saturated += len(plan._free) < 2 * g.num_links()
     assert min(answers.values()) > 100 and saturated > 100, (answers, saturated)
@@ -1033,7 +1037,7 @@ def fresh_edges_from_scratch(plan: AllocationPlan) -> list[AuxEdge]:
     out = []
     for u, v in plan.graph.links():
         cap = plan.graph.capacity(u, v)
-        if cap is None or plan.used_on_link(u, v) < cap:
+        if cap is None or used_on_link(plan, u, v) < cap:
             out.append(AuxEdge(u, v))
     return out
 

@@ -24,7 +24,6 @@ class PairError(ValueError):
 class DisjointPair:
     working: tuple[str, ...]
     protection: tuple[str, ...]
-    mode: str
 
 
 def disjoint_pair(g: Graph, u: str, v: str, mode: str = "node") -> DisjointPair:
@@ -46,7 +45,7 @@ def disjoint_pair(g: Graph, u: str, v: str, mode: str = "node") -> DisjointPair:
             best = key
     if best is None:
         raise PairError(f"no {mode}-disjoint path pair between {u} and {v}")
-    return DisjointPair(best[1], best[2], mode)
+    return DisjointPair(best[1], best[2])
 
 
 def route_1plus1(g: Graph, demands: list[Demand], mode: str = "node") -> AllocationPlan:
@@ -100,7 +99,7 @@ def fixed_pair_routes(g: Graph, mode: str = "node") -> dict[frozenset, DisjointP
         if best is None:
             continue
         _, _, working, prot = best
-        chosen[frozenset((u, v))] = DisjointPair(working, prot, mode)
+        chosen[frozenset((u, v))] = DisjointPair(working, prot)
         for i in range(len(prot) - 1):
             lk = link_key(prot[i], prot[i + 1])
             used[lk] = used.get(lk, 0) + 1

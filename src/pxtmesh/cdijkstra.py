@@ -45,13 +45,6 @@ class ArcSet(int):
 
     __slots__ = ()
 
-    @classmethod
-    def of(cls, ids: Iterable[ArcId]) -> "ArcSet":
-        mask = 0
-        for i in ids:
-            mask |= 1 << i
-        return cls(mask)
-
     def __len__(self) -> int:
         return self.bit_count()
 
@@ -66,7 +59,7 @@ class ArcSet(int):
             mask ^= low
 
     def __repr__(self) -> str:
-        return f"ArcSet.of({list(self)})"
+        return f"ArcSet({' | '.join(f'1 << {i}' for i in self) or 0})"
 
 
 NO_ARCS = ArcSet()

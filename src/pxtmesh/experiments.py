@@ -20,7 +20,7 @@ from .failsim import audit
 from .graph import Graph
 from .plan import AllocationPlan, PlanError
 from .router import RouterState, route_demand
-from .topologies import LARGE_NODE_SETS, standard_topology
+from .topologies import LARGE_NODE_SETS, TOPOLOGY_NAMES, standard_topology
 from .traffic import TrafficSpec, generate, neighbor, unbalanced, uniform
 
 SCHEMES = ("pxt", "one-plus-one", "shared-path")
@@ -50,9 +50,6 @@ REFERENCE = {
     ("unbalanced", "icosahedron"): (540, 690, 356, 210),
     ("unbalanced", "k66"): (480, 840, 378, 154),
 }
-
-TOPOLOGY_ORDER = ("cycle12plus3", "grid3x4", "tietze", "murakami_kim",
-                  "icosahedron", "k66")
 
 # tolerances for status marking, as fractions of the reference value
 BAND_1P1 = 0.02
@@ -241,10 +238,10 @@ def table1(runs: int = 10, seed: int = 0, patterns=PATTERNS,
     """Reproduce the full published comparison, one row per (pattern, graph)."""
     report = Table1Report([], runs, seed)
     # every topology is built, and the data file read, before the first row
-    graphs = {name: standard_topology(name, murakami_file) for name in TOPOLOGY_ORDER
+    graphs = {name: standard_topology(name, murakami_file) for name in TOPOLOGY_NAMES
               if name != "murakami_kim" or murakami_file is not None}
     for pattern in patterns:
-        for name in TOPOLOGY_ORDER:
+        for name in TOPOLOGY_NAMES:
             ref_w, ref_1p1, ref_path, ref_pxt = REFERENCE[(pattern, name)]
             if name not in graphs:
                 report.rows.append(Table1Row(
@@ -262,7 +259,7 @@ def table1(runs: int = 10, seed: int = 0, patterns=PATTERNS,
                     for s in seeds]
             workings = {r.working for r in paths + pxts} | {one.working}
             if len(workings) != 1:
-                raise AssertionError(f"working bandwidth differs across schemes: {workings}")
+                raise PlanError(f"working bandwidth differs across schemes: {workings}")
             path_med = statistics.median(r.protection for r in paths)
             pxt_med = statistics.median(r.protection for r in pxts)
             path_cell = _cell(path_med, ref_path, BAND_PATH)

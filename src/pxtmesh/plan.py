@@ -585,14 +585,17 @@ class AllocationPlan:
         for entry in self.entries:
             lines.append(entry.serialize())
         if "d" in self.enforce:
-            for p in self.pxts:
-                lines.append(p.serialize())
-            xcs = set()
-            for (e, x), f in self._partner.items():
-                xcs.add((x,) + tuple(sorted((str(e), str(f)))))
-            for x, e, f in sorted(xcs):
-                lines.append(f"xc {x} {e} {f}")
+            pxt_lines, xc_lines = self._trail_lines()
+            lines += pxt_lines + xc_lines
         return "\n".join(lines) + "\n"
+
+    def _trail_lines(self) -> tuple[list[str], list[str]]:
+        """The `pxt` lines and the `xc` lines that serialize writes under rule d."""
+        xcs = set()
+        for (e, x), f in self._partner.items():
+            xcs.add((x,) + tuple(sorted((str(e), str(f)))))
+        return ([p.serialize() for p in self.pxts],
+                [f"xc {x} {e} {f}" for x, e, f in sorted(xcs)])
 
     @classmethod
     def parse(cls, graph: Graph, text: str) -> "AllocationPlan":
@@ -638,10 +641,9 @@ class AllocationPlan:
         if plan is None:
             plan = cls(graph, mode=mode, enforce=enforce)
         if "d" in plan.enforce:
-            expect = [p.serialize() for p in plan.pxts]
-            if pxt_lines and pxt_lines != expect:
+            expect_pxt, expect_xc = plan._trail_lines()
+            if pxt_lines and pxt_lines != expect_pxt:
                 raise PlanError("pxt lines do not match the entries' cross-connects")
-            expect_xc = [l for l in plan.serialize().splitlines() if l.startswith("xc ")]
             if xc_lines and xc_lines != expect_xc:
                 raise PlanError("xc lines do not match the entries' cross-connects")
         elif first_trail_line:

@@ -15,6 +15,14 @@ def walk(*seq) -> Walk:
     return Walk(tuple(items[0::2]), tuple(items[1::2]))
 
 
+def arc_set(ids) -> ArcSet:
+    """The ArcSet of the given arc ids."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return ArcSet(mask)
+
+
 def used_on_link(plan: AllocationPlan, u: str, v: str) -> int:
     """How many ordinals of link u-v the plan uses."""
     return len(plan._used_ordinals.get(link_key(u, v), ()))

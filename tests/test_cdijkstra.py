@@ -19,7 +19,7 @@ from pxtmesh.cdijkstra import (
     solve,
 )
 
-from conftest import is_symmetric, reflection_grid, rival_graph, symmetrize
+from conftest import arc_set, is_symmetric, reflection_grid, rival_graph, symmetrize
 
 
 def one_way_worked_example() -> RivalGraph:
@@ -34,14 +34,14 @@ def one_way_worked_example() -> RivalGraph:
         Arc(1, "v1", "v2", 4),
         Arc(2, "v2", "v3", 1),
         Arc(3, "v1", "v4", 1),
-        Arc(4, "v1", "v5", 0, ArcSet.of({1, 6})),
+        Arc(4, "v1", "v5", 0, arc_set({1, 6})),
         Arc(5, "v5", "v4", 1),
         Arc(6, "v5", "v2", 1),
         Arc(7, "v6", "v3", 9),
         Arc(8, "v2", "v6", 9),
         Arc(9, "v4", "v5", 0),
         Arc(10, "v4", "v6", 9),
-        Arc(11, "v5", "v6", 2, ArcSet.of({5})),
+        Arc(11, "v5", "v6", 2, arc_set({5})),
     ]
     return rival_graph([f"v{i}" for i in range(1, 7)], arcs, "v1")
 
@@ -98,7 +98,7 @@ class TestConstructionChecks:
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_unknown_rival_bit_rejected(self, build):
-        g = build("ab", [Arc(0, "a", "b", 1, ArcSet.of({0, 70}))], "a")
+        g = build("ab", [Arc(0, "a", "b", 1, arc_set({0, 70}))], "a")
         with pytest.raises(ValueError, match="unknown rival 70"):
             is_symmetric(g)
 
@@ -156,7 +156,7 @@ class TestSymmetrize:
                {a: arc.rivals for a, arc in again.arcs.items()}
 
     def test_unknown_rival_rejected(self):
-        g = rival_graph("ab", [Arc(0, "a", "b", 1, ArcSet.of({3}))], "a")
+        g = rival_graph("ab", [Arc(0, "a", "b", 1, arc_set({3}))], "a")
         with pytest.raises(ValueError, match="unknown rival 3"):
             symmetrize(g)
 
@@ -221,7 +221,7 @@ def random_instance(rng: random.Random, n_nodes=8, n_arcs=20, n_rivals=6,
         x, y = rng.choice(ids), rng.choice(ids)
         if x != y:
             rivals[x].add(y)
-    arcs = [Arc(a.id, a.tail, a.head, a.length, ArcSet.of(rivals[a.id])) for a in arcs]
+    arcs = [Arc(a.id, a.tail, a.head, a.length, arc_set(rivals[a.id])) for a in arcs]
     return rival_graph(nodes, arcs, nodes[0])
 
 
@@ -481,7 +481,7 @@ def with_frozenset_rivals(g: RivalGraph) -> RivalGraph:
 def relabeled(g: RivalGraph, new_id) -> RivalGraph:
     """g with arc id i renamed new_id(i), arc order kept."""
     arcs = [Arc(new_id(a.id), a.tail, a.head, a.length,
-                ArcSet.of(map(new_id, a.rivals)), a.tiebreak) for a in g.arcs.values()]
+                arc_set(map(new_id, a.rivals)), a.tiebreak) for a in g.arcs.values()]
     return rival_graph(g.nodes, arcs, g.source)
 
 
@@ -540,7 +540,7 @@ ids = st.frozensets(st.integers(min_value=0, max_value=200), max_size=12)
 
 @given(ids, ids, st.integers(min_value=-3, max_value=210))
 def test_arcset_agrees_with_frozenset(a_ids, b_ids, probe):
-    a, b = ArcSet.of(a_ids), ArcSet.of(b_ids)
+    a, b = arc_set(a_ids), arc_set(b_ids)
     assert len(a) == len(a_ids)
     assert (probe in a) == (probe in a_ids)
     assert list(a) == sorted(a_ids)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -151,6 +152,20 @@ class TestRouteValidateSimulate:
         assert run.stderr == "error: unparseable plan: line 2: 'mode' needs an argument\n"
         assert "Traceback" not in run.stderr + run.stdout
 
+    def test_audit_error_names_its_failure_once(self, runner, tmp_path):
+        # a link-mode plan swept for node failures: some protection path runs
+        # through a transit node of its own working path
+        plan_file = tmp_path / "plan.txt"
+        r = runner.invoke(main, ["route", "--graph", "k66", "--pattern", "uniform",
+                                 "--scheme", "pxt", "--mode", "link", "--out", str(plan_file)])
+        assert r.exit_code == 0, r.output
+        s = runner.invoke(main, ["simulate", "--graph", "k66", "--plan", str(plan_file),
+                                 "--mode", "node"])
+        assert s.exit_code == 1
+        assert isinstance(s.exception, SystemExit)
+        assert s.output == ("error: node:a0: protection of demand 285 is hit by the same "
+                            "failure; working and protection were not disjoint\n")
+
     def test_resource_limit_exit_code(self, runner):
         r = runner.invoke(main, ["route", "--graph", "k66", "--pattern", "uniform",
                                  "--scheme", "pxt", "--max-work", "50"])
@@ -263,6 +278,18 @@ def test_table1_reads_murakami_file_before_the_first_row(runner, tmp_path, monke
     assert r.exit_code == 2, r.output
     assert "missing.graph" in r.output
     assert calls == []
+
+
+def test_table1_working_mismatch_fails_cleanly(runner, monkeypatch):
+    def run_instance(graph_name, g, pattern, scheme, seed, **kwargs):
+        return SimpleNamespace(working=1 if scheme == "pxt" else 2, protection=0)
+
+    monkeypatch.setattr(experiments, "run_instance", run_instance)
+    r = runner.invoke(main, ["table1", "--pattern", "neighbor", "--runs", "1"])
+    assert r.exit_code == 1, r.output
+    assert isinstance(r.exception, SystemExit)
+    assert "error: working bandwidth differs across schemes: {1, 2}\n" in r.output
+    assert "Traceback" not in r.output
 
 
 def test_demand_file_over_the_cap_is_a_usage_error(runner, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field
+
 import pytest
 
 from pxtmesh.failsim import (
@@ -5,15 +7,11 @@ from pxtmesh.failsim import (
     AuditReport,
     AuditRow,
     Failure,
-    RestorationError,
-    RestorationResult,
-    SwitchEvent,
     audit,
     enumerate_failures,
-    restore,
 )
-from pxtmesh.graph import link_key
-from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
+from pxtmesh.graph import Walk, link_key
+from pxtmesh.plan import AllocationPlan, Demand, PlanEntry
 
 from conftest import walk
 
@@ -42,8 +40,11 @@ def shared_plan(five_node):
 
 
 class TestRestore:
+    """The oracle restoration of one failure, and audit()'s row for it."""
+
     def test_fail_first_working(self, shared_plan):
-        r = restore(shared_plan, link_failure("A", "B"))
+        failure = link_failure("A", "B")
+        r = oracle_restore(shared_plan, failure)
         assert r.affected == [0]
         assert r.activated[0].nodes == ("A", "E", "D", "B")
         assert {e.node for e in r.switch_events} == {"A", "B"}
@@ -51,28 +52,37 @@ class TestRestore:
         # the trail continues past A to C, so A must break that connect
         breaks = [e for e in r.switch_events if e.action == "break-crossconnect-at-endnode"]
         assert [(b.node, b.demand) for b in breaks] == [("A", 0)]
+        assert audit_row(shared_plan, failure) == row_of(r) == AuditRow("link:A-B", 1, 0, 3, 2)
 
     def test_fail_second_working(self, shared_plan):
-        r = restore(shared_plan, link_failure("C", "D"))
+        failure = link_failure("C", "D")
+        r = oracle_restore(shared_plan, failure)
         assert r.affected == [1]
         assert r.activated[1].nodes == ("C", "A", "E", "D")
         breaks = [e for e in r.switch_events if e.action == "break-crossconnect-at-endnode"]
         assert [(b.node, b.demand) for b in breaks] == [("D", 1)]
         assert {e.node for e in r.switch_events} == {"C", "D"}
+        assert audit_row(shared_plan, failure) == row_of(r) == AuditRow("link:C-D", 1, 0, 3, 2)
 
     def test_fail_idle_link(self, shared_plan):
-        r = restore(shared_plan, link_failure("E", "B"))
+        failure = link_failure("E", "B")
+        r = oracle_restore(shared_plan, failure)
         assert r.affected == []
         assert r.switch_events == []
+        assert audit_row(shared_plan, failure) == row_of(r) == AuditRow("link:B-E", 0, 0, 0, 0)
 
     def test_node_failure_at_terminal_unrestorable(self, shared_plan):
-        r = restore(shared_plan, node_failure("A"))
+        failure = node_failure("A")
+        r = oracle_restore(shared_plan, failure)
         assert r.unrestorable == [0]
         assert r.affected == []
+        assert audit_row(shared_plan, failure) == row_of(r) == AuditRow("node:A", 0, 1, 0, 0)
 
     def test_node_failure_missing_nobody(self, shared_plan):
-        r = restore(shared_plan, node_failure("E"))
+        failure = node_failure("E")
+        r = oracle_restore(shared_plan, failure)
         assert r.affected == [] and r.unrestorable == []
+        assert audit_row(shared_plan, failure) == row_of(r) == AuditRow("node:E", 0, 0, 0, 0)
 
     def test_interior_node_failure(self, five_node):
         plan = AllocationPlan(five_node)
@@ -80,13 +90,16 @@ class TestRestore:
             Demand(0, "C", "B"),
             walk("C", ("C", "A", 0), "A", ("A", "B", 0), "B"),
             walk("C", ("C", "D", 0), "D", ("D", "B", 0), "B")))
-        r = restore(plan, node_failure("A"))
+        failure = node_failure("A")
+        r = oracle_restore(plan, failure)
         assert r.affected == [0]
         assert r.activated[0].nodes == ("C", "D", "B")
+        assert audit_row(plan, failure) == row_of(r) == AuditRow("node:A", 1, 0, 2, 1)
 
     def test_read_only(self, shared_plan):
         before = shared_plan.serialize()
-        restore(shared_plan, link_failure("A", "B"))
+        oracle_restore(shared_plan, link_failure("A", "B"))
+        audit(shared_plan, "node")
         assert shared_plan.serialize() == before
 
     def test_invalid_plan_rejected(self, five_node):
@@ -99,8 +112,16 @@ class TestRestore:
             Demand(1, "C", "D"),
             walk("C", ("C", "D", 0), "D"),
             walk("C", ("C", "A", 0), "A", ("A", "E", 0), "E", ("E", "D", 0), "D")))
-        with pytest.raises(PlanError):
-            restore(plan, link_failure("A", "B"))
+        assert plan.validate()
+        # without rule d nothing is cross-connected, so nothing restores
+        failure = link_failure("A", "B")
+        with pytest.raises(AuditError) as oracle:
+            oracle_restore(plan, failure)
+        with pytest.raises(AuditError) as exc:
+            audit(plan, "link")
+        assert str(exc.value) == str(oracle.value) == \
+            "link:A-B: protection of demand 0 is not pre-cross-connected at E"
+        assert (exc.value.failure, exc.value.demands) == (failure, (0,))
 
 
 class TestEnumerate:
@@ -156,18 +177,51 @@ class TestAudit:
         # both protection edges are contended; the least by name is the witness
         assert str(exc.value) == "link:A-B: protection edge B~D#0 needed by demands [0, 1] at once"
 
+    def test_contention_between_entries_of_one_demand_id(self, five_node):
+        # as above, but both copies carry demand id 0: each entry still needs
+        # its own unit of every protection edge
+        plan = AllocationPlan(five_node, enforce="abd")
+        protection = walk("C", ("C", "D", 0), "D", ("D", "B", 0), "B")
+        for k in (0, 1):
+            plan.add_entry(PlanEntry(
+                Demand(0, "C", "B"),
+                walk("C", ("C", "A", k), "A", ("A", "B", k), "B"),
+                protection))
+        with pytest.raises(AuditError) as exc:
+            audit(plan, mode="link")
+        assert str(exc.value) == "link:A-B: protection edge B~D#0 needed by demands [0, 0] at once"
+        assert exc.value.demands == (0, 0)
+
     def test_empty_plan_vacuous(self, five_node):
         report = audit(AllocationPlan(five_node), mode="link")
         assert report.failures_checked == 7
         assert report.max_concurrent_load == 0
 
 
-# -- audit() and restore() against their full-scan oracles ----------------------
+# -- audit() against its full-scan oracles ---------------------------------------
+
+
+@dataclass(frozen=True)
+class SwitchEvent:
+    node: str
+    action: str  # "bridge-at-endnode" | "break-crossconnect-at-endnode"
+    demand: int
+
+
+@dataclass
+class RestorationResult:
+    failure: Failure
+    affected: list[int] = field(default_factory=list)
+    unrestorable: list[int] = field(default_factory=list)
+    activated: dict[int, Walk] = field(default_factory=dict)
+    switch_events: list[SwitchEvent] = field(default_factory=list)
+    pass_through: int = 0
 
 
 def oracle_restore(plan, failure):
-    """restore() without its validation, as it was before the per-failure entry
-    index: every entry is tested against the failure."""
+    """The restoration of one failure, as audit() once built it before counting
+    it, without the per-failure entry index: every entry is tested against
+    the failure, and every activated walk and switch event is kept."""
     def hits(walk):
         if failure.kind == "link":
             return failure.element in {e.link for e in walk.edges}
@@ -182,8 +236,8 @@ def oracle_restore(plan, failure):
             result.unrestorable.append(d.id)
             continue
         if hits(entry.protection):
-            raise RestorationError(
-                f"{failure.id}: protection of demand {d.id} is hit by the same "
+            raise AuditError(
+                failure, f"protection of demand {d.id} is hit by the same "
                 f"failure; working and protection were not disjoint", (d.id,))
         result.affected.append(d.id)
         result.activated[d.id] = entry.protection
@@ -191,8 +245,8 @@ def oracle_restore(plan, failure):
         for i in range(len(p.edges) - 1):
             x = p.nodes[i + 1]
             if plan.crossconnect_partner(p.edges[i], x) != p.edges[i + 1]:
-                raise RestorationError(
-                    f"{failure.id}: protection of demand {d.id} is not "
+                raise AuditError(
+                    failure, f"protection of demand {d.id} is not "
                     f"pre-cross-connected at {x}", (d.id,))
         result.pass_through += len(p.nodes) - 2
         for terminal, end_edge in ((p.nodes[0], p.edges[0]), (p.nodes[-1], p.edges[-1])):
@@ -203,16 +257,24 @@ def oracle_restore(plan, failure):
     return result
 
 
+def row_of(r: RestorationResult) -> AuditRow:
+    """The audit row a restoration adds up to."""
+    return AuditRow(r.failure.id, len(r.affected), len(r.unrestorable),
+                    len(r.switch_events), r.pass_through)
+
+
+def audit_row(plan, failure) -> AuditRow:
+    """audit()'s row for `failure`, from a sweep of that failure's kind."""
+    return next(r for r in audit(plan, failure.kind).rows if r.failure == failure.id)
+
+
 def oracle_audit(plan, mode):
     """audit() as it was before the per-failure entry index: a full restore
     per failure, and every activated edge sorted."""
     report = AuditReport(mode)
     terminals = {e.demand.id: e.demand.terminals for e in plan.entries}
     for failure in enumerate_failures(plan.graph, mode):
-        try:
-            r = oracle_restore(plan, failure)
-        except RestorationError as exc:
-            raise AuditError(failure, str(exc), exc.demands) from exc
+        r = oracle_restore(plan, failure)
         edge_users = {}
         for did, w in r.activated.items():
             for e in w.edges:
@@ -230,16 +292,15 @@ def oracle_audit(plan, mode):
                 raise AuditError(
                     failure, f"switch event at non-terminal {ev.node} "
                     f"for demand {ev.demand}", (ev.demand,))
-        report.rows.append(AuditRow(failure.id, len(r.affected), len(r.unrestorable),
-                                    len(r.switch_events), r.pass_through))
+        report.rows.append(row_of(r))
     return report
 
 
 def outcome(fn, *args):
-    """What a call returned, or the message and demands of what it raised."""
+    """What a call returned, or the type, message and demands of what it raised."""
     try:
         result = fn(*args)
-    except (AuditError, RestorationError) as exc:
+    except AuditError as exc:
         return type(exc).__name__, str(exc), exc.demands
     if isinstance(result, AuditReport):
         return result.to_csv(), result.max_concurrent_load
@@ -252,16 +313,26 @@ def test_audit_and_restore_match_oracles(random_plan, seed, mode):
     plan = random_plan(seed, mode)
     for failure_mode in ("link", "node"):
         assert outcome(audit, plan, failure_mode) == outcome(oracle_audit, plan, failure_mode)
-    violations = plan.validate()
-    for failure in enumerate_failures(plan.graph, "node"):
-        if violations:
-            # restore() validates first; audit() above still runs the
-            # restoration of every invalid plan against its oracle
-            with pytest.raises(PlanError) as exc:
-                restore(plan, failure)
-            assert exc.value.violations == violations
+    # each row of the sweep is the oracle restoration of its failure; where the
+    # sweep stops, the oracle fails the same way or restores with contention
+    try:
+        report, stop = audit(plan, "node"), None
+    except AuditError as exc:
+        report, stop = None, exc
+    for i, failure in enumerate(enumerate_failures(plan.graph, "node")):
+        restored = outcome(oracle_restore, plan, failure)
+        if stop is None:
+            assert report.rows[i] == row_of(restored)
+        elif failure == stop.failure:
+            if isinstance(restored, RestorationResult):
+                assert "needed by demands" in str(stop)
+            else:
+                assert restored == outcome(audit, plan, "node")
+            break
         else:
-            assert outcome(restore, plan, failure) == outcome(oracle_restore, plan, failure)
+            assert isinstance(restored, RestorationResult)
+    else:
+        assert stop is None
 
 
 def test_random_plans_reach_every_audit_outcome(random_plan):

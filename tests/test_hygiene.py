@@ -1,12 +1,13 @@
 """Source hygiene checks that need no linter: every import in src/pxtmesh is
 used and sits at module level, no module guards an invariant with `assert`,
 which `python -O` strips, every function, method and class defined there is
-named somewhere else, and somewhere other than the tests, and every field it
-declares is read somewhere."""
+referenced by code somewhere else, and somewhere other than the tests, and
+every field it declares is read somewhere."""
 
 import ast
+import builtins
+import importlib
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -105,38 +106,109 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} uses assert; raise a real exception instead"
 
 
-def _definitions(tree: ast.Module):
-    """(name, line) of every function, method, property and class, apart from
-    dunders and click commands, which are reached without being named."""
+def _outside_base(tree: ast.Module):
+    """A function from a base-class expression in `tree` to the class it names
+    when that class comes from builtins or an absolute import, else None."""
+    imports = {}
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if node.name.startswith("__") and node.name.endswith("__"):
-            continue
-        calls = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if any(isinstance(c, ast.Attribute) and c.attr in ("command", "group") for c in calls):
-            continue
-        yield node.name, node.lineno
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imports[alias.asname or alias.name.split(".")[0]] = \
+                    (alias.name if alias.asname else alias.name.split(".")[0], None)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                imports[alias.asname or alias.name] = (node.module, alias.name)
+
+    def resolve(expr: ast.expr):
+        attrs = []
+        while isinstance(expr, ast.Attribute):
+            attrs.insert(0, expr.attr)
+            expr = expr.value
+        if not isinstance(expr, ast.Name):
+            return None
+        if expr.id in imports:
+            module, name = imports[expr.id]
+            obj = importlib.import_module(module)
+            attrs = [name, *attrs] if name else attrs
+        else:
+            obj = builtins
+            attrs = [expr.id, *attrs]
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        return obj
+
+    return resolve
 
 
-def _name_counts(paths) -> Counter:
-    """How often each identifier-like word occurs in the given files, code,
-    strings, comments and prose alike."""
-    counts: Counter = Counter()
+def _definitions(tree: ast.Module):
+    """(name, line, module-level?) of every function, method, property and
+    class, apart from those reached without being named: dunders, click
+    commands, and methods that override a base class from outside the module
+    (builtins or an absolute import), such as a click.Group's `invoke`."""
+    outside = _outside_base(tree)
+
+    def visit(node, top, bases):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, top, bases)
+                continue
+            calls = [d.func if isinstance(d, ast.Call) else d for d in child.decorator_list]
+            if not (child.name.startswith("__") and child.name.endswith("__")
+                    or any(isinstance(c, ast.Attribute) and c.attr in ("command", "group")
+                           for c in calls)
+                    or any(hasattr(base, child.name) for base in bases)):
+                yield child.name, child.lineno, top
+            inner = [outside(b) for b in child.bases] if isinstance(child, ast.ClassDef) else []
+            yield from visit(child, False, [b for b in inner if b is not None])
+
+    yield from visit(tree, True, [])
+
+
+def _references(paths):
+    """What the given Python files reference: the bare names each one reads
+    (string annotations included), every attribute read as (owner, name)
+    with owner the last name of the expression it is read from
+    (`ns.failsim.audit` -> ("failsim", "audit")), and every imported name."""
+    names, attributes, imported = {}, set(), set()
     for path in paths:
-        counts.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
-    return counts
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names[path] = _used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                attributes.add((getattr(owner, "id", getattr(owner, "attr", None)), node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+    return names, attributes, imported
+
+
+def _code_identifiers(path: Path) -> set[str]:
+    """The identifiers in a Markdown file's code blocks and backtick spans."""
+    spans = re.findall(r"```.*?```|`[^`\n]*`", path.read_text(), flags=re.S)
+    return {word for span in spans for word in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", span)}
 
 
 def dead_definitions(src_files, other_files) -> list[str]:
-    """`module:line name` of each definition in `src_files` whose name occurs
-    nowhere but at its own definitions."""
-    defs = {path: list(_definitions(ast.parse(path.read_text(), filename=str(path))))
-            for path in src_files}
-    defined = Counter(name for found in defs.values() for name, _ in found)
-    counts = _name_counts([*src_files, *other_files])
-    return sorted(f"{path.name}:{line} {name}" for path, found in defs.items()
-                  for name, line in found if counts[name] <= defined[name])
+    """`module:line name` of each definition in `src_files` that no file
+    references.  A Python file references a module-level function or class by
+    importing it, reading it as `module.name`, or, in its own module, naming
+    it bare; any other definition by reading an attribute of its name, or
+    naming it bare in its own module.  A Markdown file references the
+    identifiers in its code blocks and backtick spans."""
+    python = [p for p in [*src_files, *other_files] if p.suffix == ".py"]
+    names, attributes, imported = _references(python)
+    attribute_names = {name for _, name in attributes}
+    words = set().union(*(_code_identifiers(p) for p in other_files if p.suffix == ".md"))
+    dead = []
+    for path in src_files:
+        for name, line, top in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            if top:
+                used = name in imported or (path.stem, name) in attributes
+            else:
+                used = name in attribute_names
+            if not (used or name in names[path] or name in words):
+                dead.append(f"{path.name}:{line} {name}")
+    return sorted(dead)
 
 
 def test_no_dead_definitions():
@@ -156,17 +228,26 @@ def test_dead_definition_check_exemptions(tmp_path):
                    "@click.command()\n"
                    "def cmd(): pass\n"
                    "def helper(): return Used()\n"
-                   "def unused(): pass\n")
+                   "def unused(): pass\n"
+                   "class Group(click.Group):\n"
+                   "    def invoke(self, ctx): pass\n"
+                   "    def extra(self): pass\n"
+                   "class Ids(int):\n"
+                   "    def bit_count(self): pass\n"
+                   "    def of(self): pass\n")
     user = tmp_path / "user.py"
-    user.write_text("# calls helper()\n")
-    assert dead_definitions([mod], [user]) == ["mod.py:5 orphan", "mod.py:9 unused"]
+    user.write_text("import mod\n"
+                    "# unused(), extra()\n"
+                    "mod.helper()\n"
+                    "print(mod.Group, mod.Ids, '.orphan')\n")
+    assert dead_definitions([mod], [user]) == [
+        "mod.py:12 extra", "mod.py:15 of", "mod.py:5 orphan", "mod.py:9 unused"]
 
 
 def named_only_in_tests(root: Path) -> list[str]:
-    """`module:line name` of each definition in root/src/pxtmesh whose name
-    occurs nowhere outside its own definitions, tests/ left out: src/,
-    benchmarks/ and README.md are searched, with the exemptions of
-    `dead_definitions`."""
+    """`module:line name` of each definition in root/src/pxtmesh that nothing
+    outside tests/ references: src/, benchmarks/ and README.md are searched,
+    as in `dead_definitions`."""
     others = [*sorted((root / "benchmarks").rglob("*.py")), root / "README.md"]
     return dead_definitions(sorted((root / "src" / "pxtmesh").glob("*.py")), others)
 
@@ -185,12 +266,15 @@ def test_test_only_check_reads_all_but_tests(tmp_path):
         "def in_benchmarks(): pass\n"
         "def in_readme(): pass\n"
         "def in_tests(): pass\n"
-        "class Orphan: pass\n")
+        "class Orphan: pass\n"
+        "def restore(): pass\n")
     (tmp_path / "src" / "pxtmesh" / "other.py").write_text("from .mod import in_src\n")
-    (tmp_path / "benchmarks" / "run.py").write_text("mod.in_benchmarks()\n")
-    (tmp_path / "README.md").write_text("`in_readme` does nothing\n")
-    (tmp_path / "tests" / "test_mod.py").write_text("in_tests(); in_src(); Orphan()\n")
-    assert named_only_in_tests(tmp_path) == ["mod.py:4 in_tests", "mod.py:5 Orphan"]
+    # a method of the same name is not the module function
+    (tmp_path / "benchmarks" / "run.py").write_text("mod.in_benchmarks()\ntracer.restore()\n")
+    (tmp_path / "README.md").write_text("`in_readme` does nothing; nor does restore\n")
+    (tmp_path / "tests" / "test_mod.py").write_text("in_tests(); in_src(); Orphan(); restore()\n")
+    assert named_only_in_tests(tmp_path) == [
+        "mod.py:4 in_tests", "mod.py:5 Orphan", "mod.py:6 restore"]
 
 
 def _declared_fields(tree: ast.Module):

@@ -1,18 +1,20 @@
 """Comparison schemes: dedicated 1+1 pairs and naive shared-path protection.
 
-Both route every demand on a fixed disjoint path pair per terminal pair.  The
-1+1 scheme dedicates fresh bandwidth to each copy; the shared-path scheme
-reuses protection edges whenever the edge-exclusivity and conflicting-working
-rules allow, but pays no attention to branch points, so its plans are not
-pre-cross-connectable.
+Both route every demand on a fixed disjoint path pair per terminal pair, as
+disjoint_pair picks it.  The 1+1 scheme dedicates fresh bandwidth to each
+copy; the shared-path scheme reuses protection edges whenever the
+edge-exclusivity and conflicting-working rules allow, but pays no attention
+to branch points, so its plans are not pre-cross-connectable.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
-from .graph import EdgeId, Graph, Walk, _avoiding, all_shortest_paths, link_key, shortest_path
+from .graph import (EdgeId, Graph, Walk, _avoiding, all_shortest_paths, link_key, ranked_routes,
+                    shortest_route_dag)
 from .plan import AllocationPlan, Demand, PlanEntry
 
 
@@ -26,26 +28,31 @@ class DisjointPair:
     protection: tuple[str, ...]
 
 
-def disjoint_pair(g: Graph, u: str, v: str, mode: str = "node") -> DisjointPair:
+def disjoint_pair(g: Graph, u: str, v: str, mode: str = "node",
+                  cost: Callable[[str, str], int] | None = None) -> DisjointPair:
     """Shortest working, then the shortest protection disjoint from it.
 
     The working length always equals the plain shortest-path distance; among
     all shortest workings the one admitting the shortest protection wins,
-    with lexicographic order deciding any remaining tie.
+    then the one whose protection costs least, summing `cost(a, b)` per hop,
+    with lexicographic order deciding any remaining tie.  Each working's
+    protection is the first ranked route of the shortest-route DAG that
+    avoids it.
     """
     if u == v:
         raise PairError("terminals must be distinct")
     best = None
     for working in all_shortest_paths(g, u, v):
-        protection = shortest_path(g, u, v, _avoiding(working, mode))
-        if protection is None:
-            continue
-        key = (len(protection), working, protection)
-        if best is None or key < best:
-            best = key
+        dag = shortest_route_dag(g, v, _avoiding(working, mode))
+        protection = next(ranked_routes(dag, u, v, cost), None)
+        if protection is not None:
+            price = 0 if cost is None else sum(map(cost, protection, protection[1:]))
+            key = (len(protection), price, working, protection)
+            if best is None or key < best:
+                best = key
     if best is None:
         raise PairError(f"no {mode}-disjoint path pair between {u} and {v}")
-    return DisjointPair(best[1], best[2])
+    return DisjointPair(best[2], best[3])
 
 
 def route_1plus1(g: Graph, demands: list[Demand], mode: str = "node") -> AllocationPlan:
@@ -69,40 +76,36 @@ def fixed_pair_routes(g: Graph, mode: str = "node") -> dict[frozenset, DisjointP
     """One disjoint pair per terminal pair, placed to cluster protections.
 
     Pairs are computed in lexicographic terminal order with the same
-    lexicographic length objective as disjoint_pair, but ties prefer
+    lexicographic length objective through disjoint_pair, but ties prefer
     protection routes over links already chosen for other pairs' protections
     (counting each link up to OVERLAP_CAP).  Clustering protections onto
     common corridors is what lets copies of different demands share edges.
+    A hop costs OVERLAP_CAP less that count, so a working's first ranked
+    protection overlaps most, then comes first lexicographically.
 
-    It examines every (working, protection) pair of shortest routes of every
-    terminal pair and has no limit, because the inputs it serves are small:
-    over the five 12-node fixtures the most it examines is 1,800 pairs in one
-    call (k66, in either mode) and 70 for one terminal pair (icosahedron).
-    A 12-node graph has 66 terminal pairs and few shortest routes between
-    any two nodes.  Grids much larger than the fixtures would need a bound,
-    as the count of shortest routes grows exponentially with their side.
+    It enumerates every shortest working of every terminal pair and has no
+    limit, because the inputs it serves are small: a 12-node fixture has 66
+    terminal pairs and few shortest routes between any two nodes.  Grids
+    much larger than the fixtures would need a bound, as the count of
+    shortest routes grows exponentially with their side.
 
     A terminal pair with no disjoint pair gets no entry and leaves the
     clustering counts alone: only a demand for that pair fails.
     """
     chosen: dict[frozenset, DisjointPair] = {}
     used: dict[tuple[str, str], int] = {}
+
+    def cost(a: str, b: str) -> int:
+        return OVERLAP_CAP - min(OVERLAP_CAP, used.get(link_key(a, b), 0))
+
     for u, v in itertools.combinations(sorted(g.nodes), 2):
-        best = None
-        for working in all_shortest_paths(g, u, v):
-            for prot in all_shortest_paths(g, u, v, _avoiding(working, mode)):
-                overlap = sum(min(OVERLAP_CAP, used.get(link_key(prot[i], prot[i + 1]), 0))
-                              for i in range(len(prot) - 1))
-                key = (len(prot), -overlap, working, prot)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        try:
+            pair = disjoint_pair(g, u, v, mode, cost)
+        except PairError:
             continue
-        _, _, working, prot = best
-        chosen[frozenset((u, v))] = DisjointPair(working, prot)
-        for i in range(len(prot) - 1):
-            lk = link_key(prot[i], prot[i + 1])
-            used[lk] = used.get(lk, 0) + 1
+        chosen[frozenset((u, v))] = pair
+        for link in map(link_key, pair.protection, pair.protection[1:]):
+            used[link] = used.get(link, 0) + 1
     return chosen
 
 

@@ -93,10 +93,10 @@ def audit(plan: AllocationPlan, mode: str | None = None) -> AuditReport:
     activated protection path must be untouched by the failure and fully
     pre-cross-connected, the activated paths must be pairwise edge-disjoint,
     and only the demand's terminals switch: each bridges, and breaks the
-    cross-connect where the trail continues past it.  Per failure the report
-    counts restorations, unrestorable demands, switch events and pass-through
-    nodes.  Violations raise AuditError naming the failure and the witness
-    demands.
+    cross-connect where the trail continues past it.  add_entry makes them
+    the protection's ends.  Per failure the report counts restorations,
+    unrestorable demands, switch events and pass-through nodes.  Violations
+    raise AuditError naming the failure and the witness demands.
     """
     mode = mode or plan.mode
     report = AuditReport(mode)
@@ -108,7 +108,6 @@ def audit(plan: AllocationPlan, mode: str | None = None) -> AuditReport:
             hit_by.setdefault(element, []).append(entry)
     for failure in enumerate_failures(plan.graph, mode):
         affected = unrestorable = switch_events = pass_through = 0
-        restored: list[PlanEntry] = []
         edge_users: dict[EdgeId, list[int]] = {}
         for entry in hit_by.get(failure.element, ()):
             d, p = entry.demand, entry.protection
@@ -130,7 +129,6 @@ def audit(plan: AllocationPlan, mode: str | None = None) -> AuditReport:
             # a bridge at each end, and a break where the trail runs on past it
             switch_events += (2 + (partner(p.edges[0], p.nodes[0]) is not None)
                               + (partner(p.edges[-1], p.nodes[-1]) is not None))
-            restored.append(entry)
             for e in p.edges:
                 edge_users.setdefault(e, []).append(d.id)
         contended = [e for e, users in edge_users.items() if len(users) > 1]
@@ -142,12 +140,6 @@ def audit(plan: AllocationPlan, mode: str | None = None) -> AuditReport:
         report.max_concurrent_load = max(
             report.max_concurrent_load,
             max((len(u) for u in edge_users.values()), default=0))
-        for entry in restored:
-            for node in entry.protection.ends:
-                if node not in entry.demand.terminals:
-                    raise AuditError(
-                        failure, f"switch event at non-terminal {node} "
-                        f"for demand {entry.demand.id}", (entry.demand.id,))
         report.rows.append(AuditRow(failure.id, affected, unrestorable,
                                     switch_events, pass_through))
     return report

@@ -7,12 +7,18 @@ names one of them.  An EdgeId is the tuple (u, v, index) with u <= v and
 equals that plain tuple, so plans hash and compare edges at C speed; no dict
 mixes the two, as link keys are 2-tuples.  Which ordinals are in use is
 tracked by allocation plans, so Graph itself stays immutable and safe to share.
+
+Shortest routes have one enumerator: `ranked_routes` draws the routes of a
+`shortest_route_dag` by least total cost, ties lexicographic, as in
+Eppstein's best-first k-shortest-paths search; with no cost it is
+`all_shortest_paths`.  The router and both baselines rank through it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -256,10 +262,10 @@ def _avoiding(nodes: tuple[str, ...], mode: str) -> Callable[[str, str], bool]:
     """Link predicate for routes disjoint from the path `nodes`: it rejects
     the path's links and, in node mode, every link touching its interior."""
     interior = set(nodes[1:-1]) if mode == "node" else set()
-    links = {link_key(a, b) for a, b in zip(nodes, nodes[1:])}
+    hops = set(zip(nodes, nodes[1:])) | set(zip(nodes[1:], nodes))
 
     def usable(a: str, b: str) -> bool:
-        return a not in interior and b not in interior and link_key(a, b) not in links
+        return (a, b) not in hops and a not in interior and b not in interior
 
     return usable
 
@@ -275,69 +281,105 @@ def validate_walk(graph: Graph, walk: Walk) -> None:
             graph._check_ordinal(*e)  # raises, naming the unknown link or the bound
 
 
-def bfs_distances(graph: Graph, source: str,
-                  usable: Callable[[str, str], bool] | None = None) -> dict[str, int]:
-    """Hop distance from source over links accepted by `usable`."""
+def bfs_distances(graph: Graph, source: str) -> dict[str, int]:
+    """Hop distance from source to every node it reaches."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
         x = queue.popleft()
         for w in graph.neighbors(x):
-            if w not in dist and (usable is None or usable(x, w)):
+            if w not in dist:
                 dist[w] = dist[x] + 1
                 queue.append(w)
     return dist
+
+
+def shortest_route_dag(graph: Graph, target: str,
+                       usable: Callable[[str, str], bool] | None = None
+                       ) -> dict[str, list[str]]:
+    """Each node that reaches `target` over links accepted by `usable` ->
+    its successors, the neighbours one hop closer, in neighbour order.  One
+    breadth-first pass works out every successor, so the DAG stays as built
+    whatever `usable` answers later; it decides the undirected link a-b, and
+    is asked at most once per link."""
+    succ: dict[str, list[str]] = {target: []}
+    layer = [target]
+    neighbors = graph.neighbors  # neighbors(target) raises for an unknown one
+    while layer:
+        ahead: dict[str, list[str]] = {}  # the next layer's successor lists
+        for x in layer:  # in sorted order, so each list comes out sorted
+            for w in neighbors(x):
+                if w not in succ and (usable is None or usable(x, w)):
+                    ahead.setdefault(w, []).append(x)
+        succ.update(ahead)
+        layer = sorted(ahead)
+    return succ
+
+
+def ranked_routes(dag: dict[str, list[str]], u: str, v: str,
+                  cost: Callable[[str, str], int] | None = None,
+                  work: Callable[[int], None] | None = None
+                  ) -> Iterator[tuple[str, ...]]:
+    """The u-v routes of `dag`, a shortest-route DAG towards v, by least
+    total cost, ties lexicographic; nothing if u is not in it.
+
+    `cost(x, w)`, a non-negative int, prices the hop to successor w; without
+    it every route costs 0.  With `h[x]` the least cost left from x, the
+    first route steps to the first successor w with cost + h[w] == h[x].
+    The rest come, when asked for, from a best-first search on (prefix cost
+    + h, prefix), a lower bound on the key (cost, nodes) of every route
+    through the prefix; each prefix it expands reports its successor count
+    to `work`, which may raise to stop it.
+    """
+    if u not in dag:
+        return
+    # the part of the DAG that u reaches, layer by layer up to v's
+    layers = []
+    layer = {u: None}
+    while v not in layer:
+        layers.append(layer)
+        layer = dict.fromkeys([w for x in layer for w in dag[x]])
+    # steps[x]: (the least cost left from x through successor w, w)
+    h = {v: 0}
+    steps = {}
+    for layer in reversed(layers):
+        for x in layer:
+            steps[x] = step = [(h[w] if cost is None else cost(x, w) + h[w], w)
+                               for w in dag[x]]
+            h[x] = min(step)[0]
+    route = [u]
+    while (x := route[-1]) != v:
+        route.append(next(w for t, w in steps[x] if t == h[x]))
+    first = tuple(route)
+    yield first
+    heap = [(h[u], (u,))]
+    while heap:
+        key, prefix = heappop(heap)
+        x = prefix[-1]
+        if x != v:
+            if work is not None:
+                work(len(steps[x]))
+            g = key - h[x]  # the cost of the prefix
+            for t, w in steps[x]:
+                heappush(heap, (g + t, prefix + (w,)))
+        elif prefix != first:
+            yield prefix
 
 
 def all_shortest_paths(graph: Graph, u: str, v: str,
                        usable: Callable[[str, str], bool] | None = None
                        ) -> Iterator[tuple[str, ...]]:
     """Every minimum-hop node sequence from u to v over links accepted by
-    `usable`, in lexicographic order; nothing if v is unreachable.
-
-    Walks the BFS DAG towards v depth-first over the sorted neighbor lists.
-    Every node of that DAG reaches v, so no branch dead-ends, and each
-    node's successors are computed once per call: `usable` is asked at most
-    once per DAG link.
-    """
+    `usable`, in lexicographic order; nothing if v is unreachable."""
     if u not in graph.nodes or v not in graph.nodes:
         raise GraphError(f"unknown terminal {u if u not in graph.nodes else v}")
-    dist = bfs_distances(graph, v, usable)
-    if u not in dist:
-        return
-    if u == v:
-        yield (u,)
-        return
-    succ: dict[str, tuple[str, ...]] = {}
-
-    def successors(x: str) -> Iterator[str]:
-        if x not in succ:
-            step = dist[x] - 1
-            succ[x] = tuple(w for w in graph.neighbors(x)
-                            if dist.get(w) == step and (usable is None or usable(x, w)))
-        return iter(succ[x])
-
-    path = [u]
-    branches = [successors(u)]
-    while branches:
-        w = next(branches[-1], None)
-        if w is None:
-            branches.pop()
-            path.pop()
-        elif w == v:
-            yield (*path, w)
-        else:
-            path.append(w)
-            branches.append(successors(w))
+    return ranked_routes(shortest_route_dag(graph, v, usable), u, v)
 
 
 def shortest_path(graph: Graph, u: str, v: str,
                   usable: Callable[[str, str], bool] | None = None) -> tuple[str, ...] | None:
-    """Minimum-hop node sequence from u to v, or None if disconnected.
-
-    Deterministic: among all shortest paths, returns the lexicographically
-    smallest node sequence.
-    """
+    """The lexicographically smallest minimum-hop node sequence from u to
+    v, or None if disconnected."""
     return next(all_shortest_paths(graph, u, v, usable), None)
 
 

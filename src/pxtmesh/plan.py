@@ -189,6 +189,7 @@ class AllocationPlan:
         if not self.enforce <= ALL_CONDITIONS:
             raise ValueError(f"unknown conditions {set(self.enforce) - set(ALL_CONDITIONS)}")
         self.entries: list[PlanEntry] = []
+        self._demand_ids: set[int] = set()  # of the entries add_entry took
         self._roles: dict[EdgeId, str] = {}
         self._used_ordinals: dict[tuple[str, str], set[int]] = {}
         self._unused_from: dict[tuple[str, str], int] = {}  # fresh_edge's low-water marks
@@ -336,8 +337,13 @@ class AllocationPlan:
         role has room.  Once the checks pass, the trail updates cannot fail:
         each protection edge has a trail (a singleton for an edge new to
         protection, whatever its role), and rule d leaves every slot to
-        connect either already paired or a trail end.
+        connect either already paired or a trail end.  A demand id already
+        in the plan is refused.
         """
+        did = entry.demand.id
+        if did in self._demand_ids:
+            raise PlanError([PlanViolation("structure", (did,),
+                                           f"demand {did} is already in the plan")])
         violations = self._structural_violations(entry) or self._entry_violations(entry)
         if violations:
             raise PlanError(violations)
@@ -365,6 +371,7 @@ class AllocationPlan:
                 self._working_interior.setdefault(n, []).append(idx)
             for n in (nodes[0], nodes[-1]):
                 self._working_end.setdefault(n, []).append(idx)
+        self._demand_ids.add(did)
         self.entries.append(entry)
 
     def _set_role(self, e: EdgeId, role: str) -> None:

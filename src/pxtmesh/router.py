@@ -44,15 +44,13 @@ recomputing it:
   only to carry rivals, when its ends are interior to an admitted shortcut;
 - RouterState keeps, per target, the shortest-route DAG over the links with
   spare capacity, dropped like the fresh arcs when that set shrinks.  The
-  working route is drawn from it in rank order, least usage then nodes: the
-  first by greedy descent along the exact least remaining usage, the rest,
-  only when the first leaves no disjoint detour, by a best-first search.
+  working routes are drawn from it by `graph.ranked_routes` in rank order,
+  least usage then nodes, and only until one leaves a disjoint detour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .cdijkstra import (
     DEFAULT_LIMITS,
@@ -68,10 +66,11 @@ from .graph import (
     Graph,
     GraphError,
     Walk,
-    bfs_distances,
     is_path,
     link_key,
     link_of,
+    ranked_routes,
+    shortest_route_dag,
 )
 from .plan import AllocationPlan, Demand, PlanEntry, PlanError
 
@@ -116,13 +115,6 @@ class FreshArcs:
     mask: dict[str, int]  # node -> the bits of every fresh arc at it
 
 
-# a shortest-route DAG towards one target over the links with spare
-# capacity: each node that reaches the target -> its successors, the
-# neighbours one hop closer over a free link, in neighbour order, each with
-# the key of the link to it
-WorkingDag = dict[str, tuple[tuple[str, tuple[str, str]], ...]]
-
-
 class RouterState:
     """Owns the growing plan; route() calls must stay sequential."""
 
@@ -136,11 +128,7 @@ class RouterState:
         self.nodes = tuple(graph.sorted_nodes())
         self.link_index = {link: i for i, link in enumerate(graph.links())}
         self._fresh: FreshArcs | None = None
-        # each node's neighbours in order, each with the key of the link to
-        # it; every cached DAG shares these pairs
-        self._steps = {x: tuple((w, link_key(x, w)) for w in graph.neighbors(x))
-                       for x in self.nodes}
-        self._dags: dict[str, WorkingDag] = {}
+        self._dags: dict[str, dict[str, list[str]]] = {}
         self._dags_free = len(self.plan._free)  # len(plan._free) when cached
 
     def route(self, demand: Demand) -> PlanEntry:
@@ -161,20 +149,17 @@ class RouterState:
             self._fresh = FreshArcs(len(free), edges, out, mask)
         return self._fresh
 
-    def working_dag(self, target: str) -> WorkingDag:
-        """The shortest-route DAG towards `target`, cached per target and
-        dropped when the plan's set of free links has shrunk."""
+    def working_dag(self, target: str) -> dict[str, list[str]]:
+        """The shortest-route DAG towards `target` over links with spare
+        capacity, cached until the plan's set of free links shrinks."""
         free = self.plan._free
         if self._dags_free != len(free):
             self._dags = {}
             self._dags_free = len(free)
         dag = self._dags.get(target)
         if dag is None:
-            dist = bfs_distances(self.graph, target, self.plan.has_free_edge)
-            dag = self._dags[target] = {
-                x: tuple(step for step in self._steps[x]
-                         if dist.get(step[0]) == d - 1 and (x, step[0]) in free)
-                for x, d in dist.items()}
+            dag = self._dags[target] = shortest_route_dag(self.graph, target,
+                                                          self.plan.has_free_edge)
         return dag
 
 
@@ -231,57 +216,26 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
     then lexicographically.  Routes whose interior would cut the terminals
     off from any disjoint protection are avoided when an alternative exists.
 
-    The routes are drawn in that rank order from the target's cached DAG,
-    never listed.  `h[x]` is the least usage left from x to the target; the
-    first route steps from each node x to its first successor w with
-    usage(x, w) + h[w] == h[x].  Only when that route has no detour does a
-    best-first search on (usage so far + h, prefix) yield the rest, in
-    order, until one has one.  Heap pushes and the links the detour
-    searches probe count against `limits.max_work`.
+    The routes are drawn in that rank order from the target's cached DAG by
+    `ranked_routes`, never listed, and only until one has a detour.  The
+    prefixes its search expands and the links the detour searches probe
+    count against `limits.max_work`.
     """
     u, v = demand.u, demand.v
     nodes = state.graph.nodes
     if u not in nodes or v not in nodes:
         raise GraphError(f"unknown terminal {u if u not in nodes else v}")
-    succ = state.working_dag(v)
-    if u not in succ:
+    usage = state.plan._used_ordinals.get  # link key -> the ordinals in use on it
+    work = _Work(state.limits.max_work, demand)
+    first = None
+    for route in ranked_routes(state.working_dag(v), u, v,
+                               lambda x, w: len(usage(link_key(x, w), ())), work.add):
+        if _protection_feasible(state, route, work):
+            return state.plan.fresh_walk(route)
+        first = first or route
+    if first is None:
         raise RoutingError(f"demand {demand.id}: no working route "
                            f"between {u} and {v}")
-    # the part of the DAG that u reaches, layer by layer up to v's
-    layers = []
-    layer = {u: None}
-    while v not in layer:
-        layers.append(layer)
-        layer = dict.fromkeys([w for x in layer for w, _ in succ[x]])
-    # h[x] is the least usage left from x; steps[x] lists, in successor
-    # order, (the least usage left from x through successor w, w)
-    usage = state.plan._used_ordinals.get  # link key -> the ordinals in use on it
-    h = {v: 0}
-    steps = {}
-    for layer in reversed(layers):
-        for x in layer:
-            steps[x] = step = [(len(usage(link, ())) + h[w], w) for w, link in succ[x]]
-            h[x] = min(step)[0]
-    route = [u]
-    while (x := route[-1]) != v:
-        route.append(next(w for t, w in steps[x] if t == h[x]))
-    first = tuple(route)
-    work = _Work(state.limits.max_work, demand)
-    if _protection_feasible(state, first, work):
-        return state.plan.fresh_walk(first)
-    # the rest in rank order: a prefix's key is a lower bound on the key
-    # (usage, nodes) of every route through it, so routes pop sorted
-    heap = [(h[u], (u,))]
-    while heap:
-        key, prefix = heappop(heap)
-        x = prefix[-1]
-        if x != v:
-            work.add(len(steps[x]))
-            g = key - h[x]  # the usage of the prefix
-            for t, w in steps[x]:
-                heappush(heap, (g + t, prefix + (w,)))
-        elif prefix != first and _protection_feasible(state, prefix, work):
-            return state.plan.fresh_walk(prefix)
     return state.plan.fresh_walk(first)
 
 

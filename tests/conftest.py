@@ -1,9 +1,10 @@
 import random
+from collections import deque
 
 import pytest
 
 from pxtmesh.cdijkstra import Arc, ArcId, ArcSet, RivalGraph
-from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, Walk, _avoiding, link_key
+from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, _avoiding, link_key
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.topologies import standard_topology
 
@@ -31,6 +32,54 @@ def used_on_link(plan: AllocationPlan, u: str, v: str) -> int:
 def protection_users(plan: AllocationPlan, edge: EdgeId) -> tuple[int, ...]:
     """The indices of the entries whose protection rides `edge`, in order."""
     return tuple(plan._protection_users.get(edge, ()))
+
+
+# -- shortest routes: the depth-first enumerator that graph.ranked_routes replaced --
+
+def shortest_paths_oracle(graph: Graph, u: str, v: str, usable=None):
+    """Every minimum-hop node sequence from u to v over links accepted by
+    `usable`, in lexicographic order; nothing if v is unreachable.
+
+    A BFS from v, then the DAG towards v walked depth-first over the sorted
+    neighbour lists, each node's successors worked out once, when the walk
+    first reaches it.
+    """
+    if u not in graph.nodes or v not in graph.nodes:
+        raise GraphError(f"unknown terminal {u if u not in graph.nodes else v}")
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        x = queue.popleft()
+        for w in graph.neighbors(x):
+            if w not in dist and (usable is None or usable(x, w)):
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    if u not in dist:
+        return
+    if u == v:
+        yield (u,)
+        return
+    succ: dict[str, tuple[str, ...]] = {}
+
+    def successors(x: str):
+        if x not in succ:
+            step = dist[x] - 1
+            succ[x] = tuple(w for w in graph.neighbors(x)
+                            if dist.get(w) == step and (usable is None or usable(x, w)))
+        return iter(succ[x])
+
+    path = [u]
+    branches = [successors(u)]
+    while branches:
+        w = next(branches[-1], None)
+        if w is None:
+            branches.pop()
+            path.pop()
+        elif w == v:
+            yield (*path, w)
+        else:
+            path.append(w)
+            branches.append(successors(w))
 
 
 # -- rival graphs: what solve requires of its input, built, checked, repaired --

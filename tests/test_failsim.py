@@ -11,7 +11,7 @@ from pxtmesh.failsim import (
     enumerate_failures,
 )
 from pxtmesh.graph import Walk, link_key
-from pxtmesh.plan import AllocationPlan, Demand, PlanEntry
+from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 
 from conftest import walk
 
@@ -178,19 +178,21 @@ class TestAudit:
         assert str(exc.value) == "link:A-B: protection edge B~D#0 needed by demands [0, 1] at once"
 
     def test_contention_between_entries_of_one_demand_id(self, five_node):
-        # as above, but both copies carry demand id 0: each entry still needs
-        # its own unit of every protection edge
+        # as above, but both copies carry demand id 0: add_entry refuses the
+        # second, so no audit witness can name one id twice
         plan = AllocationPlan(five_node, enforce="abd")
         protection = walk("C", ("C", "D", 0), "D", ("D", "B", 0), "B")
-        for k in (0, 1):
-            plan.add_entry(PlanEntry(
-                Demand(0, "C", "B"),
-                walk("C", ("C", "A", k), "A", ("A", "B", k), "B"),
-                protection))
-        with pytest.raises(AuditError) as exc:
-            audit(plan, mode="link")
-        assert str(exc.value) == "link:A-B: protection edge B~D#0 needed by demands [0, 0] at once"
-        assert exc.value.demands == (0, 0)
+        first, second = (PlanEntry(
+            Demand(0, "C", "B"),
+            walk("C", ("C", "A", k), "A", ("A", "B", k), "B"),
+            protection) for k in (0, 1))
+        plan.add_entry(first)
+        before = plan.serialize()
+        with pytest.raises(PlanError) as exc:
+            plan.add_entry(second)
+        assert str(exc.value) == "condition structure (demands 0): demand 0 is already in the plan"
+        assert plan.entries == [first] and plan.serialize() == before
+        assert audit(plan, mode="link").max_concurrent_load == 1
 
     def test_empty_plan_vacuous(self, five_node):
         report = audit(AllocationPlan(five_node), mode="link")

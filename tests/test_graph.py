@@ -23,11 +23,13 @@ from pxtmesh.graph import (
     dump_graph,
     link_key,
     load_graph,
+    ranked_routes,
     shortest_path,
+    shortest_route_dag,
 )
 from pxtmesh.topologies import TOPOLOGY_STATS, standard_topology
 
-from conftest import walk
+from conftest import shortest_paths_oracle, walk
 
 
 def W(multigraph, *seq):
@@ -400,6 +402,87 @@ class TestAllShortestPaths:
                 recursive_shortest_paths(g, u, v, usable)
             assert list(all_shortest_paths(g, u, v)) == \
                 recursive_shortest_paths(g, u, v, lambda a, b: True)
+
+
+def random_costed_grid(rng: random.Random):
+    """A random part of an r x c grid, so many shortest routes tie on length,
+    with a cost of 0-2 on each link and a fifth of the links unusable;
+    returns the graph, the usable predicate and the cost function."""
+    r, c = rng.randint(2, 5), rng.randint(2, 5)
+    full = grid(max(r, c))
+    nodes = [f"r{i}c{j}" for i in range(r) for j in range(c)]
+    keep = set(nodes)
+    links = [(a, b) for a, b in full.links() if a in keep and b in keep and rng.random() < 0.85]
+    g = Graph(nodes, [(a, b, UNBOUNDED) for a, b in links])
+    costs = {link: rng.randint(0, 2) for link in links}
+    banned = set(rng.sample(links, len(links) // 5))
+
+    def usable(a, b):
+        return link_key(a, b) not in banned
+
+    def cost(a, b):
+        return costs[link_key(a, b)]
+
+    return g, usable, cost
+
+
+class TestRankedRoutes:
+    """ranked_routes against the depth-first oracle, its routes sorted by
+    (total cost, nodes)."""
+
+    def test_matches_sorted_oracle(self):
+        seen = {"reordered": 0, "tied": 0, "unreachable": 0}
+        for seed in range(10):
+            rng = random.Random(seed)
+            for _ in range(6):
+                g, usable, cost = random_costed_grid(rng)
+                nodes = g.sorted_nodes()
+                for _ in range(12):
+                    u, v = rng.choice(nodes), rng.choice(nodes)
+                    dag = shortest_route_dag(g, v, usable)
+                    plain = list(shortest_paths_oracle(g, u, v, usable))
+                    ranked = sorted(plain, key=lambda p: (sum(map(cost, p, p[1:])), p))
+                    assert list(ranked_routes(dag, u, v, cost)) == ranked, (seed, u, v)
+                    assert list(ranked_routes(dag, u, v)) == plain, (seed, u, v)
+                    prices = [sum(map(cost, p, p[1:])) for p in ranked]
+                    seen["reordered"] += ranked != plain
+                    seen["tied"] += len(prices) != len(set(prices))
+                    seen["unreachable"] += not plain
+        assert min(seen.values()) > 20, seen
+
+    def test_same_terminal(self):
+        g, usable, cost = random_costed_grid(random.Random(1))
+        dag = shortest_route_dag(g, "r0c0", usable)
+        assert list(ranked_routes(dag, "r0c0", "r0c0", cost)) == [("r0c0",)]
+
+    def test_unreachable_target(self):
+        g = Graph("ABCD", [("A", "B", UNBOUNDED), ("C", "D", UNBOUNDED)])
+        dag = shortest_route_dag(g, "D")
+        assert sorted(dag) == ["C", "D"]
+        assert list(ranked_routes(dag, "A", "D", lambda a, b: 1)) == []
+
+    def test_unknown_terminal(self, five_node):
+        with pytest.raises(GraphError, match="unknown node Z"):
+            shortest_route_dag(five_node, "Z")
+        dag = shortest_route_dag(five_node, "A")
+        assert list(ranked_routes(dag, "Z", "A")) == []
+
+    def test_work_sees_each_expansion(self):
+        # the 70 corner-to-corner routes of a 5x5 grid, all at cost 0: the
+        # first is drawn greedily, the rest expand every prefix once
+        g = grid(5)
+        dag = shortest_route_dag(g, "r4c4")
+        reported = []
+        routes = list(ranked_routes(dag, "r0c0", "r4c4", work=reported.append))
+        assert len(routes) == 70 and routes == sorted(routes)
+        prefixes = {p[:i] for p in routes for i in range(1, len(p))}
+        assert sorted(reported) == sorted(len(dag[p[-1]]) for p in prefixes)
+
+    def test_dag_keeps_links_usable_when_built(self, five_node):
+        open_links = {link_key(a, b) for a, b in five_node.links()}
+        dag = shortest_route_dag(five_node, "B", lambda a, b: link_key(a, b) in open_links)
+        open_links.clear()
+        assert list(ranked_routes(dag, "C", "B")) == [("C", "A", "B"), ("C", "D", "B")]
 
 
 def test_distance_sum_disconnected():

@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every import in src/pxtmesh is
 used and sits at module level, no module guards an invariant with `assert`,
 which `python -O` strips, every function, method and class defined there is
-referenced by code somewhere else, and somewhere other than the tests, and
-every field it declares is read somewhere."""
+referenced by code somewhere else, and somewhere other than the tests, every
+field it declares is read somewhere, and shortest routes are searched for in
+graph.py alone."""
 
 import ast
 import builtins
@@ -104,6 +105,53 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert; raise a real exception instead"
+
+
+# the building blocks of a shortest-route search -> the modules that may use
+# them: a DAG is built from BFS distances, and a ranked search pushes onto a
+# heap; graph.py owns both, and cdijkstra.py its own constrained search
+SEARCH_OWNERS = {
+    "bfs_distances": {"graph.py"},
+    "heapq": {"graph.py", "cdijkstra.py"},
+    "heappop": {"graph.py", "cdijkstra.py"},
+    "heappush": {"graph.py", "cdijkstra.py"},
+}
+
+
+def search_outside_owners(paths) -> list[str]:
+    """`module:line name` of each import of, or reference to, a name of
+    SEARCH_OWNERS in a module that does not own it."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.update(f"{path.name}:{node.lineno} {name}" for name in names
+                         if path.name not in SEARCH_OWNERS.get(name, {path.name}))
+    return sorted(found)
+
+
+def test_one_shortest_route_enumerator():
+    found = search_outside_owners(sorted(SRC.glob("*.py")))
+    assert found == [], "search for shortest routes through graph.ranked_routes"
+
+
+def test_enumerator_check_sees_imports_and_references(tmp_path):
+    (tmp_path / "graph.py").write_text("from heapq import heappush\n"
+                                       "def bfs_distances(): heappush([], 0)\n")
+    (tmp_path / "router.py").write_text("from heapq import heappop, heappush\n"
+                                        "from .graph import bfs_distances\n"
+                                        "def f(heap): graph.bfs_distances(); heappush(heap, 1)\n")
+    (tmp_path / "cdijkstra.py").write_text("import heapq\nheapq.heappush([], 0)\n")
+    assert search_outside_owners(sorted(tmp_path.glob("*.py"))) == [
+        "router.py:1 heappop", "router.py:1 heappush", "router.py:2 bfs_distances",
+        "router.py:3 bfs_distances", "router.py:3 heappush"]
 
 
 def _outside_base(tree: ast.Module):

@@ -99,6 +99,29 @@ class TestAddEntry:
                 f"condition structure (demands 0): working path invalid: {problem}")
             assert plan.entries == [] and used_on_link(plan, "A", "B") == 0
 
+    def test_repeated_demand_id_refused(self, five_node):
+        """A demand id names one entry; the plan is unchanged by the refusal,
+        and the id stays taken by its first entry alone."""
+        plan = AllocationPlan(five_node)
+        plan.add_entry(d1_shared(five_node))
+        before = plan.serialize()
+        again = entry(0, "A", "B", walk("A", ("A", "B", 1), "B"),
+                      walk("A", ("A", "E", 1), "E", ("E", "B", 1), "B"))
+        with pytest.raises(PlanError) as exc:
+            plan.add_entry(again)
+        assert exc.value.violations == [
+            PlanViolation("structure", (0,), "demand 0 is already in the plan")]
+        assert plan.serialize() == before and used_on_link(plan, "A", "E") == 1
+        plan.add_entry(entry(1, "A", "B", again.working, again.protection))
+        assert [e.demand.id for e in plan.entries] == [0, 1]
+
+    def test_parse_refuses_a_repeated_demand_id(self, five_node):
+        plan = AllocationPlan(five_node)
+        plan.add_entry(d1_shared(five_node))
+        line = plan.entries[0].serialize()
+        with pytest.raises(PlanError, match="demand 0 is already in the plan"):
+            AllocationPlan.parse(five_node, f"pxtmesh-plan 1\nenforce abc\n{line}\n{line}\n")
+
     def test_overlapping_protections_merge_into_one_pxt(self, five_node):
         plan = AllocationPlan(five_node)
         plan.add_entry(d1_shared(five_node))

@@ -20,12 +20,10 @@ from pxtmesh.graph import (
     Graph,
     Walk,
     _avoiding,
-    all_shortest_paths,
     classify,
     disjoint,
     is_path,
     link_of,
-    shortest_path,
 )
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.router import (
@@ -44,7 +42,7 @@ from pxtmesh.router import (
 from pxtmesh.topologies import standard_topology
 from pxtmesh.traffic import generate
 
-from conftest import is_symmetric, rival_graph, used_on_link, walk
+from conftest import is_symmetric, rival_graph, shortest_paths_oracle, used_on_link, walk
 from test_cdijkstra import assert_matches_frozenset_search, outcome
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -139,7 +137,7 @@ def ranked_working_oracle(state: RouterState, demand: Demand):
         usage = sum(used_on_link(plan, p[i], p[i + 1]) for i in range(len(p) - 1))
         return (usage, p)
 
-    ranked = sorted(all_shortest_paths(state.graph, demand.u, demand.v, plan.has_free_edge),
+    ranked = sorted(shortest_paths_oracle(state.graph, demand.u, demand.v, plan.has_free_edge),
                     key=rank)
     if not ranked:
         return None, None
@@ -990,13 +988,13 @@ def test_protection_feasible_matches_shortest_path(mode):
             except RoutingError:
                 pass
             u, v = rng.sample(nodes, 2)
-            routes = list(itertools.islice(all_shortest_paths(g, u, v), 4))
+            routes = list(itertools.islice(shortest_paths_oracle(g, u, v), 4))
             for _ in range(2):
                 routes.append(tuple(rng.sample(nodes, rng.randint(2, 5))))
             for route in routes:
                 avoid = _avoiding(route, mode)
-                expect = shortest_path(g, route[0], route[-1], lambda a, b: (
-                    avoid(a, b) and plan.has_free_edge(a, b))) is not None
+                expect = next(shortest_paths_oracle(g, route[0], route[-1], lambda a, b: (
+                    avoid(a, b) and plan.has_free_edge(a, b))), None) is not None
                 assert feasible(state, route) == expect, (seed, route)
                 answers[expect] += 1
                 saturated += len(plan._free) < 2 * g.num_links()

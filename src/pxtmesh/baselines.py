@@ -37,13 +37,13 @@ def disjoint_pair(g: Graph, u: str, v: str, mode: str = "node",
     then the one whose protection costs least, summing `cost(a, b)` per hop,
     with lexicographic order deciding any remaining tie.  Each working's
     protection is the first ranked route of the shortest-route DAG that
-    avoids it.
+    avoids it, built only up to u's layer.
     """
     if u == v:
         raise PairError("terminals must be distinct")
     best = None
     for working in all_shortest_paths(g, u, v):
-        dag = shortest_route_dag(g, v, _avoiding(working, mode))
+        dag = shortest_route_dag(g, v, _avoiding(working, mode), until=u)
         protection = next(ranked_routes(dag, u, v, cost), None)
         if protection is not None:
             price = 0 if cost is None else sum(map(cost, protection, protection[1:]))
@@ -132,12 +132,12 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node") -> Al
         if pair is None:
             raise PairError(f"no {mode}-disjoint path pair between {d.u} and {d.v}")
         working = plan.fresh_walk(_orient(pair.working, d.u))
-        conflicts = plan.conflicts(working)
+        mask = plan.conflicts(working)
         p_nodes = _orient(pair.protection, d.u)
         p_edges = []
         for a, b in zip(p_nodes, p_nodes[1:]):
             on_link = protecting.setdefault(link_key(a, b), [])
-            chosen = next((e for e in on_link if plan.may_share(e, conflicts)), None)
+            chosen = next((e for e in on_link if plan.may_share((e,), mask)), None)
             if chosen is None:
                 chosen = plan.fresh_edge(a, b)
                 on_link.append(chosen)

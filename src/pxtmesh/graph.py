@@ -295,13 +295,15 @@ def bfs_distances(graph: Graph, source: str) -> dict[str, int]:
 
 
 def shortest_route_dag(graph: Graph, target: str,
-                       usable: Callable[[str, str], bool] | None = None
-                       ) -> dict[str, list[str]]:
+                       usable: Callable[[str, str], bool] | None = None,
+                       until: str | None = None) -> dict[str, list[str]]:
     """Each node that reaches `target` over links accepted by `usable` ->
     its successors, the neighbours one hop closer, in neighbour order.  One
     breadth-first pass works out every successor, so the DAG stays as built
     whatever `usable` answers later; it decides the undirected link a-b, and
-    is asked at most once per link."""
+    is asked at most once per link.  With `until`, the pass stops at that
+    node's layer: every node up to its distance has all its successors, and
+    they are all that `ranked_routes` reads for routes from it."""
     succ: dict[str, list[str]] = {target: []}
     layer = [target]
     neighbors = graph.neighbors  # neighbors(target) raises for an unknown one
@@ -312,7 +314,7 @@ def shortest_route_dag(graph: Graph, target: str,
                 if w not in succ and (usable is None or usable(x, w)):
                     ahead.setdefault(w, []).append(x)
         succ.update(ahead)
-        layer = sorted(ahead)
+        layer = [] if until in ahead else sorted(ahead)
     return succ
 
 

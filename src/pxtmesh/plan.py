@@ -14,8 +14,9 @@ trails (PXTs): chains of protection edges statically joined at shared nodes,
 so intermediate nodes never switch in real time.
 
 Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts
-and AllocationPlan.may_share, which rule c, the router and the shared-path
-baseline all ask.  add_entry keeps their index; validate() reads neither.
+and may_share, which rule c, the router and the shared-path baseline ask.
+add_entry ORs each working's footprint into its protection edges' blockers,
+fixed-width ints; validate() reads neither.
 validate() re-checks a plan from scratch in one pass over the paths: each
 rule's offenders are found with set operations and only they are described.
 """
@@ -196,11 +197,11 @@ class AllocationPlan:
         # (u, v) and (v, u) for every link with spare capacity
         self._free = {pair for u, v in graph.links() for pair in ((u, v), (v, u))}
         self._protection_users: dict[EdgeId, list[int]] = {}
-        # entries by where their working path runs: per link, and (node mode
-        # only) per node, split by whether it is an end or an interior node
-        self._working_on_link: dict[tuple[str, str], list[int]] = {}
-        self._working_end: dict[str, list[int]] = {}
-        self._working_interior: dict[str, list[int]] = {}
+        # footprint bits (see conflicts): one per link, then regions A and C
+        self._link_bit = {link: 1 << i for i, link in enumerate(graph.links())}
+        self._node_bit = {n: 1 << i for i, n in enumerate(graph.sorted_nodes(), graph.num_links())}
+        self._region_c = len(graph.nodes)  # a node's bit in C is its bit in A shifted this far
+        self._blockers: dict[EdgeId, int] = {}  # protection edge -> bits it may not meet
         # cross-connect pairing and incremental trail state (only when rule d
         # is enforced; without it the pairing is not well defined)
         self._partner: dict[tuple[EdgeId, str], EdgeId] = {}
@@ -247,24 +248,49 @@ class AllocationPlan:
 
     # -- protection sharing --------------------------------------------------
 
-    def conflicts(self, working: Walk) -> set[int]:
-        """Indices of the entries whose working path is not disjoint from
-        `working`: sharing a link, or (node mode) a node interior to either."""
-        hits: set[int] = set()
-        for link in working.link_set():
-            hits.update(self._working_on_link.get(link, ()))
+    def _footprint(self, nodes: tuple[str, ...], edges: tuple[EdgeId, ...],
+                   protected: bool) -> int:
+        """A walk's link bits and, in node mode, its node bits: as a protected
+        working's footprint (`protected`), every node in region A and the
+        interior in C; as a query mask, the interior in A and the ends in C."""
+        bits = 0
+        for e in edges:
+            bits |= self._link_bit[e[:2]]
         if self.mode == "node":
-            nodes = working.nodes
+            node, inner = self._node_bit, 0
             for n in nodes[1:-1]:
-                hits.update(self._working_interior.get(n, ()))
-                hits.update(self._working_end.get(n, ()))
-            for n in (nodes[0], nodes[-1]):
-                hits.update(self._working_interior.get(n, ()))
-        return hits
+                inner |= node[n]
+            ends = node[nodes[0]] | node[nodes[-1]]
+            bits |= (ends | inner | inner << self._region_c if protected
+                     else inner | ends << self._region_c)
+        return bits
 
-    def may_share(self, edge: EdgeId, conflicts: set[int]) -> bool:
-        """Whether no entry of `conflicts` protects over `edge`."""
-        return conflicts.isdisjoint(self._protection_users.get(edge, ()))
+    def conflicts(self, working: Walk) -> int:
+        """The mask `may_share` tests for `working`: its links and, in node
+        mode, its interior nodes in region A and its end nodes in region C.
+
+        Bits 0..L-1 stand for the L links, and regions A and C, bits L..L+N-1
+        and L+N..L+2N-1, for the N nodes, all in sorted order.  A protection
+        edge's blockers are its own link and, in node mode, its end nodes in
+        A, ORed with the footprint of each working it protects: its links and,
+        in node mode, all its nodes in A and its interior nodes in C.  A
+        footprint meets the mask exactly when the two workings share a link or
+        a node interior to either, that is when they are not disjoint.  Rule
+        c forbids the edge when any of its workings is, an OR of set
+        intersections, so the union of the footprints decides it exactly.
+        """
+        return self._footprint(working.nodes, working.edges, False)
+
+    def may_share(self, edges: tuple[EdgeId, ...], mask: int) -> bool:
+        """Whether no edge of `edges` has a blocker in `mask`, from conflicts:
+        each keeps off the working's links and (node mode) interior, and no
+        working it protects meets that working.  One AND per edge; an edge
+        that protects nothing yet has only its own bits."""
+        blockers = self._blockers
+        for e in edges:
+            if (blockers.get(e) or self._footprint(e[:2], (e,), True)) & mask:
+                return False
+        return True
 
     # -- construction ------------------------------------------------------
 
@@ -303,14 +329,15 @@ class AllocationPlan:
                 if self._roles.get(e) == "working":
                     out.append(PlanViolation("b", (d.id,), f"protection reuses working edge {e}"))
         if "c" in self.enforce:
-            conflicts = self.conflicts(entry.working)
+            mask = self.conflicts(entry.working)
             flagged = set()
             for e in entry.protection.edges:
-                if self.may_share(e, conflicts):
+                if self.may_share((e,), mask):
                     continue
-                for idx in self._protection_users[e]:
+                for idx in self._protection_users.get(e, ()):
                     other = self.entries[idx]
-                    if idx in conflicts and other.demand.id not in flagged:
+                    if other.demand.id not in flagged and not disjoint(
+                            other.working, entry.working, self.mode):
                         flagged.add(other.demand.id)
                         out.append(PlanViolation(
                             "c", (d.id, other.demand.id),
@@ -351,10 +378,13 @@ class AllocationPlan:
         untrailed = [e for e in entry.protection.edges if e not in self._protection_users]
         for e in entry.working.edges:
             self._set_role(e, "working")
+        footprint = self._footprint(entry.working.nodes, entry.working.edges, True)
+        blockers = self._blockers
         for e in entry.protection.edges:
             if e not in self._roles:
                 self._set_role(e, "protection")
             self._protection_users.setdefault(e, []).append(idx)
+            blockers[e] = (blockers.get(e) or self._footprint(e[:2], (e,), True)) | footprint
         if "d" in self.enforce:
             for e in untrailed:
                 self._new_singleton_trail(e)
@@ -363,14 +393,6 @@ class AllocationPlan:
                 x = entry.protection.nodes[i + 1]
                 if self._partner.get((e, x)) != f:
                     self._connect(e, f, x)
-        for e in entry.working.edges:
-            self._working_on_link.setdefault(e.link, []).append(idx)
-        if self.mode == "node":
-            nodes = entry.working.nodes
-            for n in nodes[1:-1]:
-                self._working_interior.setdefault(n, []).append(idx)
-            for n in (nodes[0], nodes[-1]):
-                self._working_end.setdefault(n, []).append(idx)
         self._demand_ids.add(did)
         self.entries.append(entry)
 

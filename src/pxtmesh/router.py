@@ -23,12 +23,12 @@ recomputing it:
 - the aux graph's rival sets are symmetric by construction, as the search
   requires without checking, and the graph is lazy: a node's out-arcs are
   made when the search first expands the node, so most arcs are never built;
-- the plan indexes every entry's working path by link and by node as
-  add_entry commits it, and answers `conflicts` from that index, so shared
-  protection is read off it rather than compared entry by entry;
-- a segment is admitted whole or not at all, by set tests against the
-  working's interior nodes and links and by the plan's `may_share` on its
-  edges, which reads the protection users add_entry keeps;
+- the plan keeps per protection edge an int of blockers, its own link and
+  nodes ORed with the footprint of each working it protects, so sharing is
+  one AND per edge rather than a comparison entry by entry;
+- a segment is admitted whole or not at all, by one `may_share(seg.edges,
+  mask)` with the working's `conflicts` mask, which also keeps the segment
+  off the working's links and (node mode) its interior;
 - the plan caches each trail's canonical PXT and sort key, and the map from
   each node to its positions on that PXT; merging or closing a trail drops
   both, and nothing else invalidates them;
@@ -68,7 +68,6 @@ from .graph import (
     Walk,
     is_path,
     link_key,
-    link_of,
     ranked_routes,
     shortest_route_dag,
 )
@@ -318,15 +317,12 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     for i in gone:
         edges.pop(i, None)
         excluded |= 3 << 2 * i
-    # a segment is admitted whole or not at all: it keeps off the working
-    # interior (node mode) and the working links, and the plan may share
-    # each of its edges with this working
-    conflicts = plan.conflicts(working)
+    # a segment is admitted whole or not at all, by one call: the plan may
+    # share its edges with this working, which also keeps them off the
+    # working links and (node mode) the working interior
+    mask = plan.conflicts(working)
     may_share = plan.may_share
-    shortcuts = [seg for seg in segments
-                 if interior.isdisjoint(seg.nodes)
-                 and links.isdisjoint(map(link_of, seg.edges))
-                 and all(may_share(e, conflicts) for e in seg.edges)]
+    shortcuts = [seg for seg in segments if may_share(seg.edges, mask)]
 
     first = len(state.link_index)
     inner: dict[str, int] = {}

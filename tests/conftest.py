@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 
 from pxtmesh.cdijkstra import Arc, ArcId, ArcSet, RivalGraph
-from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, _avoiding, link_key
+from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, _avoiding, disjoint, link_key
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.topologies import standard_topology
 
@@ -32,6 +32,52 @@ def used_on_link(plan: AllocationPlan, u: str, v: str) -> int:
 def protection_users(plan: AllocationPlan, edge: EdgeId) -> tuple[int, ...]:
     """The indices of the entries whose protection rides `edge`, in order."""
     return tuple(plan._protection_users.get(edge, ()))
+
+
+# -- protection sharing: the entry index that the plan's footprints replaced --
+
+def conflicts_oracle(plan: AllocationPlan, working: Walk) -> set[int]:
+    """Indices of the entries whose working path is not disjoint from
+    `working`: sharing a link, or (node mode) a node interior to either.
+
+    Read off an index of the entries by where their working path runs: per
+    link, and (node mode only) per node, split by whether it is an end or an
+    interior node.
+    """
+    on_link, end, interior = {}, {}, {}
+    for idx, entry in enumerate(plan.entries):
+        nodes = entry.working.nodes
+        for e in entry.working.edges:
+            on_link.setdefault(e.link, []).append(idx)
+        if plan.mode == "node":
+            for n in nodes[1:-1]:
+                interior.setdefault(n, []).append(idx)
+            for n in (nodes[0], nodes[-1]):
+                end.setdefault(n, []).append(idx)
+    hits: set[int] = set()
+    for link in working.link_set():
+        hits.update(on_link.get(link, ()))
+    if plan.mode == "node":
+        nodes = working.nodes
+        for n in nodes[1:-1]:
+            hits.update(interior.get(n, ()))
+            hits.update(end.get(n, ()))
+        for n in (nodes[0], nodes[-1]):
+            hits.update(interior.get(n, ()))
+    return hits
+
+
+def may_share_oracle(plan: AllocationPlan, edge: EdgeId, conflicts: set[int]) -> bool:
+    """Whether no entry of `conflicts` protects over `edge`."""
+    return conflicts.isdisjoint(protection_users(plan, edge))
+
+
+def sharing_oracle(plan: AllocationPlan, edge: EdgeId, working: Walk) -> bool:
+    """What `plan.may_share((edge,), plan.conflicts(working))` must answer:
+    `edge` keeps off `working` (link-disjoint, and in node mode off its
+    interior), and no entry whose working conflicts with it protects over it."""
+    return (disjoint(Walk((edge.u, edge.v), (edge,)), working, plan.mode)
+            and may_share_oracle(plan, edge, conflicts_oracle(plan, working)))
 
 
 # -- shortest routes: the depth-first enumerator that graph.ranked_routes replaced --
@@ -217,6 +263,20 @@ def _random_simple_path(rng, g, u, v, usable=None):
         return False
 
     return tuple(path) if dfs(u) else None
+
+
+def random_connected_graph(rng: random.Random, n: int, tight: bool) -> Graph:
+    """A random spanning tree plus extra links; with `tight`, many links
+    carry 1-3 units so capacity runs out while routing."""
+    nodes = [f"n{i}" for i in range(n)]
+    pairs = {tuple(sorted((nodes[i], nodes[rng.randrange(i)]))) for i in range(1, n)}
+    while len(pairs) < int(1.8 * n):
+        pairs.add(tuple(sorted(rng.sample(nodes, 2))))
+
+    def cap():
+        return rng.randint(1, 3) if tight and rng.random() < 0.4 else UNBOUNDED
+
+    return Graph(nodes, [(u, v, cap()) for u, v in sorted(pairs)])
 
 
 RANDOM_ENFORCE = ("", "abd", "ab", "abcd", "d", "bd")

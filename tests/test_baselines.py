@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import conflicts_oracle, may_share_oracle
 from pxtmesh.baselines import (
     DisjointPair,
     PairError,
@@ -231,14 +232,14 @@ def shared_path_by_full_scan(g, demands, mode):
         pair = pairs[d.terminals]
         w_nodes = oriented(pair.working, d.u)
         working = Walk(w_nodes, tuple(fresh(a, b) for a, b in zip(w_nodes, w_nodes[1:])))
-        conflicts = plan.conflicts(working)
+        conflicts = conflicts_oracle(plan, working)
         p_nodes = oriented(pair.protection, d.u)
         p_edges = []
         for a, b in zip(p_nodes, p_nodes[1:]):
             chosen = None
             for k in sorted(plan._used_ordinals.get(link_key(a, b), ())):
                 e = g.edge(a, b, k)
-                if plan.role(e) == "protection" and plan.may_share(e, conflicts):
+                if plan.role(e) == "protection" and may_share_oracle(plan, e, conflicts):
                     chosen = e
                     break
             p_edges.append(chosen if chosen is not None else fresh(a, b))

@@ -450,6 +450,30 @@ class TestRankedRoutes:
                     seen["unreachable"] += not plain
         assert min(seen.values()) > 20, seen
 
+    def test_dag_cut_at_the_source_layer_ranks_the_same(self):
+        # built only up to u's layer, the DAG yields the full DAG's routes
+        # from u, the first of them included, with and without costs
+        seen = {"cut": 0, "unreachable": 0, "same": 0}
+        for seed in range(10):
+            rng = random.Random(100 + seed)
+            for _ in range(6):
+                g, usable, cost = random_costed_grid(rng)
+                nodes = g.sorted_nodes()
+                for _ in range(12):
+                    u, v = rng.choice(nodes), rng.choice(nodes)
+                    full = shortest_route_dag(g, v, usable)
+                    short = shortest_route_dag(g, v, usable, until=u)
+                    assert next(ranked_routes(short, u, v, cost), None) == \
+                        next(ranked_routes(full, u, v, cost), None), (seed, u, v)
+                    assert list(ranked_routes(short, u, v, cost)) == \
+                        list(ranked_routes(full, u, v, cost))
+                    assert list(ranked_routes(short, u, v)) == list(ranked_routes(full, u, v))
+                    assert short.items() <= full.items()
+                    seen["cut"] += len(short) < len(full)
+                    seen["unreachable"] += u not in full
+                    seen["same"] += u == v
+        assert min(seen.values()) > 5, seen
+
     def test_same_terminal(self):
         g, usable, cost = random_costed_grid(random.Random(1))
         dag = shortest_route_dag(g, "r0c0", usable)

@@ -2,8 +2,8 @@
 used and sits at module level, no module guards an invariant with `assert`,
 which `python -O` strips, every function, method and class defined there is
 referenced by code somewhere else, and somewhere other than the tests, every
-field it declares is read somewhere, and shortest routes are searched for in
-graph.py alone."""
+field it declares is read somewhere, shortest routes are searched for in
+graph.py alone, and plan.py alone decides protection sharing."""
 
 import ast
 import builtins
@@ -118,9 +118,9 @@ SEARCH_OWNERS = {
 }
 
 
-def search_outside_owners(paths) -> list[str]:
+def search_outside_owners(paths, owners=SEARCH_OWNERS) -> list[str]:
     """`module:line name` of each import of, or reference to, a name of
-    SEARCH_OWNERS in a module that does not own it."""
+    `owners` in a module that does not own it."""
     found = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -133,7 +133,7 @@ def search_outside_owners(paths) -> list[str]:
             else:
                 continue
             found.update(f"{path.name}:{node.lineno} {name}" for name in names
-                         if path.name not in SEARCH_OWNERS.get(name, {path.name}))
+                         if path.name not in owners.get(name, {path.name}))
     return sorted(found)
 
 
@@ -152,6 +152,26 @@ def test_enumerator_check_sees_imports_and_references(tmp_path):
     assert search_outside_owners(sorted(tmp_path.glob("*.py"))) == [
         "router.py:1 heappop", "router.py:1 heappush", "router.py:2 bfs_distances",
         "router.py:3 bfs_distances", "router.py:3 heappush"]
+
+
+# what decides protection sharing: the blockers of each protection edge and
+# the footprints that make them; plan.py alone reads or writes either
+SHARING_OWNERS = {"_blockers": {"plan.py"}, "_footprint": {"plan.py"}}
+
+
+def test_one_place_decides_sharing():
+    found = search_outside_owners(sorted(SRC.glob("*.py")), SHARING_OWNERS)
+    assert found == [], "ask plan.conflicts and plan.may_share instead"
+
+
+def test_sharing_check_sees_reads_outside_plan(tmp_path):
+    (tmp_path / "plan.py").write_text("class P:\n    def f(self): return self._blockers\n")
+    (tmp_path / "router.py").write_text("def admit(plan, e, mask):\n"
+                                        "    return not plan._blockers[e] & mask\n")
+    (tmp_path / "baselines.py").write_text("def own(plan, e):\n"
+                                           "    return plan._footprint(e[:2], (e,), True)\n")
+    assert search_outside_owners(sorted(tmp_path.glob("*.py")), SHARING_OWNERS) == [
+        "baselines.py:2 _footprint", "router.py:2 _blockers"]
 
 
 def _outside_base(tree: ast.Module):

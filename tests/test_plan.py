@@ -1,3 +1,4 @@
+import collections
 import copy
 import os
 import random
@@ -9,7 +10,15 @@ from pathlib import Path
 import pytest
 
 import pxtmesh
-from conftest import RANDOM_ENFORCE, protection_users, used_on_link, walk
+from conftest import (
+    RANDOM_ENFORCE,
+    conflicts_oracle,
+    protection_users,
+    random_connected_graph,
+    sharing_oracle,
+    used_on_link,
+    walk,
+)
 from pxtmesh.baselines import route_1plus1, route_shared_path
 from pxtmesh.experiments import route_with_scheme
 from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint, link_key
@@ -23,6 +32,7 @@ from pxtmesh.plan import (
     _canonical_pxt,
     _pxt_sort_key,
 )
+from pxtmesh.router import RouterState, RoutingError, route_demand
 from pxtmesh.traffic import generate, uniform
 
 
@@ -206,12 +216,19 @@ def _probe_path(rng: random.Random, g: Graph) -> Walk:
     return Walk(tuple(nodes), tuple(EdgeId(a, b, 0) for a, b in zip(nodes, nodes[1:])))
 
 
+def _verdicts(plan: AllocationPlan, working: Walk) -> dict[EdgeId, bool]:
+    """`may_share` on each protection edge alone, for `working`."""
+    mask = plan.conflicts(working)
+    return {e: plan.may_share((e,), mask) for e in plan._protection_users}
+
+
 @pytest.mark.parametrize("mode", ["node", "link"])
 @pytest.mark.parametrize("enforce", ["d", "bd", "abd", "abcd"])
 def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
     """Each add_entry either succeeds with the incremental PXTs equal to the
-    from-scratch ones and the new entry in `conflicts` exactly where its
-    working meets the query, or raises PlanError and changes nothing."""
+    from-scratch ones, the new entry in the oracle's conflicts exactly where
+    its working meets the query and `may_share` answering as the oracle, or
+    raises PlanError and changes nothing, `may_share`'s answers included."""
     real = AllocationPlan.add_entry
     rng = random.Random(0)
     outcomes = set()
@@ -219,16 +236,20 @@ def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
     def checked(plan, new):
         text = plan.serialize()
         users = {e: protection_users(plan, e) for e in plan._protection_users}
+        blockers = dict(plan._blockers)
         over_working = any(plan.role(e) == "working" for e in new.protection.edges)
         queries = (new.working, _probe_path(rng, plan.graph))
-        before = [plan.conflicts(w) for w in queries]
+        before = [conflicts_oracle(plan, w) for w in queries]
+        shares = [_verdicts(plan, w) for w in queries]
         try:
             real(plan, new)
         except PlanError:
             outcomes.add("refused")
             assert plan.serialize() == text
             assert {e: protection_users(plan, e) for e in plan._protection_users} == users
-            assert [plan.conflicts(w) for w in queries] == before
+            assert [conflicts_oracle(plan, w) for w in queries] == before
+            assert plan._blockers == blockers
+            assert [_verdicts(plan, w) for w in queries] == shares
             raise
         outcomes.add("added")
         if over_working:
@@ -237,7 +258,9 @@ def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
         idx = len(plan.entries) - 1
         for w, hits in zip(queries, before):
             meets = not disjoint(new.working, w, plan.mode)
-            assert plan.conflicts(w) == (hits | {idx} if meets else hits)
+            assert conflicts_oracle(plan, w) == (hits | {idx} if meets else hits)
+            assert _verdicts(plan, w) == {e: sharing_oracle(plan, e, w)
+                                          for e in plan._protection_users}
 
     monkeypatch.setattr(AllocationPlan, "add_entry", checked)
     for seed in range(12):
@@ -252,11 +275,16 @@ def _scan_conflicts(plan: AllocationPlan, working: Walk) -> set[int]:
     return {i for i, e in enumerate(plan.entries) if not disjoint(e.working, working, plan.mode)}
 
 
+def _edge_walk(e: EdgeId) -> Walk:
+    return Walk((e.u, e.v), (e,))
+
+
 @pytest.mark.parametrize("mode", ["node", "link"])
 def test_conflicts_match_disjoint_scan(monkeypatch, random_plan, grid3x4, mode):
-    """After every insertion, `conflicts` names exactly the entries a
-    disjoint() scan does, for the new working and a random probe path, and
-    `may_share` admits exactly the edges none of those entries protects over."""
+    """After every insertion, the oracle's conflicts name exactly the entries
+    a disjoint() scan does, for the new working and a random probe path, and
+    `may_share` admits exactly the edges that keep off that path and that
+    none of those entries protects over."""
     real = AllocationPlan.add_entry
     rng = random.Random(1)
     checked_plans = {}  # id -> plan, holding each plan so no id is reused
@@ -266,10 +294,12 @@ def test_conflicts_match_disjoint_scan(monkeypatch, random_plan, grid3x4, mode):
         checked_plans[id(plan)] = plan
         for w in (new.working, _probe_path(rng, plan.graph)):
             hits = _scan_conflicts(plan, w)
-            assert plan.conflicts(w) == hits
+            assert conflicts_oracle(plan, w) == hits
+            mask = plan.conflicts(w)
             for e in plan._protection_users:
-                assert plan.may_share(e, hits) == all(
-                    e not in plan.entries[i].protection.edges for i in hits)
+                assert plan.may_share((e,), mask) == (
+                    disjoint(_edge_walk(e), w, plan.mode)
+                    and all(e not in plan.entries[i].protection.edges for i in hits))
 
     monkeypatch.setattr(AllocationPlan, "add_entry", checked)
     for enforce in RANDOM_ENFORCE:
@@ -277,14 +307,81 @@ def test_conflicts_match_disjoint_scan(monkeypatch, random_plan, grid3x4, mode):
             plan = random_plan(seed, mode, enforce)
             again = AllocationPlan.parse(plan.graph, plan.serialize())
             assert again.serialize() == plan.serialize()
-            assert all(again.conflicts(e.working) == _scan_conflicts(plan, e.working)
+            assert all(conflicts_oracle(again, e.working) == _scan_conflicts(plan, e.working)
                        for e in plan.entries)
+            assert again._blockers == plan._blockers
     demands = generate(grid3x4, uniform(1, seed=0))
     shared = route_shared_path(grid3x4, demands, mode=mode)
     dedicated = route_1plus1(grid3x4, demands, mode=mode)
     assert (shared.mode, dedicated.mode) == ("link", mode)
     assert len(shared.entries) == len(dedicated.entries) == len(demands)
     assert len(checked_plans) == 2 * len(RANDOM_ENFORCE) * 16 + 2
+
+
+def _sharing_case(plan: AllocationPlan, e: EdgeId, w: Walk) -> str:
+    """Which part of the blockers decides `may_share((e,), conflicts(w))`:
+    "own link" or "own node" when e itself meets w (by its link alone, or at
+    w's interior), else "first user", "later user" or "end at interior" (node
+    mode: only an end of w meets the interior of the workings that e
+    protects) when a working e protects meets w, else "shared" or "unused"."""
+    node_mode = plan.mode == "node"
+    if not disjoint(_edge_walk(e), w, plan.mode):
+        interior = set(w.nodes[1:-1]) if node_mode else set()
+        return "own node" if interior & {e.u, e.v} else "own link"
+    users = [plan.entries[i].working for i in protection_users(plan, e)]
+    meets = [not disjoint(u, w, plan.mode) for u in users]
+    if not any(meets):
+        return "shared" if users else "unused"
+    if node_mode and all(disjoint(u, w, "link") and set(w.nodes[1:-1]).isdisjoint(u.nodes)
+                         for u, m in zip(users, meets) if m):
+        return "end at interior"
+    return "first user" if meets[0] else "later user"
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_may_share_matches_disjoint_scan(monkeypatch, random_plan, mode):
+    """After every add_entry, taken or refused, `may_share` on each
+    protection edge alone answers for the new working and a random probe
+    path what a disjoint() scan of the edge and of the workings it protects
+    does: on random plans under every RANDOM_ENFORCE set, and on routed
+    plans over random graphs, half of them tight.  Every part of the
+    blockers decides some answers, so dropping any of them shows."""
+    real = AllocationPlan.add_entry
+    rng = random.Random(2)
+    seen = collections.Counter()
+
+    def checked(plan, new):
+        try:
+            real(plan, new)
+            seen["taken"] += 1
+        except PlanError:
+            seen["refused"] += 1
+            raise
+        finally:
+            for w in (new.working, _probe_path(rng, plan.graph)):
+                mask = plan.conflicts(w)
+                for e in plan._protection_users:
+                    case = _sharing_case(plan, e, w)
+                    seen[case] += 1
+                    assert plan.may_share((e,), mask) == (case == "shared"), (e, w, case)
+
+    monkeypatch.setattr(AllocationPlan, "add_entry", checked)
+    for enforce in RANDOM_ENFORCE:
+        for seed in range(16):
+            random_plan(seed, mode, enforce)
+    for seed in range(6):
+        rng_g = random.Random(seed)
+        g = random_connected_graph(rng_g, rng_g.randint(8, 30), tight=seed % 2 == 1)
+        state = RouterState(g, mode=mode)
+        for did in range(40):
+            try:
+                route_demand(state, Demand(did, *rng_g.sample(g.sorted_nodes(), 2)))
+            except RoutingError:
+                seen["unroutable"] += 1
+    cases = ["taken", "refused", "unroutable", "own link", "first user", "later user", "shared"]
+    if mode == "node":
+        cases += ["own node", "end at interior"]
+    assert min(seen[c] for c in cases) > 20, seen
 
 
 class TestValidate:
@@ -714,8 +811,7 @@ class _Untouchable:
 
 
 INCREMENTAL_STATE = ("_roles", "_used_ordinals", "_unused_from", "_free", "_protection_users",
-                     "_working_on_link", "_working_end", "_working_interior", "_partner",
-                     "_trails", "_trail_ends", "_ranked")
+                     "_blockers", "_partner", "_trails", "_trail_ends", "_ranked")
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])
@@ -731,7 +827,8 @@ def test_validate_reads_nothing_add_entry_keeps(random_plan, mode):
             setattr(blind, name, _Untouchable())
         assert blind.validate() == expected
         with pytest.raises(AssertionError, match="add_entry keeps"):
-            blind.conflicts(plan.entries[0].working)
+            first = plan.entries[0]
+            blind.may_share(first.protection.edges, blind.conflicts(first.working))
         broken += bool(expected)
     assert broken >= 8
 

@@ -42,7 +42,17 @@ from pxtmesh.router import (
 from pxtmesh.topologies import standard_topology
 from pxtmesh.traffic import generate
 
-from conftest import is_symmetric, rival_graph, shortest_paths_oracle, used_on_link, walk
+from conftest import (
+    conflicts_oracle,
+    is_symmetric,
+    may_share_oracle,
+    random_connected_graph,
+    rival_graph,
+    sharing_oracle,
+    shortest_paths_oracle,
+    used_on_link,
+    walk,
+)
 from test_cdijkstra import assert_matches_frozenset_search, outcome
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -308,10 +318,10 @@ def prohibited_edges(state: RouterState, working: Walk):
     """
     plan = state.plan
     avoid = _avoiding(working.nodes, plan.mode)
-    conflicts = plan.conflicts(working)
+    conflicts = conflicts_oracle(plan, working)
 
     def prohibited(e: EdgeId) -> bool:
-        return not (avoid(e.u, e.v) and plan.may_share(e, conflicts))
+        return not (avoid(e.u, e.v) and may_share_oracle(plan, e, conflicts))
 
     return prohibited
 
@@ -598,20 +608,6 @@ def test_pxt_plans_byte_identical(name):
         assert got == GOLDEN_PXT_PLANS[(name, pattern)], (name, pattern)
 
 
-def random_connected_graph(rng: random.Random, n: int, tight: bool) -> Graph:
-    """A random spanning tree plus extra links; with `tight`, many links
-    carry 1-3 units so capacity runs out while routing."""
-    nodes = [f"n{i}" for i in range(n)]
-    pairs = {tuple(sorted((nodes[i], nodes[rng.randrange(i)]))) for i in range(1, n)}
-    while len(pairs) < int(1.8 * n):
-        pairs.add(tuple(sorted(rng.sample(nodes, 2))))
-
-    def cap():
-        return rng.randint(1, 3) if tight and rng.random() < 0.4 else UNBOUNDED
-
-    return Graph(nodes, [(u, v, cap()) for u, v in sorted(pairs)])
-
-
 def pairwise_rivals(aux_edges: dict[int, AuxEdge]) -> set[tuple[int, int]]:
     """Reference rival rule over edges by index: expansions share a node
     that is not an endpoint of both; two fresh-capacity edges are never
@@ -669,9 +665,13 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
         aux = real_build_aux(state, demand, working, subtrails)
         assert is_symmetric(aux.graph)
         assert rival_pairs(aux) == pairwise_rivals(aux.edges)
-        expect = {i for i, e in enumerate(state.plan.entries)
-                  if not disjoint(e.working, working, state.plan.mode)}
-        assert state.plan.conflicts(working) == expect
+        plan = state.plan
+        expect = {i for i, e in enumerate(plan.entries)
+                  if not disjoint(e.working, working, plan.mode)}
+        assert conflicts_oracle(plan, working) == expect
+        mask = plan.conflicts(working)
+        assert all(plan.may_share((e,), mask) == sharing_oracle(plan, e, working)
+                   for e in plan._protection_users)
         built.append(aux)
         return aux
 
@@ -744,11 +744,10 @@ def parent_build_aux(state: RouterState, demand: Demand, working: Walk,
     # each of its edges with this working
     interior = set(working.nodes[1:-1]) if plan.mode == "node" else set()
     links = working.link_set()
-    conflicts = plan.conflicts(working)
-    may_share = plan.may_share
+    conflicts = conflicts_oracle(plan, working)
     for seg in segments:
         if (interior.isdisjoint(seg.nodes) and links.isdisjoint(map(link_of, seg.edges))
-                and all(may_share(e, conflicts) for e in seg.edges)):
+                and all(may_share_oracle(plan, e, conflicts) for e in seg.edges)):
             aux_edges.append(AuxEdge(*seg.ends, seg))
 
     arcs = []

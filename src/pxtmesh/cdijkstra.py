@@ -1,11 +1,14 @@
-"""Shortest admissible single-source paths under rival-arc exclusion.
+"""Shortest admissible path from a source to one target under rival-arc
+exclusion.
 
 A directed graph where each arc carries a set of "rival" arcs; a path is
 admissible when it contains no arc together with one of that arc's rivals.
-The search keeps, per node, a set of partial paths (path, length, forbidden
+The search is label-setting, as in resource-constrained shortest paths: it
+keeps, per node, a set of partial paths (labels: path, length, forbidden
 arcs), prunes with the domination order (no longer and forbids no more), and
-extends the globally shortest one first.  It returns one shortest path per
-node it settles.  Worst-case cost is exponential, so hard limits on stored
+extends the globally shortest one first.  It returns as soon as it settles
+the target; the router asks for one target per demand, so no other node's
+path is kept.  Worst-case cost is exponential, so hard limits on stored
 paths and probe work make it fail gracefully instead of hanging.
 
 Arc ids are non-negative ints, and every arc set is an int bitset with bit i
@@ -13,7 +16,7 @@ set for arc i: an arc's rivals are an `ArcSet`, and a partial path's
 forbidden arcs, like its visited nodes (bit i for `g.nodes[i]`), a plain
 int.  The bitset must stand for exactly the arc set it replaces: the heap
 orders equal-length paths by the size of that set and domination is subset
-order, so search order, the `stored` and `work` counters and the paths found
+order, so search order, the `stored` and `work` counters and the path found
 all depend on it.  They depend on nothing else about the ids: relabelling
 arcs consistently, each node's out-arc order kept, changes no result.
 
@@ -26,8 +29,7 @@ auxiliary graph is by construction: solve neither checks nor repairs them.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
@@ -168,15 +170,17 @@ class PartialPath:
 
 @dataclass
 class SolveResult:
-    paths: dict[str, PartialPath] = field(default_factory=dict)
-    unreachable: set[str] = field(default_factory=set)
-    undecided: set[str] = field(default_factory=set)
-    stored: int = 0
-    work: int = 0
+    """`paths` maps the target to its path, or is empty; `stored` counts the
+    partial paths kept (net of those displaced) and `work` the arcs probed."""
+
+    paths: dict[str, PartialPath]
+    stored: int
+    work: int
 
 
 class ResourceLimitExceeded(RuntimeError):
-    """Search gave up; `result` holds whatever was decided before the limit."""
+    """Search gave up; `result` holds the counters at the limit and no path,
+    since the search stops as soon as the target is settled."""
 
     def __init__(self, limit: str, result: SolveResult):
         super().__init__(f"constrained search exceeded {limit} limit")
@@ -184,185 +188,158 @@ class ResourceLimitExceeded(RuntimeError):
         self.result = result
 
 
-class _Entry:
-    __slots__ = ("node", "arc", "parent", "length", "forb", "nodes",
-                 "secondary", "alive")
-
-    def __init__(self, node, arc, parent, length, forb, nodes, secondary):
-        self.node = node
-        self.arc = arc
-        self.parent = parent
-        self.length = length
-        self.forb = forb
-        self.nodes = nodes
-        self.secondary = secondary
-        self.alive = True
-
-    def tie_key(self):
-        rev = []
-        cur = self
-        while cur is not None:
-            rev.append(cur.node)
-            cur = cur.parent
-        return (self.secondary, tuple(reversed(rev)))
-
-    def materialize(self) -> PartialPath:
-        rev_nodes, rev_arcs = [], []
-        cur = self
-        while cur is not None:
-            rev_nodes.append(cur.node)
-            if cur.arc is not None:
-                rev_arcs.append(cur.arc)
-            cur = cur.parent
-        return PartialPath(tuple(reversed(rev_nodes)), tuple(reversed(rev_arcs)), self.length)
+# A label is one partial path, kept as the tuple
+#     (length, secondary, len(forb), node, seq, arc, parent, forb, visited)
+# whose first five fields are its heap key.  `arc` is the id of its last arc
+# (None at the source), `parent` the label it extends, `forb` the bitset of
+# the arcs it may no longer use and `visited` the bitset of its nodes.
 
 
-class _NodeStore:
-    """One node's partial paths: the settled (inked) one, and the penciled
-    ones keyed by their forbidden-arc bitset and grouped by its size."""
+def _nodes(label) -> list[str]:
+    """The label's node sequence, from the source."""
+    rev = []
+    while label is not None:
+        rev.append(label[3])
+        label = label[6]
+    rev.reverse()
+    return rev
 
-    __slots__ = ("inked", "pencil", "by_size")
 
-    def __init__(self):
-        self.inked: _Entry | None = None
-        self.pencil: dict[int, _Entry] = {}
-        self.by_size: dict[int, set[int]] = {}
+def _path(label) -> PartialPath:
+    rev_arcs = []
+    cur = label
+    while cur[5] is not None:
+        rev_arcs.append(cur[5])
+        cur = cur[6]
+    return PartialPath(tuple(_nodes(label)), tuple(reversed(rev_arcs)), label[0])
 
-    def dominated(self, entry: _Entry) -> bool:
-        length, forb = entry.length, entry.forb
-        ink = self.inked
-        if ink is not None and ink.length <= length and ink.forb & forb == ink.forb:
-            return True
-        # a same-size dominator must be the exact same set: hash, don't scan
-        same = self.pencil.get(forb)
-        if same is not None and same.length <= length:
-            if not (same.length == length and entry.tie_key() < same.tie_key()):
-                return True
-        size = forb.bit_count()
-        for s, bucket in self.by_size.items():
-            if s >= size:
-                continue
-            for f in bucket:
-                if f & forb == f and self.pencil[f].length <= length:
+
+def _new_ranks_first(nsec, parent, head: str, old) -> bool:
+    """Whether a new label at `head`, with secondary `nsec` and extending
+    `parent`, beats `old`, with the same set and length: by secondary, then
+    by node sequence, which is built only when the secondaries tie."""
+    if nsec != old[1]:
+        return nsec < old[1]
+    return _nodes(parent) + [head] < _nodes(old)
+
+
+def _dominated(by_size, nforb, nsize, nlen, nsec, parent, head) -> bool:
+    """Whether a penciled label beats the probe: one whose forbidden set is
+    within `nforb` and whose length is at most `nlen`, where the same set at
+    the same length beats it unless the probe wins the tie.  Only a smaller
+    set can be a proper subset, so the probe's own size is looked up, not
+    scanned."""
+    for size, bucket in by_size.items():
+        if size < nsize:
+            for f, old in bucket.items():
+                if f & nforb == f and old[0] <= nlen:
                     return True
-        return False
-
-    def insert(self, entry: _Entry) -> list[_Entry]:
-        """Store entry; returns the penciled entries it displaces."""
-        removed = []
-        forb = entry.forb
-        size = forb.bit_count()
-        same = self.pencil.get(forb)
-        if same is not None and entry.length <= same.length:
-            removed.append(same)
-            self._remove(forb)
-        for s in [s for s in self.by_size if s > size]:
-            for f in list(self.by_size[s]):
-                old = self.pencil[f]
-                if entry.length <= old.length and forb & f == forb:
-                    removed.append(old)
-                    self._remove(f)
-        self.pencil[forb] = entry
-        self.by_size.setdefault(size, set()).add(forb)
-        return removed
-
-    def _remove(self, f: int) -> None:
-        entry = self.pencil.pop(f)
-        entry.alive = False
-        size = f.bit_count()
-        bucket = self.by_size[size]
-        bucket.discard(f)
-        if not bucket:
-            del self.by_size[size]
+        elif size == nsize:
+            old = bucket.get(nforb)
+            if old is not None and old[0] <= nlen and (
+                    old[0] < nlen or not _new_ranks_first(nsec, parent, head, old)):
+                return True
+    return False
 
 
-def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS,
-          target: str | None = None) -> SolveResult:
-    """Shortest admissible path from g.source to every node (or to `target`).
+def _displace(by_size, nforb, nsize, nlen) -> int:
+    """Drop the penciled labels that a probe `_dominated` let through beats:
+    those whose forbidden set contains `nforb` and whose length is at least
+    `nlen`.  Returns how many."""
+    n = 0
+    for size, bucket in by_size.items():
+        if size > nsize:
+            gone = [f for f, old in bucket.items() if f & nforb == nforb and old[0] >= nlen]
+            for f in gone:
+                del bucket[f]
+            n += len(gone)
+        elif size == nsize and nforb in bucket:
+            del bucket[nforb]
+            n += 1
+    return n
 
-    Nodes proven to have no admissible path are reported unreachable; nodes
-    the search never settled (early target exit) are undecided.  Exceeding a
-    limit raises ResourceLimitExceeded carrying the partial result, with all
-    unsettled nodes undecided.
 
-    With a `target`, `paths` holds the target's path alone, if it has one:
-    the other nodes the search settled are in none of `paths`, `undecided`
-    and `unreachable`.  `undecided` and `unreachable` still name every node
-    left unsettled.
+def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS, *,
+          target: str) -> SolveResult:
+    """Shortest admissible path from g.source to `target`.
 
-    Every rival set must be symmetric, as RivalGraph says: an arc that one
-    of its rivals does not list back can share a path with it.
+    Labels pop in order of (length, secondary, forbidden-set size, node,
+    seq); the first label popped at a node is inked, and the search returns
+    when it inks the target, with the target's path in `paths`, or when the
+    heap runs dry, with `paths` empty.  Each node keeps its penciled labels
+    in dicts keyed by forbidden-arc bitset, one per size of that set, so a
+    probe looks up its own size and scans only the others: on the worst-case
+    families every label at a node has the same size.  A probe is dropped
+    when the ink or a penciled label has a subset of its forbidden arcs and
+    is no longer, unless it is the same set and length and the probe wins
+    the tie (secondary, then node sequence); otherwise it displaces every
+    penciled label with a superset and no shorter length.  Only a probe that
+    is kept becomes a label.
+
+    `seq` numbers the labels as they are pushed, so labels with equal keys
+    pop first in, first out.  It is unique, so the heap never compares past
+    it, and any count that increases push by push orders them the same.
+
+    Exceeding a limit raises ResourceLimitExceeded carrying `stored` and
+    `work` at that point.  Every rival set must be symmetric, as RivalGraph
+    says: an arc that one of its rivals does not list back can share a path
+    with it.
     """
     node_bit = {n: 1 << i for i, n in enumerate(g.nodes)}
-    if target is not None and target not in node_bit:
+    if target not in node_bit:
         raise ValueError(f"unknown target {target!r}")
-    stores: defaultdict[str, _NodeStore] = defaultdict(_NodeStore)  # made as paths reach nodes
-    heap: list = []
-    seq = 0
-    stored = 0
-    work = 0
-    blacks = 0
-
-    root = _Entry(g.source, None, None, 0, 0, node_bit[g.source], 0)
-    stores[g.source].inked = root
-    blacks += 1
-    stored += 1
-    heapq.heappush(heap, (0, 0, 0, g.source, seq, root))
-
-    def result(undecided_rest: bool) -> SolveResult:
-        res = SolveResult(stored=stored, work=work)
-        for n in g.nodes:
-            ink = stores[n].inked if n in stores else None
-            if ink is not None:
-                if target is None or n == target:
-                    res.paths[n] = ink.materialize()
-            elif undecided_rest:
-                res.undecided.add(n)
-            else:
-                res.unreachable.add(n)
-        return res
+    max_stored, max_work = limits.max_stored, limits.max_work
+    out = g.out
+    heappop, heappush = heapq.heappop, heapq.heappush
+    root = (0, 0, 0, g.source, 0, None, None, 0, node_bit[g.source])
+    inked: dict[str, tuple] = {}
+    pencil: dict[str, dict[int, dict[int, tuple]]] = {g.source: {0: {0: root}}}
+    heap = [root]
+    seq = work = 0
+    stored = 1
 
     while heap:
-        key = heapq.heappop(heap)
-        active = key[5]
-        if not active.alive:
+        label = heappop(heap)
+        length, secondary, size, node, _, _, _, forb, visited = label
+        bucket = pencil[node][size]
+        if bucket.get(forb) is not label:  # displaced since it was pushed
             continue
-        node = active.node
-        forb, visited = active.forb, active.nodes
-        store = stores[node]
-        if store.inked is None:
-            store.pencil.pop(forb, None)
-            size = key[2]
-            bucket = store.by_size.get(size)
-            if bucket is not None:
-                bucket.discard(forb)
-                if not bucket:
-                    del store.by_size[size]
-            store.inked = active
-            blacks += 1
-        if target is not None and stores[target].inked is not None:
-            return result(undecided_rest=True)
-        if blacks == len(g.nodes):
-            return result(undecided_rest=False)
-        for arc in g.out[node]:
+        if node not in inked:
+            inked[node] = label
+            del bucket[forb]
+            if node == target:
+                return SolveResult({target: _path(label)}, stored, work)
+        for arc in out[node]:
             work += 1
-            if work > limits.max_work:
-                raise ResourceLimitExceeded("work", result(undecided_rest=True))
-            head_bit = node_bit[arc.head]
-            if forb >> arc.id & 1 or visited & head_bit:
+            if work > max_work:
+                raise ResourceLimitExceeded("work", SolveResult({}, stored, work))
+            aid, head = arc.id, arc.head
+            bit = node_bit[head]
+            if forb >> aid & 1 or visited & bit:
                 continue
-            nlen = active.length + arc.length
+            nlen = length + arc.length
             nforb = forb | arc.rivals
-            head_store = stores[arc.head]
-            seq += 1
-            entry = _Entry(arc.head, arc.id, active, nlen, nforb,
-                           visited | head_bit, active.secondary + arc.tiebreak)
-            if head_store.dominated(entry):
+            ink = inked.get(head)
+            if ink is not None and ink[0] <= nlen and ink[7] & nforb == ink[7]:
                 continue
-            removed = head_store.insert(entry)
-            stored += 1 - len(removed)
-            if stored > limits.max_stored:
-                raise ResourceLimitExceeded("stored", result(undecided_rest=True))
-            heapq.heappush(heap, (nlen, entry.secondary, nforb.bit_count(), arc.head, seq, entry))
-    return result(undecided_rest=False)
-
+            nsec = secondary + arc.tiebreak
+            nsize = nforb.bit_count()
+            by_size = pencil.get(head)
+            if by_size is None:
+                by_size = pencil[head] = {}
+            elif _dominated(by_size, nforb, nsize, nlen, nsec, label, head):
+                continue
+            else:
+                stored -= _displace(by_size, nforb, nsize, nlen)
+            stored += 1
+            seq += 1
+            new = (nlen, nsec, nsize, head, seq, aid, label, nforb, visited | bit)
+            same_size = by_size.get(nsize)
+            if same_size is None:
+                by_size[nsize] = {nforb: new}
+            else:
+                same_size[nforb] = new
+            if stored > max_stored:
+                raise ResourceLimitExceeded("stored", SolveResult({}, stored, work))
+            heappush(heap, new)
+    return SolveResult({}, stored, work)

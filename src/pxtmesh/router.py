@@ -45,7 +45,8 @@ recomputing it:
 - RouterState keeps, per target, the shortest-route DAG over the links with
   spare capacity, dropped like the fresh arcs when that set shrinks.  The
   working routes are drawn from it by `graph.ranked_routes` in rank order,
-  least usage then nodes, and only until one leaves a disjoint detour.
+  least usage then nodes, and only until one leaves a disjoint detour; the
+  detour check steps first to the nodes it says are closer to the target.
 """
 
 from __future__ import annotations
@@ -184,13 +185,17 @@ def _protection_feasible(state: RouterState, nodes: tuple[str, ...], work: _Work
 
     A depth-first search from one end over links with spare capacity that
     keep off the route, stopping the first time it reaches the other end.
-    The links at each node it expands count against `work`.
+    It steps first to the neighbours one hop closer to the goal in the
+    goal's cached working DAG, so it heads for the goal rather than
+    wandering; the order changes no answer.  The links at each node it
+    expands count against `work`.
     """
     plan = state.plan
     start, goal = nodes[0], nodes[-1]
     route = {(a, b) for a, b in zip(nodes, nodes[1:])}
     route |= {(b, a) for a, b in route}
     free = plan._free
+    closer = state.working_dag(goal)
     # the interior counts as seen, so the search never enters it
     seen = {start, *nodes[1:-1]} if plan.mode == "node" else {start}
     stack = [start]
@@ -198,12 +203,15 @@ def _protection_feasible(state: RouterState, nodes: tuple[str, ...], work: _Work
     while stack:
         x = stack.pop()
         work.add(len(neighbors(x)))
+        ahead = closer.get(x, ())
+        nearer = []  # pushed last, so expanded first
         for w in neighbors(x):
             if w not in seen and (x, w) in free and (x, w) not in route:
                 if w == goal:
                     return True
                 seen.add(w)
-                stack.append(w)
+                (nearer if w in ahead else stack).append(w)
+        stack += nearer
     return False
 
 

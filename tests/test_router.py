@@ -608,6 +608,68 @@ def test_pxt_plans_byte_identical(name):
         assert got == GOLDEN_PXT_PLANS[(name, pattern)], (name, pattern)
 
 
+# the committed instances routed at seed 0 in each mode: the summed `stored`
+# and `work` of every protection search, node mode then link mode, and the
+# sha256 of the node-mode plan (GOLDEN_PXT_PLANS has the link-mode ones); a
+# change in the search's order, pruning or counting shows here
+SEARCH_COUNTERS = {
+    ("cycle12plus3", "uniform"): (7029, 27943, 7127, 21981,
+        "fdd73ce5fd6082f68a6c7a89f0aba7fddbc5e98a4f8720a979d293c716c518d5"),
+    ("cycle12plus3", "neighbor"): (1474, 2836, 1474, 2836,
+        "d0b2a6e4dbccfe41c4464e0b25f921371b4d903a22ff3def52f65b21a5a1579f"),
+    ("cycle12plus3", "unbalanced"): (5998, 26694, 7473, 32126,
+        "c5b248ae3cf879f95a0dff08b8ed6da764286189db0e8ee64c3a71b4a3065390"),
+    ("grid3x4", "uniform"): (4875, 11725, 6470, 22251,
+        "c49119356794b2398f6953395ac9ea3d94d40874c112120f3effdfdafb32760d"),
+    ("grid3x4", "neighbor"): (2871, 9044, 2871, 9044,
+        "50423eaa57d4fae038806d6b4ed7a959e0c2b403f33bd30e97b8e6633bbffa49"),
+    ("grid3x4", "unbalanced"): (5880, 23753, 6518, 24338,
+        "73e199d57ff2778519bd91897bf4f7b59832b23996ff9b776fc18ee1736c3175"),
+    ("tietze", "uniform"): (3689, 7007, 4141, 7645,
+        "8fea3bd81a2f298d8b67950774212b7b4f476ad0e9156892963c33a28b53390e"),
+    ("tietze", "neighbor"): (2001, 3902, 2001, 3902,
+        "496836a007bbfb2371f0ba0f7fb2aa71bb12b508ce5f9f44e5f9658ff1c1978f"),
+    ("tietze", "unbalanced"): (4110, 8177, 3757, 6980,
+        "3ee7d2180d9ab5dcb75cfbe78b0c45351dff529b6c00c4dda291e13665019430"),
+    ("icosahedron", "uniform"): (4202, 9596, 4407, 9335,
+        "55a198163a35e89c9166f24d7381c1ed3e829a63127985b68a85da18a5f8b640"),
+    ("icosahedron", "neighbor"): (4378, 10196, 4378, 10196,
+        "23f49459c2f19946f13ed6d5146b6f4c4c460634735930b12ae8d0238706065c"),
+    ("icosahedron", "unbalanced"): (4529, 10685, 4447, 9840,
+        "faaac7b143ad941f8724810d0041006a4b9e06bed6118ced68123df451fd614c"),
+    ("k66", "uniform"): (3926, 9430, 3603, 7600,
+        "b7a92d940613e3d0285d64aa4b859c73385226f1a5945bc8276d4d7def293df1"),
+    ("k66", "neighbor"): (4382, 10854, 4382, 10854,
+        "106978a3d6126f43a7ffdb42160d4be1d37885f2fbd320dfed407a26bf3c882c"),
+    ("k66", "unbalanced"): (3786, 9585, 3995, 9433,
+        "271509486241cd0146df5fd7cd4dc5f373a4d73387b297c68b78c6dcf1e05479"),
+}
+
+
+@pytest.mark.parametrize("name", ["cycle12plus3", "grid3x4", "tietze", "icosahedron", "k66"])
+def test_search_counters_pinned(monkeypatch, name):
+    real_solve = router.solve
+    total = collections.Counter()
+
+    def counting_solve(g, limits, *, target):
+        res = real_solve(g, limits, target=target)
+        total.update(stored=res.stored, work=res.work)
+        return res
+
+    monkeypatch.setattr(router, "solve", counting_solve)
+    g = standard_topology(name)
+    for pattern in PATTERNS:
+        got = []
+        for mode in ("node", "link"):
+            total.clear()
+            plan = route_with_scheme(g, "pxt", generate(g, traffic_spec(pattern, name, 0)),
+                                     mode=mode)
+            got += [total["stored"], total["work"]]
+            if mode == "node":
+                digest = hashlib.sha256(plan.serialize().encode()).hexdigest()
+        assert (*got, digest) == SEARCH_COUNTERS[(name, pattern)], (name, pattern)
+
+
 def pairwise_rivals(aux_edges: dict[int, AuxEdge]) -> set[tuple[int, int]]:
     """Reference rival rule over edges by index: expansions share a node
     that is not an endpoint of both; two fresh-capacity edges are never
@@ -794,7 +856,7 @@ def test_lazy_aux_graph_matches_eager_build(monkeypatch, mode):
         got = outcome(solve, lazy.graph, state.limits, demand.v)
         want = outcome(solve, eager.graph, state.limits, demand.v)
         assert got[0] is None and want[0] is None
-        assert got[2:] == want[2:]  # unreachable, undecided, stored, work
+        assert got[2:] == want[2:]  # stored, work
         assert got[1].keys() == want[1].keys()
         if demand.v in got[1]:
             assert _expand_route(state, demand, lazy, got[1][demand.v].arcs) == \
@@ -930,7 +992,7 @@ def test_aux_search_matches_frozenset_search(monkeypatch, mode):
 
     def checked_solve(g, limits, target=None):
         nonlocal probes
-        probes += assert_matches_frozenset_search(g, limits, target)[5]
+        probes += assert_matches_frozenset_search(g, limits, target).work
         return real_solve(g, limits, target=target)
 
     monkeypatch.setattr(router, "solve", checked_solve)

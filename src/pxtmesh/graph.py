@@ -401,8 +401,9 @@ def load_graph(text: str) -> Graph:
     """Parse the line-oriented graph format.
 
     Lines: `# comment`, `node <id>`, `link <u> <v> [<capacity>|unbounded]`.
-    Order-insensitive apart from nodes needing to exist before use; duplicate
-    node or link declarations are errors.
+    Order-insensitive: links are checked once every line is read, so a link
+    may come before its nodes' `node` lines, but a node no line declares is
+    an error.  Duplicate node or link declarations are errors.
     """
     nodes: list[str] = []
     seen: set[str] = set()

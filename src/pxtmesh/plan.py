@@ -16,7 +16,8 @@ so intermediate nodes never switch in real time.
 Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts
 and may_share, which rule c, the router and the shared-path baseline ask.
 add_entry ORs each working's footprint into its protection edges' blockers,
-fixed-width ints; validate() reads neither.
+fixed-width ints, and keeps no list of who uses an edge: a refused entry's
+rule-c witnesses are read off the entries.  validate() reads no blockers.
 validate() re-checks a plan from scratch in one pass over the paths: each
 rule's offenders are found with set operations and only they are described.
 """
@@ -41,6 +42,7 @@ from .graph import (
 )
 
 ALL_CONDITIONS = frozenset("abcd")
+PLAN_HEADER = "pxtmesh-plan 1"  # the first line of every plan file, format 1
 
 
 @dataclass(frozen=True, order=True)
@@ -196,12 +198,11 @@ class AllocationPlan:
         self._unused_from: dict[tuple[str, str], int] = {}  # fresh_edge's low-water marks
         # (u, v) and (v, u) for every link with spare capacity
         self._free = {pair for u, v in graph.links() for pair in ((u, v), (v, u))}
-        self._protection_users: dict[EdgeId, list[int]] = {}
         # footprint bits (see conflicts): one per link, then regions A and C
         self._link_bit = {link: 1 << i for i, link in enumerate(graph.links())}
         self._node_bit = {n: 1 << i for i, n in enumerate(graph.sorted_nodes(), graph.num_links())}
         self._region_c = len(graph.nodes)  # a node's bit in C is its bit in A shifted this far
-        self._blockers: dict[EdgeId, int] = {}  # protection edge -> bits it may not meet
+        self._blockers: dict[EdgeId, int] = {}  # each protection edge -> bits it may not meet
         # cross-connect pairing and incremental trail state (only when rule d
         # is enforced; without it the pairing is not well defined)
         self._partner: dict[tuple[EdgeId, str], EdgeId] = {}
@@ -334,10 +335,9 @@ class AllocationPlan:
             for e in entry.protection.edges:
                 if self.may_share((e,), mask):
                     continue
-                for idx in self._protection_users.get(e, ()):
-                    other = self.entries[idx]
-                    if other.demand.id not in flagged and not disjoint(
-                            other.working, entry.working, self.mode):
+                for other in self.entries:  # the edge's users, in entry order
+                    if (e in other.protection.edges and other.demand.id not in flagged
+                            and not disjoint(other.working, entry.working, self.mode)):
                         flagged.add(other.demand.id)
                         out.append(PlanViolation(
                             "c", (d.id, other.demand.id),
@@ -362,10 +362,11 @@ class AllocationPlan:
         own: the structural check bounds each ordinal below its link's
         capacity and only edges with a role hold one, so an edge without a
         role has room.  Once the checks pass, the trail updates cannot fail:
-        each protection edge has a trail (a singleton for an edge new to
-        protection, whatever its role), and rule d leaves every slot to
+        each protection edge has a trail (a singleton for an edge not yet in
+        the blockers, whatever its role), and rule d leaves every slot to
         connect either already paired or a trail end.  A demand id already
-        in the plan is refused.
+        in the plan is refused; a rule-c refusal reads its witnesses off the
+        entries.
         """
         did = entry.demand.id
         if did in self._demand_ids:
@@ -374,8 +375,7 @@ class AllocationPlan:
         violations = self._structural_violations(entry) or self._entry_violations(entry)
         if violations:
             raise PlanError(violations)
-        idx = len(self.entries)
-        untrailed = [e for e in entry.protection.edges if e not in self._protection_users]
+        untrailed = [e for e in entry.protection.edges if e not in self._blockers]
         for e in entry.working.edges:
             self._set_role(e, "working")
         footprint = self._footprint(entry.working.nodes, entry.working.edges, True)
@@ -383,7 +383,6 @@ class AllocationPlan:
         for e in entry.protection.edges:
             if e not in self._roles:
                 self._set_role(e, "protection")
-            self._protection_users.setdefault(e, []).append(idx)
             blockers[e] = (blockers.get(e) or self._footprint(e[:2], (e,), True)) | footprint
         if "d" in self.enforce:
             for e in untrailed:
@@ -609,7 +608,7 @@ class AllocationPlan:
     # -- serialization -------------------------------------------------------
 
     def serialize(self) -> str:
-        lines = ["pxtmesh-plan 1", f"mode {self.mode}",
+        lines = [PLAN_HEADER, f"mode {self.mode}",
                  f"enforce {''.join(sorted(self.enforce))}"]
         for entry in self.entries:
             lines.append(entry.serialize())
@@ -629,12 +628,13 @@ class AllocationPlan:
     @classmethod
     def parse(cls, graph: Graph, text: str) -> "AllocationPlan":
         """Inverse of serialize.  Malformed lines raise PlanError naming the
-        line; a bare `enforce` line is the empty rule set serialize writes.
+        line, a first line other than the header `pxtmesh-plan 1` among them;
+        a bare `enforce` line is the empty rule set serialize writes.
         `pxt` and `xc` lines, which serialize writes only under rule d, are
         refused in a plan without it."""
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("pxtmesh-plan"):
-            raise PlanError("missing plan header")
+        lines = text.splitlines() or [""]
+        if lines[0].strip() != PLAN_HEADER:
+            raise PlanError(f"line 1: expected {PLAN_HEADER!r}, got {lines[0].strip()!r}")
         mode = "node"
         enforce: frozenset[str] = ALL_CONDITIONS
         plan: AllocationPlan | None = None

@@ -38,15 +38,15 @@ recomputing it:
   terminals and built without re-validation; an open trail without a cut
   inside offers its cached canonical walk itself;
 - the plan keeps the set of links with spare capacity, and RouterState keeps
-  the fresh-capacity aux edges and arcs built from it, with stable ids by
-  link index; they are rebuilt only when that set shrinks.  Per demand, the
-  working path excludes some of them by one bitset, and a fresh arc is copied
-  only to carry rivals, when its ends are interior to an admitted shortcut;
-- RouterState keeps, per target, the shortest-route DAG over the links with
-  spare capacity, dropped like the fresh arcs when that set shrinks.  The
-  working routes are drawn from it by `graph.ranked_routes` in rank order,
-  least usage then nodes, and only until one leaves a disjoint detour; the
-  detour check steps first to the nodes it says are closer to the target.
+  one snapshot of what is built from it, `FreshArcs`, rebuilt whole only
+  when that set shrinks: the fresh-capacity aux edges and arcs, with stable
+  ids by link index, and per target the shortest-route DAG over those links,
+  made on first use.  Per demand, the working path excludes some fresh arcs
+  by one bitset, and a fresh arc is copied only to carry rivals, when its
+  ends are interior to an admitted shortcut.  The working routes are drawn
+  from the target's DAG by `graph.ranked_routes` in rank order, least usage
+  then nodes, and only until one leaves a disjoint detour; the detour check
+  steps first to the nodes the DAG says are closer to the target.
 """
 
 from __future__ import annotations
@@ -105,14 +105,17 @@ class AuxGraph:
 
 @dataclass(slots=True)
 class FreshArcs:
-    """The fresh-capacity aux edges of the links with spare capacity and
-    their arcs, prebuilt without rivals: link index L owns arcs 2L (u -> v)
-    and 2L+1 (v -> u)."""
+    """A snapshot of the links with spare capacity: their fresh-capacity aux
+    edges and arcs, prebuilt without rivals (link index L owns arcs 2L,
+    u -> v, and 2L+1, v -> u), and the shortest-route DAGs over them, filled
+    per target by `RouterState.working_dag`.  Anything else cached per set of
+    free links belongs here too, so that one rebuild drops it all."""
 
     free: int  # len(plan._free) when built
     edges: dict[int, AuxEdge]  # link index -> fresh aux edge, in link order
     out: dict[str, list[Arc]]  # node -> its fresh out-arcs, in link order
     mask: dict[str, int]  # node -> the bits of every fresh arc at it
+    dags: dict[str, dict[str, list[str]]]  # target -> shortest-route DAG, once asked for
 
 
 class RouterState:
@@ -128,15 +131,13 @@ class RouterState:
         self.nodes = tuple(graph.sorted_nodes())
         self.link_index = {link: i for i, link in enumerate(graph.links())}
         self._fresh: FreshArcs | None = None
-        self._dags: dict[str, dict[str, list[str]]] = {}
-        self._dags_free = len(self.plan._free)  # len(plan._free) when cached
 
     def route(self, demand: Demand) -> PlanEntry:
         return route_demand(self, demand)
 
     def fresh_arcs(self) -> FreshArcs:
-        """The fresh aux edges and arcs of every link with spare capacity,
-        rebuilt only when the plan's set of free links has shrunk."""
+        """The snapshot of every link with spare capacity, rebuilt, its DAGs
+        dropped, only when the plan's set of free links has shrunk."""
         free = self.plan._free
         if self._fresh is None or self._fresh.free != len(free):
             edges = {i: AuxEdge(u, v) for (u, v), i in self.link_index.items()
@@ -146,20 +147,16 @@ class RouterState:
             # out_lists' id, duplicate and node checks, once per rebuild
             out = RivalGraph.out_lists(self.nodes, arcs)
             mask = {n: sum(3 << (a.id & ~1) for a in out_n) for n, out_n in out.items()}
-            self._fresh = FreshArcs(len(free), edges, out, mask)
+            self._fresh = FreshArcs(len(free), edges, out, mask, {})
         return self._fresh
 
     def working_dag(self, target: str) -> dict[str, list[str]]:
         """The shortest-route DAG towards `target` over links with spare
-        capacity, cached until the plan's set of free links shrinks."""
-        free = self.plan._free
-        if self._dags_free != len(free):
-            self._dags = {}
-            self._dags_free = len(free)
-        dag = self._dags.get(target)
+        capacity, kept on the fresh-arc snapshot."""
+        dags = self.fresh_arcs().dags
+        dag = dags.get(target)
         if dag is None:
-            dag = self._dags[target] = shortest_route_dag(self.graph, target,
-                                                          self.plan.has_free_edge)
+            dag = dags[target] = shortest_route_dag(self.graph, target, self.plan.has_free_edge)
         return dag
 
 

@@ -31,7 +31,7 @@ def used_on_link(plan: AllocationPlan, u: str, v: str) -> int:
 
 def protection_users(plan: AllocationPlan, edge: EdgeId) -> tuple[int, ...]:
     """The indices of the entries whose protection rides `edge`, in order."""
-    return tuple(plan._protection_users.get(edge, ()))
+    return tuple(i for i, en in enumerate(plan.entries) if edge in en.protection.edges)
 
 
 # -- protection sharing: the entry index that the plan's footprints replaced --

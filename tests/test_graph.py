@@ -123,6 +123,15 @@ class TestGraphFile:
             load_graph("node A\nlink A B")
         assert "line 2" in str(exc.value)
 
+    def test_link_before_its_nodes(self):
+        # links are checked once every line is read, so line order never matters
+        ordered = load_graph("node a\nnode b\nnode c\nlink a b\nlink b c 2")
+        for text in ("node a\nlink a b\nnode b\nlink b c 2\nnode c",
+                     "link b c 2\nlink a b\nnode c\nnode b\nnode a"):
+            g = load_graph(text)
+            assert dump_graph(g) == dump_graph(ordered)
+            assert g.capacity("c", "b") == 2
+
     def test_capacity_and_comments(self):
         g = load_graph("# caps\nnode A\nnode B\nlink A B 3  # three fibers")
         assert g.capacity("A", "B") == 3

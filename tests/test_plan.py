@@ -219,7 +219,7 @@ def _probe_path(rng: random.Random, g: Graph) -> Walk:
 def _verdicts(plan: AllocationPlan, working: Walk) -> dict[EdgeId, bool]:
     """`may_share` on each protection edge alone, for `working`."""
     mask = plan.conflicts(working)
-    return {e: plan.may_share((e,), mask) for e in plan._protection_users}
+    return {e: plan.may_share((e,), mask) for e in plan._blockers}
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])
@@ -235,7 +235,7 @@ def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
 
     def checked(plan, new):
         text = plan.serialize()
-        users = {e: protection_users(plan, e) for e in plan._protection_users}
+        users = {e: protection_users(plan, e) for e in plan._blockers}
         blockers = dict(plan._blockers)
         over_working = any(plan.role(e) == "working" for e in new.protection.edges)
         queries = (new.working, _probe_path(rng, plan.graph))
@@ -246,7 +246,7 @@ def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
         except PlanError:
             outcomes.add("refused")
             assert plan.serialize() == text
-            assert {e: protection_users(plan, e) for e in plan._protection_users} == users
+            assert {e: protection_users(plan, e) for e in plan._blockers} == users
             assert [conflicts_oracle(plan, w) for w in queries] == before
             assert plan._blockers == blockers
             assert [_verdicts(plan, w) for w in queries] == shares
@@ -260,7 +260,7 @@ def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
             meets = not disjoint(new.working, w, plan.mode)
             assert conflicts_oracle(plan, w) == (hits | {idx} if meets else hits)
             assert _verdicts(plan, w) == {e: sharing_oracle(plan, e, w)
-                                          for e in plan._protection_users}
+                                          for e in plan._blockers}
 
     monkeypatch.setattr(AllocationPlan, "add_entry", checked)
     for seed in range(12):
@@ -269,6 +269,31 @@ def test_add_entry_is_atomic(monkeypatch, random_plan, enforce, mode):
     if "b" not in enforce:
         expect.add("protection over an earlier working edge")
     assert outcomes == expect
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_blockers_keyed_by_exactly_the_protection_edges(monkeypatch, random_plan, mode):
+    """add_entry reads the blockers' keys as the edges that already have a
+    trail: after every add_entry, taken or refused, they are the protection
+    edges of the entries, under every RANDOM_ENFORCE set."""
+    real = AllocationPlan.add_entry
+    seen = collections.Counter()
+
+    def checked(plan, new):
+        try:
+            real(plan, new)
+            seen["taken"] += 1
+        except PlanError:
+            seen["refused"] += 1
+            raise
+        finally:
+            assert set(plan._blockers) == {e for en in plan.entries for e in en.protection.edges}
+
+    monkeypatch.setattr(AllocationPlan, "add_entry", checked)
+    for enforce in RANDOM_ENFORCE:
+        for seed in range(16):
+            random_plan(seed, mode, enforce)
+    assert seen["taken"] and seen["refused"]
 
 
 def _scan_conflicts(plan: AllocationPlan, working: Walk) -> set[int]:
@@ -296,7 +321,7 @@ def test_conflicts_match_disjoint_scan(monkeypatch, random_plan, grid3x4, mode):
             hits = _scan_conflicts(plan, w)
             assert conflicts_oracle(plan, w) == hits
             mask = plan.conflicts(w)
-            for e in plan._protection_users:
+            for e in plan._blockers:
                 assert plan.may_share((e,), mask) == (
                     disjoint(_edge_walk(e), w, plan.mode)
                     and all(e not in plan.entries[i].protection.edges for i in hits))
@@ -360,7 +385,7 @@ def test_may_share_matches_disjoint_scan(monkeypatch, random_plan, mode):
         finally:
             for w in (new.working, _probe_path(rng, plan.graph)):
                 mask = plan.conflicts(w)
-                for e in plan._protection_users:
+                for e in plan._blockers:
                     case = _sharing_case(plan, e, w)
                     seen[case] += 1
                     assert plan.may_share((e,), mask) == (case == "shared"), (e, w, case)
@@ -525,6 +550,14 @@ class TestSerialization:
         for body, lineno, match in MALFORMED_PLAN_LINES:
             with pytest.raises(PlanError, match=f"line {lineno}: .*{match}"):
                 AllocationPlan.parse(five_node, f"pxtmesh-plan 1\n{body}\n")
+
+    @pytest.mark.parametrize("header", ["pxtmesh-plan 2", "pxtmesh-planX", "pxtmesh-plan",
+                                        "pxtmesh-plan 1 1", "pxtmesh-plan 10", "mode node", ""])
+    def test_parse_refuses_any_other_header(self, five_node, header):
+        body = f"mode node\nenforce abcd\n{ENTRY0}\n"
+        with pytest.raises(PlanError, match="^line 1: expected 'pxtmesh-plan 1'"):
+            AllocationPlan.parse(five_node, f"{header}\n{body}")
+        assert len(AllocationPlan.parse(five_node, f" pxtmesh-plan 1 \n{body}").entries) == 1
 
     def test_error_from_message_prints_the_message(self):
         err = PlanError("x")
@@ -810,8 +843,8 @@ class _Untouchable:
     __eq__ = __hash__ = _refuse
 
 
-INCREMENTAL_STATE = ("_roles", "_used_ordinals", "_unused_from", "_free", "_protection_users",
-                     "_blockers", "_partner", "_trails", "_trail_ends", "_ranked")
+INCREMENTAL_STATE = ("_roles", "_used_ordinals", "_unused_from", "_free", "_blockers",
+                     "_partner", "_trails", "_trail_ends", "_ranked")
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])

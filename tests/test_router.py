@@ -24,6 +24,7 @@ from pxtmesh.graph import (
     disjoint,
     is_path,
     link_of,
+    shortest_route_dag,
 )
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.router import (
@@ -234,6 +235,38 @@ def test_ranked_enumeration_sees_a_dag_cache_blind_to_full_links(monkeypatch):
 
     monkeypatch.setattr(RouterState, "working_dag", by_target_alone)
     assert compare_working_routes("node", seeds=range(8))["mismatch"] > 5
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_working_dags_live_on_the_fresh_arc_snapshot(mode):
+    """While no link fills, working_dag hands back the same DAG object and
+    fresh_arcs the same snapshot; once a link fills, both are rebuilt
+    together, and each new DAG is the one built from scratch."""
+    seen = collections.Counter()
+    for seed in range(6):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(8, 20), tight=True)
+        nodes = g.sorted_nodes()
+        state = RouterState(g, mode=mode)
+        targets = rng.sample(nodes, 3)
+        for did in range(30):
+            snapshot = state.fresh_arcs()
+            dags = {t: state.working_dag(t) for t in targets}
+            assert all(state.working_dag(t) is dags[t] for t in targets)
+            free = len(state.plan._free)
+            try:
+                route_demand(state, Demand(did, *rng.sample(nodes, 2)))
+            except RoutingError:
+                pass
+            kept = len(state.plan._free) == free
+            seen["kept" if kept else "filled"] += 1
+            assert (state.fresh_arcs() is snapshot) == kept
+            for t in targets:
+                dag = state.working_dag(t)
+                assert (dag is dags[t]) == kept
+                assert state.fresh_arcs().dags[t] is dag
+                assert dag == shortest_route_dag(g, t, state.plan.has_free_edge)
+    assert seen["kept"] > 100 and seen["filled"] > 20, seen
 
 
 class TestCollectSubtrails:
@@ -733,7 +766,7 @@ def test_incremental_bookkeeping_matches_oracles(monkeypatch, mode, seed):
         assert conflicts_oracle(plan, working) == expect
         mask = plan.conflicts(working)
         assert all(plan.may_share((e,), mask) == sharing_oracle(plan, e, working)
-                   for e in plan._protection_users)
+                   for e in plan._blockers)
         built.append(aux)
         return aux
 

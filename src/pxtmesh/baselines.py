@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import (EdgeId, Graph, Walk, _avoiding, all_shortest_paths, link_key, ranked_routes,
+from .graph import (EdgeId, Graph, GraphError, Walk, _avoiding, link_key, ranked_routes,
                     shortest_route_dag)
 from .plan import AllocationPlan, Demand, PlanEntry
 
@@ -38,18 +38,35 @@ def disjoint_pair(g: Graph, u: str, v: str, mode: str = "node",
     with lexicographic order deciding any remaining tie.  Each working's
     protection is the first ranked route of the shortest-route DAG that
     avoids it, built only up to u's layer.
+
+    The workings come in lexicographic order, and no protection is shorter
+    than the distance d or, at length d, cheaper than the first ranked route
+    of the unrestricted DAG.  So once the best pair reaches that length and
+    price, no later working can win, and the search stops.
     """
     if u == v:
         raise PairError("terminals must be distinct")
-    best = None
-    for working in all_shortest_paths(g, u, v):
-        dag = shortest_route_dag(g, v, _avoiding(working, mode), until=u)
-        protection = next(ranked_routes(dag, u, v, cost), None)
+    nodes = g.nodes
+    if u not in nodes or v not in nodes:
+        raise GraphError(f"unknown terminal {u if u not in nodes else v}")
+
+    def price(route: tuple[str, ...]) -> int:
+        return 0 if cost is None else sum(map(cost, route, route[1:]))
+
+    dag = shortest_route_dag(g, v, until=u)  # every shortest u-v route
+    best = least = None  # least: the least price of a length-d route, once needed
+    for working in ranked_routes(dag, u, v):
+        avoiding = shortest_route_dag(g, v, _avoiding(working, mode), until=u)
+        protection = next(ranked_routes(avoiding, u, v, cost), None)
         if protection is not None:
-            price = 0 if cost is None else sum(map(cost, protection, protection[1:]))
-            key = (len(protection), price, working, protection)
+            key = (len(protection), price(protection), working, protection)
             if best is None or key < best:
                 best = key
+                if len(protection) == len(working):
+                    if least is None:
+                        least = price(next(ranked_routes(dag, u, v, cost)))
+                    if key[1] == least:
+                        break
     if best is None:
         raise PairError(f"no {mode}-disjoint path pair between {u} and {v}")
     return DisjointPair(best[2], best[3])
@@ -83,11 +100,12 @@ def fixed_pair_routes(g: Graph, mode: str = "node") -> dict[frozenset, DisjointP
     A hop costs OVERLAP_CAP less that count, so a working's first ranked
     protection overlaps most, then comes first lexicographically.
 
-    It enumerates every shortest working of every terminal pair and has no
-    limit, because the inputs it serves are small: a 12-node fixture has 66
-    terminal pairs and few shortest routes between any two nodes.  Grids
-    much larger than the fixtures would need a bound, as the count of
-    shortest routes grows exponentially with their side.
+    It enumerates the shortest workings of every terminal pair, until no
+    later one can win, and has no limit, because the inputs it serves are
+    small: a 12-node fixture has 66 terminal pairs and few shortest routes
+    between any two nodes.  Grids much larger than the fixtures would need a
+    bound, as the count of shortest routes grows exponentially with their
+    side.
 
     A terminal pair with no disjoint pair gets no entry and leaves the
     clustering counts alone: only a demand for that pair fails.

@@ -403,17 +403,15 @@ def load_graph(text: str) -> Graph:
     Lines: `# comment`, `node <id>`, `link <u> <v> [<capacity>|unbounded]`.
     Order-insensitive: links are checked once every line is read, so a link
     may come before its nodes' `node` lines, but a node no line declares is
-    an error.  Duplicate node or link declarations are errors.
+    an error.  Duplicate node or link declarations are errors.  Of several
+    errors, the one on the earliest line is raised.
     """
     nodes: list[str] = []
     seen: set[str] = set()
     links: list[tuple[str, str, int | None]] = []
     pending: list[tuple[int, str, str, int | None]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+
+    def read(lineno: int, fields: list[str]) -> None:
         kind = fields[0]
         if kind == "node":
             if len(fields) != 2:
@@ -442,8 +440,10 @@ def load_graph(text: str) -> Graph:
             pending.append((lineno, u, v, cap))
         else:
             raise GraphParseError(lineno, f"unknown directive {kind!r}")
+
     keys: set[tuple[str, str]] = set()
-    for lineno, u, v, cap in pending:
+
+    def add_link(lineno: int, u: str, v: str, cap: int | None) -> None:
         for x in (u, v):
             if x not in seen:
                 raise GraphParseError(lineno, f"unknown node {x} in link")
@@ -454,6 +454,27 @@ def load_graph(text: str) -> Graph:
             raise GraphParseError(lineno, f"duplicate link {u}-{v}")
         keys.add(key)
         links.append((u, v, cap))
+
+    # every line is read, so that a link may name a later node; each pass
+    # goes in line order, and the link pass stops past the read's first error
+    first: GraphParseError | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                read(lineno, line.split())
+            except GraphParseError as exc:
+                first = first or exc
+    for lineno, u, v, cap in pending:
+        if first is not None and first.lineno < lineno:
+            break
+        try:
+            add_link(lineno, u, v, cap)
+        except GraphParseError as exc:
+            first = exc
+            break
+    if first is not None:
+        raise first
     return Graph(nodes, links)
 
 

@@ -115,10 +115,12 @@ class PXT:
 class _Trail:
     """Mutable trail under incremental extension/merging.
 
-    `cached` holds the trail's (sort key, canonical PXT) and `pos` maps each
-    node to its positions on that canonical walk (on the ring when closed),
-    both computed on first use.  Every change to the trail must reset both to
-    None, and the plan's canonical trail order with them.
+    `cached` holds the trail's (sort key, canonical PXT) and `pos` its cut
+    index: the map from each node to its positions on that canonical walk
+    (on the ring when closed), and the walk's repeat horizon, None when no
+    node repeats (see `_repeat_horizon`).  Both are computed on first use.
+    Every change to the trail must reset both to None, and the plan's
+    canonical trail order with them.
     """
 
     __slots__ = ("nodes", "edges", "closed", "cached", "pos")
@@ -128,7 +130,7 @@ class _Trail:
         self.edges = edges
         self.closed = False
         self.cached: tuple[tuple, PXT] | None = None
-        self.pos: dict[str, list[int]] | None = None
+        self.pos: tuple[dict[str, list[int]], list[int] | None] | None = None
 
     def canonical(self) -> tuple[tuple, PXT]:
         if self.cached is None:
@@ -136,12 +138,15 @@ class _Trail:
             self.cached = (_pxt_sort_key(pxt), pxt)
         return self.cached
 
-    def positions(self) -> dict[str, list[int]]:
+    def positions(self) -> tuple[dict[str, list[int]], list[int] | None]:
+        """The cut index: node -> its positions, and the repeat horizon."""
         if self.pos is None:
             nodes = self.canonical()[1].walk.nodes
-            self.pos = {}
-            for i in range(len(nodes) - 1 if self.closed else len(nodes)):
-                self.pos.setdefault(nodes[i], []).append(i)
+            seq = nodes[:-1] if self.closed else nodes
+            pos: dict[str, list[int]] = {}
+            for i, n in enumerate(seq):
+                pos.setdefault(n, []).append(i)
+            self.pos = (pos, _repeat_horizon(seq, self.closed) if len(pos) < len(seq) else None)
         return self.pos
 
     def end_slots(self) -> tuple[tuple[EdgeId, str], tuple[EdgeId, str]]:
@@ -163,6 +168,23 @@ def _canonical_pxt(nodes: list[str], edges: list[EdgeId], closed: bool) -> PXT:
     else:
         walks = [(tuple(nodes), tuple(edges)), (tuple(nodes[::-1]), tuple(edges[::-1]))]
     return PXT(Walk(*min(walks)), closed)
+
+
+def _repeat_horizon(seq: tuple[str, ...], closed: bool) -> list[int]:
+    """h[i]: the least j > i at which a node of s[i..j] occurs a second
+    time, or len(s) if none does, where s is `seq`, or the ring `seq` written
+    twice when closed.  So s[a..b] repeats no node exactly when b < h[a]; a
+    wrapping cut (a, b) of a ring of k nodes, b <= a, is s[a..b + k].  One
+    reverse pass: h[i] is the least next occurrence of any s[j], j >= i."""
+    s = seq * 2 if closed else seq
+    h = [0] * len(s)
+    after: dict[str, int] = {}  # node -> its next position so far
+    least = len(s)
+    for i in range(len(s) - 1, -1, -1):
+        least = min(least, after.get(s[i], least))
+        after[s[i]] = i
+        h[i] = least
+    return h
 
 
 def _pxt_sort_key(p: PXT):

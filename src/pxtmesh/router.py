@@ -29,14 +29,17 @@ recomputing it:
 - a segment is admitted whole or not at all, by one `may_share(seg.edges,
   mask)` with the working's `conflicts` mask, which also keeps the segment
   off the working's links and (node mode) its interior;
-- the plan caches each trail's canonical PXT and sort key, and the map from
-  each node to its positions on that PXT; merging or closing a trail drops
-  both, and nothing else invalidates them;
+- the plan caches each trail's canonical PXT and sort key, and its cut
+  index: the map from each node to its positions on that PXT, and, when the
+  PXT repeats a node, its repeat horizon, the first position at which the
+  PXT from each position on repeats a node; merging or closing a trail
+  drops both, and nothing else invalidates them;
 - the plan caches its trails in canonical order; a new trail, or merging or
   closing one, drops that order;
 - segments are slices of those PXTs, cut where the position index puts the
-  terminals and built without re-validation; an open trail without a cut
-  inside offers its cached canonical walk itself;
+  terminals and built without re-validation; a cut is kept, as a simple
+  path, when it ends before its start's horizon, one lookup and no set; an
+  open trail without a cut inside offers its cached canonical walk itself;
 - the plan keeps the set of links with spare capacity, and RouterState keeps
   one snapshot of what is built from it, `FreshArcs`, rebuilt whole only
   when that set shrinks: the fresh-capacity aux edges and arcs, with stable
@@ -249,8 +252,10 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:
     Closed PXTs are usable only when both terminals occur on them.  Open PXTs
     are additionally cut at their two ends, since a protection route may enter
     there by extending the trail.  Segments that are not simple paths are
-    discarded: they could never be part of a protection path.  An open PXT
-    with no cut inside yields its cached canonical walk itself.
+    discarded: they could never be part of a protection path.  The trail's
+    cached repeat horizon tells which those are, one lookup per cut, and none
+    on a trail that repeats no node.  An open PXT with no cut inside yields
+    its cached canonical walk itself.
     """
     u, v = demand.u, demand.v
     # slices of a valid trail are valid walks: build them unchecked
@@ -261,30 +266,26 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:
         walk = pxt.walk
         nodes, edges = walk.nodes, walk.edges
         k = len(edges)
-        pos = trail.positions()
+        pos, horizon = trail.positions()
         at_u, at_v = pos.get(u, []), pos.get(v, [])
-        # no segment is empty, so a path is one that repeats no node; on a
-        # trail that repeats none, every segment is one
-        simple = len(pos) == (k if pxt.closed else k + 1)
+        # the cut a..b is a path exactly when b < horizon[a]; a wrapping cut
+        # of a closed trail reads as a..b + k
         if pxt.closed:
             if not (at_u and at_v):
                 continue
             cuts = sorted(at_u + at_v)
             for a, b in zip(cuts, cuts[1:] + cuts[:1]):
                 if b > a:
-                    seg_nodes, seg_edges = nodes[a:b + 1], edges[a:b]
-                else:
-                    seg_nodes = nodes[a:k] + nodes[:b + 1]
-                    seg_edges = edges[a:] + edges[:b]
-                if simple or len(set(seg_nodes)) == len(seg_nodes):
-                    out.append(trusted(seg_nodes, seg_edges))
+                    if horizon is None or b < horizon[a]:
+                        out.append(trusted(nodes[a:b + 1], edges[a:b]))
+                elif horizon is None or b + k < horizon[a]:
+                    out.append(trusted(nodes[a:k] + nodes[:b + 1], edges[a:] + edges[:b]))
         else:
             cuts = sorted({0, k, *at_u, *at_v})
             for a, b in zip(cuts, cuts[1:]):
-                seg_nodes = nodes[a:b + 1]
-                if simple or len(set(seg_nodes)) == len(seg_nodes):
+                if horizon is None or b < horizon[a]:
                     # uncut, the segment is the cached trail walk itself
-                    out.append(walk if b - a == k else trusted(seg_nodes, edges[a:b]))
+                    out.append(walk if b - a == k else trusted(nodes[a:b + 1], edges[a:b]))
     return out
 
 

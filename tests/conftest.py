@@ -82,6 +82,18 @@ def sharing_oracle(plan: AllocationPlan, edge: EdgeId, working: Walk) -> bool:
 
 # -- shortest routes: the depth-first enumerator that graph.ranked_routes replaced --
 
+def repeat_horizon_oracle(seq, closed: bool) -> list[int] | None:
+    """A trail's repeat horizon by its definition, None when `seq`, the
+    trail's walk (its ring when closed), repeats no node.  For s, `seq` or
+    the ring written twice, position i gets the least j > i at which s[j]
+    already occurs in s[i:j], or len(s) if there is none."""
+    if len(set(seq)) == len(seq):
+        return None
+    s = list(seq) * 2 if closed else list(seq)
+    return [next((j for j in range(i + 1, len(s)) if s[j] in s[i:j]), len(s))
+            for i in range(len(s))]
+
+
 def shortest_paths_oracle(graph: Graph, u: str, v: str, usable=None):
     """Every minimum-hop node sequence from u to v over links accepted by
     `usable`, in lexicographic order; nothing if v is unreachable.

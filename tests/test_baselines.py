@@ -1,9 +1,13 @@
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conflicts_oracle, may_share_oracle
+from test_graph import grid
 from pxtmesh.baselines import (
     DisjointPair,
     PairError,
@@ -13,7 +17,8 @@ from pxtmesh.baselines import (
     route_shared_path,
 )
 from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
-from pxtmesh.graph import UNBOUNDED, Graph, Walk, link_key
+from pxtmesh.graph import (UNBOUNDED, Graph, Walk, _avoiding, all_shortest_paths, link_key,
+                           ranked_routes, shortest_route_dag)
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.topologies import LARGE_NODE_SETS, standard_topology
 from pxtmesh.traffic import TrafficSpec, generate, neighbor, unbalanced, uniform
@@ -327,3 +332,81 @@ class TestPairsWithoutDisjointPair:
         with pytest.raises(PairError, match=f"no {mode}-disjoint path pair between a and d"):
             route_1plus1(g, demands, mode)
 
+
+
+def disjoint_pair_by_full_scan(g, u, v, mode="node", cost=None):
+    """disjoint_pair before it stopped early: every shortest working gets
+    its first ranked avoiding protection, and the least key of all wins."""
+    if u == v:
+        raise PairError("terminals must be distinct")
+    best = None
+    for working in all_shortest_paths(g, u, v):
+        dag = shortest_route_dag(g, v, _avoiding(working, mode), until=u)
+        protection = next(ranked_routes(dag, u, v, cost), None)
+        if protection is not None:
+            price = 0 if cost is None else sum(map(cost, protection, protection[1:]))
+            key = (len(protection), price, working, protection)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        raise PairError(f"no {mode}-disjoint path pair between {u} and {v}")
+    return DisjointPair(best[2], best[3])
+
+
+@st.composite
+def priced_graphs(draw):
+    """A connected graph of 4-9 nodes, a spanning tree plus chords, and a
+    price of 0-3 per link: few prices, so equal-length protections tie on
+    price and the lexicographic order has to decide."""
+    n = draw(st.integers(min_value=4, max_value=9))
+    nodes = [f"n{i}" for i in range(n)]
+    links = {link_key(nodes[i], nodes[draw(st.integers(0, i - 1))]) for i in range(1, n)}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            links.add(link_key(nodes[i], nodes[j]))
+    prices = {link: draw(st.integers(0, 3)) for link in sorted(links)}
+    return Graph(nodes, [(u, v, UNBOUNDED) for u, v in sorted(links)]), prices
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+@given(drawn=priced_graphs())
+@settings(max_examples=120, deadline=None)
+def test_disjoint_pair_matches_full_scan(mode, drawn):
+    g, prices = drawn
+
+    def cost(a, b):
+        return prices[link_key(a, b)]
+
+    for u, v in itertools.permutations(g.sorted_nodes(), 2):
+        for c in (None, cost):
+            try:
+                expect = disjoint_pair_by_full_scan(g, u, v, mode, c)
+            except PairError as exc:
+                with pytest.raises(PairError) as got:
+                    disjoint_pair(g, u, v, mode, c)
+                assert str(got.value) == str(exc)
+                continue
+            assert disjoint_pair(g, u, v, mode, c) == expect
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_disjoint_pair_stops_once_no_working_can_win(mode, monkeypatch):
+    # 4x4 grid corners: 20 shortest workings, and a protection as short and
+    # as cheap as any route exists for the first, so two DAGs are built: the
+    # unrestricted one, and the one avoiding the first working
+    import pxtmesh.baselines as baselines
+    g = grid(4)
+    assert len(list(all_shortest_paths(g, "r0c0", "r3c3"))) == 20
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return shortest_route_dag(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "shortest_route_dag", counted)
+    for cost in (None, lambda a, b: 1):
+        builds.clear()
+        got = disjoint_pair(g, "r0c0", "r3c3", mode, cost)
+        assert got == disjoint_pair_by_full_scan(g, "r0c0", "r3c3", mode, cost)
+        assert len(builds) == 2

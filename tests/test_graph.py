@@ -132,6 +132,22 @@ class TestGraphFile:
             assert dump_graph(g) == dump_graph(ordered)
             assert g.capacity("c", "b") == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("node a\nlink a zz\nnode b\nnode b", "line 2: unknown node zz in link"),
+        ("node a\nnode b\nlink a b\nnode b\nlink b a", "line 4: duplicate node b"),
+        ("link a b\nlink b a\nnode a\nnode a\nnode b", "line 2: duplicate link b-a"),
+        ("link a b 0\nlink a zz\nnode a\nnode b", "line 1: capacity must be positive"),
+        ("node a\nlink a b\nnode b|c\nnode b\nfoo", "line 3: invalid node id 'b|c'"),
+        ("link a c\nnode a\nnode b\nlink a a\nnode c", "line 4: self-loop link at a"),
+    ])
+    def test_earliest_line_error_is_raised(self, text, message):
+        # every line is read before any link is checked, yet of all the
+        # errors the one on the earliest line is the one reported
+        with pytest.raises(GraphParseError) as exc:
+            load_graph(text)
+        assert str(exc.value) == message
+        assert exc.value.lineno == int(message.split()[1].rstrip(":"))
+
     def test_capacity_and_comments(self):
         g = load_graph("# caps\nnode A\nnode B\nlink A B 3  # three fibers")
         assert g.capacity("A", "B") == 3

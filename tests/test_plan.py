@@ -1,5 +1,6 @@
 import collections
 import copy
+import itertools
 import os
 import random
 import subprocess
@@ -8,6 +9,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pxtmesh
 from conftest import (
@@ -15,6 +18,7 @@ from conftest import (
     conflicts_oracle,
     protection_users,
     random_connected_graph,
+    repeat_horizon_oracle,
     sharing_oracle,
     used_on_link,
     walk,
@@ -31,6 +35,7 @@ from pxtmesh.plan import (
     PXT,
     _canonical_pxt,
     _pxt_sort_key,
+    _repeat_horizon,
 )
 from pxtmesh.router import RouterState, RoutingError, route_demand
 from pxtmesh.traffic import generate, uniform
@@ -503,6 +508,25 @@ class TestPXTs:
         plan.add_entry(d2_shared())
         with pytest.raises(PlanError):
             plan.extract_pxts()
+
+
+@given(seq=st.lists(st.sampled_from("abcde"), min_size=1, max_size=12), closed=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_repeat_horizon_marks_exactly_the_simple_cuts(seq, closed):
+    # open: every cut a..b; closed, the ring seq: every cut a -> b around it,
+    # read as a..b + k when it wraps (b <= a, the whole ring when b == a)
+    seq, k = tuple(seq), len(seq)
+    horizon = _repeat_horizon(seq, closed)
+    assert len(horizon) == (2 * k if closed else k)
+    assert repeat_horizon_oracle(seq, closed) in (None, horizon)
+    for a, b in itertools.product(range(k), repeat=2):
+        if a < b or (a == b and not closed):
+            cut, end = seq[a:b + 1], b
+        elif closed:
+            cut, end = seq[a:] + seq[:b + 1], b + k
+        else:
+            continue
+        assert (end < horizon[a]) == (len(set(cut)) == len(cut)), (a, b)
 
 
 class TestBandwidth:

@@ -6,9 +6,12 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pxtmesh
 from pxtmesh import router
@@ -26,7 +29,7 @@ from pxtmesh.graph import (
     link_of,
     shortest_route_dag,
 )
-from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
+from pxtmesh.plan import PXT, AllocationPlan, Demand, PlanEntry, PlanError, _Trail
 from pxtmesh.router import (
     AuxEdge,
     AuxGraph,
@@ -48,6 +51,7 @@ from conftest import (
     is_symmetric,
     may_share_oracle,
     random_connected_graph,
+    repeat_horizon_oracle,
     rival_graph,
     sharing_oracle,
     shortest_paths_oracle,
@@ -1099,9 +1103,13 @@ def full_scan_subtrails(plan: AllocationPlan, demand: Demand) -> list[Walk]:
     """collect_subtrails before the position index: every PXT of the
     from-scratch decomposition is scanned node by node, each segment is a
     validated Walk, and non-paths are dropped at the end."""
+    return scan_pxts(plan.extract_pxts(), demand)
+
+
+def scan_pxts(pxts: list[PXT], demand: Demand) -> list[Walk]:
     u, v = demand.u, demand.v
     out = []
-    for pxt in plan.extract_pxts():
+    for pxt in pxts:
         nodes, edges = pxt.walk.nodes, pxt.walk.edges
         k = len(edges)
         if pxt.closed:
@@ -1134,10 +1142,9 @@ def fresh_edges_from_scratch(plan: AllocationPlan) -> list[AuxEdge]:
     return out
 
 
-@pytest.mark.parametrize("mode", ["node", "link"])
-@pytest.mark.parametrize("tight", [False, True])
-def test_cached_subtrails_and_fresh_edges_match_full_scans(mode, tight):
-    closed_pairs = 0
+def routing_steps(mode: str, tight: bool):
+    """(rng, state, did) after each of 40 random demands, routed or refused,
+    on each of 8 random graphs; the rng drew them and draws on."""
     for seed in range(8):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(8, 40), tight)
@@ -1148,38 +1155,92 @@ def test_cached_subtrails_and_fresh_edges_match_full_scans(mode, tight):
                 route_demand(state, Demand(did, *rng.sample(nodes, 2)))
             except RoutingError:
                 pass
-            plan = state.plan
-            fresh = fresh_edges_from_scratch(plan)
-            skeleton = state.fresh_arcs()
-            assert list(skeleton.edges.values()) == fresh
-            assert [(u, v) for u, v in g.links()
-                    if plan.has_free_edge(u, v) and plan.has_free_edge(v, u)] == \
-                [(e.u, e.v) for e in fresh]
-            # link index i owns arcs 2i (u -> v) and 2i+1 (v -> u); a node
-            # lists its fresh arcs in link order, and masks both arcs of each
-            links = g.links()
-            out = {n: [] for n in nodes}
-            mask = dict.fromkeys(nodes, 0)
-            for e in fresh:
-                i = links.index((e.u, e.v))
-                out[e.u].append(Arc(2 * i, e.u, e.v, 1))
-                out[e.v].append(Arc(2 * i + 1, e.v, e.u, 1))
-                mask[e.u] |= 3 << 2 * i
-                mask[e.v] |= 3 << 2 * i
-            assert [links[i] for i in skeleton.edges] == [(e.u, e.v) for e in fresh]
-            assert skeleton.out == out and skeleton.mask == mask
-            pairs = [rng.sample(nodes, 2) for _ in range(3)]
-            for pxt in plan.pxts:
-                if pxt.closed:
-                    pairs.append(rng.sample(sorted(set(pxt.walk.nodes)), 2))
-                    closed_pairs += 1
-            for u, v in pairs:
-                d = Demand(1000 + did, u, v)
-                segments = collect_subtrails(state, d)
-                assert segments == full_scan_subtrails(plan, d)
-                # build_aux relies on it: no offered segment starts where it ends
-                assert all(s.ends[0] != s.ends[1] for s in segments)
+            yield rng, state, did
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+@pytest.mark.parametrize("tight", [False, True])
+def test_cached_subtrails_and_fresh_edges_match_full_scans(mode, tight):
+    closed_pairs = 0
+    for rng, state, did in routing_steps(mode, tight):
+        g, nodes = state.graph, state.graph.sorted_nodes()
+        plan = state.plan
+        fresh = fresh_edges_from_scratch(plan)
+        skeleton = state.fresh_arcs()
+        assert list(skeleton.edges.values()) == fresh
+        assert [(u, v) for u, v in g.links()
+                if plan.has_free_edge(u, v) and plan.has_free_edge(v, u)] == \
+            [(e.u, e.v) for e in fresh]
+        # link index i owns arcs 2i (u -> v) and 2i+1 (v -> u); a node
+        # lists its fresh arcs in link order, and masks both arcs of each
+        links = g.links()
+        out = {n: [] for n in nodes}
+        mask = dict.fromkeys(nodes, 0)
+        for e in fresh:
+            i = links.index((e.u, e.v))
+            out[e.u].append(Arc(2 * i, e.u, e.v, 1))
+            out[e.v].append(Arc(2 * i + 1, e.v, e.u, 1))
+            mask[e.u] |= 3 << 2 * i
+            mask[e.v] |= 3 << 2 * i
+        assert [links[i] for i in skeleton.edges] == [(e.u, e.v) for e in fresh]
+        assert skeleton.out == out and skeleton.mask == mask
+        pairs = [rng.sample(nodes, 2) for _ in range(3)]
+        for pxt in plan.pxts:
+            if pxt.closed:
+                pairs.append(rng.sample(sorted(set(pxt.walk.nodes)), 2))
+                closed_pairs += 1
+        for u, v in pairs:
+            d = Demand(1000 + did, u, v)
+            segments = collect_subtrails(state, d)
+            assert segments == full_scan_subtrails(plan, d)
+            # build_aux relies on it: no offered segment starts where it ends
+            assert all(s.ends[0] != s.ends[1] for s in segments)
     assert closed_pairs
+
+
+@st.composite
+def trails(draw):
+    """A _Trail on nodes a-f, open or closed, that may repeat nodes: no
+    two consecutive nodes are equal, and its k-th edge has ordinal k."""
+    closed = draw(st.booleans())
+    nodes = [draw(st.sampled_from("abcdef"))]
+    for _ in range(draw(st.integers(min_value=2 if closed else 1, max_value=12))):
+        nodes.append(draw(st.sampled_from([n for n in "abcdef" if n != nodes[-1]])))
+    if closed:
+        if nodes[-1] == nodes[0]:
+            nodes.pop()
+        nodes.append(nodes[0])
+    trail = _Trail(nodes, [EdgeId(a, b, k) for k, (a, b) in enumerate(zip(nodes, nodes[1:]))])
+    trail.closed = closed
+    return trail
+
+
+@given(trail=trails(), ends=st.permutations("abcdef"))
+@settings(max_examples=300, deadline=None)
+def test_segments_of_any_trail_match_full_scan(trail, ends):
+    # rings that repeat a node among them, which routed plans hardly make
+    demand = Demand(0, ends[0], ends[1])
+    state = types.SimpleNamespace(plan=types.SimpleNamespace(_ranked_trails=lambda: [trail]))
+    assert collect_subtrails(state, demand) == scan_pxts([trail.canonical()[1]], demand)
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+@pytest.mark.parametrize("tight", [False, True])
+def test_cached_horizons_match_scratch(mode, tight):
+    # every demand cuts every trail first, so each cut index is cached when
+    # add_entry extends, merges or closes its trail
+    seen = collections.Counter()
+    for _, state, _ in routing_steps(mode, tight):
+        for trail in state.plan._ranked_trails():
+            pxt = trail.canonical()[1]
+            nodes = pxt.walk.nodes[:-1] if pxt.closed else pxt.walk.nodes
+            horizon = trail.positions()[1]
+            assert horizon == repeat_horizon_oracle(nodes, pxt.closed)
+            seen[pxt.closed, horizon is not None] += 1
+    # open trails with and without repeats, and rings that were open trails
+    # from a node back to it; rings that repeat a node do not arise here,
+    # test_segments_of_any_trail_match_full_scan cuts those
+    assert {(False, False), (False, True), (True, False)} <= set(seen)
 
 
 O_SCRIPT = """

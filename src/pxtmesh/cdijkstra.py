@@ -13,8 +13,8 @@ paths and probe work make it fail gracefully instead of hanging.
 
 Arc ids are non-negative ints, and every arc set is an int bitset with bit i
 set for arc i: an arc's rivals are an `ArcSet`, and a partial path's
-forbidden arcs, like its visited nodes (bit i for `g.nodes[i]`), a plain
-int.  The bitset must stand for exactly the arc set it replaces: the heap
+forbidden arcs, like its visited nodes (the bit `g.nodes` maps each to), a
+plain int.  The bitset must stand for exactly the arc set it replaces: the heap
 orders equal-length paths by the size of that set and domination is subset
 order, so search order, the `stored` and `work` counters and the path found
 all depend on it.  They depend on nothing else about the ids: relabelling
@@ -22,16 +22,22 @@ arcs consistently, each node's out-arc order kept, changes no result.
 
 The graph has one constructor, and it is lazy: a node's out-arcs are made
 when the search first expands the node, so the arcs of nodes it never
-expands are never built.  Rival sets must be symmetric, as the router's
-auxiliary graph is by construction: solve neither checks nor repairs them.
+expands are never built.  Besides its arcs' own rivals it carries `through`:
+per node, the arcs that pass through that node in their interior, each a
+rival of every arc at the node.  An arc's effective rivals are its own
+`rivals` ORed with `through` at its tail and at its head, so an arc that
+gains rivals only from where it goes is never copied to carry them.  The
+effective rival sets must be symmetric, as the router's auxiliary graph's
+are by construction: solve neither checks nor repairs them.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 ArcId = int
 
@@ -103,27 +109,38 @@ class _OutLists(dict):
 
 
 class RivalGraph:
-    """Directed arcs with rival sets.  `make_out(node)` builds a node's
-    out-list when the search first expands the node; each node's out-arc
-    order fixes all tie-breaking.  The caller puts the arcs `make_out`
-    returns through `out_lists`' checks, and makes every rival set
-    symmetric: solve() neither checks nor repairs them.  Only the source is
-    checked here."""
+    """Directed arcs with rival sets.  `nodes` maps each node to its bit in
+    a path's visited set, as `node_bits` makes it, and `through` each node to
+    the bitset of the arcs with that node in their interior; a node it
+    leaves out has none.  `make_out(node)` builds a node's out-list when the
+    search first expands the node; each node's out-arc order fixes all
+    tie-breaking.  The caller puts the arcs `make_out` returns through
+    `out_lists`' checks, and makes every effective rival set, an arc's
+    `rivals | through[tail] | through[head]`, symmetric: solve() neither
+    checks nor repairs them.  Only the source is checked here."""
 
-    def __init__(self, nodes: Iterable[str], source: str,
-                 make_out: Callable[[str], list[Arc]]):
-        self.nodes = tuple(dict.fromkeys(nodes))
-        if source not in self.nodes:
+    def __init__(self, nodes: dict[str, int], source: str,
+                 make_out: Callable[[str], list[Arc]], through: dict[str, int]):
+        self.nodes = nodes
+        if source not in nodes:
             raise ValueError(f"unknown source {source!r}")
         self.source = source
+        self.through = through
         self.out = _OutLists(make_out)
 
     @staticmethod
-    def out_lists(nodes: Iterable[str], arcs: Iterable[Arc]) -> dict[str, list[Arc]]:
+    def node_bits(nodes: Iterable[str]) -> dict[str, int]:
+        """Each node's visited bit, 1 << i for the i-th distinct node; built
+        once per node set and shared by every graph over it."""
+        return {n: 1 << i for i, n in enumerate(dict.fromkeys(nodes))}
+
+    @staticmethod
+    def out_lists(nodes: Collection[str], arcs: Iterable[Arc]) -> defaultdict[str, list[Arc]]:
         """Each node's out-arcs in arc order, filled in one pass over arcs
         that checks every arc id is a non-negative int used once and every
-        arc joins two of `nodes`."""
-        out: dict[str, list[Arc]] = {n: [] for n in nodes}
+        arc joins two of `nodes`.  A node without arcs gets its empty list
+        when first read, so nothing is built per node up front."""
+        out: defaultdict[str, list[Arc]] = defaultdict(list)
         seen: set[ArcId] = set()
         for arc in arcs:
             aid = arc.id
@@ -131,7 +148,7 @@ class RivalGraph:
                 raise ValueError(f"arc id {aid!r} is not a non-negative int")
             if aid in seen:
                 raise ValueError(f"duplicate arc id {aid!r}")
-            if arc.tail not in out or arc.head not in out:
+            if arc.tail not in nodes or arc.head not in nodes:
                 raise ValueError(f"arc {aid!r} references unknown node")
             seen.add(aid)
             out[arc.tail].append(arc)
@@ -139,11 +156,16 @@ class RivalGraph:
 
     @cached_property
     def arcs(self) -> dict[ArcId, Arc]:
-        """Every arc by id, node by node in out-list order.  The first read
-        builds its own copy of every list, so it makes none of the lists the
-        search reads: what the search builds, the search pays for."""
-        make = self.out.make
-        return {arc.id: arc for n in self.nodes for arc in make(n)}
+        """Every arc by id, node by node in out-list order, each a copy whose
+        `rivals` are its effective rivals, `through` at both ends folded in.
+        The first read builds its own copy of every list, so it makes none
+        of the lists the search reads: what the search builds, the search
+        pays for."""
+        make, through = self.out.make, self.through.get
+        return {arc.id: Arc(arc.id, arc.tail, arc.head, arc.length,
+                            ArcSet(arc.rivals | through(arc.tail, 0) | through(arc.head, 0)),
+                            arc.tiebreak)
+                for n in self.nodes for arc in make(n)}
 
 
 @dataclass(frozen=True)
@@ -281,15 +303,17 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS, *,
     it, and any count that increases push by push orders them the same.
 
     Exceeding a limit raises ResourceLimitExceeded carrying `stored` and
-    `work` at that point.  Every rival set must be symmetric, as RivalGraph
-    says: an arc that one of its rivals does not list back can share a path
-    with it.
+    `work` at that point.  A probe forbids the arc's effective rivals: its
+    `rivals` and `through` at its tail and head, the tail's read once per
+    expanded label.  Every effective rival set must be symmetric, as
+    RivalGraph says: an arc that one of its rivals does not list back can
+    share a path with it.
     """
-    node_bit = {n: 1 << i for i, n in enumerate(g.nodes)}
+    node_bit = g.nodes
     if target not in node_bit:
         raise ValueError(f"unknown target {target!r}")
     max_stored, max_work = limits.max_stored, limits.max_work
-    out = g.out
+    out, through = g.out, g.through.get
     heappop, heappush = heapq.heappop, heapq.heappush
     root = (0, 0, 0, g.source, 0, None, None, 0, node_bit[g.source])
     inked: dict[str, tuple] = {}
@@ -309,6 +333,7 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS, *,
             del bucket[forb]
             if node == target:
                 return SolveResult({target: _path(label)}, stored, work)
+        base = forb | through(node, 0)
         for arc in out[node]:
             work += 1
             if work > max_work:
@@ -318,7 +343,7 @@ def solve(g: RivalGraph, limits: SearchLimits = DEFAULT_LIMITS, *,
             if forb >> aid & 1 or visited & bit:
                 continue
             nlen = length + arc.length
-            nforb = forb | arc.rivals
+            nforb = base | arc.rivals | through(head, 0)
             ink = inked.get(head)
             if ink is not None and ink[0] <= nlen and ink[7] & nforb == ink[7]:
                 continue

@@ -167,11 +167,13 @@ class Walk:
     edges: tuple[EdgeId, ...]
 
     def __post_init__(self):
-        if len(self.nodes) != len(self.edges) + 1 or not self.nodes:
+        nodes = self.nodes
+        if len(nodes) != len(self.edges) + 1 or not nodes:
             raise GraphError("walk must alternate nodes and edges")
-        for i, e in enumerate(self.edges):
-            if {self.nodes[i], self.nodes[i + 1]} != {e.u, e.v}:
-                raise GraphError(f"edge {e} does not join {self.nodes[i]} and {self.nodes[i + 1]}")
+        for a, b, e in zip(nodes, nodes[1:], self.edges):
+            u, v, _ = e
+            if not (u == a and v == b or u == b and v == a):
+                raise GraphError(f"edge {e} does not join {a} and {b}")
 
     @classmethod
     def _trusted(cls, nodes: tuple[str, ...], edges: tuple[EdgeId, ...]) -> "Walk":

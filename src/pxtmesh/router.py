@@ -20,15 +20,17 @@ recomputing it:
 - rival marks are int bitsets over the arc ids, from those indexes through
   the search's forbidden sets, so marking and probing OR and AND ints
   instead of building and hashing frozensets;
-- the aux graph's rival sets are symmetric by construction, as the search
-  requires without checking, and the graph is lazy: a node's out-arcs are
-  made when the search first expands the node, so most arcs are never built;
+- the aux graph's effective rival sets, an arc's own rivals ORed with the
+  graph's `through` at its two ends, are symmetric by construction, as the
+  search requires without checking, and the graph is lazy: a node's
+  out-arcs are listed when the search first expands the node, so most arcs
+  are never looked at;
 - the plan keeps per protection edge an int of blockers, its own link and
   nodes ORed with the footprint of each working it protects, so sharing is
   one AND per edge rather than a comparison entry by entry;
-- a segment is admitted whole or not at all, by one `may_share(seg.edges,
-  mask)` with the working's `conflicts` mask, which also keeps the segment
-  off the working's links and (node mode) its interior;
+- a segment is admitted whole or not at all, by one `may_share` over its
+  cut's edges with the working's `conflicts` mask, which also keeps the
+  segment off the working's links and (node mode) its interior;
 - the plan caches each trail's canonical PXT and sort key, and its cut
   index: the map from each node to its positions on that PXT, and, when the
   PXT repeats a node, its repeat horizon, the first position at which the
@@ -36,20 +38,26 @@ recomputing it:
   drops both, and nothing else invalidates them;
 - the plan caches its trails in canonical order; a new trail, or merging or
   closing one, drops that order;
-- segments are slices of those PXTs, cut where the position index puts the
-  terminals and built without re-validation; a cut is kept, as a simple
-  path, when it ends before its start's horizon, one lookup and no set; an
-  open trail without a cut inside offers its cached canonical walk itself;
+- segments are offered as cuts of those PXTs, (walk, a, b) spans of the
+  cached canonical walk, cut where the position index puts the terminals;
+  a cut is kept, as a simple path, when it ends before its start's horizon,
+  one lookup and no set; only a cut that is admitted becomes a `Walk`,
+  sliced without re-validation, and a cut over a whole open trail is its
+  cached canonical walk itself;
 - the plan keeps the set of links with spare capacity, and RouterState keeps
   one snapshot of what is built from it, `FreshArcs`, rebuilt whole only
   when that set shrinks: the fresh-capacity aux edges and arcs, with stable
   ids by link index, and per target the shortest-route DAG over those links,
   made on first use.  Per demand, the working path excludes some fresh arcs
-  by one bitset, and a fresh arc is copied only to carry rivals, when its
-  ends are interior to an admitted shortcut.  The working routes are drawn
-  from the target's DAG by `graph.ranked_routes` in rank order, least usage
-  then nodes, and only until one leaves a disjoint detour; the detour check
-  steps first to the nodes the DAG says are closer to the target.
+  by one bitset, and no fresh arc is copied: a node's out-list is the
+  snapshot's own arcs that the working leaves, and the rivals a fresh arc
+  gains where an admitted shortcut passes through its ends are the aux
+  graph's `through`, which the search adds itself.  RouterState also keeps
+  the node -> visited-bit index that every aux graph shares.  The working
+  routes are drawn from the target's DAG by `graph.ranked_routes` in rank
+  order, least usage then nodes, and only until one leaves a disjoint
+  detour; the detour check steps first to the nodes the DAG says are closer
+  to the target.
 """
 
 from __future__ import annotations
@@ -131,7 +139,7 @@ class RouterState:
         self.plan = AllocationPlan(graph, mode=mode)
         self.limits = limits
         self.log = log
-        self.nodes = tuple(graph.sorted_nodes())
+        self.node_bits = RivalGraph.node_bits(graph.sorted_nodes())
         self.link_index = {link: i for i, link in enumerate(graph.links())}
         self._fresh: FreshArcs | None = None
 
@@ -147,9 +155,10 @@ class RouterState:
                      if (u, v) in free}
             arcs = [Arc(2 * i + back, *ends, 1) for i, e in edges.items()
                     for back, ends in enumerate(((e.u, e.v), (e.v, e.u)))]
-            # out_lists' id, duplicate and node checks, once per rebuild
-            out = RivalGraph.out_lists(self.nodes, arcs)
-            mask = {n: sum(3 << (a.id & ~1) for a in out_n) for n, out_n in out.items()}
+            # out_lists' id, duplicate and node checks, once per rebuild; read
+            # at every node, so the snapshot lists each, if only with no arcs
+            out = RivalGraph.out_lists(self.node_bits, arcs)
+            mask = {n: sum(3 << (a.id & ~1) for a in out[n]) for n in self.node_bits}
             self._fresh = FreshArcs(len(free), edges, out, mask, {})
         return self._fresh
 
@@ -246,7 +255,10 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
     return state.plan.fresh_walk(first)
 
 
-def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:
+Cut = tuple[Walk, int, int]
+
+
+def collect_subtrails(state: RouterState, demand: Demand) -> list[Cut]:
     """Cut every PXT into maximal reusable segments for this demand.
 
     Closed PXTs are usable only when both terminals occur on them.  Open PXTs
@@ -254,45 +266,67 @@ def collect_subtrails(state: RouterState, demand: Demand) -> list[Walk]:
     there by extending the trail.  Segments that are not simple paths are
     discarded: they could never be part of a protection path.  The trail's
     cached repeat horizon tells which those are, one lookup per cut, and none
-    on a trail that repeats no node.  An open PXT with no cut inside yields
-    its cached canonical walk itself.
+    on a trail that repeats no node.
+
+    A segment is returned as its cut `(walk, a, b)`: the trail's cached
+    canonical walk and the span a..b of it, with b > k, for a ring of k
+    edges, when the cut wraps and reads a..k, then 0..b - k.  Nothing is
+    built per cut: `build_aux` admits cuts by their edges and makes a `Walk`,
+    by `cut_segment`, only of those it admits.
     """
     u, v = demand.u, demand.v
-    # slices of a valid trail are valid walks: build them unchecked
-    trusted = Walk._trusted
-    out: list[Walk] = []
+    out: list[Cut] = []
     for trail in state.plan._ranked_trails():
         pxt = trail.canonical()[1]
         walk = pxt.walk
-        nodes, edges = walk.nodes, walk.edges
-        k = len(edges)
+        k = len(walk.edges)
         pos, horizon = trail.positions()
         at_u, at_v = pos.get(u, []), pos.get(v, [])
-        # the cut a..b is a path exactly when b < horizon[a]; a wrapping cut
-        # of a closed trail reads as a..b + k
+        # the cut a..b is a path exactly when b < horizon[a]
         if pxt.closed:
             if not (at_u and at_v):
                 continue
             cuts = sorted(at_u + at_v)
             for a, b in zip(cuts, cuts[1:] + cuts[:1]):
-                if b > a:
-                    if horizon is None or b < horizon[a]:
-                        out.append(trusted(nodes[a:b + 1], edges[a:b]))
-                elif horizon is None or b + k < horizon[a]:
-                    out.append(trusted(nodes[a:k] + nodes[:b + 1], edges[a:] + edges[:b]))
+                if b <= a:  # it wraps
+                    b += k
+                if horizon is None or b < horizon[a]:
+                    out.append((walk, a, b))
         else:
             cuts = sorted({0, k, *at_u, *at_v})
             for a, b in zip(cuts, cuts[1:]):
                 if horizon is None or b < horizon[a]:
-                    # uncut, the segment is the cached trail walk itself
-                    out.append(walk if b - a == k else trusted(nodes[a:b + 1], edges[a:b]))
+                    out.append((walk, a, b))
     return out
 
 
+def _cut_edges(cut: Cut) -> tuple[EdgeId, ...]:
+    walk, a, b = cut
+    edges = walk.edges
+    k = len(edges)
+    return edges[a:b] if b <= k else edges[a:] + edges[:b - k]
+
+
+def cut_segment(cut: Cut) -> Walk:
+    """The segment `Walk` of a cut, built without re-validation, as a slice
+    of a valid trail is a valid walk; a cut over the whole walk is the
+    trail's cached walk itself."""
+    walk, a, b = cut
+    nodes = walk.nodes
+    k = len(walk.edges)
+    if a == 0 and b == k:
+        return walk
+    return Walk._trusted(nodes[a:b + 1] if b <= k else nodes[a:k] + nodes[:b - k + 1],
+                         _cut_edges(cut))
+
+
 def build_aux(state: RouterState, demand: Demand, working: Walk,
-              segments: list[Walk]) -> AuxGraph:
+              cuts: list[Cut]) -> AuxGraph:
     """Auxiliary search graph: unit-cost fresh-capacity arcs plus zero-cost
     shortcut arcs, with rival marks wherever two expansions would collide.
+
+    A cut of `collect_subtrails` is admitted by one `may_share` over its
+    edges, and only an admitted cut becomes a segment `Walk`.
 
     Two aux edges are rivals when their expansions share a node that is not
     an endpoint of both.  A fresh edge expands to its two endpoints and a
@@ -300,14 +334,15 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     nodes and two fresh edges are never rivals.  The rivals are read off two
     node -> arc bitset indexes built from the shortcuts alone: `inner`, the
     arcs with the node as an interior node, and `covers`, at those nodes
-    only, the arcs whose expansion covers it.  A fresh edge's rivals are
-    `inner[u] | inner[v]`; a shortcut's add the OR of `covers` over its
-    interior nodes, less its own two arcs.
+    only, the arcs whose expansion covers it.  `inner` is the graph's
+    `through`, so the search adds `inner[u] | inner[v]` to every arc u-v
+    itself: a fresh arc carries no rivals of its own, and a shortcut's are
+    the OR of `covers` over its interior nodes, less its own two arcs.
 
     Only what depends on the demand is built here; the fresh arcs come
-    prebuilt from `state.fresh_arcs()`, and a node's out-arcs are made when
-    the search first expands the node: its fresh arcs the working leaves, in
-    link order, then its shortcut arcs, in admission order.
+    prebuilt from `state.fresh_arcs()`, and a node's out-arcs are listed when
+    the search first expands the node: the snapshot's own fresh arcs that the
+    working leaves, in link order, then its shortcut arcs, in admission order.
     """
     plan = state.plan
     fresh = state.fresh_arcs()
@@ -328,7 +363,7 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     # working links and (node mode) the working interior
     mask = plan.conflicts(working)
     may_share = plan.may_share
-    shortcuts = [seg for seg in segments if may_share(seg.edges, mask)]
+    shortcuts = [cut_segment(cut) for cut in cuts if may_share(_cut_edges(cut), mask)]
 
     first = len(state.link_index)
     inner: dict[str, int] = {}
@@ -345,27 +380,22 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     arcs = []
     for i, seg in enumerate(shortcuts, first):
         u, v = seg.ends
-        rivals = inner.get(u, 0) | inner.get(v, 0)
+        rivals = 0
         for n in seg.nodes[1:-1]:
             rivals |= covers[n]
         rivals = ArcSet(rivals & ~(3 << 2 * i))
         arcs += (Arc(2 * i, u, v, 0, rivals, 1), Arc(2 * i + 1, v, u, 0, rivals, 1))
         edges[i] = AuxEdge(u, v, seg)
     # out_lists' id, duplicate and node checks, on the shortcut arcs
-    shortcut_out = RivalGraph.out_lists(state.nodes, arcs)
+    shortcut_out = RivalGraph.out_lists(state.node_bits, arcs).get
     fresh_out = fresh.out
 
     def out_arcs(x: str) -> list[Arc]:
-        at_x = inner.get(x, 0)
-        out = []
-        for arc in fresh_out[x]:
-            if not excluded >> arc.id & 1:
-                rivals = at_x | inner.get(arc.head, 0)
-                out.append(Arc(arc.id, x, arc.head, 1, ArcSet(rivals)) if rivals else arc)
-        out += shortcut_out[x]
+        out = [arc for arc in fresh_out[x] if not excluded >> arc.id & 1]
+        out += shortcut_out(x, ())
         return out
 
-    return AuxGraph(RivalGraph(state.nodes, demand.u, out_arcs), edges)
+    return AuxGraph(RivalGraph(state.node_bits, demand.u, out_arcs, inner), edges)
 
 
 def _expand_route(state: RouterState, demand: Demand, aux: AuxGraph,
@@ -395,8 +425,8 @@ def _expand_route(state: RouterState, demand: Demand, aux: AuxGraph,
 def route_demand(state: RouterState, demand: Demand) -> PlanEntry:
     """Route one demand and commit it to the plan; the plan stays valid."""
     working = find_working(state, demand)
-    segments = collect_subtrails(state, demand)
-    aux = build_aux(state, demand, working, segments)
+    cuts = collect_subtrails(state, demand)
+    aux = build_aux(state, demand, working, cuts)
     try:
         res = solve(aux.graph, state.limits, target=demand.v)
     except ResourceLimitExceeded as exc:
@@ -420,7 +450,7 @@ def route_demand(state: RouterState, demand: Demand) -> PlanEntry:
         state.log.append(
             f"demand {demand.id} {demand.u}-{demand.v}: "
             f"working={'-'.join(working.nodes)} "
-            f"subtrails={len(segments)} aux_edges={len(aux.edges)} "
+            f"subtrails={len(cuts)} aux_edges={len(aux.edges)} "
             f"cost={int(best.length)} shortcuts={n_short} "
             f"protection={'-'.join(protection.nodes)}")
     return entry

@@ -146,7 +146,8 @@ def rival_graph(nodes, arcs, source: str) -> RivalGraph:
     """An eager graph: every out-list built and checked by `out_lists` up
     front, then handed to the search as it is."""
     nodes = tuple(nodes)
-    return RivalGraph(nodes, source, RivalGraph.out_lists(nodes, arcs).__getitem__)
+    return RivalGraph(RivalGraph.node_bits(nodes), source,
+                      RivalGraph.out_lists(nodes, arcs).__getitem__, {})
 
 
 def check_rivals(g: RivalGraph) -> dict[ArcId, Arc]:

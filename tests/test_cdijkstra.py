@@ -57,7 +57,7 @@ def lazy_graph(nodes, arcs, source) -> RivalGraph:
     the router's are, over arcs checked by `out_lists` as the router checks
     them."""
     out = RivalGraph.out_lists(nodes, arcs)
-    return RivalGraph(nodes, source, lambda n: list(out[n]))
+    return RivalGraph(RivalGraph.node_bits(nodes), source, lambda n: list(out[n]), {})
 
 
 # "RivalGraph": out-lists built up front and handed out as they are;
@@ -123,7 +123,7 @@ class TestConstructionChecks:
             made.append(n)
             return list(eager.out[n])
 
-        g = RivalGraph(eager.nodes, "v1", make)
+        g = RivalGraph(eager.nodes, "v1", make, {})
         assert made == [] and dict(g.out) == {}
         # the view copies every list and keeps none of them
         assert g.arcs == eager.arcs
@@ -839,6 +839,39 @@ def test_solve_matches_all_targets_oracle(g, limits):
     counts the same `stored` and `work` as the all-targets search did."""
     for t in g.nodes:
         assert outcome(solve, g, limits, t) == outcome(all_targets_solve, g, limits, t)
+
+
+@st.composite
+def through_graphs(draw) -> tuple[RivalGraph, RivalGraph]:
+    """A symmetric rival graph given random `through` bits, each node's a
+    set of arc ids that may hold the node's own arcs, and the same graph as
+    it was represented before `through`: every arc a copy whose rivals have
+    `through` at its tail and head folded in."""
+    g = draw(symmetric_rival_graphs())
+    arcs = list(g.arcs.values())  # g has no `through`, so these are its own arcs
+    arc_ids = st.sampled_from([a.id for a in arcs])
+    through = {n: arc_set(ids) for n in g.nodes
+               if (ids := draw(st.sets(arc_ids, max_size=4)))}
+    out = RivalGraph.out_lists(g.nodes, arcs)
+    lazy = RivalGraph(g.nodes, g.source, lambda n: list(out[n]), through)
+    folded = rival_graph(g.nodes, [
+        Arc(a.id, a.tail, a.head, a.length,
+            arc_set(set(a.rivals) | set(through.get(a.tail, ())) | set(through.get(a.head, ()))),
+            a.tiebreak) for a in arcs], g.source)
+    return lazy, folded
+
+
+@settings(max_examples=300, deadline=None)
+@given(through_graphs(), st.one_of(st.just(DEFAULT_LIMITS), small_limits))
+def test_through_matches_folded_rivals(graphs, limits):
+    """`through` stands for the rivals it adds: for every target the search
+    hits the same limit, finds the same path and counts the same `stored`
+    and `work` as on per-arc copies that carry them, and the `arcs` view
+    reports those copies' rivals."""
+    g, folded = graphs
+    assert g.arcs == folded.arcs
+    for t in g.nodes:
+        assert outcome(solve, g, limits, t) == outcome(solve, folded, limits, t)
 
 
 # -- ArcSet reads as the set of its bit positions -------------------------------

@@ -233,6 +233,73 @@ class TestClassify:
             Walk((("A"), "B"), (EdgeId("C", "D", 0),))
 
 
+def alternation_by_sets(nodes, edges) -> str | None:
+    """Walk's alternation check as it was, with two sets per edge: the
+    GraphError message it raises, or None when the sequence is a walk."""
+    if len(nodes) != len(edges) + 1 or not nodes:
+        return "walk must alternate nodes and edges"
+    for i, e in enumerate(edges):
+        if {nodes[i], nodes[i + 1]} != {e.u, e.v}:
+            return f"edge {e} does not join {nodes[i]} and {nodes[i + 1]}"
+    return None
+
+
+def alternation_error(nodes, edges) -> str | None:
+    try:
+        Walk(tuple(nodes), tuple(edges))
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+class TestAlternation:
+    @pytest.mark.parametrize("nodes, edges, message", [
+        ("AB", [("C", "D", 0)], "edge C~D#0 does not join A and B"),
+        # the edge is named as stored, u < v, and the nodes in walk order
+        ("BAC", [("A", "B", 1), ("A", "B", 2)], "edge A~B#2 does not join A and C"),
+        ("AA", [("A", "B", 0)], "edge A~B#0 does not join A and A"),
+        ("ABC", [("A", "B", 0)], "walk must alternate nodes and edges"),
+        ("", [], "walk must alternate nodes and edges"),
+    ])
+    def test_error_text(self, nodes, edges, message):
+        edges = [EdgeId(*e) for e in edges]
+        with pytest.raises(GraphError) as exc:
+            Walk(tuple(nodes), tuple(edges))
+        assert str(exc.value) == message
+        assert alternation_by_sets(tuple(nodes), edges) == message
+
+    def test_either_direction_accepted(self):
+        e = EdgeId("A", "B", 0)
+        assert Walk(("B", "A"), (e,)).edges == Walk(("A", "B"), (e,)).edges == (e,)
+
+
+edge_ids = st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"),
+                     st.integers(min_value=0, max_value=2)).filter(
+    lambda t: t[0] != t[1]).map(lambda t: EdgeId(*t))
+
+
+@st.composite
+def node_edge_sequences(draw):
+    """Node and edge sequences that are mostly walks: each edge joins its two
+    nodes unless drawn at random, and now and then a length is off by one."""
+    nodes = draw(st.lists(st.sampled_from("abcd"), max_size=7))
+    edges = []
+    for a, b in zip(nodes, nodes[1:]):
+        if a != b and draw(st.booleans()):
+            edges.append(EdgeId(a, b, draw(st.integers(min_value=0, max_value=2))))
+        else:
+            edges.append(draw(st.one_of(edge_ids, st.none())))
+    edges = [e for e in edges if e is not None]
+    return nodes, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(node_edge_sequences())
+def test_alternation_matches_set_check(seq):
+    nodes, edges = seq
+    assert alternation_error(nodes, edges) == alternation_by_sets(nodes, edges)
+
+
 class TestDisjoint:
     def test_parallel_edges(self, multigraph):
         w1 = W(multigraph, "D", e, "E")

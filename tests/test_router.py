@@ -40,6 +40,7 @@ from pxtmesh.router import (
     _Work,
     build_aux,
     collect_subtrails,
+    cut_segment,
     find_working,
     route_demand,
 )
@@ -273,6 +274,16 @@ def test_working_dags_live_on_the_fresh_arc_snapshot(mode):
     assert seen["kept"] > 100 and seen["filled"] > 20, seen
 
 
+def segment_walks(state: RouterState, demand: Demand) -> list[Walk]:
+    """collect_subtrails' cuts as the segment walks build_aux would make."""
+    return [cut_segment(cut) for cut in collect_subtrails(state, demand)]
+
+
+def whole(w: Walk) -> tuple[Walk, int, int]:
+    """The cut that offers all of `w`, as build_aux takes it."""
+    return (w, 0, w.length)
+
+
 class TestCollectSubtrails:
     def seeded_state(self, five_node):
         state = RouterState(five_node)
@@ -288,7 +299,7 @@ class TestCollectSubtrails:
 
     def test_whole_trail_between_terminal_occurrences(self, five_node):
         state = self.seeded_state(five_node)
-        subs = collect_subtrails(state, Demand(2, "B", "C"))
+        subs = segment_walks(state, Demand(2, "B", "C"))
         assert len(subs) == 1
         assert subs[0].length == 4
         assert set(subs[0].ends) == {"B", "C"}
@@ -297,7 +308,7 @@ class TestCollectSubtrails:
 
     def test_interior_occurrences_cut(self, five_node):
         state = self.seeded_state(five_node)
-        subs = collect_subtrails(state, Demand(2, "D", "C"))
+        subs = segment_walks(state, Demand(2, "D", "C"))
         spans = sorted(((frozenset(s.ends), s.length) for s in subs),
                        key=lambda x: x[1])
         assert spans == [(frozenset({"B", "D"}), 1), (frozenset({"C", "D"}), 3)]
@@ -308,14 +319,14 @@ class TestCollectSubtrails:
             Demand(0, "A", "B"),
             walk("A", ("A", "B", 0), "B"),
             walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")))
-        subs = collect_subtrails(state, Demand(1, "C", "D"))
+        subs = segment_walks(state, Demand(1, "C", "D"))
         assert len(subs) == 1
         assert subs[0].nodes in (("A", "E", "B"), ("B", "E", "A"))
         # neither end is a terminal: the segment is the cached trail walk itself
         assert not set(subs[0].ends) & {"C", "D"}
         [pxt] = state.plan.pxts
         assert subs[0] is pxt.walk
-        assert collect_subtrails(state, Demand(2, "C", "D"))[0] is pxt.walk
+        assert segment_walks(state, Demand(2, "C", "D"))[0] is pxt.walk
 
     def test_closed_pxt_without_terminal_contributes_nothing(self):
         g = Graph("ABCXY", [("A", "B", 2), ("B", "C", 2), ("A", "C", 2),
@@ -334,11 +345,11 @@ class TestCollectSubtrails:
             walk("A", ("A", "B", 1), "B", ("B", "C", 1), "C")))
         [pxt] = plan_state.plan.pxts
         assert pxt.closed
-        assert collect_subtrails(plan_state, Demand(3, "X", "Y")) == []
+        assert segment_walks(plan_state, Demand(3, "X", "Y")) == []
         # with only one terminal on the ring it still contributes nothing
-        assert collect_subtrails(plan_state, Demand(4, "A", "X")) == []
+        assert segment_walks(plan_state, Demand(4, "A", "X")) == []
         # with both terminals on it, the ring is cut at their occurrences
-        subs = collect_subtrails(plan_state, Demand(5, "A", "B"))
+        subs = segment_walks(plan_state, Demand(5, "A", "B"))
         assert sorted(s.length for s in subs) == [1, 2]
         assert all(set(s.ends) == {"A", "B"} for s in subs)
 
@@ -374,7 +385,7 @@ class TestProhibitedEdges:
         # each edge as a one-edge segment: build_aux admits the allowed ones
         segments = [Walk((e.u, e.v), (e,)) for e in edges]
         prohibited = prohibited_edges(state, working)
-        assert admitted(build_aux(state, demand, working, segments)) == \
+        assert admitted(build_aux(state, demand, working, list(map(whole, segments)))) == \
             [s for s in segments if not prohibited(s.edges[0])]
 
     def test_rules(self, five_node):
@@ -427,7 +438,7 @@ class TestBuildAux:
         s2 = walk("C", ("C", "X", 0), "X", ("X", "D", 0), "D")
         d = Demand(0, "A", "B")
         working = walk("A", ("A", "B", 0), "B")
-        aux = build_aux(state, d, working, [s1, s2])
+        aux = build_aux(state, d, working, [whole(s1), whole(s2)])
         shortcuts = [i for i, e in aux.edges.items() if e.segment is not None]
         assert [aux.edges[i].segment for i in shortcuts] == [s1, s2]
         assert [(aux.edges[i].u, aux.edges[i].v) for i in shortcuts] == [("A", "B"), ("C", "D")]
@@ -443,7 +454,7 @@ class TestBuildAux:
         seg = walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")
         d = Demand(0, "C", "D")
         working = walk("C", ("C", "D", 0), "D")
-        aux = build_aux(state, d, working, [seg])
+        aux = build_aux(state, d, working, [whole(seg)])
         (si,) = [i for i, e in aux.edges.items() if e.segment is not None]
         assert aux.edges[si].segment is seg
         # unused arcs reaching E would land inside the A..B segment
@@ -607,7 +618,7 @@ def test_expand_route_rejects_mismatched_shortcut(five_node):
     state = RouterState(five_node)
     d = Demand(0, "C", "D")
     seg = walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")
-    aux = build_aux(state, d, walk("C", ("C", "D", 0), "D"), [seg])
+    aux = build_aux(state, d, walk("C", ("C", "D", 0), "D"), [whole(seg)])
     (si,) = [i for i, e in aux.edges.items() if e.segment is not None]
     # the route starts at C, but the shortcut's arc leaves from A
     with pytest.raises(RoutingError, match="does not continue"):
@@ -861,11 +872,14 @@ def parent_build_aux(state: RouterState, demand: Demand, working: Walk,
 
 def out_list_shapes(aux, position) -> dict[str, list[tuple]]:
     """Each node's out-list as (edge, direction, length, tiebreak, rivals),
-    edges named by their position in aux.edges."""
+    edges named by their position in aux.edges, and the rivals effective
+    ones: the graph's `through` at both ends folded in."""
     def arc_name(a):
         return position[a >> 1], a & 1
 
-    return {n: [(*arc_name(a.id), a.length, a.tiebreak, {arc_name(r) for r in a.rivals})
+    through = aux.graph.through.get
+    return {n: [(*arc_name(a.id), a.length, a.tiebreak,
+                 {arc_name(r) for r in ArcSet(a.rivals | through(n, 0) | through(a.head, 0))})
                 for a in aux.graph.out[n]] for n in aux.graph.nodes}
 
 
@@ -878,11 +892,11 @@ def test_lazy_aux_graph_matches_eager_build(monkeypatch, mode):
     skeletons = collections.defaultdict(list)  # state -> skeletons it used
     made = total = 0
 
-    def checked_build_aux(state, demand, working, segments):
+    def checked_build_aux(state, demand, working, cuts):
         nonlocal made, total
-        eager = parent_build_aux(state, demand, working, segments)
+        eager = parent_build_aux(state, demand, working, list(map(cut_segment, cuts)))
         eager = AuxGraph(eager.graph, dict(enumerate(eager.edges)))
-        lazy = real_build_aux(state, demand, working, segments)
+        lazy = real_build_aux(state, demand, working, cuts)
         skeleton = state.fresh_arcs()
         if not skeletons[state] or skeletons[state][-1] is not skeleton:
             skeletons[state].append(skeleton)
@@ -905,7 +919,7 @@ def test_lazy_aux_graph_matches_eager_build(monkeypatch, mode):
             rival_pairs(eager)
         assert out_list_shapes(lazy, position) == \
             out_list_shapes(eager, dict(enumerate(eager.edges)))
-        return real_build_aux(state, demand, working, segments)
+        return real_build_aux(state, demand, working, cuts)
 
     monkeypatch.setattr(router, "build_aux", checked_build_aux)
     routed_random_plans(mode)
@@ -981,6 +995,79 @@ def test_benchmark_shortcut_count_matches_route(monkeypatch, mode):
     assert used > 20, used
 
 
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_fresh_arcs_are_the_snapshots_own(monkeypatch, mode):
+    """Every fresh arc in an out-list the search made is the snapshot's own
+    Arc, not a copy; the `arcs` view reports each arc's rivals with the
+    graph's `through` at both ends folded in, and those are symmetric."""
+    real_build_aux, real_solve = router.build_aux, router.solve
+    built = []
+    seen = collections.Counter()
+
+    def keep_build_aux(*args):
+        built.append((args[0], real_build_aux(*args)))
+        return built[-1][1]
+
+    def checked_solve(g, limits, target=None):
+        res = real_solve(g, limits, target=target)
+        state, aux = built[-1]
+        assert aux.graph is g
+        own = {arc.id: arc for out in state.fresh_arcs().out.values() for arc in out}
+        for arcs in g.out.values():
+            for arc in arcs:
+                if aux.edges[arc.id >> 1].segment is None:
+                    assert arc is own[arc.id]
+                    seen["fresh"] += 1
+                else:
+                    seen["shortcut"] += 1
+        through = g.through.get
+        view = g.arcs
+        for n in g.nodes:
+            for arc in g.out.make(n):
+                assert view[arc.id].rivals == \
+                    arc.rivals | through(arc.tail, 0) | through(arc.head, 0)
+                seen["through"] += bool(through(arc.tail, 0) | through(arc.head, 0))
+        assert is_symmetric(g)
+        return res
+
+    monkeypatch.setattr(router, "build_aux", keep_build_aux)
+    monkeypatch.setattr(router, "solve", checked_solve)
+    routed_random_plans(mode)
+    assert min(seen.values()) > 100, seen
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_rejected_cut_builds_no_walk(monkeypatch, mode):
+    """build_aux makes a segment Walk for each admitted cut, by one
+    `Walk._trusted` call unless the cut is its whole trail walk, and none
+    for a cut it refuses."""
+    real_build_aux, real_trusted = router.build_aux, Walk._trusted
+    calls = 0
+    counts = collections.Counter()
+
+    def counting_trusted(cls, nodes, edges):
+        nonlocal calls
+        calls += 1
+        return real_trusted(nodes, edges)
+
+    def checked_build_aux(state, demand, working, cuts):
+        before = calls
+        aux = real_build_aux(state, demand, working, cuts)
+        segs = admitted(aux)
+        # a whole trail walk is offered as itself
+        uncut = sum(1 for seg in segs if any(seg is cut[0] for cut in cuts))
+        assert calls - before == len(segs) - uncut
+        counts["built"] += calls - before
+        counts["uncut"] += uncut
+        counts["rejected"] += len(cuts) - len(segs)
+        return aux
+
+    monkeypatch.setattr(Walk, "_trusted", classmethod(counting_trusted))
+    monkeypatch.setattr(router, "build_aux", checked_build_aux)
+    routed_random_plans(mode)
+    assert min(counts.values()) > 50, counts
+
+
 def routed_random_plans(mode, seeds=range(4), demands=40):
     """Route random demands on seeded random graphs, half of them tight."""
     for seed in seeds:
@@ -1001,8 +1088,9 @@ def test_segment_admission_matches_prohibited_oracle(monkeypatch, mode):
     real_build_aux = router.build_aux
     counts = {"admitted": 0, "apart": 0, "shared": 0}
 
-    def checked_build_aux(state, demand, working, subtrails):
-        aux = real_build_aux(state, demand, working, subtrails)
+    def checked_build_aux(state, demand, working, cuts):
+        aux = real_build_aux(state, demand, working, cuts)
+        subtrails = list(map(cut_segment, cuts))
         prohibited = prohibited_edges(state, working)
         avoid = _avoiding(working.nodes, state.plan.mode)
         expect = [s for s in subtrails if not any(prohibited(e) for e in s.edges)]
@@ -1191,10 +1279,10 @@ def test_cached_subtrails_and_fresh_edges_match_full_scans(mode, tight):
                 closed_pairs += 1
         for u, v in pairs:
             d = Demand(1000 + did, u, v)
-            segments = collect_subtrails(state, d)
-            assert segments == full_scan_subtrails(plan, d)
+            offered = segment_walks(state, d)
+            assert offered == full_scan_subtrails(plan, d)
             # build_aux relies on it: no offered segment starts where it ends
-            assert all(s.ends[0] != s.ends[1] for s in segments)
+            assert all(s.ends[0] != s.ends[1] for s in offered)
     assert closed_pairs
 
 
@@ -1221,7 +1309,7 @@ def test_segments_of_any_trail_match_full_scan(trail, ends):
     # rings that repeat a node among them, which routed plans hardly make
     demand = Demand(0, ends[0], ends[1])
     state = types.SimpleNamespace(plan=types.SimpleNamespace(_ranked_trails=lambda: [trail]))
-    assert collect_subtrails(state, demand) == scan_pxts([trail.canonical()[1]], demand)
+    assert segment_walks(state, demand) == scan_pxts([trail.canonical()[1]], demand)
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])

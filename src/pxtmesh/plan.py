@@ -20,6 +20,18 @@ fixed-width ints, and keeps no list of who uses an edge: a refused entry's
 rule-c witnesses are read off the entries.  validate() reads no blockers.
 validate() re-checks a plan from scratch in one pass over the paths: each
 rule's offenders are found with set operations and only they are described.
+
+validate() keeps one memo, which nothing else reads: a list aligned with the
+entries that holds each entry's own verdict on structure, rule a and
+capacity, trusted only while its slot holds that very entry object.  The
+verdict is a pure function of the entry, which is immutable, the plan's mode
+and its graph, so a kept verdict is what a fresh screen would give, whatever
+add_entry did, and validate() stays an independent oracle for add_entry.
+The first call on a plan screens every entry and pays what a memo-less pass
+does; each later call screens only the entries it has not seen, and redoes
+the cross-entry work of rules b-d over all of them.  branch_points() keeps
+nothing: every form of the cross-connect slots worth keeping cost its first
+call more than the pairing pass it would save.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from .graph import (
     EdgeId,
@@ -194,6 +206,22 @@ def _pxt_sort_key(p: PXT):
 _slot, _reversed = itemgetter(0, 1), itemgetter(2, 1, 0)  # of an (edge, node, partner) join
 
 
+def _screen(entry: PlanEntry, node_mode: bool) -> tuple[bool, set, set | tuple]:
+    """validate()'s quick look at one entry: whether its structure or rule a
+    needs the full check, then its working's links and, in node mode,
+    interior nodes, the keys rule c files its protection under.  Edges on
+    known links, which validate() checks apart, put a walk on known nodes."""
+    d, w, p = entry.demand, entry.working, entry.protection
+    nodes, links = set(w.nodes), set(map(link_of, w.edges))
+    meet = not links.isdisjoint(map(link_of, p.edges))
+    inner = set(w.nodes[1:-1]) if node_mode else ()
+    if node_mode:
+        meet = meet or not (inner.isdisjoint(p.nodes) and nodes.isdisjoint(p.nodes[1:-1]))
+    return (meet or not (len(nodes) == len(w.nodes) and len(set(p.nodes)) == len(p.nodes)
+                         and {w.nodes[0], w.nodes[-1]} == {p.nodes[0], p.nodes[-1]}
+                         == {d.u, d.v})), links, inner
+
+
 def _repeated(keys: list) -> set:
     """The items that occur more than once in `keys`."""
     if len(set(keys)) == len(keys):
@@ -231,6 +259,8 @@ class AllocationPlan:
         self._trails: set[_Trail] = set()
         self._trail_ends: dict[tuple[EdgeId, str], _Trail] = {}
         self._ranked: list[_Trail] | None = None  # trails in canonical order
+        # validate()'s memo of each entry's own verdict; see _verdicts
+        self._checked: list[PlanEntry | tuple[PlanEntry, tuple[PlanViolation, ...]]] = []
 
     # -- edge pool ---------------------------------------------------------
 
@@ -491,56 +521,93 @@ class AllocationPlan:
         return partner, branched
 
     def branch_points(self) -> set[str]:
-        """Nodes where some edge would need two different cross-connect partners."""
+        """Nodes where some edge would need two different cross-connect
+        partners, from the pairing of the protection paths, built afresh on
+        every call: it keeps no memo (see the module docstring)."""
         return {slot[1] for slot in self._pairing_from_paths()[1]}
+
+    def _verdicts(self) -> tuple[list, list[int]]:
+        """validate()'s memo, aligned with the entries, and the indices of
+        the entries it held no verdict for.  Slot i holds entries[i] itself
+        while validate() knows no violation of its own, or (entries[i],
+        those violations).  A slot is trusted only while it holds the entry
+        in its place (`is`): any other, and any entry past the memo's end,
+        is set to the entry itself and returned, so an entry appended or
+        replaced behind add_entry's back is screened again."""
+        memo, entries = self._checked, self.entries
+        del memo[len(entries):]
+        unseen = []
+        if not all(map(is_, memo, entries)):
+            for i, (slot, entry) in enumerate(zip(memo, entries)):
+                if slot is not entry and not (isinstance(slot, tuple) and slot[0] is entry):
+                    memo[i] = entry
+                    unseen.append(i)
+        unseen += range(len(memo), len(entries))
+        memo += entries[len(memo):]
+        return memo, unseen
 
     def validate(self) -> list[PlanViolation]:
         """Full re-check of rules a-d from the entries alone, reading nothing
-        add_entry maintains.  One pass over the paths gives each entry a quick
-        verdict on structure and rule a, re-checked in full only where it
-        fails, and gathers what marks each rule's offenders for set operations:
+        add_entry maintains.  Each entry has a verdict of its own on
+        structure, rule a and capacity, from a quick screen re-checked in
+        full only where it fails.  One pass over the paths gathers what marks
+        each rule's offenders for set operations:
           b: a working edge seen twice, or also protecting;
           c: a protection edge on two of the protections of the workings
              through one link or, in node mode, one interior node, or on one
              of those and on the protection of a working ending at that node;
              only its users are compared pairwise;
           d: a cross-connect slot with two partners; only then is the
-             pairing built."""
+             pairing built.
+        The verdicts are kept in a memo, one slot per entry, trusted only
+        while it holds the same entry object.  A verdict is a pure function
+        of an immutable entry, the plan's mode and its graph, so a kept one
+        is what a fresh screen would give, and validate() stays an
+        independent oracle for add_entry.  The first call screens every
+        entry at the cost of a memo-less pass; later calls screen only the
+        entries the memo has not seen, and redo the cross-entry work of
+        rules b-d."""
         node_mode = self.mode == "node"
-        rejected: set[int] = set()
+        entries = self.entries
+        memo, unseen = self._verdicts()
+        failing: set[int] = set()  # unseen entries that fail the quick screen
         working: list[EdgeId] = []
         protection: set[EdgeId] = set()
         # protection paths by working link or (node mode) interior node, and by working end
         through: defaultdict[tuple[str, str] | str, list[tuple[EdgeId, ...]]] = defaultdict(list)
         ending: defaultdict[str, list[tuple[EdgeId, ...]]] = defaultdict(list)
         joins: set[tuple[EdgeId, str, EdgeId]] = set()
-        for i, entry in enumerate(self.entries):
-            d, w, p = entry.demand, entry.working, entry.protection
-            wn, wl = set(w.nodes), set(map(link_of, w.edges))
-            meet = not wl.isdisjoint(map(link_of, p.edges))
-            for link in wl:
-                through[link].append(p.edges)
+        todo = set(unseen)
+        for i, entry in enumerate(entries):
+            w, p = entry.working, entry.protection
+            pe = p.edges
+            if i in todo:
+                fails, links, inner = _screen(entry, node_mode)
+                if fails:
+                    failing.add(i)
+            else:  # seen before: its keys as they come; a repeat only adds suspects
+                links, inner = map(link_of, w.edges), w.nodes[1:-1] if node_mode else ()
+            for link in links:
+                through[link].append(pe)
             if node_mode:
-                wi = set(w.nodes[1:-1])
-                meet = meet or not (wi.isdisjoint(p.nodes) and wn.isdisjoint(p.nodes[1:-1]))
-                for x in wi:
-                    through[x].append(p.edges)
-                for x in (w.nodes[0], w.nodes[-1]):
-                    ending[x].append(p.edges)
-            # edges on known links, checked below, put a walk on known nodes
-            if meet or not (len(wn) == len(w.nodes) and len(set(p.nodes)) == len(p.nodes)
-                            and {w.nodes[0], w.nodes[-1]} == {p.nodes[0], p.nodes[-1]}
-                            == {d.u, d.v}):
-                rejected.add(i)
+                for x in inner:
+                    through[x].append(pe)
+                ending[w.nodes[0]].append(pe)
+                ending[w.nodes[-1]].append(pe)
             working.extend(w.edges)
-            protection.update(p.edges)
-            joins.update(zip(p.edges, p.nodes[1:], p.edges[1:]))
-        if bad := self.graph.invalid_edges(protection.union(working)):
-            rejected.update(i for i, en in enumerate(self.entries)
-                            if not bad.isdisjoint(en.working.edges + en.protection.edges))
-        out: list[PlanViolation] = []
-        for entry in map(self.entries.__getitem__, sorted(rejected)):
-            out += self._structural_violations(entry) + self._disjointness(entry)
+            protection.update(pe)
+            joins.update(zip(pe, p.nodes[1:], pe[1:]))
+        if unseen:  # the full check for those the screen or the capacity check fails
+            bad = self.graph.invalid_edges(
+                protection.union(working) if len(unseen) == len(entries) else
+                {e for i in unseen for e in entries[i].working.edges + entries[i].protection.edges})
+            if bad:
+                failing.update(i for i in unseen if not bad.isdisjoint(
+                    entries[i].working.edges + entries[i].protection.edges))
+            for i in failing:
+                en = entries[i]
+                memo[i] = (en, tuple(self._structural_violations(en) + self._disjointness(en)))
+        out: list[PlanViolation] = [v for slot in memo if isinstance(slot, tuple) for v in slot[1]]
         suspects = _repeated(working) | protection.intersection(working)
         sharers: dict[EdgeId, set[int]] = {e: set() for e in suspects}
         for entry in self.entries if suspects else ():
@@ -650,7 +717,8 @@ class AllocationPlan:
     @classmethod
     def parse(cls, graph: Graph, text: str) -> "AllocationPlan":
         """Inverse of serialize.  Malformed lines raise PlanError naming the
-        line, a first line other than the header `pxtmesh-plan 1` among them;
+        line, a first line other than the header `pxtmesh-plan 1` among them,
+        and so does an entry that add_entry refuses, with its violations;
         a bare `enforce` line is the empty rule set serialize writes.
         `pxt` and `xc` lines, which serialize writes only under rule d, are
         refused in a plan without it."""
@@ -683,7 +751,12 @@ class AllocationPlan:
             elif kind == "entry":
                 if plan is None:
                     plan = cls(graph, mode=mode, enforce=enforce)
-                plan.add_entry(_parse_entry(lineno, line))
+                entry = _parse_entry(lineno, line)
+                try:
+                    plan.add_entry(entry)
+                except PlanError as exc:
+                    exc.args = (f"line {lineno}: {exc}",)  # .violations stay as they are
+                    raise
             elif kind in ("pxt", "xc"):
                 (pxt_lines if kind == "pxt" else xc_lines).append(line)
                 first_trail_line = first_trail_line or (lineno, kind)

@@ -152,6 +152,20 @@ class TestRouteValidateSimulate:
         assert run.stderr == "error: unparseable plan: line 2: 'mode' needs an argument\n"
         assert "Traceback" not in run.stderr + run.stdout
 
+    def test_refused_entry_names_its_line(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(
+            "pxtmesh-plan 1\nmode node\nenforce abcd\n"
+            "entry 0 a0 b0 | working a0 a0~b0#0 b0 | protection a0 a0~b1#0 b1 a1~b1#0 a1 a1~b0#0 b0\n"
+            "entry 9999 a0 b0 | working a0 a0~b0#0 b0 "
+            "| protection a0 a0~b1#0 b1 a1~b1#0 a1 a1~b0#0 b0\n")
+        run = run_cli_process("validate", "--graph", "k66", "--plan", str(bad))
+        assert run.returncode == 1
+        assert run.stderr == (
+            "error: unparseable plan: line 5: condition b (demands 9999): working edge "
+            "a0~b0#0 already working; condition c (demands 9999,0): shared protection edge "
+            "a0~b1#0 but conflicting workings\n")
+
     def test_audit_error_names_its_failure_once(self, runner, tmp_path):
         # a link-mode plan swept for node failures: some protection path runs
         # through a transit node of its own working path

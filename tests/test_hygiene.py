@@ -406,3 +406,50 @@ def test_dead_field_check_sees_dataclasses_and_slots(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("def f(r, s):\n    s.count += 1\n    return r.kept\n")
     assert dead_fields([mod], [user]) == ["mod.py:5 Rec.orphan", "mod.py:9 Slotted.lost"]
+
+
+# validate()'s memo of each entry's verdict: made in the constructor and
+# named by no one but the helper that aligns it with the entries, so that
+# add_entry, parse, the trail code and the router can neither fill nor read it
+MEMO = "_checked"
+
+
+def functions_naming(paths, attr: str) -> list[str]:
+    """`module:function` of each function in `paths` whose body names the
+    attribute `attr`, as `x.attr` or as the string "attr" (an enclosing
+    function counts for what its nested ones name); `module:<module>` for a
+    mention outside every function."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Attribute) and node.attr == attr
+                            or isinstance(node, ast.Constant) and node.value == attr):
+                        found.add(f"{path.name}:{fn.name}")
+                        inside.add(node)
+        for node in ast.walk(tree):
+            if node not in inside and (isinstance(node, ast.Attribute) and node.attr == attr
+                                       or isinstance(node, ast.Constant) and node.value == attr):
+                found.add(f"{path.name}:<module>")
+    return sorted(found)
+
+
+def test_only_the_check_helper_names_the_memo():
+    assert functions_naming(sorted(SRC.glob("*.py")), MEMO) == [
+        "plan.py:__init__", "plan.py:_verdicts"], "read validate()'s memo through _verdicts"
+
+
+def test_memo_check_sees_nested_strings_and_module_level(tmp_path):
+    (tmp_path / "plan.py").write_text(
+        "class P:\n"
+        "    def __init__(self): self._checked = []\n"
+        "    def add_entry(self, e):\n"
+        "        def note(): self._checked.append(e)\n"
+        "    def parse(self): return getattr(self, '_checked')\n")
+    (tmp_path / "router.py").write_text("MEMO = P()._checked\n")
+    assert functions_naming(sorted(tmp_path.glob("*.py")), MEMO) == [
+        "plan.py:__init__", "plan.py:add_entry", "plan.py:note", "plan.py:parse",
+        "router.py:<module>"]

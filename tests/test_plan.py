@@ -583,6 +583,20 @@ class TestSerialization:
             AllocationPlan.parse(five_node, f"{header}\n{body}")
         assert len(AllocationPlan.parse(five_node, f" pxtmesh-plan 1 \n{body}").entries) == 1
 
+    def test_parse_names_the_line_of_a_refused_entry(self, five_node):
+        """An entry add_entry refuses is reported with its line, and the
+        error keeps add_entry's violations."""
+        again = ENTRY0.replace("entry 0", "entry 1")
+        text = f"pxtmesh-plan 1\nenforce abcd\n# two copies of one route\n{ENTRY0}\n{again}\n"
+        with pytest.raises(PlanError) as exc:
+            AllocationPlan.parse(five_node, text)
+        assert str(exc.value) == (
+            "line 5: condition b (demands 1): working edge A~B#0 already working; "
+            "condition c (demands 1,0): shared protection edge A~E#0 but conflicting workings")
+        assert exc.value.violations == [
+            PlanViolation("b", (1,), "working edge A~B#0 already working"),
+            PlanViolation("c", (1, 0), "shared protection edge A~E#0 but conflicting workings")]
+
     def test_error_from_message_prints_the_message(self):
         err = PlanError("x")
         assert str(err) == "x"
@@ -888,6 +902,94 @@ def test_validate_reads_nothing_add_entry_keeps(random_plan, mode):
             blind.may_share(first.protection.edges, blind.conflicts(first.working))
         broken += bool(expected)
     assert broken >= 8
+
+
+# -- validate()'s memo against plans never checked --------------------------------
+
+
+def _assert_checks_agree(plan, parse=True):
+    """validate() and branch_points() of `plan`, which may have been checked
+    before, equal those of a never-checked plan holding the same entries, of
+    a never-checked parse(serialize()) when add_entry took every entry, and
+    of the oracles.  Returns validate()'s violations."""
+    got = (plan.validate(), plan.branch_points())
+    fresh = AllocationPlan(plan.graph, mode=plan.mode, enforce=plan.enforce)
+    fresh.entries = list(plan.entries)
+    assert got == (fresh.validate(), fresh.branch_points())
+    if parse:
+        parsed = AllocationPlan.parse(plan.graph, plan.serialize())
+        assert got == (parsed.validate(), parsed.branch_points())
+    assert got[0] == oracle_validate(plan)
+    assert got[1] == {x for (_, x), partners in _oracle_pairs(plan).items() if len(partners) > 1}
+    return got[0]
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_checked_plan_matches_never_checked_copies(random_plan, mode):
+    """validate() keeps each entry's own verdict from call to call.  Checked
+    after every insertion, after entries are appended and replaced behind
+    add_entry's back, and as a deep copy, a plan answers as one never
+    checked does, under every RANDOM_ENFORCE set."""
+    witnesses, conditions = set(), set()
+    for enforce in RANDOM_ENFORCE:
+        for seed in range(8):
+            rng = random.Random(seed)
+            routed = random_plan(seed, mode, enforce)
+            plan = AllocationPlan(routed.graph, mode=mode, enforce=enforce)
+            for entry in routed.entries:
+                plan.add_entry(entry)
+                _assert_checks_agree(plan)
+            for i, entry in enumerate(routed.entries[:4]):
+                plan.entries.append(_broken(rng, entry, rng.choice((entry.demand.id, 100 + i))))
+                witnesses.update(v.witness for v in _assert_checks_agree(plan, parse=False))
+            j = rng.randrange(len(routed.entries))
+            plan.entries[j] = _broken(rng, routed.entries[j], routed.entries[j].demand.id)
+            _assert_checks_agree(plan, parse=False)
+            plan.entries[j] = copy.copy(routed.entries[j])  # equal, but not the checked object
+            _assert_checks_agree(plan, parse=False)
+            clone = copy.deepcopy(plan)
+            _assert_checks_agree(clone, parse=False)
+            clone.entries[j] = _broken(rng, routed.entries[j], routed.entries[j].demand.id)
+            del clone.entries[-2:]
+            _assert_checks_agree(clone, parse=False)
+            conditions.update(v.condition for v in _assert_checks_agree(plan, parse=False))
+    for problem in ("path invalid: unknown node zz", "exceeds capacity", "does not connect",
+                    "route is not a path", "-disjoint"):
+        assert problem in "\n".join(witnesses)
+    assert set("abcd") <= conditions
+
+
+def test_each_entry_is_screened_once(monkeypatch, random_plan):
+    """Counting, not timing: repeated validate() and branch_points() calls on
+    an unchanged plan screen each entry once, an entry replaced in `entries`
+    once more, and the memo never holds more slots than the plan has entries."""
+    screened = []
+    real = pxtmesh.plan._screen
+
+    def counting(entry, node_mode):
+        screened.append(entry)
+        return real(entry, node_mode)
+
+    monkeypatch.setattr(pxtmesh.plan, "_screen", counting)
+    routed = random_plan(3, "node", "")
+    plan = AllocationPlan(routed.graph, mode="node", enforce="")
+    for entry in routed.entries:
+        plan.add_entry(entry)
+        plan.validate()
+        plan.branch_points()
+        assert len(plan._checked) == len(plan.entries)
+    for _ in range(3):
+        plan.validate()
+        plan.branch_points()
+    assert screened == routed.entries and plan.validate()
+    plan.entries[2] = copy.copy(plan.entries[2])
+    plan.validate()
+    plan.validate()
+    assert screened == routed.entries + [plan.entries[2]]
+    del plan.entries[-3:]
+    plan.validate()
+    assert len(plan._checked) == len(plan.entries) == len(routed.entries) - 3
+    assert len(screened) == len(routed.entries) + 1
 
 
 # -- the cross-connect pairing against its set-per-slot oracle -------------------

@@ -1,7 +1,10 @@
+import functools
+import hashlib
 from dataclasses import dataclass, field
 
 import pytest
 
+from pxtmesh.experiments import route_with_scheme, traffic_spec
 from pxtmesh.failsim import (
     AuditError,
     AuditReport,
@@ -12,8 +15,11 @@ from pxtmesh.failsim import (
 )
 from pxtmesh.graph import Walk, link_key
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
+from pxtmesh.topologies import standard_topology
+from pxtmesh.traffic import generate, uniform
 
 from conftest import walk
+from test_graph import grid
 
 
 def link_failure(u: str, v: str) -> Failure:
@@ -350,3 +356,52 @@ def test_random_plans_reach_every_audit_outcome(random_plan):
                                            "hit by the same failure") if k in result[1]))
     assert kinds == {"pass", "needed by demands", "pre-cross-connected",
                      "hit by the same failure"}
+
+
+# -- routed plans: audit reports pinned byte for byte -----------------------------
+
+FIXTURES = ("cycle12plus3", "grid3x4", "tietze", "icosahedron", "k66")
+
+
+@functools.cache
+def routed_plan(name: str, scheme: str, mode: str) -> AllocationPlan:
+    """The seed-0 uniform plan of fixture `name` (or "grid5", the 5x5 grid
+    under uniform k=1 traffic) routed by `scheme` in `mode`.  Shared between
+    tests, so never to be modified."""
+    if name == "grid5":
+        g = grid(5)
+        demands = generate(g, uniform(1, seed=0))
+    else:
+        g = standard_topology(name)
+        demands = generate(g, traffic_spec("uniform", name, 0))
+    return route_with_scheme(g, scheme, demands, mode=mode)
+
+
+# sha256 of to_csv() + summary() of audit(plan, mode) for the plan
+# routed_plan(name, scheme, mode), recorded before audit() derived each
+# entry's facts once per call: any change to a report shows here
+GOLDEN_AUDIT_REPORTS = {
+    ("cycle12plus3", "pxt", "link"): "07d786b58a1314f011bd0d8e7bb2138416cd69167a912a4e757f2d1c1c17e079",
+    ("cycle12plus3", "pxt", "node"): "837ed1064aa35f996810d2831b97dbe47b16672b3a13deba2f0e9d516eed97f9",
+    ("cycle12plus3", "one-plus-one", "node"): "34bb8ed9a6ecbfe339825ab9cf2ab6e631f56eb01555645f9b1ce3ab76bb0a36",
+    ("grid3x4", "pxt", "link"): "ed0e80fa9918c406758fc9c75035b68daf466987e1c7ae38ab9dec0d3058930a",
+    ("grid3x4", "pxt", "node"): "c3dd8bf42ba5e4f149ee3a59387dcb19fce4b2c193e7c8a7cfb42fefcf8516c5",
+    ("grid3x4", "one-plus-one", "node"): "525a72537c11979c8957fc114879beb3956d0d57c7182be6d34c7783133f75f3",
+    ("tietze", "pxt", "link"): "534475b1dc7f07c68e3681d6afced92e3b5d9077112868186daa719f9d57305e",
+    ("tietze", "pxt", "node"): "ead73cec3ab95f3c42b7400a46ecaec098dc5aa5170029fc790ee75adbdf7f06",
+    ("tietze", "one-plus-one", "node"): "1d46acbaf7b1e95c47ecf27895ed2b31be5facf40785cfbf29730c7ffafe89e9",
+    ("icosahedron", "pxt", "link"): "17c5a985af1912ea100f915d7b5628c5a354d2ff1ab5f637835d24286cafd102",
+    ("icosahedron", "pxt", "node"): "b69f72f19596bad637b3b15ca6c7748896250a6f0e651e4f2f964fe26e5466eb",
+    ("icosahedron", "one-plus-one", "node"): "c952db7e01a758909fce30cd11d97115c11563d4f142eaffc2d18b6d3ef6ab99",
+    ("k66", "pxt", "link"): "66d773037e860b732706639ae479f2c53f8c9b656382f08df9d3c7a0cbd8f079",
+    ("k66", "pxt", "node"): "c0989546b8837fdb3092b45fb9a9df2b3d3d2932a0aa94adac3fa0519c728b36",
+    ("k66", "one-plus-one", "node"): "7b0625ed9796b084d63181bf0f71bcd89269fead088ee94d1848e413bfdee2e2",
+    ("grid5", "pxt", "link"): "0f4d66187b685a15e56a2bad06958a93112d2f388eb24b26810d81845c691985",
+}
+
+
+@pytest.mark.parametrize("name, scheme, mode", sorted(GOLDEN_AUDIT_REPORTS))
+def test_audit_reports_byte_identical(name, scheme, mode):
+    report = audit(routed_plan(name, scheme, mode), mode)
+    got = hashlib.sha256((report.to_csv() + report.summary()).encode()).hexdigest()
+    assert got == GOLDEN_AUDIT_REPORTS[(name, scheme, mode)]

@@ -5,16 +5,16 @@ whether their protection paths are intact and fully pre-cross-connected, and
 which nodes have to act.  In a branch-point-free plan the only real-time
 actions are bridging at the demand terminals plus breaking a terminal-side
 cross-connect where the trail continues past the endnode; every intermediate
-node passes traffic through connections that already exist.  `audit` counts
-these per failure and raises on the first one that breaks the semantics.
+node passes traffic through connections that already exist.  `audit` derives
+each entry's share once, sums them per failure and raises at the first bad one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import EdgeId, Graph
-from .plan import AllocationPlan, PlanEntry
+from .graph import EdgeId, Graph, link_of
+from .plan import AllocationPlan
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,9 @@ class AuditRow:
 
 @dataclass
 class AuditReport:
+    """One sweep's rows.  audit() raises where any protection edge is needed
+    twice, so the load it reports is 1 if a row restores a demand, else 0."""
+
     mode: str
     rows: list[AuditRow] = field(default_factory=list)
     max_concurrent_load: int = 0
@@ -92,54 +95,61 @@ def audit(plan: AllocationPlan, mode: str | None = None) -> AuditReport:
     node failure at a terminal) or restored over its protection path.  Each
     activated protection path must be untouched by the failure and fully
     pre-cross-connected, the activated paths must be pairwise edge-disjoint,
-    and only the demand's terminals switch: each bridges, and breaks the
-    cross-connect where the trail continues past it.  add_entry makes them
-    the protection's ends.  Per failure the report counts restorations,
-    unrestorable demands, switch events and pass-through nodes.  Violations
-    raise AuditError naming the failure and the witness demands.
+    and only the demand's terminals, the protection's ends, switch: each
+    bridges, and breaks the cross-connect where the trail continues past it.
+    Each entry's facts are derived once per call and not kept; a failure sums
+    those of the entries it hits, in entry order.  The first of them that
+    shares the failed element or misses a cross-connect, else an edge needed
+    twice, raises AuditError naming the witness demands.
     """
     mode = mode or plan.mode
-    report = AuditReport(mode)
     partner = plan.crossconnect_partner
-    # entries by the links (link_key tuples) and nodes their workings touch
-    hit_by: dict[tuple[str, str] | str, list[PlanEntry]] = {}
+    # each entry's facts, filed under the links and (node sweeps) nodes of its working
+    hit_by: dict[tuple[str, str] | str, list[tuple]] = {}
     for entry in plan.entries:
-        for element in entry.working.link_set() | entry.working.node_set():
-            hit_by.setdefault(element, []).append(entry)
+        d, edges, hops = entry.demand, entry.protection.edges, entry.protection.nodes
+        keys = entry.working.link_set()
+        meet = keys.intersection(map(link_of, edges))
+        if mode == "node":
+            nodes = entry.working.node_set()
+            meet.update(nodes.intersection(hops).difference((d.u, d.v)))
+            keys |= nodes
+        defect = next((f"protection of demand {d.id} is not pre-cross-connected at {x}"
+                       for e, x, f in zip(edges, hops[1:], edges[1:]) if partner(e, x) != f), None)
+        # a bridge at each end, and a break where the trail runs on past it
+        switches = (2 + (partner(edges[0], hops[0]) is not None)
+                    + (partner(edges[-1], hops[-1]) is not None))
+        fact = ((d.u, d.v), meet or None, defect, len(hops) - 2, switches, edges, d.id)
+        for key in keys:
+            hit_by.setdefault(key, []).append(fact)
+    report = AuditReport(mode)
     for failure in enumerate_failures(plan.graph, mode):
-        affected = unrestorable = switch_events = pass_through = 0
-        edge_users: dict[EdgeId, list[int]] = {}
-        for entry in hit_by.get(failure.element, ()):
-            d, p = entry.demand, entry.protection
-            if failure.kind == "node" and failure.element in (d.u, d.v):
+        element = failure.element  # a link never equals a terminal
+        unrestorable = switch_events = pass_through = needed = 0
+        hits, used = hit_by.get(element, ()), set()
+        for terminals, meet, defect, hops, switches, edges, did in hits:
+            if element in terminals:
                 unrestorable += 1
                 continue
-            if failure.element in (p.link_set() if failure.kind == "link" else p.nodes):
-                raise AuditError(
-                    failure, f"protection of demand {d.id} is hit by the same "
-                    f"failure; working and protection were not disjoint", (d.id,))
-            for i in range(len(p.edges) - 1):
-                x = p.nodes[i + 1]
-                if partner(p.edges[i], x) != p.edges[i + 1]:
-                    raise AuditError(
-                        failure, f"protection of demand {d.id} is not "
-                        f"pre-cross-connected at {x}", (d.id,))
-            affected += 1
-            pass_through += len(p.nodes) - 2
-            # a bridge at each end, and a break where the trail runs on past it
-            switch_events += (2 + (partner(p.edges[0], p.nodes[0]) is not None)
-                              + (partner(p.edges[-1], p.nodes[-1]) is not None))
-            for e in p.edges:
-                edge_users.setdefault(e, []).append(d.id)
-        contended = [e for e, users in edge_users.items() if len(users) > 1]
-        if contended:
-            e = min(contended, key=str)
+            if meet is not None and element in meet:
+                raise AuditError(failure, f"protection of demand {did} is hit by the same "
+                                 f"failure; working and protection were not disjoint", (did,))
+            if defect is not None:
+                raise AuditError(failure, defect, (did,))
+            pass_through += hops
+            switch_events += switches
+            needed += len(edges)
+            used.update(edges)
+        if len(used) != needed:
+            edge_users: dict[EdgeId, list[int]] = {}  # of the restored protections
+            for terminals, *_, edges, did in hits:
+                for e in edges if element not in terminals else ():
+                    edge_users.setdefault(e, []).append(did)
+            e = min((e for e, users in edge_users.items() if len(users) > 1), key=str)
             users = sorted(edge_users[e])
             raise AuditError(failure, f"protection edge {e} needed by demands {users} at once",
                              tuple(users))
-        report.max_concurrent_load = max(
-            report.max_concurrent_load,
-            max((len(u) for u in edge_users.values()), default=0))
-        report.rows.append(AuditRow(failure.id, affected, unrestorable,
+        report.max_concurrent_load |= len(hits) > unrestorable  # no edge is needed twice
+        report.rows.append(AuditRow(failure.id, len(hits) - unrestorable, unrestorable,
                                     switch_events, pass_through))
     return report

@@ -1,3 +1,4 @@
+import copy
 import functools
 import hashlib
 from dataclasses import dataclass, field
@@ -343,6 +344,22 @@ def test_audit_and_restore_match_oracles(random_plan, seed, mode):
         assert stop is None
 
 
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_returned_load_is_whether_anything_restores(random_plan, mode):
+    # audit() raises on any edge needed twice, so a returned load is 0 or 1
+    returned = 0
+    for seed in range(16):
+        plan = random_plan(seed, mode)
+        for failure_mode in ("link", "node"):
+            try:
+                report = audit(plan, failure_mode)
+            except AuditError:
+                continue
+            returned += 1
+            assert report.max_concurrent_load == int(any(r.affected for r in report.rows))
+    assert returned
+
+
 def test_random_plans_reach_every_audit_outcome(random_plan):
     # passes, contention, and both restoration errors all occur
     kinds = set()
@@ -405,3 +422,66 @@ def test_audit_reports_byte_identical(name, scheme, mode):
     report = audit(routed_plan(name, scheme, mode), mode)
     got = hashlib.sha256((report.to_csv() + report.summary()).encode()).hexdigest()
     assert got == GOLDEN_AUDIT_REPORTS[(name, scheme, mode)]
+
+
+# -- routed plans, intact and broken on purpose, against the oracle ---------------
+
+def broken(plan: AllocationPlan, how: str) -> AllocationPlan:
+    """A deep copy of `plan` broken as `how` says, around the first entry
+    from the middle on whose protection has a join: "intact" leaves it
+    whole; "join" removes the last cross-connect of that protection;
+    "meet" appends, behind add_entry's back, a copy of the entry working
+    over its own protection; "contend" appends a copy of the whole entry
+    under a new demand id, so each working failure needs its edges twice."""
+    plan = copy.deepcopy(plan)
+    entries = plan.entries
+    entry = next(en for en in entries[len(entries) // 2:] if len(en.protection.edges) > 1)
+    d, p = entry.demand, entry.protection
+    twin = Demand(max(en.demand.id for en in entries) + 1, d.u, d.v)
+    if how == "join":
+        e, x, f = p.edges[-2], p.nodes[-2], p.edges[-1]
+        assert plan._partner.pop((e, x)) == f and plan._partner.pop((f, x)) == e
+    elif how == "meet":
+        entries.append(PlanEntry(twin, p, p))
+    elif how == "contend":
+        entries.append(PlanEntry(twin, entry.working, p))
+    return plan
+
+
+# what each break raises in the plan's own sweep
+BREAKS = {"intact": None, "join": "pre-cross-connected", "meet": "hit by the same failure",
+          "contend": "needed by demands"}
+
+
+@pytest.mark.parametrize("how", sorted(BREAKS))
+@pytest.mark.parametrize("name, scheme, mode", sorted(GOLDEN_AUDIT_REPORTS))
+def test_routed_plans_match_oracle(name, scheme, mode, how):
+    plan = broken(routed_plan(name, scheme, mode), how)
+    for failure_mode in ("link", "node"):
+        assert outcome(audit, plan, failure_mode) == outcome(oracle_audit, plan, failure_mode)
+    result = outcome(audit, plan, mode)
+    if BREAKS[how] is None:
+        assert len(result) == 2  # a report
+    else:
+        assert BREAKS[how] in result[1]
+
+
+def test_partner_lookups_per_call_bounded_by_entries():
+    plan = copy.deepcopy(routed_plan("k66", "one-plus-one", "node"))
+    calls = 0
+    lookup = plan.crossconnect_partner
+
+    def counting(edge, node):
+        nonlocal calls
+        calls += 1
+        return lookup(edge, node)
+
+    plan.crossconnect_partner = counting
+    bound = sum(len(en.protection.edges) + 1 for en in plan.entries)
+    first = audit(plan, "node")
+    assert first.failures_checked == 36 + 12
+    assert 0 < calls <= bound
+    once = calls
+    # a second call pays again: nothing is kept between calls
+    assert audit(plan, "node") == first
+    assert calls == 2 * once

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
+from sys import intern
 from typing import Callable, Iterable, Iterator
 
 UNBOUNDED = None
@@ -83,7 +84,7 @@ class EdgeId(tuple):
         try:
             pair, index = token.rsplit("#", 1)
             u, v = pair.split("~")
-            return cls(u, v, int(index))
+            return cls(intern(u), intern(v), int(index))
         except (ValueError, GraphError) as exc:
             raise GraphError(f"bad edge token {token!r}") from exc
 
@@ -95,15 +96,20 @@ def _check_node_id(name: str) -> str:
 
 
 class Graph:
-    """Immutable set of nodes plus capacitated links between them."""
+    """Immutable set of nodes plus capacitated links between them.
+
+    Node names are interned (`sys.intern`), as are the names `EdgeId.parse`
+    and `Walk.parse` read, so the names of a parsed walk are the graph's own
+    objects, and comparing them stops at identity."""
 
     def __init__(self, nodes: Iterable[str], links: Iterable[tuple[str, str, int | None]]):
-        self._nodes = frozenset(_check_node_id(n) for n in nodes)
+        self._nodes = frozenset(intern(_check_node_id(n)) for n in nodes)
         self._caps: dict[tuple[str, str], int | None] = {}
         adj: dict[str, set[str]] = {n: set() for n in self._nodes}
         for u, v, cap in links:
             if u not in self._nodes or v not in self._nodes:
                 raise GraphError(f"link {u}-{v} references unknown node")
+            u, v = intern(u), intern(v)
             if u == v:
                 raise GraphError(f"self-loop link at {u}")
             key = link_key(u, v)
@@ -220,9 +226,9 @@ class Walk:
         tokens = text.split()
         if not tokens:
             raise GraphError("empty walk")
-        nodes = tokens[0::2]
+        nodes = tuple(map(intern, tokens[0::2]))
         edges = [EdgeId.parse(t) for t in tokens[1::2]]
-        return cls(tuple(nodes), tuple(edges))
+        return cls(nodes, tuple(edges))
 
 
 def classify(walk: Walk) -> str:

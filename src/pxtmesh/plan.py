@@ -17,29 +17,28 @@ Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts
 and may_share, which rule c, the router and the shared-path baseline ask.
 add_entry ORs each working's footprint into its protection edges' blockers,
 fixed-width ints, and keeps no list of who uses an edge: a refused entry's
-rule-c witnesses are read off the entries.  validate() reads no blockers.
-validate() re-checks a plan from scratch in one pass over the paths: each
-rule's offenders are found with set operations and only they are described.
+rule-c witnesses are read off the entries.
 
-validate() keeps one memo, which nothing else reads: a list aligned with the
-entries that holds each entry's own verdict on structure, rule a and
-capacity, trusted only while its slot holds that very entry object.  The
-verdict is a pure function of the entry, which is immutable, the plan's mode
-and its graph, so a kept verdict is what a fresh screen would give, whatever
-add_entry did, and validate() stays an independent oracle for add_entry.
-The first call on a plan screens every entry and pays what a memo-less pass
-does; each later call screens only the entries it has not seen, and redoes
-the cross-entry work of rules b-d over all of them.  branch_points() keeps
-nothing: every form of the cross-connect slots worth keeping cost its first
-call more than the pairing pass it would save.
+validate() and branch_points() re-check a plan from its entries alone and
+read nothing add_entry keeps, so they stay independent oracles for it.
+What they keep between calls is derived from the entries alone:
+validate()'s verdict on each entry's structure, rule a and capacity, and
+the tallies of the cross-entry rules b, c and d (_Tallies), which name the
+edges and cross-connect slots suspected of breaking a rule.  Entries are
+immutable and a plan's mode and graph are fixed, so what is kept for entry
+objects still in their slots of `entries` (`is`) is what a fresh pass
+would give: a verdict is kept per slot, the tallies for a prefix, and a
+broken prefix derives them afresh.  Only suspects are described, by passes
+over all the entries, so a call on a plan that breaks no rule costs an
+identity scan plus the entries appended since the last call.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations
-from operator import is_, itemgetter
+from itertools import combinations
+from operator import is_
+from sys import intern
 
 from .graph import (
     EdgeId,
@@ -203,30 +202,110 @@ def _pxt_sort_key(p: PXT):
     return (str(min(p.walk.edges)), p.walk.nodes, p.walk.edges)
 
 
-_slot, _reversed = itemgetter(0, 1), itemgetter(2, 1, 0)  # of an (edge, node, partner) join
-
-
-def _screen(entry: PlanEntry, node_mode: bool) -> tuple[bool, set, set | tuple]:
+def _screen(entry: PlanEntry, node_mode: bool) -> bool:
     """validate()'s quick look at one entry: whether its structure or rule a
-    needs the full check, then its working's links and, in node mode,
-    interior nodes, the keys rule c files its protection under.  Edges on
-    known links, which validate() checks apart, put a walk on known nodes."""
+    needs the full check.  Edges on known links, which validate() checks
+    apart, put a walk on known nodes."""
     d, w, p = entry.demand, entry.working, entry.protection
-    nodes, links = set(w.nodes), set(map(link_of, w.edges))
-    meet = not links.isdisjoint(map(link_of, p.edges))
-    inner = set(w.nodes[1:-1]) if node_mode else ()
+    nodes = set(w.nodes)
+    meet = not set(map(link_of, w.edges)).isdisjoint(map(link_of, p.edges))
     if node_mode:
-        meet = meet or not (inner.isdisjoint(p.nodes) and nodes.isdisjoint(p.nodes[1:-1]))
-    return (meet or not (len(nodes) == len(w.nodes) and len(set(p.nodes)) == len(p.nodes)
-                         and {w.nodes[0], w.nodes[-1]} == {p.nodes[0], p.nodes[-1]}
-                         == {d.u, d.v})), links, inner
+        meet = meet or not (set(w.nodes[1:-1]).isdisjoint(p.nodes)
+                            and nodes.isdisjoint(p.nodes[1:-1]))
+    return meet or not (len(nodes) == len(w.nodes) and len(set(p.nodes)) == len(p.nodes)
+                        and {w.nodes[0], w.nodes[-1]} == {p.nodes[0], p.nodes[-1]}
+                        == {d.u, d.v})
 
 
-def _repeated(keys: list) -> set:
-    """The items that occur more than once in `keys`."""
-    if len(set(keys)) == len(keys):
-        return set()
-    return {k for k, n in Counter(keys).items() if n > 1}
+class _KeyBits(dict):
+    """A working link or node -> its own even bit, 1 << 2k, handed out in
+    the order the keys are first looked up."""
+
+    def __missing__(self, key) -> int:
+        self[key] = bit = 1 << 2 * len(self)
+        return bit
+
+
+class _Tallies:
+    """The cross-entry facts of rules b, c and d for the entries in `seen`,
+    folded in one at a time and kept in sets and dicts keyed by the entries'
+    own edges: rule d for all of `seen`, which is all branch_points() reads,
+    and rules b and c for its first `sharing` entries.
+
+    Each rule keeps its suspects: edges, or for d slots (edge, node), that
+    may break it.  Every one that does is a suspect; validate() describes
+    them from all the entries, so a false suspect flags nothing, and the
+    suspects may differ from another pass's, as for the repeated edges of a
+    working that is no path.
+      b: `working` and the keys of `filed` hold the working and protection
+         edges; an edge two entries use, one as working, is a suspect.
+      c: `filed` maps each protection edge to the keys of the workings it
+         protects: each link and (node mode) interior node on its even bit,
+         each end node on its odd bit (see _KeyBits).  A new entry's edge is
+         a suspect when that int meets the entry's mask, one AND: its links
+         and interior nodes against both kinds, its end nodes against the
+         interior ones, so exactly when the two workings are not disjoint.
+      d: `low` and `high` map each edge to the first partner a protection
+         joins to it at its low end and at its high end; a slot joined to
+         another partner later is kept in `branched`.
+    """
+
+    __slots__ = ("seen", "low", "high", "branched",
+                 "sharing", "bits", "working", "filed", "shared", "conflicting")
+
+    def __init__(self):
+        self.seen: list[PlanEntry] = []
+        self.low: dict[EdgeId, EdgeId] = {}
+        self.high: dict[EdgeId, EdgeId] = {}
+        self.branched: set[tuple[EdgeId, str]] = set()
+        self.sharing = 0
+        self.bits = _KeyBits()
+        self.working: set[EdgeId] = set()
+        self.filed: dict[EdgeId, int] = {}
+        self.shared: set[EdgeId] = set()  # rule-b suspects
+        self.conflicting: set[EdgeId] = set()  # rule-c suspects
+
+    def fold_joins(self, entries: list[PlanEntry]) -> None:
+        """Fold `entries`, the ones appended after `seen`, into rule d."""
+        low, high, branched = self.low, self.high, self.branched
+        for entry in entries:
+            p = entry.protection
+            pe = p.edges
+            for e, x, f in zip(pe, p.nodes[1:], pe[1:]):
+                if (low if x == e[0] else high).setdefault(e, f) != f:
+                    branched.add((e, x))
+                if (low if x == f[0] else high).setdefault(f, e) != e:
+                    branched.add((f, x))
+        self.seen += entries
+
+    def fold_sharing(self, node_mode: bool) -> None:
+        """Fold the entries of `seen` past the first `sharing` into rules b and c."""
+        bits, working, filed = self.bits, self.working, self.filed
+        protection = filed.keys()
+        for entry in self.seen[self.sharing:]:
+            w, pe = entry.working, entry.protection.edges
+            we = w.edges
+            if not (working.isdisjoint(we) and protection.isdisjoint(we)):
+                self.shared.update(working.intersection(we), protection & we)
+            if not working.isdisjoint(pe):
+                self.shared.update(working.intersection(pe))
+            working.update(we)
+            keys = 0
+            for e in we:
+                keys |= bits[e[:2]]
+            if node_mode:
+                for x in w.nodes[1:-1]:
+                    keys |= bits[x]
+                ends = (bits[w.nodes[0]] | bits[w.nodes[-1]]) << 1
+                mask, keys = keys | keys << 1 | ends >> 1, keys | ends
+            else:
+                mask = keys
+            for e in pe:
+                old = filed.get(e, 0)
+                if old & mask:
+                    self.conflicting.add(e)
+                filed[e] = old | keys
+        self.sharing = len(self.seen)
 
 
 class AllocationPlan:
@@ -261,6 +340,8 @@ class AllocationPlan:
         self._ranked: list[_Trail] | None = None  # trails in canonical order
         # validate()'s memo of each entry's own verdict; see _verdicts
         self._checked: list[PlanEntry | tuple[PlanEntry, tuple[PlanViolation, ...]]] = []
+        # the cross-entry tallies of validate() and branch_points(); see _tallied
+        self._tallies = _Tallies()
 
     # -- edge pool ---------------------------------------------------------
 
@@ -503,28 +584,41 @@ class AllocationPlan:
         protection = sum(1 for r in self._roles.values() if r == "protection")
         return working, protection, working + protection
 
-    def _pairing_from_paths(self) -> tuple[dict, dict]:
+    def _pairing_from_paths(self) -> tuple[dict, set]:
         """(partner, branched) from the protection paths alone: `partner` maps
         each cross-connect slot (edge, node) to the first edge a path joins to
-        it there; `branched` maps each slot joined to two or more to all of them."""
+        it there; `branched` holds each slot joined to two or more."""
         partner: dict[tuple[EdgeId, str], EdgeId] = {}
-        branched: dict[tuple[EdgeId, str], set[EdgeId]] = {}
+        branched: set[tuple[EdgeId, str]] = set()
         for entry in self.entries:
             p = entry.protection
             for e, x, f in zip(p.edges, p.nodes[1:], p.edges[1:]):
-                cur = partner.setdefault((e, x), f)
-                if cur != f:
-                    branched.setdefault((e, x), {cur}).add(f)
-                cur = partner.setdefault((f, x), e)
-                if cur != e:
-                    branched.setdefault((f, x), {cur}).add(e)
+                if partner.setdefault((e, x), f) != f:
+                    branched.add((e, x))
+                if partner.setdefault((f, x), e) != e:
+                    branched.add((f, x))
         return partner, branched
+
+    def _tallied(self) -> _Tallies:
+        """The tallies, rule d folded for all of `entries` and rules b and c
+        left for validate() to bring up to date (fold_sharing).  They are
+        trusted only while `entries` starts with the very objects they
+        folded (`is`), and derived afresh otherwise: after an entry is
+        replaced, after the list shrinks (whether or not it grew again), or
+        for a new list of other entries.  Else only the entries appended
+        since the last call are folded."""
+        tallies, entries = self._tallies, self.entries
+        seen = tallies.seen
+        if len(seen) > len(entries) or not all(map(is_, seen, entries)):
+            tallies = self._tallies = _Tallies()
+        tallies.fold_joins(entries[len(tallies.seen):])
+        return tallies
 
     def branch_points(self) -> set[str]:
         """Nodes where some edge would need two different cross-connect
-        partners, from the pairing of the protection paths, built afresh on
-        every call: it keeps no memo (see the module docstring)."""
-        return {slot[1] for slot in self._pairing_from_paths()[1]}
+        partners: the nodes of the branched slots of the rule-d tally (see
+        _tallied), which screens no entry and reads nothing add_entry keeps."""
+        return {x for _, x in self._tallied().branched}
 
     def _verdicts(self) -> tuple[list, list[int]]:
         """validate()'s memo, aligned with the entries, and the indices of
@@ -548,58 +642,29 @@ class AllocationPlan:
 
     def validate(self) -> list[PlanViolation]:
         """Full re-check of rules a-d from the entries alone, reading nothing
-        add_entry maintains.  Each entry has a verdict of its own on
-        structure, rule a and capacity, from a quick screen re-checked in
-        full only where it fails.  One pass over the paths gathers what marks
-        each rule's offenders for set operations:
-          b: a working edge seen twice, or also protecting;
-          c: a protection edge on two of the protections of the workings
-             through one link or, in node mode, one interior node, or on one
-             of those and on the protection of a working ending at that node;
-             only its users are compared pairwise;
-          d: a cross-connect slot with two partners; only then is the
-             pairing built.
-        The verdicts are kept in a memo, one slot per entry, trusted only
-        while it holds the same entry object.  A verdict is a pure function
-        of an immutable entry, the plan's mode and its graph, so a kept one
-        is what a fresh screen would give, and validate() stays an
-        independent oracle for add_entry.  The first call screens every
-        entry at the cost of a memo-less pass; later calls screen only the
-        entries the memo has not seen, and redo the cross-entry work of
-        rules b-d."""
-        node_mode = self.mode == "node"
+        add_entry maintains: each entry's own violations of structure, rule
+        a and capacity, in entry order, then those of rules b, c and d.
+
+        Each entry's own verdict comes from a quick screen, re-checked in
+        full only where it fails, and is kept per slot (see _verdicts).
+        Rules b-d start from the suspects of the tallies (see _Tallies and
+        _tallied), and only those are described, each rule by one pass over
+        all the entries: a suspect's sharers for b, the pairs of workings
+        protected over a suspect edge for c, and who joins at a branched
+        slot for d.  Verdicts and tallies are kept only for the entry
+        objects they saw, which are immutable, so validate() stays an
+        independent oracle for add_entry.  A call on a plan whose tallies
+        name no suspect, as for every valid plan, costs an identity scan
+        plus the entries appended since the last call."""
         entries = self.entries
+        node_mode = self.mode == "node"
         memo, unseen = self._verdicts()
-        failing: set[int] = set()  # unseen entries that fail the quick screen
-        working: list[EdgeId] = []
-        protection: set[EdgeId] = set()
-        # protection paths by working link or (node mode) interior node, and by working end
-        through: defaultdict[tuple[str, str] | str, list[tuple[EdgeId, ...]]] = defaultdict(list)
-        ending: defaultdict[str, list[tuple[EdgeId, ...]]] = defaultdict(list)
-        joins: set[tuple[EdgeId, str, EdgeId]] = set()
-        todo = set(unseen)
-        for i, entry in enumerate(entries):
-            w, p = entry.working, entry.protection
-            pe = p.edges
-            if i in todo:
-                fails, links, inner = _screen(entry, node_mode)
-                if fails:
-                    failing.add(i)
-            else:  # seen before: its keys as they come; a repeat only adds suspects
-                links, inner = map(link_of, w.edges), w.nodes[1:-1] if node_mode else ()
-            for link in links:
-                through[link].append(pe)
-            if node_mode:
-                for x in inner:
-                    through[x].append(pe)
-                ending[w.nodes[0]].append(pe)
-                ending[w.nodes[-1]].append(pe)
-            working.extend(w.edges)
-            protection.update(pe)
-            joins.update(zip(pe, p.nodes[1:], pe[1:]))
+        tallies = self._tallied()
+        tallies.fold_sharing(node_mode)
         if unseen:  # the full check for those the screen or the capacity check fails
+            failing = {i for i in unseen if _screen(entries[i], node_mode)}
             bad = self.graph.invalid_edges(
-                protection.union(working) if len(unseen) == len(entries) else
+                tallies.working.union(tallies.filed) if len(unseen) == len(entries) else
                 {e for i in unseen for e in entries[i].working.edges + entries[i].protection.edges})
             if bad:
                 failing.update(i for i in unseen if not bad.isdisjoint(
@@ -607,23 +672,18 @@ class AllocationPlan:
             for i in failing:
                 en = entries[i]
                 memo[i] = (en, tuple(self._structural_violations(en) + self._disjointness(en)))
-        out: list[PlanViolation] = [v for slot in memo if isinstance(slot, tuple) for v in slot[1]]
-        suspects = _repeated(working) | protection.intersection(working)
+        out: list[PlanViolation] = [] if all(map(is_, memo, entries)) else [
+            v for slot in memo if isinstance(slot, tuple) for v in slot[1]]
+        suspects = tallies.shared
         sharers: dict[EdgeId, set[int]] = {e: set() for e in suspects}
-        for entry in self.entries if suspects else ():
+        for entry in entries if suspects else ():
             for e in suspects.intersection(entry.working.edges + entry.protection.edges):
                 sharers[e].add(entry.demand.id)
         shared = sorted((str(e), tuple(sorted(ids))) for e, ids in sharers.items() if len(ids) > 1)
         out.extend(PlanViolation("b", ids, f"working edge {name} shared") for name, ids in shared)
-        suspects = set()
-        for key, paths in through.items():
-            used = set().union(*paths)
-            if sum(map(len, paths)) > len(used):
-                suspects |= _repeated(list(chain.from_iterable(paths)))
-            if key in ending:
-                suspects |= used.intersection(chain.from_iterable(ending[key]))
+        suspects = tallies.conflicting
         protecting: dict[EdgeId, list[PlanEntry]] = {}
-        for entry in self.entries if suspects else ():
+        for entry in entries if suspects else ():
             for e in filter(suspects.__contains__, dict.fromkeys(entry.protection.edges)):
                 protecting.setdefault(e, []).append(entry)
         flagged: set[tuple[int, int]] = set()
@@ -634,24 +694,26 @@ class AllocationPlan:
                     flagged.add(pair)
                     out.append(PlanViolation(
                         "c", pair, f"shared protection edge {e} but conflicting workings"))
-        joins |= set(map(_reversed, joins))
-        if len(set(map(_slot, joins))) < len(joins):
-            out.extend(self._branch_violations(self._pairing_from_paths()[1]))
+        out.extend(self._branch_violations(tallies.branched))
         return out
 
-    def _branch_violations(self, branched: dict) -> list[PlanViolation]:
-        """Rule d: each slot of `branched`, its partners, and who pairs it."""
+    def _branch_violations(self, branched: set) -> list[PlanViolation]:
+        """Rule d: each slot of `branched`, all joined to two or more
+        partners, with its partners and who joins them there, in slot order."""
         if not branched:
             return []
         who: dict[tuple[EdgeId, str], set[int]] = {slot: set() for slot in branched}
+        partners: dict[tuple[EdgeId, str], set[EdgeId]] = {slot: set() for slot in branched}
         for entry in self.entries:
             p = entry.protection
             for e, x, f in zip(p.edges, p.nodes[1:], p.edges[1:]):
-                for slot in who.keys() & {(e, x), (f, x)}:
-                    who[slot].add(entry.demand.id)
+                for slot, other in (((e, x), f), ((f, x), e)):
+                    if slot in who:
+                        who[slot].add(entry.demand.id)
+                        partners[slot].add(other)
         out = []
         for (e, x), ids in sorted(who.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
-            names = ", ".join(sorted(str(p) for p in branched[(e, x)]))
+            names = ", ".join(sorted(str(p) for p in partners[(e, x)]))
             out.append(PlanViolation("d", tuple(sorted(ids)),
                                      f"branch point at {x}: {e} cross-connected to {names}"))
         return out
@@ -782,7 +844,7 @@ def _parse_entry(lineno: int, line: str) -> PlanEntry:
         [_, did, u, v], [w, *working], [p, *protection] = (f.split() for f in line.split("|"))
         if (w, p) != ("working", "protection"):
             raise ValueError
-        return PlanEntry(Demand(int(did), u, v),
+        return PlanEntry(Demand(int(did), intern(u), intern(v)),
                          Walk.parse(" ".join(working)), Walk.parse(" ".join(protection)))
     except GraphError as exc:
         raise PlanError(f"line {lineno}: {exc}") from exc

@@ -98,6 +98,24 @@ class TestEdgeId:
             assert again == eid and repr(again) == repr(eid)
 
 
+def test_node_names_are_interned():
+    """A graph keeps one str object per node name, in its node set, its
+    adjacency and its link keys, and EdgeId.parse and Walk.parse read names
+    as those objects."""
+    def fresh(name):  # an object of its own, not the interned one
+        return "".join(list(name))
+
+    g = Graph([fresh("n1"), fresh("n2"), fresh("n3")],
+              [(fresh("n1"), fresh("n2"), None), (fresh("n3"), fresh("n2"), 2)])
+    own = {n: n for n in g.nodes}
+    assert fresh("n1") is not fresh("n1")
+    assert all(own[x] is x for x in g._adj) and all(own[x] is x for xs in g._adj.values() for x in xs)
+    assert all(own[x] is x for link in g._caps for x in link)
+    w = Walk.parse(fresh("n1 n1~n2#0 n2 n2~n3#1 n3"))
+    assert all(own[x] is x for x in w.nodes + tuple(x for e in w.edges for x in e[:2]))
+    assert all(own[x] is x for x in EdgeId.parse(fresh("n3~n2#1"))[:2])
+
+
 class TestGraphFile:
     def test_minimal(self):
         g = load_graph("node A\nnode B\nlink A B")

@@ -453,3 +453,15 @@ def test_memo_check_sees_nested_strings_and_module_level(tmp_path):
     assert functions_naming(sorted(tmp_path.glob("*.py")), MEMO) == [
         "plan.py:__init__", "plan.py:add_entry", "plan.py:note", "plan.py:parse",
         "router.py:<module>"]
+
+
+# the cross-entry tallies of validate() and branch_points(): made in the
+# constructor and named by no one but the helper that aligns them with the
+# entries, so that add_entry, parse, the trail code and the router can
+# neither fill nor read them
+TALLIES = "_tallies"
+
+
+def test_only_the_check_helper_names_the_tallies():
+    assert functions_naming(sorted(SRC.glob("*.py")), TALLIES) == [
+        "plan.py:__init__", "plan.py:_tallied"], "read the tallies through _tallied"

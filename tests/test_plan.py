@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pxtmesh
@@ -33,6 +33,7 @@ from pxtmesh.plan import (
     PlanError,
     PlanViolation,
     PXT,
+    _Tallies,
     _canonical_pxt,
     _pxt_sort_key,
     _repeat_horizon,
@@ -990,6 +991,115 @@ def test_each_entry_is_screened_once(monkeypatch, random_plan):
     plan.validate()
     assert len(plan._checked) == len(plan.entries) == len(routed.entries) - 3
     assert len(screened) == len(routed.entries) + 1
+
+
+# -- the cross-entry tallies against plans never checked --------------------------
+
+TALLY_STEPS = ("add", "broken", "replace", "regrow", "new list", "deepcopy")
+
+
+@pytest.mark.parametrize("enforce", RANDOM_ENFORCE)
+@pytest.mark.parametrize("mode", ["node", "link"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 63), start=st.integers(0, 24),
+       steps=st.lists(st.tuples(st.sampled_from(TALLY_STEPS), st.integers(0, 2 ** 16)),
+                      min_size=1, max_size=8))
+def test_tallies_follow_any_edit_of_entries(random_plan, mode, enforce, seed, start, steps):
+    """The tallies of rules b-d are kept for a prefix of the entries.  After
+    any interleaving of add_entry, entries appended, replaced (also by an
+    equal copy) or cut off and regrown behind its back, `entries` swapped
+    for a new list, and deep copies, a plan checked after every step answers
+    as one never checked does, and as the oracles."""
+    routed = random_plan(seed, mode, enforce)
+    pool = random_plan(seed, mode, "").entries  # every entry routed tried, rules or not
+    assume(routed.entries)
+    plan = AllocationPlan(routed.graph, mode=mode, enforce=enforce)
+    for entry in routed.entries[:start]:
+        plan.add_entry(entry)
+    _assert_checks_agree(plan, parse=False)
+    unused = iter(routed.entries[start:])
+    for k, (step, param) in enumerate(steps):
+        rng = random.Random(param)
+        entries = plan.entries
+
+        def other():
+            # an entry of the pool, intact, as an equal copy or broken
+            base = rng.choice(pool)
+            return rng.choice((base, copy.copy(base),
+                               _broken(rng, base, rng.choice((base.demand.id, 100 + k)))))
+
+        if step == "add":
+            try:
+                plan.add_entry(next(unused, None) or other())
+            except PlanError:
+                pass
+        elif step == "broken":
+            entries.append(_broken(rng, rng.choice(pool), 100 + k))
+        elif step == "replace" and entries:
+            j = rng.randrange(len(entries))
+            entries[j] = rng.choice((copy.copy(entries[j]), other()))
+        elif step == "regrow" and entries:
+            del entries[-rng.randint(1, len(entries)):]
+            entries.extend(other() for _ in range(rng.randint(0, 4)))
+        elif step == "new list":
+            plan.entries = rng.choice((list(entries), rng.sample(entries, len(entries))))
+        elif step == "deepcopy":
+            plan = copy.deepcopy(plan)
+        _assert_checks_agree(plan, parse=False)
+
+
+def test_tallies_fold_each_entry_once(monkeypatch, random_plan):
+    """Counting, not timing: a plan replayed and checked at every prefix
+    folds each entry once into each tally, a warm call on an unchanged plan
+    folds none, and one broken prefix rebuilds the tallies once."""
+    folded, built = collections.Counter(), []
+    fold_joins, fold_sharing, init = _Tallies.fold_joins, _Tallies.fold_sharing, _Tallies.__init__
+
+    def counting_joins(tallies, entries):
+        folded["joins"] += len(entries)
+        fold_joins(tallies, entries)
+
+    def counting_sharing(tallies, node_mode):
+        folded["sharing"] += len(tallies.seen) - tallies.sharing
+        fold_sharing(tallies, node_mode)
+
+    def counting_init(tallies):
+        built.append(tallies)
+        init(tallies)
+
+    routed = random_plan(3, "node", "")
+    monkeypatch.setattr(_Tallies, "fold_joins", counting_joins)
+    monkeypatch.setattr(_Tallies, "fold_sharing", counting_sharing)
+    monkeypatch.setattr(_Tallies, "__init__", counting_init)
+    n = len(routed.entries)
+    plan = AllocationPlan(routed.graph, mode="node", enforce="")
+    for entry in routed.entries:
+        plan.add_entry(entry)
+        plan.validate()
+        plan.branch_points()
+    assert folded == {"joins": n, "sharing": n} and len(built) == 1
+    for _ in range(3):
+        plan.validate()
+        plan.branch_points()
+    assert folded == {"joins": n, "sharing": n} and plan.validate()
+    plan.entries[2] = copy.copy(plan.entries[2])
+    for _ in range(3):
+        plan.validate()
+        plan.branch_points()
+    assert folded == {"joins": 2 * n, "sharing": 2 * n} and len(built) == 2
+
+
+def test_parsed_names_are_the_graphs_own(random_plan):
+    """parse reads every node name, of a demand, a walk or an edge, as the
+    graph's own str object."""
+    for seed in range(4):
+        plan = random_plan(seed, "node")
+        parsed = AllocationPlan.parse(plan.graph, plan.serialize())
+        own = {n: n for n in plan.graph.nodes}
+        names = [x for en in parsed.entries for w in (en.working, en.protection)
+                 for x in w.nodes + tuple(x for e in w.edges for x in e[:2])]
+        names += [x for en in parsed.entries for x in (en.demand.u, en.demand.v)]
+        assert names and all(own[x] is x for x in names)
 
 
 # -- the cross-connect pairing against its set-per-slot oracle -------------------

@@ -17,7 +17,9 @@ Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts
 and may_share, which rule c, the router and the shared-path baseline ask.
 add_entry ORs each working's footprint into its protection edges' blockers,
 fixed-width ints, and keeps no list of who uses an edge: a refused entry's
-rule-c witnesses are read off the entries.
+rule-c witnesses are read off the entries.  add_entry decides with one
+screen (_admits) and writes in one pass; the helpers that describe
+violations run only for an entry the screen turns down.
 
 validate() and branch_points() re-check a plan from its entries alone and
 read nothing add_entry keeps, so they stay independent oracles for it.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 from operator import is_
 from sys import intern
 
@@ -331,6 +334,12 @@ class AllocationPlan:
         self._link_bit = {link: 1 << i for i, link in enumerate(graph.links())}
         self._node_bit = {n: 1 << i for i, n in enumerate(graph.sorted_nodes(), graph.num_links())}
         self._region_c = len(graph.nodes)  # a node's bit in C is its bit in A shifted this far
+        # per link, from the graph alone: its own blocker bits (its link bit and,
+        # in node mode, its end nodes in A) and its capacity, inf when unbounded
+        nb = self._node_bit
+        self._own = {(u, v): b | nb[u] | nb[v] if mode == "node" else b
+                     for (u, v), b in self._link_bit.items()}
+        self._capacity = {link: graph.capacity(*link) or inf for link in self._link_bit}
         self._blockers: dict[EdgeId, int] = {}  # each protection edge -> bits it may not meet
         # cross-connect pairing and incremental trail state (only when rule d
         # is enforced; without it the pairing is not well defined)
@@ -422,7 +431,7 @@ class AllocationPlan:
         that protects nothing yet has only its own bits."""
         blockers = self._blockers
         for e in edges:
-            if (blockers.get(e) or self._footprint(e[:2], (e,), True)) & mask:
+            if (blockers.get(e) or self._own[e[:2]]) & mask:
                 return False
         return True
 
@@ -488,53 +497,97 @@ class AllocationPlan:
                             f"needs {b}"))
         return out
 
+    def _admits(self, entry: PlanEntry) -> bool:
+        """add_entry's screen: True only when neither _structural_violations
+        nor _entry_violations would find anything.  A False can be too
+        cautious only under rule c without rule a, where a protection that
+        meets its own working fails may_share.  Rule a is decided by the
+        same bits exactly (see conflicts): two paths between the demand's
+        terminals meet exactly where some protection edge's own bits meet
+        the working's mask."""
+        d, w, p = entry.demand, entry.working, entry.protection
+        capacity, nodes = self._capacity, self.graph.nodes
+        for e in w.edges + p.edges:
+            if e[2] >= capacity.get(e[:2], 0):
+                return False
+        wn, pn = w.nodes, p.nodes
+        ws, ps = set(wn), set(pn)
+        if not (len(ws) == len(wn) and len(ps) == len(pn) and ws <= nodes and ps <= nodes
+                and {wn[0], wn[-1]} == {pn[0], pn[-1]} == {d.u, d.v}):
+            return False
+        enforce, roles = self.enforce, self._roles
+        if "b" in enforce and not (roles.keys().isdisjoint(w.edges)
+                                   and "working" not in map(roles.get, p.edges)):
+            return False
+        if "c" in enforce:  # blockers hold their edge's own bits: this decides a too
+            if not self.may_share(p.edges, self.conflicts(w)):
+                return False
+        elif "a" in enforce:
+            own, mask = self._own, self.conflicts(w)
+            if any(own[e[:2]] & mask for e in p.edges):
+                return False
+        if "d" in enforce:
+            partner, pe = self._partner, p.edges
+            for e, x, f in zip(pe, pn[1:], pe[1:]):
+                if partner.get((e, x), f) != f or partner.get((f, x), e) != e:
+                    return False
+        return True
+
     def add_entry(self, entry: PlanEntry) -> None:
         """Append one routed demand; raises PlanError rather than mutate on failure.
 
-        Every check comes before the first write.  Capacity needs none of its
-        own: the structural check bounds each ordinal below its link's
-        capacity and only edges with a role hold one, so an edge without a
-        role has room.  Once the checks pass, the trail updates cannot fail:
-        each protection edge has a trail (a singleton for an edge not yet in
-        the blockers, whatever its role), and rule d leaves every slot to
-        connect either already paired or a trail end.  A demand id already
-        in the plan is refused; a rule-c refusal reads its witnesses off the
-        entries.
+        The screen, _admits, decides.  Only an entry it turns down goes to
+        _structural_violations and _entry_violations, which describe the
+        refusal; should they find nothing, the screen was merely cautious
+        and the entry is taken.  Every check still comes before the first
+        write.  A demand id already in the plan is refused; a rule-c
+        refusal reads its witnesses off the entries.
+
+        The writes then run in one pass.  Capacity needs none of its own:
+        the checks bound each ordinal below its link's capacity and only
+        edges with a role hold one, so an edge without a role has room.  The
+        trail updates cannot fail: each protection edge has a trail (a
+        singleton for an edge not yet in the blockers, whatever its role),
+        and rule d leaves every slot to connect either already paired or a
+        trail end.
         """
         did = entry.demand.id
         if did in self._demand_ids:
             raise PlanError([PlanViolation("structure", (did,),
                                            f"demand {did} is already in the plan")])
-        violations = self._structural_violations(entry) or self._entry_violations(entry)
-        if violations:
-            raise PlanError(violations)
-        untrailed = [e for e in entry.protection.edges if e not in self._blockers]
-        for e in entry.working.edges:
-            self._set_role(e, "working")
-        footprint = self._footprint(entry.working.nodes, entry.working.edges, True)
-        blockers = self._blockers
-        for e in entry.protection.edges:
-            if e not in self._roles:
-                self._set_role(e, "protection")
-            blockers[e] = (blockers.get(e) or self._footprint(e[:2], (e,), True)) | footprint
+        if not self._admits(entry):
+            violations = self._structural_violations(entry) or self._entry_violations(entry)
+            if violations:
+                raise PlanError(violations)
+        w, p = entry.working, entry.protection
+        roles, blockers, own = self._roles, self._blockers, self._own
+        held = [e for e in w.edges if e not in roles]  # edges that take up an ordinal
+        roles.update(dict.fromkeys(w.edges, "working"))
+        footprint = self._footprint(w.nodes, w.edges, True)
+        untrailed = []
+        for e in p.edges:
+            if e not in roles:
+                roles[e] = "protection"
+                held.append(e)
+            if e in blockers:
+                blockers[e] |= footprint
+            else:
+                blockers[e] = own[e[:2]] | footprint
+                untrailed.append(e)
+        for e in held:
+            used = self._used_ordinals.setdefault(e[:2], set())
+            used.add(e[2])
+            if len(used) >= self._capacity[e[:2]]:
+                self._free.difference_update(((e[0], e[1]), (e[1], e[0])))
         if "d" in self.enforce:
             for e in untrailed:
                 self._new_singleton_trail(e)
-            for i in range(len(entry.protection.edges) - 1):
-                e, f = entry.protection.edges[i], entry.protection.edges[i + 1]
-                x = entry.protection.nodes[i + 1]
-                if self._partner.get((e, x)) != f:
+            pe, partner = p.edges, self._partner
+            for e, x, f in zip(pe, p.nodes[1:], pe[1:]):
+                if partner.get((e, x)) != f:
                     self._connect(e, f, x)
         self._demand_ids.add(did)
         self.entries.append(entry)
-
-    def _set_role(self, e: EdgeId, role: str) -> None:
-        self._roles[e] = role
-        used = self._used_ordinals.setdefault(e.link, set())
-        used.add(e.index)
-        cap = self.graph.capacity(e.u, e.v)
-        if cap is not None and len(used) >= cap:
-            self._free.difference_update(((e.u, e.v), (e.v, e.u)))
 
     # -- incremental PXT maintenance ----------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 
 from pxtmesh.cdijkstra import Arc, ArcId, ArcSet, RivalGraph
 from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, _avoiding, disjoint, link_key
-from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
+from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError, PlanViolation
 from pxtmesh.topologies import standard_topology
 
 
@@ -78,6 +78,95 @@ def sharing_oracle(plan: AllocationPlan, edge: EdgeId, working: Walk) -> bool:
     interior), and no entry whose working conflicts with it protects over it."""
     return (disjoint(Walk((edge.u, edge.v), (edge,)), working, plan.mode)
             and may_share_oracle(plan, edge, conflicts_oracle(plan, working)))
+
+
+# -- committing an entry: add_entry as it was before its screen ---------------------
+
+def _reference_own_bits(plan: AllocationPlan, e: EdgeId) -> int:
+    return plan._footprint(e[:2], (e,), True)
+
+
+def _reference_entry_violations(plan: AllocationPlan, entry: PlanEntry) -> list[PlanViolation]:
+    """_entry_violations as it was, its may_share spelled out on the blockers."""
+    d = entry.demand
+    out = plan._disjointness(entry) if "a" in plan.enforce else []
+    if "b" in plan.enforce:
+        for e in entry.working.edges:
+            role = plan._roles.get(e)
+            if role is not None:
+                out.append(PlanViolation("b", (d.id,), f"working edge {e} already {role}"))
+        for e in entry.protection.edges:
+            if plan._roles.get(e) == "working":
+                out.append(PlanViolation("b", (d.id,), f"protection reuses working edge {e}"))
+    if "c" in plan.enforce:
+        mask = plan._footprint(entry.working.nodes, entry.working.edges, False)
+        flagged = set()
+        for e in entry.protection.edges:
+            if not (plan._blockers.get(e) or _reference_own_bits(plan, e)) & mask:
+                continue
+            for other in plan.entries:  # the edge's users, in entry order
+                if (e in other.protection.edges and other.demand.id not in flagged
+                        and not disjoint(other.working, entry.working, plan.mode)):
+                    flagged.add(other.demand.id)
+                    out.append(PlanViolation(
+                        "c", (d.id, other.demand.id),
+                        f"shared protection edge {e} but conflicting workings"))
+    if "d" in plan.enforce:
+        for i in range(len(entry.protection.edges) - 1):
+            e, f = entry.protection.edges[i], entry.protection.edges[i + 1]
+            x = entry.protection.nodes[i + 1]
+            for a, b in ((e, f), (f, e)):
+                cur = plan._partner.get((a, x))
+                if cur is not None and cur != b:
+                    out.append(PlanViolation(
+                        "d", (d.id,),
+                        f"branch point at {x}: {a} already cross-connected to {cur}, "
+                        f"needs {b}"))
+    return out
+
+
+def set_role(plan: AllocationPlan, e: EdgeId, role: str) -> None:
+    """Give `e` a role and hold its ordinal, as add_entry once did per
+    edge; a test can so fill a link without an entry."""
+    plan._roles[e] = role
+    used = plan._used_ordinals.setdefault(e.link, set())
+    used.add(e.index)
+    cap = plan.graph.capacity(e.u, e.v)
+    if cap is not None and len(used) >= cap:
+        plan._free.difference_update(((e.u, e.v), (e.v, e.u)))
+
+
+def reference_add_entry(plan: AllocationPlan, entry: PlanEntry) -> None:
+    """plan.add_entry(entry) as it was before it had a screen: every check
+    run in full on every entry, then each write through a per-edge helper.
+    The differential oracle for the screen and the one-pass writes."""
+    did = entry.demand.id
+    if did in plan._demand_ids:
+        raise PlanError([PlanViolation("structure", (did,),
+                                       f"demand {did} is already in the plan")])
+    violations = (plan._structural_violations(entry)
+                  or _reference_entry_violations(plan, entry))
+    if violations:
+        raise PlanError(violations)
+    untrailed = [e for e in entry.protection.edges if e not in plan._blockers]
+    for e in entry.working.edges:
+        set_role(plan, e, "working")
+    footprint = plan._footprint(entry.working.nodes, entry.working.edges, True)
+    blockers = plan._blockers
+    for e in entry.protection.edges:
+        if e not in plan._roles:
+            set_role(plan, e, "protection")
+        blockers[e] = (blockers.get(e) or _reference_own_bits(plan, e)) | footprint
+    if "d" in plan.enforce:
+        for e in untrailed:
+            plan._new_singleton_trail(e)
+        for i in range(len(entry.protection.edges) - 1):
+            e, f = entry.protection.edges[i], entry.protection.edges[i + 1]
+            x = entry.protection.nodes[i + 1]
+            if plan._partner.get((e, x)) != f:
+                plan._connect(e, f, x)
+    plan._demand_ids.add(did)
+    plan.entries.append(entry)
 
 
 # -- shortest routes: the depth-first enumerator that graph.ranked_routes replaced --

@@ -465,3 +465,45 @@ TALLIES = "_tallies"
 def test_only_the_check_helper_names_the_tallies():
     assert functions_naming(sorted(SRC.glob("*.py")), TALLIES) == [
         "plan.py:__init__", "plan.py:_tallied"], "read the tallies through _tallied"
+
+
+# add_entry's screen and validate()'s are kept apart: add_entry and its screen
+# name none of validate()'s memo or tallies, nor validate() the screen, so
+# validate() stays an independent oracle for what add_entry takes
+CHECK_STATE = {"_screen", "_Tallies", "_tallied", "_verdicts"}
+
+
+def names_in(path: Path, function: str) -> set[str]:
+    """Every name, attribute and string constant in the body of each
+    function called `function` in `path`."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == function:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found.add(node.value)
+    return found
+
+
+def test_add_entry_screens_apart_from_validate():
+    plan = SRC / "plan.py"
+    assert "_admits" in names_in(plan, "add_entry")
+    for function in ("add_entry", "_admits"):
+        assert names_in(plan, function) & CHECK_STATE == set(), function
+    assert "_admits" not in names_in(plan, "validate")
+
+
+def test_names_in_sees_names_attributes_and_strings(tmp_path):
+    mod = tmp_path / "plan.py"
+    mod.write_text("class P:\n"
+                   "    def add_entry(self, e):\n"
+                   "        def inner(): return _screen(e)\n"
+                   "        return self._tallied(), getattr(self, '_verdicts')\n"
+                   "    def validate(self): return _Tallies\n")
+    assert {"_screen", "_tallied", "_verdicts"} <= names_in(mod, "add_entry")
+    assert names_in(mod, "add_entry") & {"_Tallies"} == set()
+    assert "_Tallies" in names_in(mod, "validate")

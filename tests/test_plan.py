@@ -18,13 +18,14 @@ from conftest import (
     conflicts_oracle,
     protection_users,
     random_connected_graph,
+    reference_add_entry,
     repeat_horizon_oracle,
     sharing_oracle,
     used_on_link,
     walk,
 )
 from pxtmesh.baselines import route_1plus1, route_shared_path
-from pxtmesh.experiments import route_with_scheme
+from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
 from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint, link_key
 from pxtmesh.plan import (
     AllocationPlan,
@@ -34,11 +35,13 @@ from pxtmesh.plan import (
     PlanViolation,
     PXT,
     _Tallies,
+    _Trail,
     _canonical_pxt,
     _pxt_sort_key,
     _repeat_horizon,
 )
 from pxtmesh.router import RouterState, RoutingError, route_demand
+from pxtmesh.topologies import standard_topology
 from pxtmesh.traffic import generate, uniform
 
 
@@ -1087,6 +1090,138 @@ def test_tallies_fold_each_entry_once(monkeypatch, random_plan):
         plan.validate()
         plan.branch_points()
     assert folded == {"joins": 2 * n, "sharing": 2 * n} and len(built) == 2
+
+
+# -- add_entry's screen and one-pass writes against the add_entry they replaced --
+
+ENTRY_KINDS = ("next", "copy", "renumbered", "broken", "unknown link", "at capacity")
+
+
+def _offered(rng, graph, pool, routed, kind, did):
+    """An entry to offer add_entry: the next entry of `routed`, an entry of
+    `pool` under its own id or as demand `did`, one _broken makes, or one
+    with a route over a link the graph lacks or an ordinal equal to its
+    link's capacity.  Where a kind finds nothing to build on (`routed` is
+    used up, no such link or no bounded link), a pool entry as `did`."""
+    base = rng.choice(pool)
+    d, w, p = base.demand, base.working, base.protection
+    if kind == "next":
+        nxt = next(routed, None)
+        if nxt is not None:
+            return nxt
+    elif kind == "copy":
+        return base
+    elif kind == "broken":
+        return _broken(rng, base, rng.choice((d.id, did)))
+    elif kind == "unknown link":
+        far = [x for x in graph.sorted_nodes() if x not in (d.u, d.v) + graph.neighbors(d.u)]
+        if far:
+            x = rng.choice(far)
+            route = Walk((d.u, x, d.v), (EdgeId(d.u, x, 0), EdgeId(x, d.v, 0)))
+            w, p = (route, p) if rng.random() < 0.5 else (w, route)
+    elif kind == "at capacity":
+        walks = [w, p]
+        i = rng.randrange(2)
+        bounded = [j for j, e in enumerate(walks[i].edges) if graph.capacity(e.u, e.v)]
+        if bounded:
+            j = rng.choice(bounded)
+            e = walks[i].edges[j]
+            edges = list(walks[i].edges)
+            edges[j] = EdgeId(e.u, e.v, graph.capacity(e.u, e.v))
+            walks[i] = Walk(walks[i].nodes, tuple(edges))
+            w, p = walks
+    return PlanEntry(Demand(did, d.u, d.v), w, p)
+
+
+def _frozen(value):
+    """A comparable copy of a plan's incremental state: dicts as their
+    items in order, sets sorted, a trail as (nodes, edges, closed)."""
+    if isinstance(value, _Trail):
+        return tuple(value.nodes), tuple(value.edges), value.closed
+    if isinstance(value, dict):
+        return [(k, _frozen(v)) for k, v in value.items()]
+    if isinstance(value, (set, frozenset)):
+        return sorted((_frozen(v) for v in value), key=repr)
+    if isinstance(value, list):
+        return [_frozen(v) for v in value]
+    return value
+
+
+# rule c without rule a is where add_entry's screen may be cautious
+@pytest.mark.parametrize("enforce", RANDOM_ENFORCE + ("c",))
+@pytest.mark.parametrize("mode", ["node", "link"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 63),
+       picks=st.lists(st.tuples(st.sampled_from(ENTRY_KINDS), st.integers(0, 2 ** 16)),
+                      min_size=1, max_size=40))
+def test_add_entry_matches_the_unscreened_reference(random_plan, mode, enforce, seed, picks):
+    """add_entry against reference_add_entry, which checks every entry in
+    full: over any sequence of entries offered to both, each is taken by
+    both, or refused by both with the same message and violations, and the
+    two plans agree on serialize(), pxts and every attribute of
+    INCREMENTAL_STATE, in content and order.  The describing helpers run
+    for an entry add_entry takes only where its screen may be cautious:
+    rule c enforced, rule a not, and the entry's own walks not disjoint."""
+    unruled = random_plan(seed, mode, "")  # takes every entry routed, whatever the rules
+    pool, graph = unruled.entries, unruled.graph
+    routed = iter(pool)
+    plan = AllocationPlan(graph, mode=mode, enforce=enforce)
+    reference = AllocationPlan(graph, mode=mode, enforce=enforce)
+    described = []
+    for name in ("_structural_violations", "_entry_violations"):
+        real = getattr(plan, name)
+        setattr(plan, name, lambda entry, real=real: described.append(entry) or real(entry))
+    for k, (kind, param) in enumerate(picks):
+        new = _offered(random.Random(param), graph, pool, routed, kind, 100 + k)
+        del described[:]
+        outcomes = []
+        for target, add in ((plan, AllocationPlan.add_entry), (reference, reference_add_entry)):
+            try:
+                add(target, new)
+                outcomes.append("taken")
+            except PlanError as exc:
+                outcomes.append((str(exc), exc.violations))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] == "taken" and described:
+            assert "c" in enforce and "a" not in enforce
+            assert not disjoint(new.working, new.protection, mode)
+        assert plan.serialize() == reference.serialize()
+        assert [_frozen(getattr(plan, name)) for name in INCREMENTAL_STATE] == \
+            [_frozen(getattr(reference, name)) for name in INCREMENTAL_STATE]
+        assert plan.pxts == reference.pxts
+
+
+def test_routed_entries_are_never_described(monkeypatch):
+    """Counting, not timing: routing the seed-0 PXT and baseline plans of
+    the five fixtures, and parsing each one back, commits every entry on
+    add_entry's screen alone, without one call to the helpers that describe
+    a refusal; a refused entry calls each of them at most once."""
+    calls = collections.Counter()
+    for name in ("_structural_violations", "_entry_violations"):
+        def counting(plan, entry, real=getattr(AllocationPlan, name), name=name):
+            calls[name] += 1
+            return real(plan, entry)
+
+        monkeypatch.setattr(AllocationPlan, name, counting)
+    plans = []
+    for name in ("cycle12plus3", "grid3x4", "tietze", "icosahedron", "k66"):
+        g = standard_topology(name)
+        for pattern in PATTERNS:
+            demands = generate(g, traffic_spec(pattern, name, 0))
+            for scheme in ("pxt", "one-plus-one", "shared-path"):
+                plans.append(route_with_scheme(g, scheme, demands))
+                AllocationPlan.parse(g, plans[-1].serialize())
+    assert len(plans) == 45 and not calls
+    rng = random.Random(0)
+    for plan in plans:
+        for entry in rng.sample(plan.entries, 2):
+            for new in (PlanEntry(Demand(-1, entry.demand.u, entry.demand.v),
+                                  entry.working, entry.protection), _broken(rng, entry, -1)):
+                calls.clear()
+                with pytest.raises(PlanError):
+                    plan.add_entry(new)
+                assert calls["_structural_violations"] == 1
+                assert calls["_entry_violations"] <= 1
 
 
 def test_parsed_names_are_the_graphs_own(random_plan):

@@ -54,6 +54,7 @@ from conftest import (
     random_connected_graph,
     repeat_horizon_oracle,
     rival_graph,
+    set_role,
     sharing_oracle,
     shortest_paths_oracle,
     used_on_link,
@@ -107,7 +108,7 @@ class TestFindWorking:
         # saturate the only link, then no working path exists
         g = Graph("AB", [("A", "B", 1)])
         state = RouterState(g)
-        state.plan._set_role(g.edge("A", "B", 0), "working")
+        set_role(state.plan, g.edge("A", "B", 0), "working")
         with pytest.raises(RoutingError, match="no working route"):
             find_working(state, Demand(1, "A", "B"))
 

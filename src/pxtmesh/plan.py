@@ -21,18 +21,19 @@ rule-c witnesses are read off the entries.  add_entry decides with one
 screen (_admits) and writes in one pass; the helpers that describe
 violations run only for an entry the screen turns down.
 
-validate() and branch_points() re-check a plan from its entries alone and
-read nothing add_entry keeps, so they stay independent oracles for it.
-What they keep between calls is derived from the entries alone:
-validate()'s verdict on each entry's structure, rule a and capacity, and
-the tallies of the cross-entry rules b, c and d (_Tallies), which name the
-edges and cross-connect slots suspected of breaking a rule.  Entries are
-immutable and a plan's mode and graph are fixed, so what is kept for entry
-objects still in their slots of `entries` (`is`) is what a fresh pass
-would give: a verdict is kept per slot, the tallies for a prefix, and a
-broken prefix derives them afresh.  Only suspects are described, by passes
-over all the entries, so a call on a plan that breaks no rule costs an
-identity scan plus the entries appended since the last call.
+validate(), branch_points() and extract_pxts() re-check a plan from its
+entries alone and read nothing add_entry keeps, so they stay independent
+oracles for it.  What they keep between calls is one cache, _Tallies,
+derived from the entries alone: validate()'s verdict on each entry that
+fails its screen of structure, rule a and capacity, and the tallies of the
+cross-entry rules b, c and d, which name the edges and cross-connect slots
+suspected of breaking a rule and pair each slot with its first partner.
+Entries are immutable and a plan's mode and graph are fixed, so the cache
+is what a fresh pass would give while `entries` starts with the very
+objects it folded (`is`), and is derived afresh otherwise.  Only suspects
+are described, by passes over all the entries, so a call on a plan that
+breaks no rule costs an identity scan plus the entries appended since the
+last call.
 """
 
 from __future__ import annotations
@@ -230,10 +231,14 @@ class _KeyBits(dict):
 
 
 class _Tallies:
-    """The cross-entry facts of rules b, c and d for the entries in `seen`,
-    folded in one at a time and kept in sets and dicts keyed by the entries'
-    own edges: rule d for all of `seen`, which is all branch_points() reads,
-    and rules b and c for its first `sharing` entries.
+    """What the checks derive from the entries in `seen`, folded in one at a
+    time and kept in sets and dicts keyed by the entries' own edges: rule d
+    for all of `seen`, which is all branch_points() and extract_pxts() read,
+    and for its first `sharing` entries the verdicts and rules b and c.
+
+    `verdicts` maps the index of each entry that fails validate()'s screen
+    or capacity check to that entry's own violations of structure and rule
+    a, in index order.
 
     Each rule keeps its suspects: edges, or for d slots (edge, node), that
     may break it.  Every one that does is a suspect; validate() describes
@@ -253,8 +258,8 @@ class _Tallies:
          another partner later is kept in `branched`.
     """
 
-    __slots__ = ("seen", "low", "high", "branched",
-                 "sharing", "bits", "working", "filed", "shared", "conflicting")
+    __slots__ = ("seen", "low", "high", "branched", "sharing",
+                 "verdicts", "bits", "working", "filed", "shared", "conflicting")
 
     def __init__(self):
         self.seen: list[PlanEntry] = []
@@ -262,6 +267,7 @@ class _Tallies:
         self.high: dict[EdgeId, EdgeId] = {}
         self.branched: set[tuple[EdgeId, str]] = set()
         self.sharing = 0
+        self.verdicts: dict[int, tuple[PlanViolation, ...]] = {}
         self.bits = _KeyBits()
         self.working: set[EdgeId] = set()
         self.filed: dict[EdgeId, int] = {}
@@ -347,9 +353,7 @@ class AllocationPlan:
         self._trails: set[_Trail] = set()
         self._trail_ends: dict[tuple[EdgeId, str], _Trail] = {}
         self._ranked: list[_Trail] | None = None  # trails in canonical order
-        # validate()'s memo of each entry's own verdict; see _verdicts
-        self._checked: list[PlanEntry | tuple[PlanEntry, tuple[PlanViolation, ...]]] = []
-        # the cross-entry tallies of validate() and branch_points(); see _tallied
+        # what validate(), branch_points() and extract_pxts() keep; see _tallied
         self._tallies = _Tallies()
 
     # -- edge pool ---------------------------------------------------------
@@ -637,32 +641,16 @@ class AllocationPlan:
         protection = sum(1 for r in self._roles.values() if r == "protection")
         return working, protection, working + protection
 
-    def _pairing_from_paths(self) -> tuple[dict, set]:
-        """(partner, branched) from the protection paths alone: `partner` maps
-        each cross-connect slot (edge, node) to the first edge a path joins to
-        it there; `branched` holds each slot joined to two or more."""
-        partner: dict[tuple[EdgeId, str], EdgeId] = {}
-        branched: set[tuple[EdgeId, str]] = set()
-        for entry in self.entries:
-            p = entry.protection
-            for e, x, f in zip(p.edges, p.nodes[1:], p.edges[1:]):
-                if partner.setdefault((e, x), f) != f:
-                    branched.add((e, x))
-                if partner.setdefault((f, x), e) != e:
-                    branched.add((f, x))
-        return partner, branched
-
     def _tallied(self) -> _Tallies:
-        """The tallies, rule d folded for all of `entries` and rules b and c
-        left for validate() to bring up to date (fold_sharing).  They are
-        trusted only while `entries` starts with the very objects they
-        folded (`is`), and derived afresh otherwise: after an entry is
-        replaced, after the list shrinks (whether or not it grew again), or
-        for a new list of other entries.  Else only the entries appended
-        since the last call are folded."""
+        """The plan's one cache of derived facts (_Tallies), rule d folded
+        for all of `entries`, and the verdicts and rules b and c left for
+        validate() to bring up to date.  It is trusted only while `entries`
+        starts with the very objects it folded (`is`), and derived afresh
+        otherwise: after an entry is replaced, after the list shrinks
+        (whether or not it grew again), or for a new list of other entries.
+        Else only the entries appended since the last call are folded."""
         tallies, entries = self._tallies, self.entries
-        seen = tallies.seen
-        if len(seen) > len(entries) or not all(map(is_, seen, entries)):
+        if len(tallies.seen) > len(entries) or not all(map(is_, tallies.seen, entries)):
             tallies = self._tallies = _Tallies()
         tallies.fold_joins(entries[len(tallies.seen):])
         return tallies
@@ -673,60 +661,36 @@ class AllocationPlan:
         _tallied), which screens no entry and reads nothing add_entry keeps."""
         return {x for _, x in self._tallied().branched}
 
-    def _verdicts(self) -> tuple[list, list[int]]:
-        """validate()'s memo, aligned with the entries, and the indices of
-        the entries it held no verdict for.  Slot i holds entries[i] itself
-        while validate() knows no violation of its own, or (entries[i],
-        those violations).  A slot is trusted only while it holds the entry
-        in its place (`is`): any other, and any entry past the memo's end,
-        is set to the entry itself and returned, so an entry appended or
-        replaced behind add_entry's back is screened again."""
-        memo, entries = self._checked, self.entries
-        del memo[len(entries):]
-        unseen = []
-        if not all(map(is_, memo, entries)):
-            for i, (slot, entry) in enumerate(zip(memo, entries)):
-                if slot is not entry and not (isinstance(slot, tuple) and slot[0] is entry):
-                    memo[i] = entry
-                    unseen.append(i)
-        unseen += range(len(memo), len(entries))
-        memo += entries[len(memo):]
-        return memo, unseen
-
     def validate(self) -> list[PlanViolation]:
         """Full re-check of rules a-d from the entries alone, reading nothing
         add_entry maintains: each entry's own violations of structure, rule
         a and capacity, in entry order, then those of rules b, c and d.
 
-        Each entry's own verdict comes from a quick screen, re-checked in
-        full only where it fails, and is kept per slot (see _verdicts).
-        Rules b-d start from the suspects of the tallies (see _Tallies and
-        _tallied), and only those are described, each rule by one pass over
+        Only the entries appended since the cache was last brought up to
+        date (see _tallied) are screened; each that fails the quick screen
+        or the capacity check is re-checked in full and its verdict kept
+        (_Tallies.verdicts).  Rules b-d start from the suspects of the
+        tallies, and only those are described, each rule by one pass over
         all the entries: a suspect's sharers for b, the pairs of workings
         protected over a suspect edge for c, and who joins at a branched
-        slot for d.  Verdicts and tallies are kept only for the entry
-        objects they saw, which are immutable, so validate() stays an
-        independent oracle for add_entry.  A call on a plan whose tallies
-        name no suspect, as for every valid plan, costs an identity scan
-        plus the entries appended since the last call."""
+        slot for d.  The cache holds only what the entries give, so
+        validate() stays an independent oracle for add_entry.  A call on a
+        plan whose tallies name no suspect, as for every valid plan, costs
+        an identity scan plus the entries appended since the last call."""
         entries = self.entries
         node_mode = self.mode == "node"
-        memo, unseen = self._verdicts()
         tallies = self._tallied()
+        new = range(tallies.sharing, len(entries))
         tallies.fold_sharing(node_mode)
-        if unseen:  # the full check for those the screen or the capacity check fails
-            failing = {i for i in unseen if _screen(entries[i], node_mode)}
-            bad = self.graph.invalid_edges(
-                tallies.working.union(tallies.filed) if len(unseen) == len(entries) else
-                {e for i in unseen for e in entries[i].working.edges + entries[i].protection.edges})
-            if bad:
-                failing.update(i for i in unseen if not bad.isdisjoint(
-                    entries[i].working.edges + entries[i].protection.edges))
-            for i in failing:
-                en = entries[i]
-                memo[i] = (en, tuple(self._structural_violations(en) + self._disjointness(en)))
-        out: list[PlanViolation] = [] if all(map(is_, memo, entries)) else [
-            v for slot in memo if isinstance(slot, tuple) for v in slot[1]]
+        bad = self.graph.invalid_edges(
+            {e for i in new for e in entries[i].working.edges + entries[i].protection.edges}
+            if new.start else tallies.working.union(tallies.filed))
+        for i in new:  # the full check for those the screen or the capacity check fails
+            en = entries[i]
+            if _screen(en, node_mode) or bad and not bad.isdisjoint(
+                    en.working.edges + en.protection.edges):
+                tallies.verdicts[i] = (*self._structural_violations(en), *self._disjointness(en))
+        out = [v for found in tallies.verdicts.values() for v in found]
         suspects = tallies.shared
         sharers: dict[EdgeId, set[int]] = {e: set() for e in suspects}
         for entry in entries if suspects else ():
@@ -772,22 +736,25 @@ class AllocationPlan:
         return out
 
     def extract_pxts(self) -> list[PXT]:
-        """Recompute the PXT decomposition from scratch (cross-check path)."""
-        partner, branched = self._pairing_from_paths()
-        violations = self._branch_violations(branched)
-        if violations:
-            raise PlanError(violations)
-        edges = sorted({e for en in self.entries for e in en.protection.edges}, key=str)
+        """The PXTs recomputed from the entries alone, a cross-check of
+        `pxts`: the trails that join each cross-connect slot to its first
+        partner in the rule-d tally (see _tallied), or PlanError naming every
+        branch point.  The tally keys a slot by which end of its edge it is
+        at, so each protection must be a walk whose edges meet at their real
+        endpoints, as add_entry guarantees."""
+        tallies = self._tallied()
+        if tallies.branched:
+            raise PlanError(self._branch_violations(tallies.branched))
+        partner = {(e, e[0]): f for e, f in tallies.low.items()}
+        partner.update({(e, e[1]): f for e, f in tallies.high.items()})
         seen: set[EdgeId] = set()
         out = []
-        for start in edges:
-            if start in seen:
-                continue
-            nodes, trail, closed = self._walk_trail(start, partner)
-            seen.update(trail)
-            out.append(_canonical_pxt(nodes, trail, closed))
-        out.sort(key=_pxt_sort_key)
-        return out
+        for start in sorted({e for en in self.entries for e in en.protection.edges}, key=str):
+            if start not in seen:
+                nodes, trail, closed = self._walk_trail(start, partner)
+                seen.update(trail)
+                out.append(_canonical_pxt(nodes, trail, closed))
+        return sorted(out, key=_pxt_sort_key)
 
     @staticmethod
     def _walk_trail(start: EdgeId, partner: dict[tuple[EdgeId, str], EdgeId]):

@@ -10,54 +10,28 @@ edges (tiebreak 0) of one link.  Arc pairs whose expansions would collide in
 the real graph are marked rivals, and the constrained search guarantees the
 expanded protection route is a simple path.
 
-Routing one demand reuses what earlier demands left behind instead of
-recomputing it:
+What holds, so that a demand reuses what earlier demands left behind:
 
-- rival marks come from node -> arc indexes, not from comparing every pair
-  of aux edges; aux-edge order, each node's out-arc order, tie-breaks and
-  the rival sets are those of the pairwise rule, with arcs numbered by
-  edge index instead of position, so plans are unchanged;
-- rival marks are int bitsets over the arc ids, from those indexes through
-  the search's forbidden sets, so marking and probing OR and AND ints
-  instead of building and hashing frozensets;
-- the aux graph's effective rival sets, an arc's own rivals ORed with the
-  graph's `through` at its two ends, are symmetric by construction, as the
-  search requires without checking, and the graph is lazy: a node's
-  out-arcs are listed when the search first expands the node, so most arcs
-  are never looked at;
-- the plan keeps per protection edge an int of blockers, its own link and
-  nodes ORed with the footprint of each working it protects, so sharing is
-  one AND per edge rather than a comparison entry by entry;
+- rival marks are int bitsets over arc ids.  The aux graph's effective
+  rival sets, an arc's own rivals ORed with the graph's `through` at its two
+  ends, are symmetric by construction, as the search requires without
+  checking.  The graph is lazy: a node's out-arcs are listed when the search
+  first expands the node;
 - a segment is admitted whole or not at all, by one `may_share` over its
-  cut's edges with the working's `conflicts` mask, which also keeps the
-  segment off the working's links and (node mode) its interior;
-- the plan caches each trail's canonical PXT and sort key, and its cut
-  index: the map from each node to its positions on that PXT, and, when the
-  PXT repeats a node, its repeat horizon, the first position at which the
-  PXT from each position on repeats a node; merging or closing a trail
-  drops both, and nothing else invalidates them;
-- the plan caches its trails in canonical order; a new trail, or merging or
-  closing one, drops that order;
-- segments are offered as cuts of those PXTs, (walk, a, b) spans of the
-  cached canonical walk, cut where the position index puts the terminals;
-  a cut is kept, as a simple path, when it ends before its start's horizon,
-  one lookup and no set; only a cut that is admitted becomes a `Walk`,
-  sliced without re-validation, and a cut over a whole open trail is its
-  cached canonical walk itself;
-- the plan keeps the set of links with spare capacity, and RouterState keeps
-  one snapshot of what is built from it, `FreshArcs`, rebuilt whole only
-  when that set shrinks: the fresh-capacity aux edges and arcs, with stable
-  ids by link index, and per target the shortest-route DAG over those links,
-  made on first use.  Per demand, the working path excludes some fresh arcs
-  by one bitset, and no fresh arc is copied: a node's out-list is the
-  snapshot's own arcs that the working leaves, and the rivals a fresh arc
-  gains where an admitted shortcut passes through its ends are the aux
-  graph's `through`, which the search adds itself.  RouterState also keeps
-  the node -> visited-bit index that every aux graph shares.  The working
-  routes are drawn from the target's DAG by `graph.ranked_routes` in rank
-  order, least usage then nodes, and only until one leaves a disjoint
-  detour; the detour check steps first to the nodes the DAG says are closer
-  to the target.
+  cut's edges with the working's `conflicts` mask, which also keeps it off
+  the working's links and (node mode) its interior;
+- segments are offered as cuts of the plan's cached canonical PXTs, cut
+  where the position index puts the terminals.  A cut is a simple path
+  exactly when it ends before its start's repeat horizon, and only an
+  admitted cut becomes a `Walk`;
+- `FreshArcs`, RouterState's snapshot of the links with spare capacity, is
+  rebuilt whole only when that set shrinks: the fresh aux edges and arcs,
+  with stable ids by link index, and per target the shortest-route DAG over
+  those links.  A working excludes fresh arcs by one bitset, so no fresh
+  arc is copied per demand;
+- the working routes are drawn from the target's DAG by
+  `graph.ranked_routes` in rank order, least usage then nodes, until one
+  leaves a disjoint detour.
 """
 
 from __future__ import annotations

@@ -408,10 +408,11 @@ def test_dead_field_check_sees_dataclasses_and_slots(tmp_path):
     assert dead_fields([mod], [user]) == ["mod.py:5 Rec.orphan", "mod.py:9 Slotted.lost"]
 
 
-# validate()'s memo of each entry's verdict: made in the constructor and
-# named by no one but the helper that aligns it with the entries, so that
-# add_entry, parse, the trail code and the router can neither fill nor read it
-MEMO = "_checked"
+# validate()'s verdicts on the entries that fail its screen: a field of the
+# plan's one cache, declared in its slots, made in its constructor and named
+# by no one but validate(), so that add_entry, parse, the trail code and the
+# router can neither fill nor read them
+MEMO = "verdicts"
 
 
 def functions_naming(paths, attr: str) -> list[str]:
@@ -439,17 +440,19 @@ def functions_naming(paths, attr: str) -> list[str]:
 
 def test_only_the_check_helper_names_the_memo():
     assert functions_naming(sorted(SRC.glob("*.py")), MEMO) == [
-        "plan.py:__init__", "plan.py:_verdicts"], "read validate()'s memo through _verdicts"
+        "plan.py:<module>", "plan.py:__init__", "plan.py:validate"], "only validate() fills them"
+    # the one mention outside a function is _Tallies.__slots__
+    assert (SRC / "plan.py").read_text().count(f'"{MEMO}"') == 1
 
 
 def test_memo_check_sees_nested_strings_and_module_level(tmp_path):
     (tmp_path / "plan.py").write_text(
         "class P:\n"
-        "    def __init__(self): self._checked = []\n"
+        "    def __init__(self): self.verdicts = {}\n"
         "    def add_entry(self, e):\n"
-        "        def note(): self._checked.append(e)\n"
-        "    def parse(self): return getattr(self, '_checked')\n")
-    (tmp_path / "router.py").write_text("MEMO = P()._checked\n")
+        "        def note(): self.verdicts[0] = e\n"
+        "    def parse(self): return getattr(self, 'verdicts')\n")
+    (tmp_path / "router.py").write_text("MEMO = P().verdicts\n")
     assert functions_naming(sorted(tmp_path.glob("*.py")), MEMO) == [
         "plan.py:__init__", "plan.py:add_entry", "plan.py:note", "plan.py:parse",
         "router.py:<module>"]
@@ -470,7 +473,7 @@ def test_only_the_check_helper_names_the_tallies():
 # add_entry's screen and validate()'s are kept apart: add_entry and its screen
 # name none of validate()'s memo or tallies, nor validate() the screen, so
 # validate() stays an independent oracle for what add_entry takes
-CHECK_STATE = {"_screen", "_Tallies", "_tallied", "_verdicts"}
+CHECK_STATE = {"_screen", "_Tallies", "_tallied", "verdicts"}
 
 
 def names_in(path: Path, function: str) -> set[str]:

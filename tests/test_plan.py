@@ -908,14 +908,25 @@ def test_validate_reads_nothing_add_entry_keeps(random_plan, mode):
     assert broken >= 8
 
 
-# -- validate()'s memo against plans never checked --------------------------------
+# -- the checks' cache against plans never checked --------------------------------
+
+
+def _extraction(extract):
+    """What extract_pxts() gives: the PXTs, or the type and text of the error."""
+    try:
+        return extract()
+    except (PlanError, GraphError) as exc:
+        return type(exc), str(exc)
 
 
 def _assert_checks_agree(plan, parse=True):
     """validate() and branch_points() of `plan`, which may have been checked
     before, equal those of a never-checked plan holding the same entries, of
     a never-checked parse(serialize()) when add_entry took every entry, and
-    of the oracles.  Returns validate()'s violations."""
+    of the oracles; so does what extract_pxts() gives, asked first, against
+    a second never-checked copy and its oracle.  Returns validate()'s
+    violations."""
+    pxts = _extraction(plan.extract_pxts)
     got = (plan.validate(), plan.branch_points())
     fresh = AllocationPlan(plan.graph, mode=plan.mode, enforce=plan.enforce)
     fresh.entries = list(plan.entries)
@@ -925,6 +936,10 @@ def _assert_checks_agree(plan, parse=True):
         assert got == (parsed.validate(), parsed.branch_points())
     assert got[0] == oracle_validate(plan)
     assert got[1] == {x for (_, x), partners in _oracle_pairs(plan).items() if len(partners) > 1}
+    unchecked = AllocationPlan(plan.graph, mode=plan.mode, enforce=plan.enforce)
+    unchecked.entries = list(plan.entries)
+    assert pxts == _extraction(unchecked.extract_pxts) == _extraction(
+        lambda: _oracle_extract_pxts(plan))
     return got[0]
 
 
@@ -965,8 +980,9 @@ def test_checked_plan_matches_never_checked_copies(random_plan, mode):
 
 def test_each_entry_is_screened_once(monkeypatch, random_plan):
     """Counting, not timing: repeated validate() and branch_points() calls on
-    an unchanged plan screen each entry once, an entry replaced in `entries`
-    once more, and the memo never holds more slots than the plan has entries."""
+    an unchanged plan screen each entry once, and the cache holds exactly the
+    plan's entries.  An entry replaced in `entries`, or entries cut off, leave
+    no prefix to trust, so every entry is screened once more."""
     screened = []
     real = pxtmesh.plan._screen
 
@@ -981,7 +997,7 @@ def test_each_entry_is_screened_once(monkeypatch, random_plan):
         plan.add_entry(entry)
         plan.validate()
         plan.branch_points()
-        assert len(plan._checked) == len(plan.entries)
+        assert len(plan._tallies.seen) == len(plan.entries)
     for _ in range(3):
         plan.validate()
         plan.branch_points()
@@ -989,11 +1005,12 @@ def test_each_entry_is_screened_once(monkeypatch, random_plan):
     plan.entries[2] = copy.copy(plan.entries[2])
     plan.validate()
     plan.validate()
-    assert screened == routed.entries + [plan.entries[2]]
+    replaced = list(plan.entries)
+    assert screened == routed.entries + replaced
     del plan.entries[-3:]
     plan.validate()
-    assert len(plan._checked) == len(plan.entries) == len(routed.entries) - 3
-    assert len(screened) == len(routed.entries) + 1
+    assert len(plan._tallies.seen) == len(plan.entries) == len(routed.entries) - 3
+    assert screened == routed.entries + replaced + replaced[:-3]
 
 
 # -- the cross-entry tallies against plans never checked --------------------------
@@ -1090,6 +1107,29 @@ def test_tallies_fold_each_entry_once(monkeypatch, random_plan):
         plan.validate()
         plan.branch_points()
     assert folded == {"joins": 2 * n, "sharing": 2 * n} and len(built) == 2
+
+
+def test_extract_pxts_folds_each_entry_once(monkeypatch, random_plan):
+    """Counting, not timing: extract_pxts() on a never-checked plan folds
+    each entry into rule d once, and a second call, or one after validate()
+    or branch_points(), folds none."""
+    folded = []
+    fold_joins = _Tallies.fold_joins
+
+    def counting_joins(tallies, entries):
+        folded.extend(entries)
+        fold_joins(tallies, entries)
+
+    routed = random_plan(3, "node", "abcd")
+    assert routed.entries and routed.pxts
+    monkeypatch.setattr(_Tallies, "fold_joins", counting_joins)
+    for first in ("extract_pxts", "validate", "branch_points"):
+        plan = AllocationPlan.parse(routed.graph, routed.serialize())
+        folded.clear()
+        getattr(plan, first)()
+        assert folded == plan.entries, first
+        assert plan.extract_pxts() == plan.extract_pxts() == routed.pxts
+        assert folded == plan.entries, first
 
 
 # -- add_entry's screen and one-pass writes against the add_entry they replaced --
@@ -1241,8 +1281,8 @@ def test_parsed_names_are_the_graphs_own(random_plan):
 
 
 def _oracle_pairs(plan):
-    """_pairing_from_paths as it was before (partner, branched): a set of
-    partners for every cross-connect slot."""
+    """The cross-connect pairing from the protection paths alone, as a set
+    of partners for every slot: the oracle for the rule-d tally."""
     pairs = {}
     for entry in plan.entries:
         p = entry.protection

@@ -89,10 +89,8 @@ class EdgeId(tuple):
             raise GraphError(f"bad edge token {token!r}") from exc
 
 
-def _check_node_id(name: str) -> str:
-    if not name or any(ch.isspace() or ch in _FORBIDDEN_ID_CHARS for ch in name):
-        raise GraphError(f"invalid node id {name!r}")
-    return name
+def _is_node_id(name: str) -> bool:
+    return bool(name) and not any(ch.isspace() or ch in _FORBIDDEN_ID_CHARS for ch in name)
 
 
 class Graph:
@@ -103,7 +101,10 @@ class Graph:
     objects, and comparing them stops at identity."""
 
     def __init__(self, nodes: Iterable[str], links: Iterable[tuple[str, str, int | None]]):
-        self._nodes = frozenset(intern(_check_node_id(n)) for n in nodes)
+        for name in (names := list(nodes)):
+            if not _is_node_id(name):
+                raise GraphError(f"invalid node id {name!r}")
+        self._nodes = frozenset(map(intern, names))
         self._caps: dict[tuple[str, str], int | None] = {}
         adj: dict[str, set[str]] = {n: set() for n in self._nodes}
         for u, v, cap in links:
@@ -409,30 +410,28 @@ def load_graph(text: str) -> Graph:
     """Parse the line-oriented graph format.
 
     Lines: `# comment`, `node <id>`, `link <u> <v> [<capacity>|unbounded]`.
-    Order-insensitive: links are checked once every line is read, so a link
-    may come before its nodes' `node` lines, but a node no line declares is
-    an error.  Duplicate node or link declarations are errors.  Of several
-    errors, the one on the earliest line is raised.
+    A link may come before its nodes' `node` lines, but a node that no
+    well-formed `node` line declares is an error.  Duplicate node or link
+    declarations are errors.  The lines are checked once each, in line
+    order, against the lines before them and the declared nodes, so of
+    several errors the one on the earliest line is raised.
     """
-    nodes: list[str] = []
-    seen: set[str] = set()
-    links: list[tuple[str, str, int | None]] = []
-    pending: list[tuple[int, str, str, int | None]] = []
-
-    def read(lineno: int, fields: list[str]) -> None:
+    lines = [(lineno, fields) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (fields := raw.split("#", 1)[0].split())]
+    declared = {f[1] for _, f in lines if f[0] == "node" and len(f) == 2 and _is_node_id(f[1])}
+    nodes: set[str] = set()
+    links: dict[tuple[str, str], tuple[str, str, int | None]] = {}
+    for lineno, fields in lines:
         kind = fields[0]
         if kind == "node":
             if len(fields) != 2:
                 raise GraphParseError(lineno, "expected: node <id>")
             name = fields[1]
-            if name in seen:
+            if name in nodes:
                 raise GraphParseError(lineno, f"duplicate node {name}")
-            try:
-                _check_node_id(name)
-            except GraphError as exc:
-                raise GraphParseError(lineno, str(exc)) from exc
-            seen.add(name)
-            nodes.append(name)
+            if not _is_node_id(name):
+                raise GraphParseError(lineno, f"invalid node id {name!r}")
+            nodes.add(name)
         elif kind == "link":
             if len(fields) not in (3, 4):
                 raise GraphParseError(lineno, "expected: link <u> <v> [capacity]")
@@ -445,45 +444,17 @@ def load_graph(text: str) -> Graph:
                     raise GraphParseError(lineno, f"bad capacity {fields[3]!r}") from None
                 if cap <= 0:
                     raise GraphParseError(lineno, "capacity must be positive")
-            pending.append((lineno, u, v, cap))
+            for x in (u, v):
+                if x not in declared:
+                    raise GraphParseError(lineno, f"unknown node {x} in link")
+            if u == v:
+                raise GraphParseError(lineno, f"self-loop link at {u}")
+            if (key := link_key(u, v)) in links:
+                raise GraphParseError(lineno, f"duplicate link {u}-{v}")
+            links[key] = (u, v, cap)
         else:
             raise GraphParseError(lineno, f"unknown directive {kind!r}")
-
-    keys: set[tuple[str, str]] = set()
-
-    def add_link(lineno: int, u: str, v: str, cap: int | None) -> None:
-        for x in (u, v):
-            if x not in seen:
-                raise GraphParseError(lineno, f"unknown node {x} in link")
-        if u == v:
-            raise GraphParseError(lineno, f"self-loop link at {u}")
-        key = link_key(u, v)
-        if key in keys:
-            raise GraphParseError(lineno, f"duplicate link {u}-{v}")
-        keys.add(key)
-        links.append((u, v, cap))
-
-    # every line is read, so that a link may name a later node; each pass
-    # goes in line order, and the link pass stops past the read's first error
-    first: GraphParseError | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            try:
-                read(lineno, line.split())
-            except GraphParseError as exc:
-                first = first or exc
-    for lineno, u, v, cap in pending:
-        if first is not None and first.lineno < lineno:
-            break
-        try:
-            add_link(lineno, u, v, cap)
-        except GraphParseError as exc:
-            first = exc
-            break
-    if first is not None:
-        raise first
-    return Graph(nodes, links)
+    return Graph(nodes, links.values())
 
 
 def dump_graph(graph: Graph) -> str:

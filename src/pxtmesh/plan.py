@@ -745,24 +745,23 @@ class AllocationPlan:
         tallies = self._tallied()
         if tallies.branched:
             raise PlanError(self._branch_violations(tallies.branched))
-        partner = {(e, e[0]): f for e, f in tallies.low.items()}
-        partner.update({(e, e[1]): f for e, f in tallies.high.items()})
         seen: set[EdgeId] = set()
         out = []
         for start in sorted({e for en in self.entries for e in en.protection.edges}, key=str):
             if start not in seen:
-                nodes, trail, closed = self._walk_trail(start, partner)
+                nodes, trail, closed = self._walk_trail(start, tallies.low, tallies.high)
                 seen.update(trail)
                 out.append(_canonical_pxt(nodes, trail, closed))
         return sorted(out, key=_pxt_sort_key)
 
     @staticmethod
-    def _walk_trail(start: EdgeId, partner: dict[tuple[EdgeId, str], EdgeId]):
-        """(nodes, edges, closed) of the trail `partner` joins `start` into."""
+    def _walk_trail(start: EdgeId, low: dict[EdgeId, EdgeId], high: dict[EdgeId, EdgeId]):
+        """(nodes, edges, closed) of the trail that joins `start` to each
+        edge's partner at its low end, `low`, and at its high end, `high`."""
         def extend(node: str) -> tuple[list[str], list[EdgeId], bool]:
             # the nodes and edges after start, leaving it at node; True if they wrap
             nodes, edges, cur = [], [], start
-            while (nxt := partner.get((cur, node))) is not None and nxt != start:
+            while (nxt := (low if node == cur[0] else high).get(cur)) is not None and nxt != start:
                 node = nxt.other(node)
                 nodes.append(node)
                 edges.append(nxt)

@@ -4,7 +4,8 @@ from collections import deque
 import pytest
 
 from pxtmesh.cdijkstra import Arc, ArcId, ArcSet, RivalGraph
-from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, _avoiding, disjoint, link_key
+from pxtmesh.graph import (UNBOUNDED, EdgeId, Graph, GraphError, GraphParseError, Walk, _avoiding,
+                           disjoint, link_key)
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError, PlanViolation
 from pxtmesh.topologies import standard_topology
 
@@ -167,6 +168,81 @@ def reference_add_entry(plan: AllocationPlan, entry: PlanEntry) -> None:
                 plan._connect(e, f, x)
     plan._demand_ids.add(did)
     plan.entries.append(entry)
+
+
+# -- graph files: the two-pass reader that graph.load_graph replaced --
+
+def reference_load_graph(text: str) -> Graph:
+    """load_graph as it was: a read pass that checks each line's own fields
+    and queues the links, then a pass over the queued links, each stopping
+    past the earliest error.  The differential oracle for the one-pass
+    reader; it keeps its own copy of the node-id rule."""
+    nodes: list[str] = []
+    seen: set[str] = set()
+    links: list[tuple[str, str, int | None]] = []
+    pending: list[tuple[int, str, str, int | None]] = []
+
+    def read(lineno: int, fields: list[str]) -> None:
+        kind = fields[0]
+        if kind == "node":
+            if len(fields) != 2:
+                raise GraphParseError(lineno, "expected: node <id>")
+            name = fields[1]
+            if name in seen:
+                raise GraphParseError(lineno, f"duplicate node {name}")
+            if not name or any(ch.isspace() or ch in "~#|" for ch in name):
+                raise GraphParseError(lineno, f"invalid node id {name!r}")
+            seen.add(name)
+            nodes.append(name)
+        elif kind == "link":
+            if len(fields) not in (3, 4):
+                raise GraphParseError(lineno, "expected: link <u> <v> [capacity]")
+            u, v = fields[1], fields[2]
+            cap: int | None = UNBOUNDED
+            if len(fields) == 4 and fields[3] != "unbounded":
+                try:
+                    cap = int(fields[3])
+                except ValueError:
+                    raise GraphParseError(lineno, f"bad capacity {fields[3]!r}") from None
+                if cap <= 0:
+                    raise GraphParseError(lineno, "capacity must be positive")
+            pending.append((lineno, u, v, cap))
+        else:
+            raise GraphParseError(lineno, f"unknown directive {kind!r}")
+
+    keys: set[tuple[str, str]] = set()
+
+    def add_link(lineno: int, u: str, v: str, cap: int | None) -> None:
+        for x in (u, v):
+            if x not in seen:
+                raise GraphParseError(lineno, f"unknown node {x} in link")
+        if u == v:
+            raise GraphParseError(lineno, f"self-loop link at {u}")
+        key = link_key(u, v)
+        if key in keys:
+            raise GraphParseError(lineno, f"duplicate link {u}-{v}")
+        keys.add(key)
+        links.append((u, v, cap))
+
+    first: GraphParseError | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                read(lineno, line.split())
+            except GraphParseError as exc:
+                first = first or exc
+    for lineno, u, v, cap in pending:
+        if first is not None and first.lineno < lineno:
+            break
+        try:
+            add_link(lineno, u, v, cap)
+        except GraphParseError as exc:
+            first = exc
+            break
+    if first is not None:
+        raise first
+    return Graph(nodes, links)
 
 
 # -- shortest routes: the depth-first enumerator that graph.ranked_routes replaced --

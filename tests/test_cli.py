@@ -284,6 +284,20 @@ def test_unreadable_input_file_is_a_usage_error(runner, tmp_path, name):
     assert "Traceback" not in run.stderr + run.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["topo", "--graph", "{file}"],
+    ["table1", "--pattern", "neighbor", "--runs", "1", "--murakami-file", "{file}"],
+], ids=["topo --graph", "table1 --murakami-file"])
+def test_malformed_graph_file_is_a_usage_error(tmp_path, args):
+    # lines 3 and 4 are both wrong; the error names the earlier one
+    f = tmp_path / "bad.graph"
+    f.write_text("node a\nnode b\nlink a zz\nnode b\n")
+    run = run_cli_process(*[a.format(file=f) for a in args])
+    assert run.returncode == 2
+    assert run.stderr == "error: line 3: unknown node zz in link\n"
+    assert "Traceback" not in run.stderr + run.stdout
+
+
 def test_table1_reads_murakami_file_before_the_first_row(runner, tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(experiments, "run_instance", lambda *a, **k: calls.append(a))

@@ -29,7 +29,7 @@ from pxtmesh.graph import (
 )
 from pxtmesh.topologies import TOPOLOGY_STATS, standard_topology
 
-from conftest import shortest_paths_oracle, walk
+from conftest import reference_load_graph, shortest_paths_oracle, walk
 
 
 def W(multigraph, *seq):
@@ -177,6 +177,63 @@ class TestGraphFile:
         text = dump_graph(grid3x4)
         again = load_graph(text)
         assert dump_graph(again) == text
+
+
+def _graph_outcome(load, text):
+    """What a graph reader makes of `text`: the canonical dump of the graph,
+    or the type, text and line number of the GraphParseError it raises."""
+    try:
+        return dump_graph(load(text))
+    except GraphParseError as exc:
+        return type(exc), str(exc), exc.lineno
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph files of well-formed lines, the nodes a, b and c and some links
+    between them, mixed in any order with 1-3 more: node and link lines with
+    0-3 names, valid or not (b|c, e~f) and declared or not (d), so that
+    nodes repeat, links repeat in either order or loop, and a link's third
+    field is any capacity; comments, blank lines and unknown directives.  Half
+    the files add a link to d or e~f and a node line for it, well-formed or
+    not, in either order.  Any line may carry a trailing comment."""
+    name = st.sampled_from(["a", "b", "c", "d", "b|c", "e~f"])
+    cap = st.sampled_from(["0", "-1", "x", "unbounded", "3"])
+    lines = ["node a", "node b", "node c"]
+    for pair in draw(st.lists(st.sampled_from(["ab", "bc", "ac"]), unique=True)):
+        u, v = draw(st.permutations(pair))
+        lines.append(f"link {u} {v}{draw(st.sampled_from(['', ' 3', ' unbounded']))}")
+    lines += draw(st.lists(st.one_of(
+        st.lists(name, max_size=3).map(lambda f: " ".join(["node", *f])),
+        st.builds("link {} {}".format, name, name),
+        st.builds("link {} {} {}".format, name, name, cap),
+        st.lists(name, max_size=3).map(lambda f: " ".join(["link", *f])),
+        st.sampled_from(["", "   ", "# a comment", "foo a", "edge a b"])), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        x, tail = draw(st.sampled_from(["d", "e~f"])), draw(st.sampled_from(["", " a"]))
+        lines += [f"link {draw(st.sampled_from('abc'))} {x}", f"node {x}{tail}"]
+    lines = draw(st.permutations(lines))
+    comments = draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+    return "\n".join(f"{line}  # note" if c else line for line, c in zip(lines, comments))
+
+
+def test_one_pass_reader_matches_two_pass_reference():
+    """load_graph checks each line once, in line order; the two-pass reader
+    it replaced read every line, then checked the queued links.  On random
+    files both give the same graph, or the same error on the same line."""
+    seen = set()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(graph_texts())
+    def check(text):
+        got = _graph_outcome(load_graph, text)
+        assert got == _graph_outcome(reference_load_graph, text)
+        seen.add("graph" if isinstance(got, str) else got[1].split(": ", 1)[1][:13])
+
+    check()
+    assert seen >= {"graph", "expected: nod", "duplicate nod", "invalid node ",
+                    "expected: lin", "bad capacity ", "capacity must", "unknown node ",
+                    "self-loop lin", "duplicate lin", "unknown direc"}
 
 
 class TestTopologies:

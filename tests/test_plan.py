@@ -1314,11 +1314,13 @@ def _oracle_extract_pxts(plan):
     violations = _oracle_branch_violations(plan, pairs)
     if violations:
         raise PlanError(violations)
-    partner = {slot: next(iter(partners)) for slot, partners in pairs.items()}
+    # the walk leaves an edge only at its real endpoints, so no other slot is read
+    low = {e: next(iter(partners)) for (e, x), partners in pairs.items() if x == e[0]}
+    high = {e: next(iter(partners)) for (e, x), partners in pairs.items() if x == e[1]}
     seen, out = set(), []
     for start in sorted({e for en in plan.entries for e in en.protection.edges}, key=str):
         if start not in seen:
-            nodes, trail, closed = plan._walk_trail(start, partner)
+            nodes, trail, closed = plan._walk_trail(start, low, high)
             seen.update(trail)
             out.append(_canonical_pxt(nodes, trail, closed))
     return sorted(out, key=_pxt_sort_key)

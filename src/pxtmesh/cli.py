@@ -19,6 +19,7 @@ from .experiments import (
     PATTERNS,
     SCHEMES,
     ExperimentReport,
+    check_plan,
     route_with_scheme,
     run_instance,
     table1,
@@ -63,12 +64,6 @@ def _load_plan(g: Graph, plan_file: str) -> AllocationPlan:
         _fail(f"unparseable plan: {exc}", 1)
 
 
-def _limits(max_partial_paths: int | None, max_work: int | None) -> SearchLimits:
-    return SearchLimits(
-        DEFAULT_LIMITS.max_stored if max_partial_paths is None else max_partial_paths,
-        DEFAULT_LIMITS.max_work if max_work is None else max_work)
-
-
 graph_option = click.option("--graph", required=True,
                             help=f"topology name ({', '.join(TOPOLOGY_NAMES)}) or graph file")
 murakami_option = click.option("--murakami-file", default=None, type=click.Path(),
@@ -79,10 +74,10 @@ seed_option = click.option("--seed", type=int, default=None,
 mode_option = click.option("--mode", type=click.Choice(["node", "link"]), default=None,
                            help="disjointness mode (default: per-scheme)")
 max_paths_option = click.option(
-    "--max-partial-paths", type=click.IntRange(min=1), default=None,
+    "--max-partial-paths", type=click.IntRange(min=1), default=DEFAULT_LIMITS.max_stored,
     help="stored-partial-path limit for the constrained search")
 max_work_option = click.option(
-    "--max-work", type=click.IntRange(min=1), default=None,
+    "--max-work", type=click.IntRange(min=1), default=DEFAULT_LIMITS.max_work,
     help="probe-work limit for the constrained search and the working-route search")
 
 
@@ -158,7 +153,7 @@ def route(graph, murakami_file, pattern, seed, demands_file, scheme, mode, large
     log: list[str] | None = [] if verbose else None
     try:
         plan = route_with_scheme(g, scheme, demands, mode=mode,
-                                 limits=_limits(max_partial_paths, max_work), log=log)
+                                 limits=SearchLimits(max_partial_paths, max_work), log=log)
     finally:  # the log comes before the error line when routing fails
         if log:
             click.echo("\n".join(log), err=True)
@@ -177,18 +172,21 @@ def route(graph, murakami_file, pattern, seed, demands_file, scheme, mode, large
 @murakami_option
 @click.option("--plan", "plan_file", type=click.Path(exists=True), required=True)
 def validate(graph, murakami_file, plan_file):
-    """Check a plan file against the sharing rules."""
+    """Check a plan against the rules it enforces.  Rules a-c always; rule d,
+    and the restoration audit, where the plan enforces d."""
     plan = _load_plan(load_topology(graph, murakami_file)[1], plan_file)
-    violations = plan.validate()
-    if violations:
-        for v in violations:
+    try:
+        check_plan(plan)
+    except PlanError as exc:
+        for v in exc.violations:
             click.echo(str(v))
-        _fail(f"{len(violations)} violation(s)", 1)
+        _fail(f"{len(exc.violations)} violation(s)", 1)
     w, p, t = plan.bandwidth()
-    # plan.pxts is kept only under rule d; a clean plan decomposes all the same
+    # plan.pxts is kept only under rule d; extract_pxts() raises at a branch point
+    branches = len(plan.branch_points())
+    trails = "" if branches else f"{len(plan.extract_pxts())} trails, "
     click.echo(f"plan ok: {len(plan.entries)} demands, working {w}, "
-               f"protection {p}, total {t}, {len(plan.extract_pxts())} trails, "
-               f"branch points: none")
+               f"protection {p}, total {t}, {trails}branch points: {branches or 'none'}")
 
 
 @main.command()
@@ -201,10 +199,7 @@ def validate(graph, murakami_file, plan_file):
 def simulate(graph, murakami_file, plan_file, mode, csv_out):
     """Sweep single failures and audit restoration semantics."""
     plan = _load_plan(load_topology(graph, murakami_file)[1], plan_file)
-    violations = plan.validate()
-    if violations:
-        _fail(f"plan invalid ({len(violations)} violation(s)); audit needs a "
-              f"valid plan", 1)
+    check_plan(plan)
     report = audit(plan, mode=mode)
     click.echo(report.summary())
     if csv_out:
@@ -233,7 +228,7 @@ def run(graph, murakami_file, pattern, scheme, mode, seed, runs, large, out,
         measure_runtime, verbose, max_partial_paths, max_work):
     """Run one experiment instance over one or more seeds."""
     name, g = load_topology(graph, murakami_file)
-    limits = _limits(max_partial_paths, max_work)
+    limits = SearchLimits(max_partial_paths, max_work)
     large_nodes = tuple(large.split(",")) if large else None
     report = ExperimentReport([
         run_instance(name, g, pattern, scheme, s, mode=mode, limits=limits,
@@ -265,7 +260,7 @@ def table1_cmd(murakami_file, patterns, runs, seed, out, max_partial_paths, max_
     """Reproduce the full published bandwidth comparison."""
     report = table1(runs=runs, seed=seed, patterns=patterns or PATTERNS,
                     murakami_file=murakami_file,
-                    limits=_limits(max_partial_paths, max_work))
+                    limits=SearchLimits(max_partial_paths, max_work))
     text = report.render()
     click.echo(text, nl=False)
     if out:

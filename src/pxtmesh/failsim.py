@@ -100,7 +100,8 @@ def audit(plan: AllocationPlan, mode: str | None = None) -> AuditReport:
     Each entry's facts are derived once per call and not kept; a failure sums
     those of the entries it hits, in entry order.  The first of them that
     shares the failed element or misses a cross-connect, else an edge needed
-    twice, raises AuditError naming the witness demands.
+    twice, raises AuditError naming the witness demands.  A plan that keeps
+    no cross-connects fails at its first protection of two or more edges.
     """
     mode = mode or plan.mode
     partner = plan.crossconnect_partner

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import pxtmesh
 from pxtmesh import experiments
 from pxtmesh.cli import main
+from pxtmesh.plan import AllocationPlan
 from pxtmesh.traffic import MAX_DEMANDS
 
 
@@ -110,6 +111,29 @@ class TestRouteValidateSimulate:
         assert v.exit_code == 0, v.output
         assert v.output == ("plan ok: 3 demands, working 3, protection 6, total 9, "
                             "3 trails, branch points: none\n")
+
+    def test_shared_path_plan_is_judged_by_the_rules_it_enforces(self, runner, tmp_path):
+        """A shared-path plan enforces rules a-c only: validate accepts it and
+        counts its branch points; simulate refuses it at the first protection
+        that is not pre-cross-connected."""
+        plan_file = tmp_path / "plan.txt"
+        r = runner.invoke(main, ["route", "--graph", "k66", "--pattern", "uniform", "--seed", "7",
+                                 "--scheme", "shared-path", "--out", str(plan_file)])
+        assert r.exit_code == 0, r.output
+        plan = AllocationPlan.parse(pxtmesh.standard_topology("k66"), plan_file.read_text())
+        assert plan.enforce == frozenset("abc")
+        violations = plan.validate()
+        assert len(violations) == 88 and {v.condition for v in violations} == {"d"}
+        assert sorted(plan.branch_points()) == ["a0", "a1", "b0", "b1"]
+        v = runner.invoke(main, ["validate", "--graph", "k66", "--plan", str(plan_file)])
+        assert v.exit_code == 0, v.output
+        assert v.output == ("plan ok: 330 demands, working 480, protection 375, total 855, "
+                            "branch points: 4\n")
+        run = run_cli_process("simulate", "--graph", "k66", "--plan", str(plan_file))
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == ("error: link:a0-b0: protection of demand 1 is not "
+                              "pre-cross-connected at b1\n")
 
     def test_route_demands_file(self, runner, tmp_path):
         demands = tmp_path / "d.txt"

@@ -1,6 +1,11 @@
+import inspect
+import itertools
+
 import pytest
 from click.testing import CliRunner
 
+from conftest import walk
+from pxtmesh import experiments
 from pxtmesh.cli import main
 from pxtmesh.experiments import (
     CSV_HEADER,
@@ -10,6 +15,7 @@ from pxtmesh.experiments import (
     traffic_spec,
 )
 from pxtmesh.graph import dump_graph
+from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.topologies import standard_topology
 
 
@@ -124,3 +130,107 @@ def test_traffic_spec_unknown_large():
     g = standard_topology("icosahedron")
     with pytest.raises(ValueError, match="no default large-node set"):
         traffic_spec("unbalanced", "mystery", 0)
+
+
+# -- which rules check_plan judges a plan by -----------------------------------------
+
+def _entry(did, u, v, working, protection):
+    return PlanEntry(Demand(did, u, v), working, protection)
+
+
+# on the five-node fixture (links AB, CD, CA, AE, EB, ED, DB): entries that
+# break only the named rule, or (None) none, in node mode
+RULE_BREAKERS = {
+    None: [_entry(0, "A", "B", walk("A", ("A", "B", 0), "B"),
+                  walk("A", ("A", "E", 0), "E", ("E", "D", 0), "D", ("D", "B", 0), "B")),
+           _entry(1, "C", "D", walk("C", ("C", "D", 0), "D"),
+                  walk("C", ("C", "A", 0), "A", ("A", "E", 0), "E", ("E", "D", 0), "D"))],
+    # working and protection meet at E
+    "a": [_entry(0, "A", "B", walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B"),
+                 walk("A", ("A", "E", 1), "E", ("E", "D", 1), "D", ("D", "B", 1), "B"))],
+    # two workings on edge A~B#0
+    "b": [_entry(0, "A", "B", walk("A", ("A", "B", 0), "B"),
+                 walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")),
+          _entry(1, "A", "B", walk("A", ("A", "B", 0), "B"),
+                 walk("A", ("C", "A", 0), "C", ("C", "D", 0), "D", ("D", "B", 0), "B"))],
+    # workings on the same link share one protection
+    "c": [_entry(0, "A", "B", walk("A", ("A", "B", 0), "B"),
+                 walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")),
+          _entry(1, "A", "B", walk("A", ("A", "B", 1), "B"),
+                 walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B"))],
+    # A~E#0 would be cross-connected at E to both E~B#0 and E~D#0
+    "d": [_entry(0, "A", "B", walk("A", ("A", "B", 0), "B"),
+                 walk("A", ("A", "E", 0), "E", ("E", "B", 0), "B")),
+          _entry(1, "C", "D", walk("C", ("C", "D", 0), "D"),
+                 walk("C", ("C", "A", 0), "A", ("A", "E", 0), "E", ("E", "D", 0), "D"))],
+}
+ENFORCE_SETS = ["".join(c) for n in range(5) for c in itertools.combinations("abcd", n)]
+
+
+@pytest.fixture
+def audited(monkeypatch):
+    """The plans check_plan hands to audit(), which records them and passes."""
+    calls = []
+    monkeypatch.setattr(experiments, "audit", lambda plan, mode=None: calls.append(plan))
+    return calls
+
+
+def verdicts(g, rule, audited) -> dict[str, tuple[bool, bool]]:
+    """Per enforce set, whether check_plan refuses the plan that breaks only
+    `rule`, and whether it audits it.  The entries go in through add_entry
+    under the other rules, and then the plan declares the whole set."""
+    out = {}
+    for enforce in ENFORCE_SETS:
+        plan = AllocationPlan(g, mode="node", enforce=set(enforce) - {rule})
+        for entry in RULE_BREAKERS[rule]:
+            plan.add_entry(entry)
+        plan.enforce = frozenset(enforce)
+        assert {v.condition for v in plan.validate()} == ({rule} - {None})
+        audited.clear()
+        try:
+            experiments.check_plan(plan)
+            refused = False
+        except PlanError as exc:
+            assert {v.condition for v in exc.violations} == {rule}
+            refused = True
+        out[enforce] = refused, audited == [plan]
+    return out
+
+
+def expected_verdicts(rule) -> dict[str, tuple[bool, bool]]:
+    """Rules a-c always refuse; rule d refuses where it is enforced; a plan
+    that passes is audited exactly when it enforces d."""
+    out = {}
+    for enforce in ENFORCE_SETS:
+        refused = rule in ("a", "b", "c") or (rule == "d" and "d" in enforce)
+        out[enforce] = refused, not refused and "d" in enforce
+    return out
+
+
+@pytest.mark.parametrize("rule", ["a", "b", "c", "d", None])
+def test_check_plan_judges_a_plan_by_the_rules_it_enforces(five_node, audited, rule):
+    assert verdicts(five_node, rule, audited) == expected_verdicts(rule)
+
+
+# (text in check_plan's source, what the mutant has in its place)
+CHECK_PLAN_MUTANTS = {
+    "drops rule a": ('v.condition != "d"', 'v.condition not in ("a", "d")'),
+    "drops rule b": ('v.condition != "d"', 'v.condition not in ("b", "d")'),
+    "drops rule c": ('v.condition != "d"', 'v.condition not in ("c", "d")'),
+    "drops rule d where enforced": ('if "d" not in plan.enforce:', "if True:"),
+    "keeps rule d where not enforced": ('if "d" not in plan.enforce:', "if False:"),
+    "audits every plan": ('if "d" in plan.enforce:', "if True:"),
+    "audits no plan": ('if "d" in plan.enforce:', "if False:"),
+}
+
+
+@pytest.mark.parametrize("old,new", CHECK_PLAN_MUTANTS.values(), ids=CHECK_PLAN_MUTANTS)
+def test_rule_selection_test_catches_mutants(five_node, audited, monkeypatch, old, new):
+    real = experiments.check_plan
+    source = inspect.getsource(real)
+    assert source.count(old) == 1
+    monkeypatch.setattr(experiments, "check_plan", real)  # put back after the test
+    exec(source.replace(old, new), vars(experiments))
+    assert experiments.check_plan is not real
+    assert any(verdicts(five_node, rule, audited) != expected_verdicts(rule)
+               for rule in RULE_BREAKERS)

@@ -142,7 +142,8 @@ class TestGraphFile:
         assert "line 2" in str(exc.value)
 
     def test_link_before_its_nodes(self):
-        # links are checked once every line is read, so line order never matters
+        # a link is checked against the nodes that well-formed node lines
+        # declare anywhere in the file, so line order never matters
         ordered = load_graph("node a\nnode b\nnode c\nlink a b\nlink b c 2")
         for text in ("node a\nlink a b\nnode b\nlink b c 2\nnode c",
                      "link b c 2\nlink a b\nnode c\nnode b\nnode a"):
@@ -159,8 +160,8 @@ class TestGraphFile:
         ("link a c\nnode a\nnode b\nlink a a\nnode c", "line 4: self-loop link at a"),
     ])
     def test_earliest_line_error_is_raised(self, text, message):
-        # every line is read before any link is checked, yet of all the
-        # errors the one on the earliest line is the one reported
+        # the lines are checked in order, each against the lines before it and
+        # the nodes declared anywhere, so the earliest line's error is reported
         with pytest.raises(GraphParseError) as exc:
             load_graph(text)
         assert str(exc.value) == message

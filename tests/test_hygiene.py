@@ -3,7 +3,8 @@ used and sits at module level, no module guards an invariant with `assert`,
 which `python -O` strips, every function, method and class defined there is
 referenced by code somewhere else, and somewhere other than the tests, every
 field it declares is read somewhere, shortest routes are searched for in
-graph.py alone, and plan.py alone decides protection sharing."""
+graph.py alone, plan.py alone decides protection sharing, and
+experiments.check_plan alone picks the rules a plan is judged by."""
 
 import ast
 import builtins
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import pxtmesh
+from pxtmesh.experiments import SCHEMES
 
 SRC = Path(pxtmesh.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -498,6 +500,18 @@ def test_add_entry_screens_apart_from_validate():
     for function in ("add_entry", "_admits"):
         assert names_in(plan, function) & CHECK_STATE == set(), function
     assert "_admits" not in names_in(plan, "validate")
+
+
+def test_one_place_picks_the_rules_a_plan_is_judged_by():
+    # check_plan reads them from the plan; it and the CLI commands that judge
+    # a plan name no scheme, and the CLI never calls validate() itself
+    for path, function in ((SRC / "experiments.py", "check_plan"),
+                           (SRC / "cli.py", "validate"), (SRC / "cli.py", "simulate")):
+        names = names_in(path, function)
+        assert names and not names & set(SCHEMES), function
+    assert "check_plan" in names_in(SRC / "cli.py", "validate") & names_in(SRC / "cli.py", "simulate")
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert not [n for n in ast.walk(cli) if isinstance(n, ast.Attribute) and n.attr == "validate"]
 
 
 def test_names_in_sees_names_attributes_and_strings(tmp_path):

@@ -199,8 +199,8 @@ def validate(graph, murakami_file, plan_file):
 def simulate(graph, murakami_file, plan_file, mode, csv_out):
     """Sweep single failures and audit restoration semantics."""
     plan = _load_plan(load_topology(graph, murakami_file)[1], plan_file)
-    check_plan(plan)
-    report = audit(plan, mode=mode)
+    if (report := check_plan(plan)) is None or mode not in (None, plan.mode):
+        report = audit(plan, mode=mode)
     click.echo(report.summary())
     if csv_out:
         Path(csv_out).write_text(report.to_csv())

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .baselines import route_1plus1, route_shared_path
 from .cdijkstra import DEFAULT_LIMITS, SearchLimits
-from .failsim import audit
+from .failsim import AuditReport, audit
 from .graph import Graph
 from .plan import AllocationPlan, PlanError
 from .router import RouterState, route_demand
@@ -109,17 +109,16 @@ def route_with_scheme(g: Graph, scheme: str, demands, mode: str | None = None,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def check_plan(plan: AllocationPlan, scheme: str | None = None) -> None:
+def check_plan(plan: AllocationPlan, scheme: str | None = None) -> AuditReport | None:
     """Refuse a plan that breaks its structure or rules a-c, or rule d if it
-    enforces d, and audit one that does.  `scheme` decides nothing; it stays
-    while benchmarks/workloads.py passes one."""
-    violations = plan.validate()
-    if "d" not in plan.enforce:
-        violations = [v for v in violations if v.condition != "d"]
+    enforces d; validate() describes rule d only then.  Return the audit of
+    a plan that enforces d, in its own mode, else None.  `scheme` decides
+    nothing; it stays while benchmarks/workloads.py passes one."""
+    enforces_d = "d" in plan.enforce
+    violations = plan.validate(rule_d=enforces_d)
     if violations:
         raise PlanError(violations)
-    if "d" in plan.enforce:
-        audit(plan)
+    return audit(plan) if enforces_d else None
 
 
 def run_instance(graph_name: str, g: Graph, pattern: str, scheme: str, seed: int,

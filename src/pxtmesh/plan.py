@@ -31,9 +31,10 @@ suspected of breaking a rule and pair each slot with its first partner.
 Entries are immutable and a plan's mode and graph are fixed, so the cache
 is what a fresh pass would give while `entries` starts with the very
 objects it folded (`is`), and is derived afresh otherwise.  Only suspects
-are described, by passes over all the entries, so a call on a plan that
-breaks no rule costs an identity scan plus the entries appended since the
-last call.
+are described, by passes over all the entries, and those of rule d only
+when validate() is asked for them; the cache is folded the same either
+way.  So a call on a plan that breaks no rule costs an identity scan plus
+the entries appended since the last call.
 """
 
 from __future__ import annotations
@@ -661,10 +662,12 @@ class AllocationPlan:
         _tallied), which screens no entry and reads nothing add_entry keeps."""
         return {x for _, x in self._tallied().branched}
 
-    def validate(self) -> list[PlanViolation]:
+    def validate(self, *, rule_d: bool = True) -> list[PlanViolation]:
         """Full re-check of rules a-d from the entries alone, reading nothing
         add_entry maintains: each entry's own violations of structure, rule
         a and capacity, in entry order, then those of rules b, c and d.
+        With `rule_d` false rule d is not described, but the cache is folded
+        all the same.
 
         Only the entries appended since the cache was last brought up to
         date (see _tallied) are screened; each that fails the quick screen
@@ -711,7 +714,7 @@ class AllocationPlan:
                     flagged.add(pair)
                     out.append(PlanViolation(
                         "c", pair, f"shared protection edge {e} but conflicting workings"))
-        out.extend(self._branch_violations(tallies.branched))
+        out.extend(self._branch_violations(tallies.branched) if rule_d else ())
         return out
 
     def _branch_violations(self, branched: set) -> list[PlanViolation]:

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import pxtmesh
 from pxtmesh import experiments
 from pxtmesh.cli import main
+from pxtmesh.failsim import AuditError
 from pxtmesh.plan import AllocationPlan
 from pxtmesh.traffic import MAX_DEMANDS
 
@@ -96,6 +97,38 @@ class TestRouteValidateSimulate:
         assert s.exit_code == 0, s.output
         assert "30 failures audited" in s.output
         assert csv.read_text().startswith("failure,affected")
+
+    @pytest.mark.parametrize("scheme", ["pxt", "shared-path"])
+    @pytest.mark.parametrize("mode", [None, "link", "node"])
+    def test_simulate_audits_once_in_the_plans_mode(self, runner, tmp_path, monkeypatch,
+                                                    scheme, mode):
+        """simulate reuses the audit check_plan made of a plan that enforces
+        d when --mode is omitted or is the plan's own mode, and audits once
+        more otherwise; a plan that does not enforce d is audited once."""
+        plan_file = tmp_path / "plan.txt"
+        r = runner.invoke(main, ["route", "--graph", "icosahedron", "--pattern", "neighbor",
+                                 "--seed", "3", "--scheme", scheme, "--mode", "link",
+                                 "--out", str(plan_file)])
+        assert r.exit_code == 0, r.output
+        plan = AllocationPlan.parse(pxtmesh.standard_topology("icosahedron"),
+                                    plan_file.read_text())
+        real = pxtmesh.cli.audit
+        try:
+            expected = 0, real(plan, mode=mode).summary() + "\n"
+        except AuditError as exc:
+            expected = 1, f"error: {exc}\n"
+        modes = []
+
+        def counting(plan, mode=None):
+            modes.append(mode)
+            return real(plan, mode=mode)
+
+        monkeypatch.setattr(experiments, "audit", counting)
+        monkeypatch.setattr(pxtmesh.cli, "audit", counting)
+        s = runner.invoke(main, ["simulate", "--graph", "icosahedron", "--plan", str(plan_file)]
+                          + (["--mode", mode] if mode else []))
+        assert (s.exit_code, s.output) == expected
+        assert len(modes) == (2 if scheme == "pxt" and mode == "node" else 1)
 
     def test_validate_counts_trails_without_rule_d(self, runner, tmp_path):
         """A shared-path plan does not enforce rule d, so it keeps no trails;

@@ -213,14 +213,16 @@ def test_check_plan_judges_a_plan_by_the_rules_it_enforces(five_node, audited, r
 
 
 # (text in check_plan's source, what the mutant has in its place)
+VALIDATED = "plan.validate(rule_d=enforces_d)"
+AUDITED = "audit(plan) if enforces_d else None"
 CHECK_PLAN_MUTANTS = {
-    "drops rule a": ('v.condition != "d"', 'v.condition not in ("a", "d")'),
-    "drops rule b": ('v.condition != "d"', 'v.condition not in ("b", "d")'),
-    "drops rule c": ('v.condition != "d"', 'v.condition not in ("c", "d")'),
-    "drops rule d where enforced": ('if "d" not in plan.enforce:', "if True:"),
-    "keeps rule d where not enforced": ('if "d" not in plan.enforce:', "if False:"),
-    "audits every plan": ('if "d" in plan.enforce:', "if True:"),
-    "audits no plan": ('if "d" in plan.enforce:', "if False:"),
+    "drops rule a": (VALIDATED, f'[v for v in {VALIDATED} if v.condition != "a"]'),
+    "drops rule b": (VALIDATED, f'[v for v in {VALIDATED} if v.condition != "b"]'),
+    "drops rule c": (VALIDATED, f'[v for v in {VALIDATED} if v.condition != "c"]'),
+    "drops rule d where enforced": ("rule_d=enforces_d", "rule_d=False"),
+    "keeps rule d where not enforced": ("rule_d=enforces_d", "rule_d=True"),
+    "audits every plan": (AUDITED, "audit(plan)"),
+    "audits no plan": (AUDITED, "None"),
 }
 
 
@@ -234,3 +236,19 @@ def test_rule_selection_test_catches_mutants(five_node, audited, monkeypatch, ol
     assert experiments.check_plan is not real
     assert any(verdicts(five_node, rule, audited) != expected_verdicts(rule)
                for rule in RULE_BREAKERS)
+
+
+def test_check_plan_describes_no_rule_it_does_not_judge(five_node, monkeypatch):
+    """A plan that does not enforce d is checked without describing its
+    branch points: the five-node plan that breaks only rule d, declaring
+    abc, passes with the rule-d describer made to raise."""
+    plan = AllocationPlan(five_node, mode="node", enforce="abc")
+    for entry in RULE_BREAKERS["d"]:
+        plan.add_entry(entry)
+    assert plan.branch_points() == {"E"}
+
+    def describe(self, branched):
+        raise AssertionError("rule d described for a plan that does not enforce it")
+
+    monkeypatch.setattr(AllocationPlan, "_branch_violations", describe)
+    assert experiments.check_plan(plan) is None

@@ -855,6 +855,36 @@ def test_validate_matches_oracle_past_add_entry(random_plan, mode):
         assert problem in witnesses
 
 
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_validate_without_rule_d_leaves_out_only_rule_d(random_plan, mode):
+    """validate(rule_d=False) is validate() with the rule-d violations left
+    out, in the same order: asked before validate() as entries are
+    appended, so that it is the call that folds the cache, and asked of a
+    never-checked copy, whose full validate() then agrees too.  The plans
+    are grown under every RANDOM_ENFORCE set, with broken entries appended
+    behind add_entry's back, and show structure and every rule."""
+    conditions = set()
+    for enforce in RANDOM_ENFORCE:
+        for seed in range(8):
+            rng = random.Random(seed)
+            routed = random_plan(seed, mode, enforce)
+            plan = AllocationPlan(routed.graph, mode=mode, enforce=enforce)
+            for i, entry in enumerate(routed.entries):
+                plan.entries.append(entry)
+                if rng.random() < 0.3:
+                    plan.entries.append(_broken(rng, entry, rng.choice((entry.demand.id, 100 + i))))
+                rule_d = rng.random() < 0.5
+                got = plan.validate(rule_d=rule_d)
+                full = plan.validate()
+                assert got == [v for v in full if rule_d or v.condition != "d"]
+                conditions.update(v.condition for v in full)
+            fresh = AllocationPlan(plan.graph, mode=mode, enforce=enforce)
+            fresh.entries = list(plan.entries)
+            assert fresh.validate(rule_d=False) == [v for v in full if v.condition != "d"]
+            assert fresh.validate() == full
+    assert conditions == {"structure", "a", "b", "c", "d"}
+
+
 def test_validate_matches_oracle_on_routed_plans(k66):
     """Every prefix of a routed k66 uniform PXT plan, about ten users to a
     protection edge, and every tenth of the node-disjoint shared-path routes

@@ -155,7 +155,7 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node") -> Al
         p_edges = []
         for a, b in zip(p_nodes, p_nodes[1:]):
             on_link = protecting.setdefault(link_key(a, b), [])
-            chosen = next((e for e in on_link if plan.may_share((e,), mask)), None)
+            chosen = plan.first_shareable(on_link, mask)
             if chosen is None:
                 chosen = plan.fresh_edge(a, b)
                 on_link.append(chosen)

@@ -112,7 +112,7 @@ def audit(plan: AllocationPlan, mode: str | None = None) -> AuditReport:
         keys = entry.working.link_set()
         meet = keys.intersection(map(link_of, edges))
         if mode == "node":
-            nodes = entry.working.node_set()
+            nodes = set(entry.working.nodes)
             meet.update(nodes.intersection(hops).difference((d.u, d.v)))
             keys |= nodes
         defect = next((f"protection of demand {d.id} is not pre-cross-connected at {x}"

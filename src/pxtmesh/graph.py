@@ -203,9 +203,6 @@ class Walk:
     def ends(self) -> tuple[str, str]:
         return (self.nodes[0], self.nodes[-1])
 
-    def node_set(self) -> set[str]:
-        return set(self.nodes)
-
     def edge_set(self) -> set[EdgeId]:
         return set(self.edges)
 
@@ -224,12 +221,19 @@ class Walk:
 
     @classmethod
     def parse(cls, text: str) -> "Walk":
-        tokens = text.split()
+        """The walk `str` writes, one EdgeId per distinct edge token."""
+        return cls.from_tokens(text.split(), {})
+
+    @classmethod
+    def from_tokens(cls, tokens: list[str], edges: dict[str, EdgeId]) -> "Walk":
+        """The walk of alternating node and edge tokens, names interned.
+        `edges` maps each edge token read so far to its EdgeId: EdgeId.parse
+        reads each distinct token once, and a bad one, never kept, raises."""
         if not tokens:
             raise GraphError("empty walk")
-        nodes = tuple(map(intern, tokens[0::2]))
-        edges = [EdgeId.parse(t) for t in tokens[1::2]]
-        return cls(nodes, tuple(edges))
+        return cls(tuple(map(intern, tokens[0::2])),
+                   tuple([edges.get(t) or edges.setdefault(t, EdgeId.parse(t))
+                          for t in tokens[1::2]]))
 
 
 def classify(walk: Walk) -> str:
@@ -238,8 +242,6 @@ def classify(walk: Walk) -> str:
     A single node is a length-0 path; longer closed sequences are never paths.
     """
     if len(set(walk.nodes)) == len(walk.nodes):
-        return "path"
-    if walk.length == 0:
         return "path"
     edges_distinct = len(set(walk.edges)) == len(walk.edges)
     if walk.closed:

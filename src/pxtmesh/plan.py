@@ -13,34 +13,24 @@ Rule d is what makes the protection edges decompose into pre-cross-connected
 trails (PXTs): chains of protection edges statically joined at shared nodes,
 so intermediate nodes never switch in real time.
 
-Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts
-and may_share, which rule c, the router and the shared-path baseline ask.
+Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts,
+may_share and first_shareable, asked by rule c, the router and shared-path.
 add_entry ORs each working's footprint into its protection edges' blockers,
 fixed-width ints, and keeps no list of who uses an edge: a refused entry's
-rule-c witnesses are read off the entries.  add_entry decides with one
-screen (_admits) and writes in one pass; the helpers that describe
-violations run only for an entry the screen turns down.
+rule-c witnesses are read off the entries.
 
 validate(), branch_points() and extract_pxts() re-check a plan from its
 entries alone and read nothing add_entry keeps, so they stay independent
-oracles for it.  What they keep between calls is one cache, _Tallies,
-derived from the entries alone: validate()'s verdict on each entry that
-fails its screen of structure, rule a and capacity, and the tallies of the
-cross-entry rules b, c and d, which name the edges and cross-connect slots
-suspected of breaking a rule and pair each slot with its first partner.
-Entries are immutable and a plan's mode and graph are fixed, so the cache
-is what a fresh pass would give while `entries` starts with the very
-objects it folded (`is`), and is derived afresh otherwise.  Only suspects
-are described, by passes over all the entries, and those of rule d only
-when validate() is asked for them; the cache is folded the same either
-way.  So a call on a plan that breaks no rule costs an identity scan plus
-the entries appended since the last call.
+oracles for it.  Between calls they keep one cache, _Tallies, derived from
+the entries alone and trusted while `entries` starts with the very objects
+it folded (see _tallied): a call folds only the entries appended since the
+last one, and describes only the suspects the tallies name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import inf
 from operator import is_
 from sys import intern
@@ -164,9 +154,6 @@ class _Trail:
                 pos.setdefault(n, []).append(i)
             self.pos = (pos, _repeat_horizon(seq, self.closed) if len(pos) < len(seq) else None)
         return self.pos
-
-    def end_slots(self) -> tuple[tuple[EdgeId, str], tuple[EdgeId, str]]:
-        return ((self.edges[0], self.nodes[0]), (self.edges[-1], self.nodes[-1]))
 
     def reverse(self) -> None:
         self.nodes.reverse()
@@ -440,6 +427,11 @@ class AllocationPlan:
                 return False
         return True
 
+    def first_shareable(self, edges: list[EdgeId], mask: int) -> EdgeId | None:
+        """The first edge of `edges` that may_share admits alone for `mask`, or None."""
+        blockers, own = self._blockers, self._own
+        return next((e for e in edges if not (blockers.get(e) or own[e[:2]]) & mask), None)
+
     # -- construction ------------------------------------------------------
 
     def _structural_violations(self, entry: PlanEntry) -> list[PlanViolation]:
@@ -512,7 +504,7 @@ class AllocationPlan:
         the working's mask."""
         d, w, p = entry.demand, entry.working, entry.protection
         capacity, nodes = self._capacity, self.graph.nodes
-        for e in w.edges + p.edges:
+        for e in chain(w.edges, p.edges):
             if e[2] >= capacity.get(e[:2], 0):
                 return False
         wn, pn = w.nodes, p.nodes
@@ -544,17 +536,18 @@ class AllocationPlan:
         The screen, _admits, decides.  Only an entry it turns down goes to
         _structural_violations and _entry_violations, which describe the
         refusal; should they find nothing, the screen was merely cautious
-        and the entry is taken.  Every check still comes before the first
-        write.  A demand id already in the plan is refused; a rule-c
-        refusal reads its witnesses off the entries.
+        and the entry is taken.  Every check comes before the first write.
+        A demand id already in the plan is refused; a rule-c refusal reads
+        its witnesses off the entries.
 
-        The writes then run in one pass.  Capacity needs none of its own:
-        the checks bound each ordinal below its link's capacity and only
-        edges with a role hold one, so an edge without a role has room.  The
-        trail updates cannot fail: each protection edge has a trail (a
-        singleton for an edge not yet in the blockers, whatever its role),
-        and rule d leaves every slot to connect either already paired or a
-        trail end.
+        The writes then run in one pass and build only what the plan keeps:
+        each held edge's link is taken once, and gets an ordinal set only if
+        it has none.  Capacity needs no check of its own: the checks bound
+        each ordinal below its link's capacity and only edges with a role
+        hold one.  The trail updates cannot fail: each protection edge has a
+        trail (a singleton for an edge not yet in the blockers, whatever its
+        role), and rule d leaves every slot to connect either already paired
+        or a trail end.
         """
         did = entry.demand.id
         if did in self._demand_ids:
@@ -580,10 +573,12 @@ class AllocationPlan:
                 blockers[e] = own[e[:2]] | footprint
                 untrailed.append(e)
         for e in held:
-            used = self._used_ordinals.setdefault(e[:2], set())
+            link = e[:2]
+            if (used := self._used_ordinals.get(link)) is None:
+                used = self._used_ordinals[link] = set()
             used.add(e[2])
-            if len(used) >= self._capacity[e[:2]]:
-                self._free.difference_update(((e[0], e[1]), (e[1], e[0])))
+            if len(used) >= self._capacity[link]:
+                self._free.difference_update((link, link[::-1]))
         if "d" in self.enforce:
             for e in untrailed:
                 self._new_singleton_trail(e)
@@ -597,10 +592,10 @@ class AllocationPlan:
     # -- incremental PXT maintenance ----------------------------------------
 
     def _new_singleton_trail(self, e: EdgeId) -> None:
-        t = _Trail([e.u, e.v], [e])
+        t = _Trail([e[0], e[1]], [e])
         self._trails.add(t)
-        self._trail_ends[(e, e.u)] = t
-        self._trail_ends[(e, e.v)] = t
+        self._trail_ends[(e, e[0])] = t
+        self._trail_ends[(e, e[1])] = t
         self._ranked = None
 
     def _connect(self, e: EdgeId, f: EdgeId, x: str) -> None:
@@ -614,14 +609,14 @@ class AllocationPlan:
             a.closed = True
             return
         self._trails.remove(b)
-        if a.end_slots()[1] != (e, x):
+        if a.edges[-1] != e or a.nodes[-1] != x:
             a.reverse()
-        if b.end_slots()[0] != (f, x):
+        if b.edges[0] != f or b.nodes[0] != x:
             b.reverse()
         a.nodes.extend(b.nodes[1:])
         a.edges.extend(b.edges)
         # b's far end, the only end slot it had left, is now a's
-        self._trail_ends[a.end_slots()[1]] = a
+        self._trail_ends[(a.edges[-1], a.nodes[-1])] = a
 
     def _ranked_trails(self) -> list[_Trail]:
         """The trails in canonical PXT order, cached until a trail changes."""
@@ -805,7 +800,9 @@ class AllocationPlan:
         and so does an entry that add_entry refuses, with its violations;
         a bare `enforce` line is the empty rule set serialize writes.
         `pxt` and `xc` lines, which serialize writes only under rule d, are
-        refused in a plan without it."""
+        refused in a plan without it.  One table of edge tokens serves the
+        whole text: each distinct token is parsed once, the plan holds one
+        EdgeId per edge, and a bad token is reported at its first line."""
         lines = text.splitlines() or [""]
         if lines[0].strip() != PLAN_HEADER:
             raise PlanError(f"line 1: expected {PLAN_HEADER!r}, got {lines[0].strip()!r}")
@@ -813,6 +810,7 @@ class AllocationPlan:
         enforce: frozenset[str] = ALL_CONDITIONS
         plan: AllocationPlan | None = None
         pxt_lines, xc_lines = [], []
+        edges: dict[str, EdgeId] = {}  # edge token -> EdgeId, for the whole text
         first_trail_line: tuple[int, str] | None = None
         for lineno, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
@@ -835,7 +833,7 @@ class AllocationPlan:
             elif kind == "entry":
                 if plan is None:
                     plan = cls(graph, mode=mode, enforce=enforce)
-                entry = _parse_entry(lineno, line)
+                entry = _parse_entry(lineno, line, edges)
                 try:
                     plan.add_entry(entry)
                 except PlanError as exc:
@@ -860,14 +858,14 @@ class AllocationPlan:
         return plan
 
 
-def _parse_entry(lineno: int, line: str) -> PlanEntry:
+def _parse_entry(lineno: int, line: str, edges: dict[str, EdgeId]) -> PlanEntry:
     """One `entry <id> <u> <v> | working <walk> | protection <walk>` line."""
     try:
         [_, did, u, v], [w, *working], [p, *protection] = (f.split() for f in line.split("|"))
         if (w, p) != ("working", "protection"):
             raise ValueError
         return PlanEntry(Demand(int(did), intern(u), intern(v)),
-                         Walk.parse(" ".join(working)), Walk.parse(" ".join(protection)))
+                         Walk.from_tokens(working, edges), Walk.from_tokens(protection, edges))
     except GraphError as exc:
         raise PlanError(f"line {lineno}: {exc}") from exc
     except ValueError:

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from sys import intern
 
 import pytest
 
@@ -243,6 +244,34 @@ def reference_load_graph(text: str) -> Graph:
     if first is not None:
         raise first
     return Graph(nodes, links)
+
+
+# -- plan entry lines: the reader that parsed every edge token anew --
+
+def reference_parse_entry(lineno: int, line: str) -> PlanEntry:
+    """plan._parse_entry as it was: each walk joined again and read by the
+    old Walk.parse, which split, interned and checked every edge token, a
+    repeated one too.  The differential oracle for the reader that looks
+    each distinct token up once."""
+    def parse_walk(text: str) -> Walk:
+        tokens = text.split()
+        if not tokens:
+            raise GraphError("empty walk")
+        nodes = tuple(map(intern, tokens[0::2]))
+        edges = [EdgeId.parse(t) for t in tokens[1::2]]
+        return Walk(nodes, tuple(edges))
+
+    try:
+        [_, did, u, v], [w, *working], [p, *protection] = (f.split() for f in line.split("|"))
+        if (w, p) != ("working", "protection"):
+            raise ValueError
+        return PlanEntry(Demand(int(did), intern(u), intern(v)),
+                         parse_walk(" ".join(working)), parse_walk(" ".join(protection)))
+    except GraphError as exc:
+        raise PlanError(f"line {lineno}: {exc}") from exc
+    except ValueError:
+        raise PlanError(f"line {lineno}: expected "
+                        f"'entry <id> <u> <v> | working ... | protection ...'") from None
 
 
 # -- shortest routes: the depth-first enumerator that graph.ranked_routes replaced --

@@ -19,6 +19,7 @@ from conftest import (
     protection_users,
     random_connected_graph,
     reference_add_entry,
+    reference_parse_entry,
     repeat_horizon_oracle,
     sharing_oracle,
     used_on_link,
@@ -37,6 +38,7 @@ from pxtmesh.plan import (
     _Tallies,
     _Trail,
     _canonical_pxt,
+    _parse_entry,
     _pxt_sort_key,
     _repeat_horizon,
 )
@@ -1305,6 +1307,161 @@ def test_parsed_names_are_the_graphs_own(random_plan):
                  for x in w.nodes + tuple(x for e in w.edges for x in e[:2])]
         names += [x for en in parsed.entries for x in (en.demand.u, en.demand.v)]
         assert names and all(own[x] is x for x in names)
+
+
+# -- the entry reader against the one that parsed every token anew ---------------
+
+# a-b holds two edges and c-d one; z is no node and a-c no link
+READER_GRAPH = Graph("abcd", [("a", "b", 2), ("b", "c", UNBOUNDED), ("c", "d", 1),
+                              ("a", "d", UNBOUNDED)])
+READER_NODES = ["a", "b", "c", "d", "z"]
+READER_EDGES = ["a~b#0", "a~b#1", "b~c#0", "b~c#7", "c~d#0", "a~d#0", "a~d#3",
+                "a~b#2", "c~d#1", "a~c#0", "a~z#0",  # past capacity, no link, no node
+                "a~b", "a#1", "a~a#0", "a~b#-1", "a~b#x"]  # malformed
+# walks between a and b that alternate and join, over edges in and out of the graph
+READER_WALKS = ["a a~b#0 b", "b a~b#1 a", "a a~d#0 d c~d#0 c b~c#0 b",
+                "a a~d#3 d c~d#0 c b~c#7 b", "a a~b#2 b", "a a~c#0 c b~c#0 b",
+                "a a~z#0 z", "a a~d#0 d c~d#1 c b~c#0 b"]
+# what each reader may answer, the entry reader's own errors first
+ENTRY_MESSAGES = ("expected 'entry", "empty walk", "bad edge token", "walk must alternate",
+                  "does not join", "terminals must be distinct")
+PLAN_MESSAGES = ("unknown node", "no link", "exceeds capacity")
+
+
+@st.composite
+def entry_lines(draw):
+    """An entry line whose walks are each one of READER_WALKS; a random node
+    followed by 0-3 random (edge, node) hops, now and then with one more
+    edge; or a run of 0-5 random node and edge tokens.  The edges are good
+    or malformed, so that tokens repeat, counts are odd and edges do not
+    join; now and then a bad id, equal terminals or a broken frame."""
+    def walk_text():
+        kind = draw(st.sampled_from(["route", "hops", "tokens"]))
+        if kind == "route":
+            return draw(st.sampled_from(READER_WALKS))
+        edge, node = st.sampled_from(READER_EDGES), st.sampled_from(READER_NODES)
+        if kind == "hops":
+            hops = draw(st.lists(st.tuples(edge, node), max_size=3))
+            tail = draw(st.lists(edge, max_size=1))
+            return " ".join([draw(node), *(t for hop in hops for t in hop), *tail])
+        return " ".join(draw(st.lists(st.one_of(node, edge), max_size=5)))
+
+    did = draw(st.sampled_from(["0", "1", "2", "x"]))
+    u, v = draw(st.sampled_from(["a b", "b a", "a b", "a a", "a z"])).split()
+    line = f"entry {did} {u} {v} | working {walk_text()} | protection {walk_text()}"
+    frame = draw(st.sampled_from(["", "", "", "|", "working", "entry 0"]))
+    return line.replace(frame, "work", 1) if frame == "working" else \
+        line.replace(frame, "", 1) if frame else line
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "violations", None)
+
+
+def _message_kind(outcome, messages):
+    if not isinstance(outcome, tuple):
+        return "read"
+    return next((m for m in messages if m in outcome[1]), outcome[1])
+
+
+def test_entry_reader_matches_reference():
+    """_parse_entry, which looks each token up in one table, gives the
+    entry the reference reader gives, or the same error on the same line,
+    on runs of random lines that share the table."""
+    seen = set()
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(entry_lines(), min_size=1, max_size=4))
+    def check(lines):
+        edges = {}
+        for lineno, line in enumerate(lines, start=2):
+            got = _outcome(_parse_entry, lineno, line, edges)
+            assert got == _outcome(reference_parse_entry, lineno, line)
+            seen.add(_message_kind(got, ENTRY_MESSAGES))
+
+    check()
+    assert seen >= {"read", *ENTRY_MESSAGES}
+
+
+def test_plan_reader_matches_reference():
+    """parse gives the same plan with either entry reader, or the same
+    error on the same line, with add_entry's violations for a refused
+    entry, on random plan texts."""
+    seen = set()
+
+    def read(text):
+        return AllocationPlan.parse(READER_GRAPH, text).serialize()
+
+    # entries whose walks all alternate and join, so that add_entry judges them
+    routed_lines = st.builds("entry {} a b | working {} | protection {}".format,
+                             st.integers(0, 3), st.sampled_from(READER_WALKS),
+                             st.sampled_from(READER_WALKS))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.sampled_from(["", "mode link\n", "mode node\n"]),
+           st.sampled_from(["", "enforce abcd\n", "enforce\n", "enforce ab\n"]),
+           st.lists(st.one_of(entry_lines(), routed_lines), min_size=1, max_size=4))
+    def check(mode, enforce, lines):
+        text = "pxtmesh-plan 1\n" + mode + enforce + "\n".join(lines) + "\n"
+        got = _outcome(read, text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("pxtmesh.plan._parse_entry",
+                       lambda lineno, line, edges: reference_parse_entry(lineno, line))
+            assert got == _outcome(read, text)
+        seen.add(_message_kind(got, ENTRY_MESSAGES + PLAN_MESSAGES))
+
+    check()
+    assert seen >= {"read", *ENTRY_MESSAGES, *PLAN_MESSAGES}
+
+
+@pytest.fixture(scope="module")
+def seed0_pxt_texts():
+    """(graph, serialized plan) for the seed-0 PXT plans of the five
+    fixtures, one per traffic pattern."""
+    texts = []
+    for name in ("cycle12plus3", "grid3x4", "tietze", "icosahedron", "k66"):
+        g = standard_topology(name)
+        for pattern in PATTERNS:
+            demands = generate(g, traffic_spec(pattern, name, 0))
+            texts.append((g, route_with_scheme(g, "pxt", demands).serialize()))
+    return texts
+
+
+def _edge_tokens(text):
+    """The edge tokens of a plan text's entry lines, repeats included."""
+    return [t for line in text.splitlines() if line.startswith("entry ")
+            for part in line.split("|")[1:] for t in part.split()[2::2]]
+
+
+def test_parse_holds_one_edge_object_per_edge(seed0_pxt_texts):
+    """A parsed plan shares one EdgeId object among all uses of an edge, as
+    a routed plan does."""
+    for g, text in seed0_pxt_texts:
+        plan = AllocationPlan.parse(g, text)
+        edges = [e for en in plan.entries for w in (en.working, en.protection) for e in w.edges]
+        assert len(edges) > len(set(edges))  # some edge is used twice
+        assert len({id(e) for e in edges}) == len(set(edges))
+
+
+def test_parse_reads_each_edge_token_once(seed0_pxt_texts, monkeypatch):
+    """Counting, not timing: parse calls EdgeId.parse once per distinct
+    edge token of the text."""
+    calls = collections.Counter()
+
+    def counting(token, real=EdgeId.parse):
+        calls[token] += 1
+        return real(token)
+
+    monkeypatch.setattr(EdgeId, "parse", staticmethod(counting))
+    for g, text in seed0_pxt_texts:
+        calls.clear()
+        AllocationPlan.parse(g, text)
+        tokens = _edge_tokens(text)
+        assert len(tokens) > len(set(tokens))
+        assert calls == collections.Counter(set(tokens))
 
 
 # -- the cross-connect pairing against its set-per-slot oracle -------------------

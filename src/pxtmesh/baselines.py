@@ -154,11 +154,11 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node") -> Al
         p_nodes = _orient(pair.protection, d.u)
         p_edges = []
         for a, b in zip(p_nodes, p_nodes[1:]):
-            on_link = protecting.setdefault(link_key(a, b), [])
-            chosen = plan.first_shareable(on_link, mask)
+            link = link_key(a, b)
+            chosen = plan.first_shareable(protecting.get(link, ()), mask)
             if chosen is None:
                 chosen = plan.fresh_edge(a, b)
-                on_link.append(chosen)
+                protecting.setdefault(link, []).append(chosen)
             p_edges.append(chosen)
         plan.add_entry(PlanEntry(d, working, Walk(p_nodes, tuple(p_edges))))
     return plan

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import inf
 from operator import itemgetter
 from sys import intern
 from typing import Callable, Iterable, Iterator
@@ -105,7 +106,8 @@ class Graph:
             if not _is_node_id(name):
                 raise GraphError(f"invalid node id {name!r}")
         self._nodes = frozenset(map(intern, names))
-        self._caps: dict[tuple[str, str], int | None] = {}
+        # link -> its capacity, inf when unbounded: the bound every edge check reads
+        self.bounds: dict[tuple[str, str], int | float] = {}
         adj: dict[str, set[str]] = {n: set() for n in self._nodes}
         for u, v, cap in links:
             if u not in self._nodes or v not in self._nodes:
@@ -114,11 +116,11 @@ class Graph:
             if u == v:
                 raise GraphError(f"self-loop link at {u}")
             key = link_key(u, v)
-            if key in self._caps:
+            if key in self.bounds:
                 raise GraphError(f"duplicate link {key[0]}-{key[1]}")
             if cap is not UNBOUNDED and cap <= 0:
                 raise GraphError(f"link {u}-{v} capacity must be positive")
-            self._caps[key] = cap
+            self.bounds[key] = inf if cap is UNBOUNDED else cap
             adj[u].add(v)
             adj[v].add(u)
         self._adj = {n: tuple(sorted(neigh)) for n, neigh in adj.items()}
@@ -131,16 +133,16 @@ class Graph:
         return sorted(self._nodes)
 
     def links(self) -> list[tuple[str, str]]:
-        return sorted(self._caps)
+        return sorted(self.bounds)
 
     def num_links(self) -> int:
-        return len(self._caps)
+        return len(self.bounds)
 
     def capacity(self, u: str, v: str) -> int | None:
         key = link_key(u, v)
-        if key not in self._caps:
+        if key not in self.bounds:
             raise GraphError(f"no link {key[0]}-{key[1]}")
-        return self._caps[key]
+        return UNBOUNDED if self.bounds[key] == inf else self.bounds[key]
 
     def neighbors(self, node: str) -> tuple[str, ...]:
         if node not in self._adj:
@@ -149,11 +151,11 @@ class Graph:
 
     def invalid_edges(self, edges: set[EdgeId]) -> set[EdgeId]:
         """The edges of `edges` on no link, or past their link's capacity."""
-        caps = self._caps
-        bounded = {l for l in set(map(link_of, edges)) if caps.get(l, 0) is not UNBOUNDED}
-        if not bounded:  # every link known and unbounded: no edge to look at
+        bounds = self.bounds  # a link the graph lacks has bound 0
+        tight = {l for l in set(map(link_of, edges)) if bounds.get(l, 0) < inf}
+        if not tight:  # every link known and unbounded: no edge to look at
             return set()
-        return {e for e in edges if e[:2] in bounded and e[2] >= caps.get(e[:2], 0)}
+        return {e for e in edges if e[:2] in tight and e[2] >= bounds.get(e[:2], 0)}
 
     def edge(self, u: str, v: str, index: int = 0) -> EdgeId:
         """Materialize an EdgeId, validating the link and capacity bound."""
@@ -161,8 +163,8 @@ class Graph:
         return EdgeId(u, v, index)
 
     def _check_ordinal(self, u: str, v: str, index: int) -> None:
-        cap = self.capacity(u, v)
-        if cap is not UNBOUNDED and index >= cap:
+        if index >= self.bounds.get(link_key(u, v), 0):
+            cap = self.capacity(u, v)  # raises GraphError for an unknown link
             raise GraphError(f"edge ordinal {index} exceeds capacity {cap} on {u}-{v}")
 
 
@@ -283,12 +285,12 @@ def _avoiding(nodes: tuple[str, ...], mode: str) -> Callable[[str, str], bool]:
 
 def validate_walk(graph: Graph, walk: Walk) -> None:
     """Check every node exists and every edge is within its link's capacity."""
-    nodes, caps = graph.nodes, graph._caps
+    nodes, bounds = graph.nodes, graph.bounds
     for n in walk.nodes:
         if n not in nodes:
             raise GraphError(f"unknown node {n}")
     for e in walk.edges:
-        if (cap := caps.get(e[:2], 0)) is not UNBOUNDED and e[2] >= cap:
+        if e[2] >= bounds.get(e[:2], 0):
             graph._check_ordinal(*e)  # raises, naming the unknown link or the bound
 
 

@@ -17,7 +17,8 @@ Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts,
 may_share and first_shareable, asked by rule c, the router and shared-path.
 add_entry ORs each working's footprint into its protection edges' blockers,
 fixed-width ints, and keeps no list of who uses an edge: a refused entry's
-rule-c witnesses are read off the entries.
+rule-c witnesses are read off the entries.  role() reads a held edge off
+`_working` or the keys of `_blockers`; `_load` counts each link's held edges.
 
 validate(), branch_points() and extract_pxts() re-check a plan from its
 entries alone and read nothing add_entry keeps, so they stay independent
@@ -31,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import inf
 from operator import is_
 from sys import intern
+from typing import Iterable
 
 from .graph import (
     EdgeId,
@@ -319,8 +320,8 @@ class AllocationPlan:
             raise ValueError(f"unknown conditions {set(self.enforce) - set(ALL_CONDITIONS)}")
         self.entries: list[PlanEntry] = []
         self._demand_ids: set[int] = set()  # of the entries add_entry took
-        self._roles: dict[EdgeId, str] = {}
-        self._used_ordinals: dict[tuple[str, str], set[int]] = {}
+        self._working: set[EdgeId] = set()  # every working edge
+        self._load: dict[tuple[str, str], int] = {}  # link -> how many of its edges are held
         self._unused_from: dict[tuple[str, str], int] = {}  # fresh_edge's low-water marks
         # (u, v) and (v, u) for every link with spare capacity
         self._free = {pair for u, v in graph.links() for pair in ((u, v), (v, u))}
@@ -329,11 +330,10 @@ class AllocationPlan:
         self._node_bit = {n: 1 << i for i, n in enumerate(graph.sorted_nodes(), graph.num_links())}
         self._region_c = len(graph.nodes)  # a node's bit in C is its bit in A shifted this far
         # per link, from the graph alone: its own blocker bits (its link bit and,
-        # in node mode, its end nodes in A) and its capacity, inf when unbounded
+        # in node mode, its end nodes in A)
         nb = self._node_bit
         self._own = {(u, v): b | nb[u] | nb[v] if mode == "node" else b
                      for (u, v), b in self._link_bit.items()}
-        self._capacity = {link: graph.capacity(*link) or inf for link in self._link_bit}
         self._blockers: dict[EdgeId, int] = {}  # each protection edge -> bits it may not meet
         # cross-connect pairing and incremental trail state (only when rule d
         # is enforced; without it the pairing is not well defined)
@@ -359,14 +359,14 @@ class AllocationPlan:
         ordinal the last call found.  Used ordinals only ever grow, so every
         ordinal below the mark is still used: the answer is the same as a
         scan from 0, also after parse leaves gaps or when a returned edge is
-        never committed.
+        never committed.  (a, b, k) is used when role() finds it held.
         """
         if not self.has_free_edge(u, v):
             raise PlanError(f"link {u}-{v} capacity exhausted")
-        link = link_key(u, v)
-        used = self._used_ordinals.get(link, ())
+        link = a, b = link_key(u, v)
+        working, blockers = self._working, self._blockers
         k = self._unused_from.get(link, 0)
-        while k in used:
+        while (a, b, k) in working or (a, b, k) in blockers:
             k += 1
         self._unused_from[link] = k
         return self.graph.edge(u, v, k)
@@ -376,7 +376,10 @@ class AllocationPlan:
         return Walk(nodes, tuple(self.fresh_edge(a, b) for a, b in zip(nodes, nodes[1:])))
 
     def role(self, edge: EdgeId) -> str | None:
-        return self._roles.get(edge)
+        """'working' if in `_working`, else 'protection' if a key of `_blockers`, else None."""
+        if edge in self._working:
+            return "working"
+        return "protection" if edge in self._blockers else None
 
     def crossconnect_partner(self, edge: EdgeId, node: str) -> EdgeId | None:
         return self._partner.get((edge, node))
@@ -427,7 +430,7 @@ class AllocationPlan:
                 return False
         return True
 
-    def first_shareable(self, edges: list[EdgeId], mask: int) -> EdgeId | None:
+    def first_shareable(self, edges: Iterable[EdgeId], mask: int) -> EdgeId | None:
         """The first edge of `edges` that may_share admits alone for `mask`, or None."""
         blockers, own = self._blockers, self._own
         return next((e for e in edges if not (blockers.get(e) or own[e[:2]]) & mask), None)
@@ -462,11 +465,11 @@ class AllocationPlan:
         out = self._disjointness(entry) if "a" in self.enforce else []
         if "b" in self.enforce:
             for e in entry.working.edges:
-                role = self._roles.get(e)
+                role = self.role(e)
                 if role is not None:
                     out.append(PlanViolation("b", (d.id,), f"working edge {e} already {role}"))
             for e in entry.protection.edges:
-                if self._roles.get(e) == "working":
+                if e in self._working:
                     out.append(PlanViolation("b", (d.id,), f"protection reuses working edge {e}"))
         if "c" in self.enforce:
             mask = self.conflicts(entry.working)
@@ -503,18 +506,18 @@ class AllocationPlan:
         terminals meet exactly where some protection edge's own bits meet
         the working's mask."""
         d, w, p = entry.demand, entry.working, entry.protection
-        capacity, nodes = self._capacity, self.graph.nodes
+        bounds, nodes = self.graph.bounds, self.graph.nodes
         for e in chain(w.edges, p.edges):
-            if e[2] >= capacity.get(e[:2], 0):
+            if e[2] >= bounds.get(e[:2], 0):
                 return False
         wn, pn = w.nodes, p.nodes
         ws, ps = set(wn), set(pn)
         if not (len(ws) == len(wn) and len(ps) == len(pn) and ws <= nodes and ps <= nodes
                 and {wn[0], wn[-1]} == {pn[0], pn[-1]} == {d.u, d.v}):
             return False
-        enforce, roles = self.enforce, self._roles
-        if "b" in enforce and not (roles.keys().isdisjoint(w.edges)
-                                   and "working" not in map(roles.get, p.edges)):
+        enforce, working = self.enforce, self._working
+        if "b" in enforce and not (working.isdisjoint(w.edges) and working.isdisjoint(p.edges)
+                                   and self._blockers.keys().isdisjoint(w.edges)):
             return False
         if "c" in enforce:  # blockers hold their edge's own bits: this decides a too
             if not self.may_share(p.edges, self.conflicts(w)):
@@ -541,13 +544,13 @@ class AllocationPlan:
         its witnesses off the entries.
 
         The writes then run in one pass and build only what the plan keeps:
-        each held edge's link is taken once, and gets an ordinal set only if
-        it has none.  Capacity needs no check of its own: the checks bound
-        each ordinal below its link's capacity and only edges with a role
-        hold one.  The trail updates cannot fail: each protection edge has a
-        trail (a singleton for an edge not yet in the blockers, whatever its
-        role), and rule d leaves every slot to connect either already paired
-        or a trail end.
+        a working edge joins `_working`, a protection edge is a key of
+        `_blockers`, and `_load` counts each edge once, the first time either
+        holds it.  Capacity needs no check of its own: the checks bound each
+        ordinal below its link's capacity.  The trail updates cannot fail:
+        each protection edge has a trail (a singleton for an edge not yet in
+        the blockers, whatever its role), and rule d leaves every slot to
+        connect either already paired or a trail end.
         """
         did = entry.demand.id
         if did in self._demand_ids:
@@ -558,26 +561,24 @@ class AllocationPlan:
             if violations:
                 raise PlanError(violations)
         w, p = entry.working, entry.protection
-        roles, blockers, own = self._roles, self._blockers, self._own
-        held = [e for e in w.edges if e not in roles]  # edges that take up an ordinal
-        roles.update(dict.fromkeys(w.edges, "working"))
+        working, blockers, own = self._working, self._blockers, self._own
+        held = [e for e in w.edges if e not in working and e not in blockers]  # newly held
+        working.update(w.edges)
         footprint = self._footprint(w.nodes, w.edges, True)
         untrailed = []
         for e in p.edges:
-            if e not in roles:
-                roles[e] = "protection"
-                held.append(e)
             if e in blockers:
                 blockers[e] |= footprint
             else:
+                if e not in working:
+                    held.append(e)
                 blockers[e] = own[e[:2]] | footprint
                 untrailed.append(e)
+        load, bounds = self._load, self.graph.bounds
         for e in held:
             link = e[:2]
-            if (used := self._used_ordinals.get(link)) is None:
-                used = self._used_ordinals[link] = set()
-            used.add(e[2])
-            if len(used) >= self._capacity[link]:
+            load[link] = n = load.get(link, 0) + 1
+            if n >= bounds[link]:
                 self._free.difference_update((link, link[::-1]))
         if "d" in self.enforce:
             for e in untrailed:
@@ -633,8 +634,8 @@ class AllocationPlan:
     # -- derived views -------------------------------------------------------
 
     def bandwidth(self) -> tuple[int, int, int]:
-        working = sum(1 for r in self._roles.values() if r == "working")
-        protection = sum(1 for r in self._roles.values() if r == "protection")
+        working = len(self._working)
+        protection = len(self._blockers.keys() - self._working)
         return working, protection, working + protection
 
     def _tallied(self) -> _Tallies:
@@ -681,18 +682,18 @@ class AllocationPlan:
         new = range(tallies.sharing, len(entries))
         tallies.fold_sharing(node_mode)
         bad = self.graph.invalid_edges(
-            {e for i in new for e in entries[i].working.edges + entries[i].protection.edges}
+            {e for i in new for e in chain(entries[i].working.edges, entries[i].protection.edges)}
             if new.start else tallies.working.union(tallies.filed))
         for i in new:  # the full check for those the screen or the capacity check fails
             en = entries[i]
             if _screen(en, node_mode) or bad and not bad.isdisjoint(
-                    en.working.edges + en.protection.edges):
+                    chain(en.working.edges, en.protection.edges)):
                 tallies.verdicts[i] = (*self._structural_violations(en), *self._disjointness(en))
         out = [v for found in tallies.verdicts.values() for v in found]
         suspects = tallies.shared
         sharers: dict[EdgeId, set[int]] = {e: set() for e in suspects}
         for entry in entries if suspects else ():
-            for e in suspects.intersection(entry.working.edges + entry.protection.edges):
+            for e in suspects.intersection(chain(entry.working.edges, entry.protection.edges)):
                 sharers[e].add(entry.demand.id)
         shared = sorted((str(e), tuple(sorted(ids))) for e, ids in sharers.items() if len(ids) > 1)
         out.extend(PlanViolation("b", ids, f"working edge {name} shared") for name, ids in shared)

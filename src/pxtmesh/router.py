@@ -104,7 +104,7 @@ class FreshArcs:
 
 
 class RouterState:
-    """Owns the growing plan; route() calls must stay sequential."""
+    """Owns the growing plan; route_demand calls on it must stay sequential."""
 
     def __init__(self, graph: Graph, mode: str = "node",
                  limits: SearchLimits = DEFAULT_LIMITS,
@@ -116,9 +116,6 @@ class RouterState:
         self.node_bits = RivalGraph.node_bits(graph.sorted_nodes())
         self.link_index = {link: i for i, link in enumerate(graph.links())}
         self._fresh: FreshArcs | None = None
-
-    def route(self, demand: Demand) -> PlanEntry:
-        return route_demand(self, demand)
 
     def fresh_arcs(self) -> FreshArcs:
         """The snapshot of every link with spare capacity, rebuilt, its DAGs
@@ -215,11 +212,11 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
     nodes = state.graph.nodes
     if u not in nodes or v not in nodes:
         raise GraphError(f"unknown terminal {u if u not in nodes else v}")
-    usage = state.plan._used_ordinals.get  # link key -> the ordinals in use on it
+    load = state.plan._load.get  # link key -> how many of its edges are held
     work = _Work(state.limits.max_work, demand)
     first = None
     for route in ranked_routes(state.working_dag(v), u, v,
-                               lambda x, w: len(usage(link_key(x, w), ())), work.add):
+                               lambda x, w: load(link_key(x, w), 0), work.add):
         if _protection_feasible(state, route, work):
             return state.plan.fresh_walk(route)
         first = first or route

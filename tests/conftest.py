@@ -28,7 +28,13 @@ def arc_set(ids) -> ArcSet:
 
 def used_on_link(plan: AllocationPlan, u: str, v: str) -> int:
     """How many ordinals of link u-v the plan uses."""
-    return len(plan._used_ordinals.get(link_key(u, v), ()))
+    return plan._load.get(link_key(u, v), 0)
+
+
+def held_ordinals(plan: AllocationPlan, u: str, v: str) -> set[int]:
+    """The ordinals of link u-v whose edges the plan holds, working or protection."""
+    link = link_key(u, v)
+    return {e.index for e in (*plan._working, *plan._blockers) if e.link == link}
 
 
 def protection_users(plan: AllocationPlan, edge: EdgeId) -> tuple[int, ...]:
@@ -94,11 +100,11 @@ def _reference_entry_violations(plan: AllocationPlan, entry: PlanEntry) -> list[
     out = plan._disjointness(entry) if "a" in plan.enforce else []
     if "b" in plan.enforce:
         for e in entry.working.edges:
-            role = plan._roles.get(e)
+            role = plan.role(e)
             if role is not None:
                 out.append(PlanViolation("b", (d.id,), f"working edge {e} already {role}"))
         for e in entry.protection.edges:
-            if plan._roles.get(e) == "working":
+            if plan.role(e) == "working":
                 out.append(PlanViolation("b", (d.id,), f"protection reuses working edge {e}"))
     if "c" in plan.enforce:
         mask = plan._footprint(entry.working.nodes, entry.working.edges, False)
@@ -129,12 +135,16 @@ def _reference_entry_violations(plan: AllocationPlan, entry: PlanEntry) -> list[
 
 def set_role(plan: AllocationPlan, e: EdgeId, role: str) -> None:
     """Give `e` a role and hold its ordinal, as add_entry once did per
-    edge; a test can so fill a link without an entry."""
-    plan._roles[e] = role
-    used = plan._used_ordinals.setdefault(e.link, set())
-    used.add(e.index)
+    edge; a test can so fill a link without an entry.  A protection role
+    is a blockers entry, holding 0 until a working's footprint is ORed in."""
+    if plan.role(e) is None:
+        plan._load[e.link] = plan._load.get(e.link, 0) + 1
+    if role == "working":
+        plan._working.add(e)
+    else:
+        plan._blockers.setdefault(e, 0)
     cap = plan.graph.capacity(e.u, e.v)
-    if cap is not None and len(used) >= cap:
+    if cap is not None and plan._load[e.link] >= cap:
         plan._free.difference_update(((e.u, e.v), (e.v, e.u)))
 
 
@@ -156,7 +166,7 @@ def reference_add_entry(plan: AllocationPlan, entry: PlanEntry) -> None:
     footprint = plan._footprint(entry.working.nodes, entry.working.edges, True)
     blockers = plan._blockers
     for e in entry.protection.edges:
-        if e not in plan._roles:
+        if plan.role(e) is None:
             set_role(plan, e, "protection")
         blockers[e] = (blockers.get(e) or _reference_own_bits(plan, e)) | footprint
     if "d" in plan.enforce:

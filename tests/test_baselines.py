@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conflicts_oracle, may_share_oracle
+from conftest import conflicts_oracle, held_ordinals, may_share_oracle
 from test_graph import grid
 from pxtmesh.baselines import (
     DisjointPair,
@@ -225,8 +225,8 @@ def shared_path_by_full_scan(g, demands, mode):
     def fresh(a, b):
         if not plan.has_free_edge(a, b):
             raise PlanError(f"link {a}-{b} capacity exhausted")
-        k = 0
-        while k in plan._used_ordinals.get(link_key(a, b), ()):
+        used, k = held_ordinals(plan, a, b), 0
+        while k in used:
             k += 1
         return g.edge(a, b, k)
 
@@ -242,7 +242,7 @@ def shared_path_by_full_scan(g, demands, mode):
         p_edges = []
         for a, b in zip(p_nodes, p_nodes[1:]):
             chosen = None
-            for k in sorted(plan._used_ordinals.get(link_key(a, b), ())):
+            for k in sorted(held_ordinals(plan, a, b)):
                 e = g.edge(a, b, k)
                 if plan.role(e) == "protection" and may_share_oracle(plan, e, conflicts):
                     chosen = e

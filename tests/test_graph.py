@@ -110,7 +110,7 @@ def test_node_names_are_interned():
     own = {n: n for n in g.nodes}
     assert fresh("n1") is not fresh("n1")
     assert all(own[x] is x for x in g._adj) and all(own[x] is x for xs in g._adj.values() for x in xs)
-    assert all(own[x] is x for link in g._caps for x in link)
+    assert all(own[x] is x for link in g.bounds for x in link)
     w = Walk.parse(fresh("n1 n1~n2#0 n2 n2~n3#1 n3"))
     assert all(own[x] is x for x in w.nodes + tuple(x for e in w.edges for x in e[:2]))
     assert all(own[x] is x for x in EdgeId.parse(fresh("n3~n2#1"))[:2])

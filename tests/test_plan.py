@@ -16,6 +16,7 @@ import pxtmesh
 from conftest import (
     RANDOM_ENFORCE,
     conflicts_oracle,
+    held_ordinals,
     protection_users,
     random_connected_graph,
     reference_add_entry,
@@ -27,7 +28,7 @@ from conftest import (
 )
 from pxtmesh.baselines import route_1plus1, route_shared_path
 from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
-from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint, link_key
+from pxtmesh.graph import UNBOUNDED, EdgeId, Graph, GraphError, Walk, disjoint
 from pxtmesh.plan import (
     AllocationPlan,
     Demand,
@@ -554,6 +555,36 @@ class TestBandwidth:
         assert (w, p, t) == (2, 5, 7)
 
 
+@pytest.mark.parametrize("mode", ["node", "link"])
+def test_edge_records_match_the_entries(random_plan, mode):
+    """Each held edge is recorded once, and the records say what the entries
+    alone say: role(e) is "working" if any working holds e, else
+    "protection" if any protection does, else None; `_load` maps each link
+    to the number of distinct edges held on it; bandwidth() counts the
+    same.  Under every RANDOM_ENFORCE set, for the plan add_entry grew and
+    for its parse(serialize()), whose ordinals leave gaps."""
+    gaps = held_both_ways = 0
+    for enforce in RANDOM_ENFORCE:
+        for seed in range(8):
+            grown = random_plan(seed, mode, enforce)
+            for plan in (grown, AllocationPlan.parse(grown.graph, grown.serialize())):
+                working = {e for en in plan.entries for e in en.working.edges}
+                protected = {e for en in plan.entries for e in en.protection.edges}
+                held = working | protected
+                for u, v in plan.graph.links():
+                    for k in range(4):  # random plans draw ordinals below 3
+                        e = EdgeId(u, v, k)
+                        expect = ("working" if e in working
+                                  else "protection" if e in protected else None)
+                        assert plan.role(e) == expect, (enforce, seed, e)
+                assert plan._load == collections.Counter(e.link for e in held)
+                assert plan.bandwidth() == (len(working), len(held - working), len(held))
+                gaps += any(max(ks) >= len(ks) for ks in
+                            ({e.index for e in held if e.link == link} for link in plan._load))
+                held_both_ways += bool(working & protected)
+    assert gaps and held_both_ways
+
+
 class TestSerialization:
     def test_round_trip(self, five_node):
         plan = AllocationPlan(five_node)
@@ -664,7 +695,7 @@ class TestFreshEdges:
                 for u, v in rng.sample(links, min(5, len(links))):
                     got = self.assert_fresh_edge_agrees(plan, *rng.sample((u, v), 2))
                     full += got is None
-                    used = plan._used_ordinals.get(link_key(u, v), ())
+                    used = held_ordinals(plan, u, v)
                     gaps += got is not None and any(k > got.index for k in used)
                 plan.add_entry(en)
         assert full and gaps
@@ -708,7 +739,7 @@ def fresh_edge_from_zero(plan, u, v):
     scanned for from 0 on every call."""
     if not plan.has_free_edge(u, v):
         raise PlanError(f"link {u}-{v} capacity exhausted")
-    used = plan._used_ordinals.get(link_key(u, v), set())
+    used = held_ordinals(plan, u, v)
     k = 0
     while k in used:
         k += 1
@@ -917,7 +948,7 @@ class _Untouchable:
     __eq__ = __hash__ = _refuse
 
 
-INCREMENTAL_STATE = ("_roles", "_used_ordinals", "_unused_from", "_free", "_blockers",
+INCREMENTAL_STATE = ("_working", "_load", "_unused_from", "_free", "_blockers",
                      "_partner", "_trails", "_trail_ends", "_ranked")
 
 

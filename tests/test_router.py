@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import types
@@ -546,15 +547,15 @@ def protection_oracle(graph, base_text, demand, working, mode="node"):
         hop_options = []
         for i in range(len(nodes) - 1):
             u, v = nodes[i], nodes[i + 1]
-            options = [e for e, r in base._roles.items()
-                       if r == "protection" and {e.u, e.v} == {u, v}]
+            options = [e for e in base._blockers
+                       if base.role(e) == "protection" and {e.u, e.v} == {u, v}]
             if base.has_free_edge(u, v):
                 options.append(base.fresh_edge(u, v))
             hop_options.append(options)
         for combo in itertools.product(*hop_options):
             if len(set(combo)) != len(combo):
                 continue
-            cost = sum(1 for e in combo if e not in base._roles)
+            cost = sum(1 for e in combo if base.role(e) is None)
             if best is not None and cost >= best:
                 continue
             trial = AllocationPlan.parse(graph, base_text)
@@ -1353,3 +1354,15 @@ def test_pxt_plan_and_checks_under_python_O():
     run = subprocess.run([sys.executable, "-O", "-c", O_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=300, check=True)
     assert run.stdout.split() == ["False", GOLDEN_PXT_PLANS[("cycle12plus3", "neighbor")]]
+
+
+def test_readme_library_example_runs(capsys):
+    """README's library example runs as written: it routes its two demands
+    and prints the plan's bandwidth, its PXTs and an audit summary."""
+    [code] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    plan = scope["state"].plan
+    assert [en.demand.id for en in plan.entries] == [0, 1] and plan.validate() == []
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:2] == [str(plan.bandwidth()), str(plan.pxts)] and len(printed) > 2

@@ -20,15 +20,10 @@ order, so search order, the `stored` and `work` counters and the path found
 all depend on it.  They depend on nothing else about the ids: relabelling
 arcs consistently, each node's out-arc order kept, changes no result.
 
-The graph has one constructor, and it is lazy: a node's out-arcs are made
-when the search first expands the node, so the arcs of nodes it never
-expands are never built.  Besides its arcs' own rivals it carries `through`:
-per node, the arcs that pass through that node in their interior, each a
-rival of every arc at the node.  An arc's effective rivals are its own
-`rivals` ORed with `through` at its tail and at its head, so an arc that
-gains rivals only from where it goes is never copied to carry them.  The
-effective rival sets must be symmetric, as the router's auxiliary graph's
-are by construction: solve neither checks nor repairs them.
+The graph is lazy, a node's out-arcs made when the search first expands the
+node, and carries per node `through`, the arcs with that node in their
+interior, each a rival of every arc at the node, so no arc is copied to
+carry them.  RivalGraph says what its caller must keep.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ ArcId = int
 class ArcSet(int):
     """A set of arc ids as an int bitset: bit i set means arc i is a member.
 
-    `len`, `in` and iteration (in increasing id order) read it as a set.
+    `len`, `in` (ints only, no bool) and iteration (in increasing id order) read it as a set.
     Arithmetic and bitwise operators are int's own, so `a | b` and `a & b`
     are the plain-int masks of the union and the intersection; wrap one in
     ArcSet to read it as a set again.
@@ -57,7 +52,7 @@ class ArcSet(int):
         return self.bit_count()
 
     def __contains__(self, arc_id: object) -> bool:
-        return isinstance(arc_id, int) and arc_id >= 0 and self >> arc_id & 1 == 1
+        return type(arc_id) is int and arc_id >= 0 and self >> arc_id & 1 == 1
 
     def __iter__(self) -> Iterator[ArcId]:
         mask = int(self)

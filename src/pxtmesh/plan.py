@@ -14,7 +14,7 @@ trails (PXTs): chains of protection edges statically joined at shared nodes,
 so intermediate nodes never switch in real time.
 
 Protection sharing (rule c) is decided in one place, AllocationPlan.conflicts,
-may_share and first_shareable, asked by rule c, the router and shared-path.
+may_share, shareable_cuts (the router's) and first_shareable (shared-path's).
 add_entry ORs each working's footprint into its protection edges' blockers,
 fixed-width ints, and keeps no list of who uses an edge: a refused entry's
 rule-c witnesses are read off the entries.  role() reads a held edge off
@@ -123,9 +123,9 @@ class _Trail:
     """Mutable trail under incremental extension/merging.
 
     `cached` holds the trail's (sort key, canonical PXT) and `pos` its cut
-    index: the map from each node to its positions on that canonical walk
-    (on the ring when closed), and the walk's repeat horizon, None when no
-    node repeats (see `_repeat_horizon`).  Both are computed on first use.
+    index: that canonical walk, the map from each node to its positions on
+    it (on the ring when closed), and its repeat horizon, None when no node
+    repeats (see `_repeat_horizon`).  Both are computed on first use.
     Every change to the trail must reset both to None, and the plan's
     canonical trail order with them.
     """
@@ -137,7 +137,7 @@ class _Trail:
         self.edges = edges
         self.closed = False
         self.cached: tuple[tuple, PXT] | None = None
-        self.pos: tuple[dict[str, list[int]], list[int] | None] | None = None
+        self.pos: tuple[Walk, dict[str, list[int]], list[int] | None] | None = None
 
     def canonical(self) -> tuple[tuple, PXT]:
         if self.cached is None:
@@ -145,20 +145,17 @@ class _Trail:
             self.cached = (_pxt_sort_key(pxt), pxt)
         return self.cached
 
-    def positions(self) -> tuple[dict[str, list[int]], list[int] | None]:
-        """The cut index: node -> its positions, and the repeat horizon."""
+    def cut_index(self) -> tuple[Walk, dict[str, list[int]], list[int] | None]:
+        """The canonical walk, node -> its positions, and the repeat horizon."""
         if self.pos is None:
-            nodes = self.canonical()[1].walk.nodes
-            seq = nodes[:-1] if self.closed else nodes
+            walk = self.canonical()[1].walk
+            seq = walk.nodes[:-1] if self.closed else walk.nodes
             pos: dict[str, list[int]] = {}
             for i, n in enumerate(seq):
                 pos.setdefault(n, []).append(i)
-            self.pos = (pos, _repeat_horizon(seq, self.closed) if len(pos) < len(seq) else None)
+            self.pos = (walk, pos,
+                        _repeat_horizon(seq, self.closed) if len(pos) < len(seq) else None)
         return self.pos
-
-    def reverse(self) -> None:
-        self.nodes.reverse()
-        self.edges.reverse()
 
 
 def _canonical_pxt(nodes: list[str], edges: list[EdgeId], closed: bool) -> PXT:
@@ -189,6 +186,17 @@ def _repeat_horizon(seq: tuple[str, ...], closed: bool) -> list[int]:
         after[s[i]] = i
         h[i] = least
     return h
+
+
+Cut = tuple[Walk, int, int]
+
+
+def cut_edges(cut: Cut) -> tuple[EdgeId, ...]:
+    """The edges of a cut `(walk, a, b)` of a trail's canonical walk: its
+    span a..b, or, when b > k on a ring of k edges, a..k then 0..b - k."""
+    walk, a, b = cut
+    k = len(walk.edges)
+    return walk.edges[a:b] if b <= k else walk.edges[a:] + walk.edges[:b - k]
 
 
 def _pxt_sort_key(p: PXT):
@@ -430,6 +438,18 @@ class AllocationPlan:
                 return False
         return True
 
+    def shareable_cuts(self, cuts: Iterable[Cut], mask: int) -> list[Cut]:
+        """The cuts whose edges `may_share` admits for `mask`, in order."""
+        blockers, own = self._blockers.get, self._own
+        admitted = []
+        for cut in cuts:
+            for e in cut_edges(cut):
+                if (blockers(e) or own[e[:2]]) & mask:
+                    break
+            else:
+                admitted.append(cut)
+        return admitted
+
     def first_shareable(self, edges: Iterable[EdgeId], mask: int) -> EdgeId | None:
         """The first edge of `edges` that may_share admits alone for `mask`, or None."""
         blockers, own = self._blockers, self._own
@@ -611,9 +631,11 @@ class AllocationPlan:
             return
         self._trails.remove(b)
         if a.edges[-1] != e or a.nodes[-1] != x:
-            a.reverse()
+            a.nodes.reverse()
+            a.edges.reverse()
         if b.edges[0] != f or b.nodes[0] != x:
-            b.reverse()
+            b.nodes.reverse()
+            b.edges.reverse()
         a.nodes.extend(b.nodes[1:])
         a.edges.extend(b.edges)
         # b's far end, the only end slot it had left, is now a's

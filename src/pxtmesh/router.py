@@ -17,13 +17,13 @@ What holds, so that a demand reuses what earlier demands left behind:
   ends, are symmetric by construction, as the search requires without
   checking.  The graph is lazy: a node's out-arcs are listed when the search
   first expands the node;
-- a segment is admitted whole or not at all, by one `may_share` over its
-  cut's edges with the working's `conflicts` mask, which also keeps it off
-  the working's links and (node mode) its interior;
+- a segment is admitted whole or not at all, by `shareable_cuts`, one call
+  per demand, on its cut's edges with the working's `conflicts` mask, which
+  also keeps it off the working's links and (node mode) its interior;
 - segments are offered as cuts of the plan's cached canonical PXTs, cut
-  where the position index puts the terminals.  A cut is a simple path
-  exactly when it ends before its start's repeat horizon, and only an
-  admitted cut becomes a `Walk`;
+  where each trail's cached cut index puts the terminals, and an open trail
+  without them whole.  A cut is a simple path exactly when it ends before
+  its start's repeat horizon, and only an admitted cut becomes a `Walk`;
 - `FreshArcs`, RouterState's snapshot of the links with spare capacity, is
   rebuilt whole only when that set shrinks: the fresh aux edges and arcs,
   with stable ids by link index, and per target the shortest-route DAG over
@@ -57,7 +57,7 @@ from .graph import (
     ranked_routes,
     shortest_route_dag,
 )
-from .plan import AllocationPlan, Demand, PlanEntry, PlanError
+from .plan import AllocationPlan, Cut, Demand, PlanEntry, PlanError, cut_edges
 
 
 class RoutingError(RuntimeError):
@@ -226,56 +226,42 @@ def find_working(state: RouterState, demand: Demand) -> Walk:
     return state.plan.fresh_walk(first)
 
 
-Cut = tuple[Walk, int, int]
-
-
 def collect_subtrails(state: RouterState, demand: Demand) -> list[Cut]:
     """Cut every PXT into maximal reusable segments for this demand.
 
     Closed PXTs are usable only when both terminals occur on them.  Open PXTs
     are additionally cut at their two ends, since a protection route may enter
     there by extending the trail.  Segments that are not simple paths are
-    discarded: they could never be part of a protection path.  The trail's
-    cached repeat horizon tells which those are, one lookup per cut, and none
-    on a trail that repeats no node.
+    discarded: they could never be part of a protection path.  One cached
+    `cut_index()` per trail gives its walk, node positions and repeat
+    horizon, which tells which those are, one lookup per cut.
 
-    A segment is returned as its cut `(walk, a, b)`: the trail's cached
-    canonical walk and the span a..b of it, with b > k, for a ring of k
-    edges, when the cut wraps and reads a..k, then 0..b - k.  Nothing is
-    built per cut: `build_aux` admits cuts by their edges and makes a `Walk`,
-    by `cut_segment`, only of those it admits.
+    A segment is returned as its cut `(walk, a, b)` (see `cut_edges`), an
+    open trail with no terminal on it as one whole cut, nothing sorted.
+    `build_aux` makes a `Walk`, by `cut_segment`, only of the cuts it admits.
     """
     u, v = demand.u, demand.v
     out: list[Cut] = []
     for trail in state.plan._ranked_trails():
-        pxt = trail.canonical()[1]
-        walk = pxt.walk
+        walk, pos, horizon = trail.cut_index()
         k = len(walk.edges)
-        pos, horizon = trail.positions()
-        at_u, at_v = pos.get(u, []), pos.get(v, [])
-        # the cut a..b is a path exactly when b < horizon[a]
-        if pxt.closed:
+        at_u, at_v = pos.get(u, ()), pos.get(v, ())
+        if not (at_u or at_v or trail.closed):  # offered whole
+            if horizon is None:  # a path: it repeats no node
+                out.append((walk, 0, k))
+            continue
+        if trail.closed:
             if not (at_u and at_v):
                 continue
             cuts = sorted(at_u + at_v)
-            for a, b in zip(cuts, cuts[1:] + cuts[:1]):
-                if b <= a:  # it wraps
-                    b += k
-                if horizon is None or b < horizon[a]:
-                    out.append((walk, a, b))
+            ends = cuts[1:] + [cuts[0] + k]  # the last cut wraps
         else:
             cuts = sorted({0, k, *at_u, *at_v})
-            for a, b in zip(cuts, cuts[1:]):
-                if horizon is None or b < horizon[a]:
-                    out.append((walk, a, b))
+            ends = cuts[1:]
+        for a, b in zip(cuts, ends):  # the cut a..b is a path exactly when b < horizon[a]
+            if horizon is None or b < horizon[a]:
+                out.append((walk, a, b))
     return out
-
-
-def _cut_edges(cut: Cut) -> tuple[EdgeId, ...]:
-    walk, a, b = cut
-    edges = walk.edges
-    k = len(edges)
-    return edges[a:b] if b <= k else edges[a:] + edges[:b - k]
 
 
 def cut_segment(cut: Cut) -> Walk:
@@ -288,7 +274,7 @@ def cut_segment(cut: Cut) -> Walk:
     if a == 0 and b == k:
         return walk
     return Walk._trusted(nodes[a:b + 1] if b <= k else nodes[a:k] + nodes[:b - k + 1],
-                         _cut_edges(cut))
+                         cut_edges(cut))
 
 
 def build_aux(state: RouterState, demand: Demand, working: Walk,
@@ -296,8 +282,8 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     """Auxiliary search graph: unit-cost fresh-capacity arcs plus zero-cost
     shortcut arcs, with rival marks wherever two expansions would collide.
 
-    A cut of `collect_subtrails` is admitted by one `may_share` over its
-    edges, and only an admitted cut becomes a segment `Walk`.
+    The cuts of `collect_subtrails` are admitted by one `shareable_cuts`
+    call, and only an admitted cut becomes a segment `Walk`.
 
     Two aux edges are rivals when their expansions share a node that is not
     an endpoint of both.  A fresh edge expands to its two endpoints and a
@@ -305,49 +291,46 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
     nodes and two fresh edges are never rivals.  The rivals are read off two
     node -> arc bitset indexes built from the shortcuts alone: `inner`, the
     arcs with the node as an interior node, and `covers`, at those nodes
-    only, the arcs whose expansion covers it.  `inner` is the graph's
+    only, the arcs whose expansion covers it: `inner`, the fresh arcs left
+    there and the shortcuts that end there.  `inner` is the graph's
     `through`, so the search adds `inner[u] | inner[v]` to every arc u-v
     itself: a fresh arc carries no rivals of its own, and a shortcut's are
     the OR of `covers` over its interior nodes, less its own two arcs.
 
     Only what depends on the demand is built here; the fresh arcs come
     prebuilt from `state.fresh_arcs()`, and a node's out-arcs are listed when
-    the search first expands the node: the snapshot's own fresh arcs that the
-    working leaves, in link order, then its shortcut arcs, in admission order.
+    the search first expands the node: the snapshot's fresh arcs, in link
+    order, less any the working excludes, then its shortcut arcs, in
+    admission order.
     """
-    plan = state.plan
-    fresh = state.fresh_arcs()
-    interior = set(working.nodes[1:-1]) if plan.mode == "node" else set()
-    links = working.link_set()
+    plan, fresh, link_index = state.plan, state.fresh_arcs(), state.link_index
     # the fresh edges the working excludes: its own links and, in node mode,
     # every link at one of its interior nodes
-    gone = {state.link_index[link] for link in links}
-    for n in interior:
+    gone = {link_index[e[:2]] for e in working.edges}
+    for n in working.nodes[1:-1] if plan.mode == "node" else ():
         gone.update(arc.id >> 1 for arc in fresh.out[n])
     edges = dict(fresh.edges)
     excluded = 0
     for i in gone:
         edges.pop(i, None)
         excluded |= 3 << 2 * i
-    # a segment is admitted whole or not at all, by one call: the plan may
-    # share its edges with this working, which also keeps them off the
-    # working links and (node mode) the working interior
-    mask = plan.conflicts(working)
-    may_share = plan.may_share
-    shortcuts = [cut_segment(cut) for cut in cuts if may_share(_cut_edges(cut), mask)]
+    # a segment is admitted whole or not at all, by one call for every cut:
+    # the plan may share its edges with this working, which also keeps them
+    # off the working links and (node mode) the working interior
+    shortcuts = [cut_segment(cut) for cut in plan.shareable_cuts(cuts, plan.conflicts(working))]
 
-    first = len(state.link_index)
+    first = len(link_index)
     inner: dict[str, int] = {}
     for i, seg in enumerate(shortcuts, first):
         own = 3 << 2 * i
         for n in seg.nodes[1:-1]:
             inner[n] = inner.get(n, 0) | own
-    covers = {n: fresh.mask[n] & ~excluded for n in inner}
+    fresh_mask, fresh_out = fresh.mask, fresh.out
+    covers = {n: fresh_mask[n] & ~excluded | bits for n, bits in inner.items()}
     for i, seg in enumerate(shortcuts, first):
-        own = 3 << 2 * i
-        for n in seg.nodes:
+        for n in seg.ends:
             if n in covers:
-                covers[n] |= own
+                covers[n] |= 3 << 2 * i
     arcs = []
     for i, seg in enumerate(shortcuts, first):
         u, v = seg.ends
@@ -359,12 +342,12 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
         edges[i] = AuxEdge(u, v, seg)
     # out_lists' id, duplicate and node checks, on the shortcut arcs
     shortcut_out = RivalGraph.out_lists(state.node_bits, arcs).get
-    fresh_out = fresh.out
 
     def out_arcs(x: str) -> list[Arc]:
-        out = [arc for arc in fresh_out[x] if not excluded >> arc.id & 1]
-        out += shortcut_out(x, ())
-        return out
+        out = fresh_out[x]
+        if fresh_mask[x] & excluded:  # the working excludes a fresh arc at x
+            out = [arc for arc in out if not excluded >> arc.id & 1]
+        return out + shortcut_out(x, [])
 
     return AuxGraph(RivalGraph(state.node_bits, demand.u, out_arcs, inner), edges)
 

@@ -890,3 +890,12 @@ def test_arcset_agrees_with_frozenset(a_ids, b_ids, probe):
     assert ((a & b) == a) == (a_ids <= b_ids)
     assert eval(repr(a)) == a
     assert bool(a) == bool(a_ids)
+
+
+@pytest.mark.parametrize("probe", [True, False, 1.0, "1", None])
+def test_arcset_holds_only_int_ids(probe):
+    """A bool is no arc id, as `RivalGraph.out_lists` refuses one: `True in
+    ArcSet(3)` is False though True == 1 and bit 1 is set."""
+    both = ArcSet(3)
+    assert 0 in both and 1 in both
+    assert probe not in both

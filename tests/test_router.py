@@ -30,7 +30,7 @@ from pxtmesh.graph import (
     link_of,
     shortest_route_dag,
 )
-from pxtmesh.plan import PXT, AllocationPlan, Demand, PlanEntry, PlanError, _Trail
+from pxtmesh.plan import PXT, AllocationPlan, Demand, PlanEntry, PlanError, _Trail, cut_edges
 from pxtmesh.router import (
     AuxEdge,
     AuxGraph,
@@ -1111,6 +1111,53 @@ def test_segment_admission_matches_prohibited_oracle(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])
+def test_batch_admission_matches_may_share_per_cut(monkeypatch, mode):
+    """At every build_aux call, `shareable_cuts` keeps exactly the cuts that
+    `may_share` admits over their edges, in order, and `cut_edges` reads a
+    cut as a ring read from a to b would: for the demand's cuts, and for
+    each closed trail's cuts between nodes a third and two thirds along it,
+    so that its wrapping cut reads edges on both sides of the ring's end.
+    Wrapping cuts, whole-trail cuts and refused cuts all occur, and so do
+    wrapping cuts refused only past the ring's end, which a scan of the
+    first span misses."""
+    real_build_aux = router.build_aux
+    counts = collections.Counter()
+
+    def checked_build_aux(state, demand, working, cuts):
+        plan, mask = state.plan, state.plan.conflicts(working)
+        offered = list(cuts)
+        for trail in plan._ranked_trails():
+            ring = trail.cut_index()[0].nodes
+            x, y = ring[len(ring) // 3], ring[2 * len(ring) // 3]
+            if trail.closed and x != y:
+                offered += collect_subtrails(state, Demand(-1, x, y))
+        for w, a, b in offered:
+            assert cut_edges((w, a, b)) == tuple(w.edges[i % w.length] for i in range(a, b))
+        expect = [cut for cut in offered if plan.may_share(cut_edges(cut), mask)]
+        got = plan.shareable_cuts(offered, mask)
+        assert list(map(id, got)) == list(map(id, expect))
+        admitted = set(map(id, expect))
+        for cut in offered:
+            w, a, b = cut
+            wraps, kept = b > w.length, id(cut) in admitted
+            counts["wrapping"] += wraps
+            counts["whole"] += (a, b) == (0, w.length)
+            counts["refused"] += not kept
+            counts["refused past the end"] += (
+                wraps and not kept and plan.may_share(w.edges[a:], mask))
+        return real_build_aux(state, demand, working, cuts)
+
+    monkeypatch.setattr(router, "build_aux", checked_build_aux)
+    routed_random_plans(mode)
+    # a ring-rich fixture: most of its trails close
+    g = standard_topology("tietze")
+    state = RouterState(g, mode=mode)
+    for d in generate(g, traffic_spec("neighbor", "tietze", 0)):
+        route_demand(state, d)
+    assert min(counts.values()) > 0 and len(counts) == 4, counts
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
 def test_aux_search_matches_frozenset_search(monkeypatch, mode):
     """On the router's own aux graphs the bitset search finds what the
     frozenset search did, with the same counters."""
@@ -1324,7 +1371,7 @@ def test_cached_horizons_match_scratch(mode, tight):
         for trail in state.plan._ranked_trails():
             pxt = trail.canonical()[1]
             nodes = pxt.walk.nodes[:-1] if pxt.closed else pxt.walk.nodes
-            horizon = trail.positions()[1]
+            horizon = trail.cut_index()[2]
             assert horizon == repeat_horizon_oracle(nodes, pxt.closed)
             seen[pxt.closed, horizon is not None] += 1
     # open trails with and without repeats, and rings that were open trails

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import (EdgeId, Graph, GraphError, Walk, _avoiding, link_key, ranked_routes,
+from .graph import (Edge, Graph, GraphError, Walk, _avoiding, link_key, ranked_routes,
                     shortest_route_dag)
 from .plan import AllocationPlan, Demand, PlanEntry
 
@@ -144,7 +144,7 @@ def route_shared_path(g: Graph, demands: list[Demand], mode: str = "node") -> Al
     """
     plan = AllocationPlan(g, mode="link", enforce="abc")
     pairs = fixed_pair_routes(g, mode) if demands else {}
-    protecting: dict[tuple[str, str], list[EdgeId]] = {}
+    protecting: dict[tuple[str, str], list[Edge]] = {}
     for d in demands:
         pair = pairs.get(d.terminals)
         if pair is None:

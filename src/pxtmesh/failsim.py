@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import EdgeId, Graph, link_of
+from .graph import Edge, Graph, edge_str, link_of
 from .plan import AllocationPlan
 
 
@@ -142,14 +142,14 @@ def audit(plan: AllocationPlan, mode: str | None = None) -> AuditReport:
             needed += len(edges)
             used.update(edges)
         if len(used) != needed:
-            edge_users: dict[EdgeId, list[int]] = {}  # of the restored protections
+            edge_users: dict[Edge, list[int]] = {}  # of the restored protections
             for terminals, *_, edges, did in hits:
                 for e in edges if element not in terminals else ():
                     edge_users.setdefault(e, []).append(did)
-            e = min((e for e, users in edge_users.items() if len(users) > 1), key=str)
+            e = min((e for e, users in edge_users.items() if len(users) > 1), key=edge_str)
             users = sorted(edge_users[e])
-            raise AuditError(failure, f"protection edge {e} needed by demands {users} at once",
-                             tuple(users))
+            raise AuditError(failure, f"protection edge {edge_str(e)} needed by demands "
+                             f"{users} at once", tuple(users))
         report.max_concurrent_load |= len(hits) > unrestorable  # no edge is needed twice
         report.rows.append(AuditRow(failure.id, len(hits) - unrestorable, unrestorable,
                                     switch_events, pass_through))

@@ -2,10 +2,10 @@
 
 An edge is one unit of switchable bandwidth; a link is the set of all parallel
 edges between two adjacent nodes.  Edges are implicit: a link of capacity c
-owns edge ordinals 0..c-1 (every ordinal for unbounded links), and an EdgeId
-names one of them.  An EdgeId is the tuple (u, v, index) with u <= v and
-equals that plain tuple, so plans hash and compare edges at C speed; no dict
-mixes the two, as link keys are 2-tuples.  Which ordinals are in use is
+owns edge ordinals 0..c-1 (every ordinal for unbounded links), and an edge is
+the exact tuple (u, v, index), u < v, that `EdgeId` builds: the interpreter's
+tuple fast paths take it, the collector drops it, and `edge_str` and
+`parse_edge` write and read it as `u~v#index`.  Which ordinals are in use is
 tracked by allocation plans, so Graph itself stays immutable and safe to share.
 
 Shortest routes have one enumerator: `ranked_routes` draws the routes of a
@@ -45,49 +45,32 @@ def link_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
-link_of = itemgetter(slice(2))  # an EdgeId's link (u, v), a plain tuple
+Edge = tuple[str, str, int]  # (u, v, index), u < v: see EdgeId
+link_of = itemgetter(slice(2))  # an edge's link (u, v)
 
 
-class EdgeId(tuple):
-    """One unit of capacity on the link u-v; index is the ordinal in the pool.
-    It is the tuple (u, v, index) with u <= v, and equals that plain tuple."""
+def EdgeId(u: str, v: str, index: int) -> Edge:
+    """The edge of ordinal `index` in the pool of link u-v, its ends in order."""
+    if u == v:
+        raise GraphError(f"self-loop edge {u}")
+    if index < 0:
+        raise GraphError(f"negative edge ordinal {index}")
+    return (u, v, index) if u <= v else (v, u, index)
 
-    __slots__ = ()
 
-    def __new__(cls, u: str, v: str, index: int) -> "EdgeId":
-        if u == v:
-            raise GraphError(f"self-loop edge {u}")
-        if index < 0:
-            raise GraphError(f"negative edge ordinal {index}")
-        return tuple.__new__(cls, (u, v, index) if u <= v else (v, u, index))
+def edge_str(e: Edge) -> str:
+    """The token `u~v#index` that plan text and messages name an edge by."""
+    return f"{e[0]}~{e[1]}#{e[2]}"
 
-    u, v, index = (property(itemgetter(i)) for i in range(3))
-    link = property(link_of)
 
-    def __getnewargs__(self) -> tuple[str, str, int]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"EdgeId(u={self[0]!r}, v={self[1]!r}, index={self[2]!r})"
-
-    def other(self, node: str) -> str:
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise GraphError(f"{node} is not an endpoint of {self}")
-
-    def __str__(self) -> str:
-        return f"{self[0]}~{self[1]}#{self[2]}"
-
-    @classmethod
-    def parse(cls, token: str) -> "EdgeId":
-        try:
-            pair, index = token.rsplit("#", 1)
-            u, v = pair.split("~")
-            return cls(intern(u), intern(v), int(index))
-        except (ValueError, GraphError) as exc:
-            raise GraphError(f"bad edge token {token!r}") from exc
+def parse_edge(token: str) -> Edge:
+    """The edge `edge_str` writes as `token`, its node names interned."""
+    try:
+        pair, index = token.rsplit("#", 1)
+        u, v = pair.split("~")
+        return EdgeId(intern(u), intern(v), int(index))
+    except (ValueError, GraphError) as exc:
+        raise GraphError(f"bad edge token {token!r}") from exc
 
 
 def _is_node_id(name: str) -> bool:
@@ -97,7 +80,7 @@ def _is_node_id(name: str) -> bool:
 class Graph:
     """Immutable set of nodes plus capacitated links between them.
 
-    Node names are interned (`sys.intern`), as are the names `EdgeId.parse`
+    Node names are interned (`sys.intern`), as are the names `parse_edge`
     and `Walk.parse` read, so the names of a parsed walk are the graph's own
     objects, and comparing them stops at identity."""
 
@@ -149,7 +132,7 @@ class Graph:
             raise GraphError(f"unknown node {node}")
         return self._adj[node]
 
-    def invalid_edges(self, edges: set[EdgeId]) -> set[EdgeId]:
+    def invalid_edges(self, edges: set[Edge]) -> set[Edge]:
         """The edges of `edges` on no link, or past their link's capacity."""
         bounds = self.bounds  # a link the graph lacks has bound 0
         tight = {l for l in set(map(link_of, edges)) if bounds.get(l, 0) < inf}
@@ -157,8 +140,8 @@ class Graph:
             return set()
         return {e for e in edges if e[:2] in tight and e[2] >= bounds.get(e[:2], 0)}
 
-    def edge(self, u: str, v: str, index: int = 0) -> EdgeId:
-        """Materialize an EdgeId, validating the link and capacity bound."""
+    def edge(self, u: str, v: str, index: int = 0) -> Edge:
+        """Materialize an edge, validating the link and capacity bound."""
         self._check_ordinal(u, v, index)
         return EdgeId(u, v, index)
 
@@ -173,7 +156,7 @@ class Walk:
     """Alternating node/edge sequence; len(nodes) == len(edges) + 1."""
 
     nodes: tuple[str, ...]
-    edges: tuple[EdgeId, ...]
+    edges: tuple[Edge, ...]
 
     def __post_init__(self):
         nodes = self.nodes
@@ -182,10 +165,10 @@ class Walk:
         for a, b, e in zip(nodes, nodes[1:], self.edges):
             u, v, _ = e
             if not (u == a and v == b or u == b and v == a):
-                raise GraphError(f"edge {e} does not join {a} and {b}")
+                raise GraphError(f"edge {edge_str(e)} does not join {a} and {b}")
 
     @classmethod
-    def _trusted(cls, nodes: tuple[str, ...], edges: tuple[EdgeId, ...]) -> "Walk":
+    def _trusted(cls, nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> "Walk":
         """Construct without the alternation check, for pieces of walks that
         passed it already (slices and reversals)."""
         walk = object.__new__(cls)
@@ -205,7 +188,7 @@ class Walk:
     def ends(self) -> tuple[str, str]:
         return (self.nodes[0], self.nodes[-1])
 
-    def edge_set(self) -> set[EdgeId]:
+    def edge_set(self) -> set[Edge]:
         return set(self.edges)
 
     def link_set(self) -> set[tuple[str, str]]:
@@ -217,24 +200,24 @@ class Walk:
     def __str__(self) -> str:
         parts = [self.nodes[0]]
         for i, e in enumerate(self.edges):
-            parts.append(str(e))
+            parts.append(edge_str(e))
             parts.append(self.nodes[i + 1])
         return " ".join(parts)
 
     @classmethod
     def parse(cls, text: str) -> "Walk":
-        """The walk `str` writes, one EdgeId per distinct edge token."""
+        """The walk `str` writes, one edge object per distinct edge token."""
         return cls.from_tokens(text.split(), {})
 
     @classmethod
-    def from_tokens(cls, tokens: list[str], edges: dict[str, EdgeId]) -> "Walk":
+    def from_tokens(cls, tokens: list[str], edges: dict[str, Edge]) -> "Walk":
         """The walk of alternating node and edge tokens, names interned.
-        `edges` maps each edge token read so far to its EdgeId: EdgeId.parse
+        `edges` maps each edge token read so far to its edge: parse_edge
         reads each distinct token once, and a bad one, never kept, raises."""
         if not tokens:
             raise GraphError("empty walk")
         return cls(tuple(map(intern, tokens[0::2])),
-                   tuple([edges.get(t) or edges.setdefault(t, EdgeId.parse(t))
+                   tuple([edges.get(t) or edges.setdefault(t, parse_edge(t))
                           for t in tokens[1::2]]))
 
 

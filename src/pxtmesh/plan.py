@@ -37,11 +37,12 @@ from sys import intern
 from typing import Iterable
 
 from .graph import (
-    EdgeId,
+    Edge,
     Graph,
     GraphError,
     Walk,
     disjoint,
+    edge_str,
     is_path,
     link_key,
     link_of,
@@ -132,7 +133,7 @@ class _Trail:
 
     __slots__ = ("nodes", "edges", "closed", "cached", "pos")
 
-    def __init__(self, nodes: list[str], edges: list[EdgeId]):
+    def __init__(self, nodes: list[str], edges: list[Edge]):
         self.nodes = nodes
         self.edges = edges
         self.closed = False
@@ -158,7 +159,7 @@ class _Trail:
         return self.pos
 
 
-def _canonical_pxt(nodes: list[str], edges: list[EdgeId], closed: bool) -> PXT:
+def _canonical_pxt(nodes: list[str], edges: list[Edge], closed: bool) -> PXT:
     """The trail as the smallest of its walks in either direction, from any
     start when closed (nodes[0] == nodes[-1]), so equal PXT sets print equal."""
     if closed:
@@ -191,7 +192,7 @@ def _repeat_horizon(seq: tuple[str, ...], closed: bool) -> list[int]:
 Cut = tuple[Walk, int, int]
 
 
-def cut_edges(cut: Cut) -> tuple[EdgeId, ...]:
+def cut_edges(cut: Cut) -> tuple[Edge, ...]:
     """The edges of a cut `(walk, a, b)` of a trail's canonical walk: its
     span a..b, or, when b > k on a ring of k edges, a..k then 0..b - k."""
     walk, a, b = cut
@@ -200,7 +201,7 @@ def cut_edges(cut: Cut) -> tuple[EdgeId, ...]:
 
 
 def _pxt_sort_key(p: PXT):
-    return (str(min(p.walk.edges)), p.walk.nodes, p.walk.edges)
+    return (edge_str(min(p.walk.edges)), p.walk.nodes, p.walk.edges)
 
 
 def _screen(entry: PlanEntry, node_mode: bool) -> bool:
@@ -260,16 +261,16 @@ class _Tallies:
 
     def __init__(self):
         self.seen: list[PlanEntry] = []
-        self.low: dict[EdgeId, EdgeId] = {}
-        self.high: dict[EdgeId, EdgeId] = {}
-        self.branched: set[tuple[EdgeId, str]] = set()
+        self.low: dict[Edge, Edge] = {}
+        self.high: dict[Edge, Edge] = {}
+        self.branched: set[tuple[Edge, str]] = set()
         self.sharing = 0
         self.verdicts: dict[int, tuple[PlanViolation, ...]] = {}
         self.bits = _KeyBits()
-        self.working: set[EdgeId] = set()
-        self.filed: dict[EdgeId, int] = {}
-        self.shared: set[EdgeId] = set()  # rule-b suspects
-        self.conflicting: set[EdgeId] = set()  # rule-c suspects
+        self.working: set[Edge] = set()
+        self.filed: dict[Edge, int] = {}
+        self.shared: set[Edge] = set()  # rule-b suspects
+        self.conflicting: set[Edge] = set()  # rule-c suspects
 
     def fold_joins(self, entries: list[PlanEntry]) -> None:
         """Fold `entries`, the ones appended after `seen`, into rule d."""
@@ -328,7 +329,7 @@ class AllocationPlan:
             raise ValueError(f"unknown conditions {set(self.enforce) - set(ALL_CONDITIONS)}")
         self.entries: list[PlanEntry] = []
         self._demand_ids: set[int] = set()  # of the entries add_entry took
-        self._working: set[EdgeId] = set()  # every working edge
+        self._working: set[Edge] = set()  # every working edge
         self._load: dict[tuple[str, str], int] = {}  # link -> how many of its edges are held
         self._unused_from: dict[tuple[str, str], int] = {}  # fresh_edge's low-water marks
         # (u, v) and (v, u) for every link with spare capacity
@@ -342,12 +343,12 @@ class AllocationPlan:
         nb = self._node_bit
         self._own = {(u, v): b | nb[u] | nb[v] if mode == "node" else b
                      for (u, v), b in self._link_bit.items()}
-        self._blockers: dict[EdgeId, int] = {}  # each protection edge -> bits it may not meet
+        self._blockers: dict[Edge, int] = {}  # each protection edge -> bits it may not meet
         # cross-connect pairing and incremental trail state (only when rule d
         # is enforced; without it the pairing is not well defined)
-        self._partner: dict[tuple[EdgeId, str], EdgeId] = {}
+        self._partner: dict[tuple[Edge, str], Edge] = {}
         self._trails: set[_Trail] = set()
-        self._trail_ends: dict[tuple[EdgeId, str], _Trail] = {}
+        self._trail_ends: dict[tuple[Edge, str], _Trail] = {}
         self._ranked: list[_Trail] | None = None  # trails in canonical order
         # what validate(), branch_points() and extract_pxts() keep; see _tallied
         self._tallies = _Tallies()
@@ -360,7 +361,7 @@ class AllocationPlan:
         self.graph.capacity(u, v)  # raises GraphError for an unknown link
         return False
 
-    def fresh_edge(self, u: str, v: str) -> EdgeId:
+    def fresh_edge(self, u: str, v: str) -> Edge:
         """Smallest unused ordinal on the link; raises when capacity is full.
 
         The scan resumes from the link's low-water mark, the smallest unused
@@ -383,18 +384,18 @@ class AllocationPlan:
         """The route through `nodes` over each link's fresh_edge, in order."""
         return Walk(nodes, tuple(self.fresh_edge(a, b) for a, b in zip(nodes, nodes[1:])))
 
-    def role(self, edge: EdgeId) -> str | None:
+    def role(self, edge: Edge) -> str | None:
         """'working' if in `_working`, else 'protection' if a key of `_blockers`, else None."""
         if edge in self._working:
             return "working"
         return "protection" if edge in self._blockers else None
 
-    def crossconnect_partner(self, edge: EdgeId, node: str) -> EdgeId | None:
+    def crossconnect_partner(self, edge: Edge, node: str) -> Edge | None:
         return self._partner.get((edge, node))
 
     # -- protection sharing --------------------------------------------------
 
-    def _footprint(self, nodes: tuple[str, ...], edges: tuple[EdgeId, ...],
+    def _footprint(self, nodes: tuple[str, ...], edges: tuple[Edge, ...],
                    protected: bool) -> int:
         """A walk's link bits and, in node mode, its node bits: as a protected
         working's footprint (`protected`), every node in region A and the
@@ -427,7 +428,7 @@ class AllocationPlan:
         """
         return self._footprint(working.nodes, working.edges, False)
 
-    def may_share(self, edges: tuple[EdgeId, ...], mask: int) -> bool:
+    def may_share(self, edges: tuple[Edge, ...], mask: int) -> bool:
         """Whether no edge of `edges` has a blocker in `mask`, from conflicts:
         each keeps off the working's links and (node mode) interior, and no
         working it protects meets that working.  One AND per edge; an edge
@@ -450,7 +451,7 @@ class AllocationPlan:
                 admitted.append(cut)
         return admitted
 
-    def first_shareable(self, edges: Iterable[EdgeId], mask: int) -> EdgeId | None:
+    def first_shareable(self, edges: Iterable[Edge], mask: int) -> Edge | None:
         """The first edge of `edges` that may_share admits alone for `mask`, or None."""
         blockers, own = self._blockers, self._own
         return next((e for e in edges if not (blockers.get(e) or own[e[:2]]) & mask), None)
@@ -487,10 +488,12 @@ class AllocationPlan:
             for e in entry.working.edges:
                 role = self.role(e)
                 if role is not None:
-                    out.append(PlanViolation("b", (d.id,), f"working edge {e} already {role}"))
+                    out.append(PlanViolation("b", (d.id,),
+                                             f"working edge {edge_str(e)} already {role}"))
             for e in entry.protection.edges:
                 if e in self._working:
-                    out.append(PlanViolation("b", (d.id,), f"protection reuses working edge {e}"))
+                    out.append(PlanViolation("b", (d.id,),
+                                             f"protection reuses working edge {edge_str(e)}"))
         if "c" in self.enforce:
             mask = self.conflicts(entry.working)
             flagged = set()
@@ -503,7 +506,7 @@ class AllocationPlan:
                         flagged.add(other.demand.id)
                         out.append(PlanViolation(
                             "c", (d.id, other.demand.id),
-                            f"shared protection edge {e} but conflicting workings"))
+                            f"shared protection edge {edge_str(e)} but conflicting workings"))
         if "d" in self.enforce:
             for i in range(len(entry.protection.edges) - 1):
                 e, f = entry.protection.edges[i], entry.protection.edges[i + 1]
@@ -513,8 +516,8 @@ class AllocationPlan:
                     if cur is not None and cur != b:
                         out.append(PlanViolation(
                             "d", (d.id,),
-                            f"branch point at {x}: {a} already cross-connected to {cur}, "
-                            f"needs {b}"))
+                            f"branch point at {x}: {edge_str(a)} already cross-connected "
+                            f"to {edge_str(cur)}, needs {edge_str(b)}"))
         return out
 
     def _admits(self, entry: PlanEntry) -> bool:
@@ -612,14 +615,14 @@ class AllocationPlan:
 
     # -- incremental PXT maintenance ----------------------------------------
 
-    def _new_singleton_trail(self, e: EdgeId) -> None:
+    def _new_singleton_trail(self, e: Edge) -> None:
         t = _Trail([e[0], e[1]], [e])
         self._trails.add(t)
         self._trail_ends[(e, e[0])] = t
         self._trail_ends[(e, e[1])] = t
         self._ranked = None
 
-    def _connect(self, e: EdgeId, f: EdgeId, x: str) -> None:
+    def _connect(self, e: Edge, f: Edge, x: str) -> None:
         a = self._trail_ends.pop((e, x))
         b = self._trail_ends.pop((f, x))
         self._partner[(e, x)] = f
@@ -713,14 +716,15 @@ class AllocationPlan:
                 tallies.verdicts[i] = (*self._structural_violations(en), *self._disjointness(en))
         out = [v for found in tallies.verdicts.values() for v in found]
         suspects = tallies.shared
-        sharers: dict[EdgeId, set[int]] = {e: set() for e in suspects}
+        sharers: dict[Edge, set[int]] = {e: set() for e in suspects}
         for entry in entries if suspects else ():
             for e in suspects.intersection(chain(entry.working.edges, entry.protection.edges)):
                 sharers[e].add(entry.demand.id)
-        shared = sorted((str(e), tuple(sorted(ids))) for e, ids in sharers.items() if len(ids) > 1)
+        shared = sorted((edge_str(e), tuple(sorted(ids)))
+                        for e, ids in sharers.items() if len(ids) > 1)
         out.extend(PlanViolation("b", ids, f"working edge {name} shared") for name, ids in shared)
         suspects = tallies.conflicting
-        protecting: dict[EdgeId, list[PlanEntry]] = {}
+        protecting: dict[Edge, list[PlanEntry]] = {}
         for entry in entries if suspects else ():
             for e in filter(suspects.__contains__, dict.fromkeys(entry.protection.edges)):
                 protecting.setdefault(e, []).append(entry)
@@ -730,8 +734,8 @@ class AllocationPlan:
                 pair = (a.demand.id, b.demand.id)
                 if pair not in flagged and not disjoint(a.working, b.working, self.mode):
                     flagged.add(pair)
-                    out.append(PlanViolation(
-                        "c", pair, f"shared protection edge {e} but conflicting workings"))
+                    out.append(PlanViolation("c", pair, f"shared protection edge {edge_str(e)} "
+                                                        "but conflicting workings"))
         out.extend(self._branch_violations(tallies.branched) if rule_d else ())
         return out
 
@@ -740,8 +744,8 @@ class AllocationPlan:
         partners, with its partners and who joins them there, in slot order."""
         if not branched:
             return []
-        who: dict[tuple[EdgeId, str], set[int]] = {slot: set() for slot in branched}
-        partners: dict[tuple[EdgeId, str], set[EdgeId]] = {slot: set() for slot in branched}
+        who: dict[tuple[Edge, str], set[int]] = {slot: set() for slot in branched}
+        partners: dict[tuple[Edge, str], set[Edge]] = {slot: set() for slot in branched}
         for entry in self.entries:
             p = entry.protection
             for e, x, f in zip(p.edges, p.nodes[1:], p.edges[1:]):
@@ -750,10 +754,10 @@ class AllocationPlan:
                         who[slot].add(entry.demand.id)
                         partners[slot].add(other)
         out = []
-        for (e, x), ids in sorted(who.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
-            names = ", ".join(sorted(str(p) for p in partners[(e, x)]))
-            out.append(PlanViolation("d", tuple(sorted(ids)),
-                                     f"branch point at {x}: {e} cross-connected to {names}"))
+        for (e, x), ids in sorted(who.items(), key=lambda kv: (edge_str(kv[0][0]), kv[0][1])):
+            names = ", ".join(sorted(map(edge_str, partners[(e, x)])))
+            out.append(PlanViolation("d", tuple(sorted(ids)), f"branch point at {x}: "
+                                     f"{edge_str(e)} cross-connected to {names}"))
         return out
 
     def extract_pxts(self) -> list[PXT]:
@@ -766,9 +770,9 @@ class AllocationPlan:
         tallies = self._tallied()
         if tallies.branched:
             raise PlanError(self._branch_violations(tallies.branched))
-        seen: set[EdgeId] = set()
+        seen: set[Edge] = set()
         out = []
-        for start in sorted({e for en in self.entries for e in en.protection.edges}, key=str):
+        for start in sorted({e for en in self.entries for e in en.protection.edges}, key=edge_str):
             if start not in seen:
                 nodes, trail, closed = self._walk_trail(start, tallies.low, tallies.high)
                 seen.update(trail)
@@ -776,24 +780,25 @@ class AllocationPlan:
         return sorted(out, key=_pxt_sort_key)
 
     @staticmethod
-    def _walk_trail(start: EdgeId, low: dict[EdgeId, EdgeId], high: dict[EdgeId, EdgeId]):
+    def _walk_trail(start: Edge, low: dict[Edge, Edge], high: dict[Edge, Edge]):
         """(nodes, edges, closed) of the trail that joins `start` to each
         edge's partner at its low end, `low`, and at its high end, `high`."""
-        def extend(node: str) -> tuple[list[str], list[EdgeId], bool]:
+        def extend(node: str) -> tuple[list[str], list[Edge], bool]:
             # the nodes and edges after start, leaving it at node; True if they wrap
             nodes, edges, cur = [], [], start
             while (nxt := (low if node == cur[0] else high).get(cur)) is not None and nxt != start:
-                node = nxt.other(node)
+                node = nxt[1] if node == nxt[0] else nxt[0]
                 nodes.append(node)
                 edges.append(nxt)
                 cur = nxt
             return nodes, edges, nxt == start
 
-        fwd_nodes, fwd_edges, closed = extend(start.v)
+        u, v, _ = start
+        fwd_nodes, fwd_edges, closed = extend(v)
         if closed:
-            return [start.u, start.v] + fwd_nodes, [start] + fwd_edges, True
-        bwd_nodes, bwd_edges, _ = extend(start.u)
-        return (bwd_nodes[::-1] + [start.u, start.v] + fwd_nodes,
+            return [u, v] + fwd_nodes, [start] + fwd_edges, True
+        bwd_nodes, bwd_edges, _ = extend(u)
+        return (bwd_nodes[::-1] + [u, v] + fwd_nodes,
                 bwd_edges[::-1] + [start] + fwd_edges, False)
 
     # -- serialization -------------------------------------------------------
@@ -812,7 +817,7 @@ class AllocationPlan:
         """The `pxt` lines and the `xc` lines that serialize writes under rule d."""
         xcs = set()
         for (e, x), f in self._partner.items():
-            xcs.add((x,) + tuple(sorted((str(e), str(f)))))
+            xcs.add((x,) + tuple(sorted((edge_str(e), edge_str(f)))))
         return ([p.serialize() for p in self.pxts],
                 [f"xc {x} {e} {f}" for x, e, f in sorted(xcs)])
 
@@ -825,7 +830,7 @@ class AllocationPlan:
         `pxt` and `xc` lines, which serialize writes only under rule d, are
         refused in a plan without it.  One table of edge tokens serves the
         whole text: each distinct token is parsed once, the plan holds one
-        EdgeId per edge, and a bad token is reported at its first line."""
+        tuple per edge, and a bad token is reported at its first line."""
         lines = text.splitlines() or [""]
         if lines[0].strip() != PLAN_HEADER:
             raise PlanError(f"line 1: expected {PLAN_HEADER!r}, got {lines[0].strip()!r}")
@@ -833,7 +838,7 @@ class AllocationPlan:
         enforce: frozenset[str] = ALL_CONDITIONS
         plan: AllocationPlan | None = None
         pxt_lines, xc_lines = [], []
-        edges: dict[str, EdgeId] = {}  # edge token -> EdgeId, for the whole text
+        edges: dict[str, Edge] = {}  # edge token -> its edge, for the whole text
         first_trail_line: tuple[int, str] | None = None
         for lineno, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
@@ -881,7 +886,7 @@ class AllocationPlan:
         return plan
 
 
-def _parse_entry(lineno: int, line: str, edges: dict[str, EdgeId]) -> PlanEntry:
+def _parse_entry(lineno: int, line: str, edges: dict[str, Edge]) -> PlanEntry:
     """One `entry <id> <u> <v> | working <walk> | protection <walk>` line."""
     try:
         [_, did, u, v], [w, *working], [p, *protection] = (f.split() for f in line.split("|"))

@@ -48,7 +48,7 @@ from .cdijkstra import (
     solve,
 )
 from .graph import (
-    EdgeId,
+    Edge,
     Graph,
     GraphError,
     Walk,
@@ -355,7 +355,7 @@ def build_aux(state: RouterState, demand: Demand, working: Walk,
 def _expand_route(state: RouterState, demand: Demand, aux: AuxGraph,
                   arc_ids: tuple[int, ...]) -> Walk:
     nodes: list[str] = [demand.u]
-    edges: list[EdgeId] = []
+    edges: list[Edge] = []
     for arc_id in arc_ids:
         edge = aux.edges[arc_id // 2]
         seg = edge.segment

@@ -5,15 +5,15 @@ from sys import intern
 import pytest
 
 from pxtmesh.cdijkstra import Arc, ArcId, ArcSet, RivalGraph
-from pxtmesh.graph import (UNBOUNDED, EdgeId, Graph, GraphError, GraphParseError, Walk, _avoiding,
-                           disjoint, link_key)
+from pxtmesh.graph import (UNBOUNDED, Edge, EdgeId, Graph, GraphError, GraphParseError, Walk,
+                           _avoiding, disjoint, edge_str, link_key, link_of, parse_edge)
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError, PlanViolation
 from pxtmesh.topologies import standard_topology
 
 
 def walk(*seq) -> Walk:
     """The walk of an alternating node, edge, node, ... sequence, each edge
-    an EdgeId or its (u, v, ordinal) tuple."""
+    a (u, v, ordinal) tuple in either node order."""
     items = [EdgeId(*x) if isinstance(x, tuple) else x for x in seq]
     return Walk(tuple(items[0::2]), tuple(items[1::2]))
 
@@ -34,10 +34,10 @@ def used_on_link(plan: AllocationPlan, u: str, v: str) -> int:
 def held_ordinals(plan: AllocationPlan, u: str, v: str) -> set[int]:
     """The ordinals of link u-v whose edges the plan holds, working or protection."""
     link = link_key(u, v)
-    return {e.index for e in (*plan._working, *plan._blockers) if e.link == link}
+    return {e[2] for e in (*plan._working, *plan._blockers) if e[:2] == link}
 
 
-def protection_users(plan: AllocationPlan, edge: EdgeId) -> tuple[int, ...]:
+def protection_users(plan: AllocationPlan, edge: Edge) -> tuple[int, ...]:
     """The indices of the entries whose protection rides `edge`, in order."""
     return tuple(i for i, en in enumerate(plan.entries) if edge in en.protection.edges)
 
@@ -56,7 +56,7 @@ def conflicts_oracle(plan: AllocationPlan, working: Walk) -> set[int]:
     for idx, entry in enumerate(plan.entries):
         nodes = entry.working.nodes
         for e in entry.working.edges:
-            on_link.setdefault(e.link, []).append(idx)
+            on_link.setdefault(link_of(e), []).append(idx)
         if plan.mode == "node":
             for n in nodes[1:-1]:
                 interior.setdefault(n, []).append(idx)
@@ -75,22 +75,22 @@ def conflicts_oracle(plan: AllocationPlan, working: Walk) -> set[int]:
     return hits
 
 
-def may_share_oracle(plan: AllocationPlan, edge: EdgeId, conflicts: set[int]) -> bool:
+def may_share_oracle(plan: AllocationPlan, edge: Edge, conflicts: set[int]) -> bool:
     """Whether no entry of `conflicts` protects over `edge`."""
     return conflicts.isdisjoint(protection_users(plan, edge))
 
 
-def sharing_oracle(plan: AllocationPlan, edge: EdgeId, working: Walk) -> bool:
+def sharing_oracle(plan: AllocationPlan, edge: Edge, working: Walk) -> bool:
     """What `plan.may_share((edge,), plan.conflicts(working))` must answer:
     `edge` keeps off `working` (link-disjoint, and in node mode off its
     interior), and no entry whose working conflicts with it protects over it."""
-    return (disjoint(Walk((edge.u, edge.v), (edge,)), working, plan.mode)
+    return (disjoint(Walk(edge[:2], (edge,)), working, plan.mode)
             and may_share_oracle(plan, edge, conflicts_oracle(plan, working)))
 
 
 # -- committing an entry: add_entry as it was before its screen ---------------------
 
-def _reference_own_bits(plan: AllocationPlan, e: EdgeId) -> int:
+def _reference_own_bits(plan: AllocationPlan, e: Edge) -> int:
     return plan._footprint(e[:2], (e,), True)
 
 
@@ -102,10 +102,10 @@ def _reference_entry_violations(plan: AllocationPlan, entry: PlanEntry) -> list[
         for e in entry.working.edges:
             role = plan.role(e)
             if role is not None:
-                out.append(PlanViolation("b", (d.id,), f"working edge {e} already {role}"))
+                out.append(PlanViolation("b", (d.id,), f"working edge {edge_str(e)} already {role}"))
         for e in entry.protection.edges:
             if plan.role(e) == "working":
-                out.append(PlanViolation("b", (d.id,), f"protection reuses working edge {e}"))
+                out.append(PlanViolation("b", (d.id,), f"protection reuses working edge {edge_str(e)}"))
     if "c" in plan.enforce:
         mask = plan._footprint(entry.working.nodes, entry.working.edges, False)
         flagged = set()
@@ -118,7 +118,7 @@ def _reference_entry_violations(plan: AllocationPlan, entry: PlanEntry) -> list[
                     flagged.add(other.demand.id)
                     out.append(PlanViolation(
                         "c", (d.id, other.demand.id),
-                        f"shared protection edge {e} but conflicting workings"))
+                        f"shared protection edge {edge_str(e)} but conflicting workings"))
     if "d" in plan.enforce:
         for i in range(len(entry.protection.edges) - 1):
             e, f = entry.protection.edges[i], entry.protection.edges[i + 1]
@@ -128,24 +128,24 @@ def _reference_entry_violations(plan: AllocationPlan, entry: PlanEntry) -> list[
                 if cur is not None and cur != b:
                     out.append(PlanViolation(
                         "d", (d.id,),
-                        f"branch point at {x}: {a} already cross-connected to {cur}, "
-                        f"needs {b}"))
+                        f"branch point at {x}: {edge_str(a)} already cross-connected to "
+                        f"{edge_str(cur)}, needs {edge_str(b)}"))
     return out
 
 
-def set_role(plan: AllocationPlan, e: EdgeId, role: str) -> None:
+def set_role(plan: AllocationPlan, e: Edge, role: str) -> None:
     """Give `e` a role and hold its ordinal, as add_entry once did per
     edge; a test can so fill a link without an entry.  A protection role
     is a blockers entry, holding 0 until a working's footprint is ORed in."""
     if plan.role(e) is None:
-        plan._load[e.link] = plan._load.get(e.link, 0) + 1
+        plan._load[link_of(e)] = plan._load.get(link_of(e), 0) + 1
     if role == "working":
         plan._working.add(e)
     else:
         plan._blockers.setdefault(e, 0)
-    cap = plan.graph.capacity(e.u, e.v)
-    if cap is not None and plan._load[e.link] >= cap:
-        plan._free.difference_update(((e.u, e.v), (e.v, e.u)))
+    cap = plan.graph.capacity(*e[:2])
+    if cap is not None and plan._load[link_of(e)] >= cap:
+        plan._free.difference_update(((e[0], e[1]), (e[1], e[0])))
 
 
 def reference_add_entry(plan: AllocationPlan, entry: PlanEntry) -> None:
@@ -268,7 +268,7 @@ def reference_parse_entry(lineno: int, line: str) -> PlanEntry:
         if not tokens:
             raise GraphError("empty walk")
         nodes = tuple(map(intern, tokens[0::2]))
-        edges = [EdgeId.parse(t) for t in tokens[1::2]]
+        edges = [parse_edge(t) for t in tokens[1::2]]
         return Walk(nodes, tuple(edges))
 
     try:

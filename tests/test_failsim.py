@@ -14,7 +14,7 @@ from pxtmesh.failsim import (
     audit,
     enumerate_failures,
 )
-from pxtmesh.graph import Walk, link_key
+from pxtmesh.graph import Walk, edge_str, link_key, link_of
 from pxtmesh.plan import AllocationPlan, Demand, PlanEntry, PlanError
 from pxtmesh.topologies import standard_topology
 from pxtmesh.traffic import generate, uniform
@@ -233,7 +233,7 @@ def oracle_restore(plan, failure):
     the failure, and every activated walk and switch event is kept."""
     def hits(walk):
         if failure.kind == "link":
-            return failure.element in {e.link for e in walk.edges}
+            return failure.element in set(map(link_of, walk.edges))
         return failure.element in walk.nodes
 
     result = RestorationResult(failure)
@@ -288,10 +288,10 @@ def oracle_audit(plan, mode):
         for did, w in r.activated.items():
             for e in w.edges:
                 edge_users.setdefault(e, []).append(did)
-        for e, users in sorted(edge_users.items(), key=lambda kv: str(kv[0])):
+        for e, users in sorted(edge_users.items(), key=lambda kv: edge_str(kv[0])):
             if len(users) > 1:
                 raise AuditError(
-                    failure, f"protection edge {e} needed by demands "
+                    failure, f"protection edge {edge_str(e)} needed by demands "
                     f"{sorted(users)} at once", tuple(sorted(users)))
         report.max_concurrent_load = max(
             report.max_concurrent_load,

@@ -21,8 +21,11 @@ from pxtmesh.graph import (
     disjoint,
     distance_sum,
     dump_graph,
+    edge_str,
     link_key,
+    link_of,
     load_graph,
+    parse_edge,
     ranked_routes,
     shortest_path,
     shortest_route_dag,
@@ -49,15 +52,16 @@ f = ("D", "E", 1)
 class TestEdgeId:
     def test_canonical_order(self):
         assert EdgeId("E", "D", 1) == EdgeId("D", "E", 1)
-        assert str(EdgeId("E", "D", 1)) == "D~E#1"
+        assert edge_str(EdgeId("E", "D", 1)) == "D~E#1"
         eid = EdgeId("E", "D", 1)
-        assert (eid.u, eid.v, eid.index) == ("D", "E", 1)
-        assert eid.link == link_key("E", "D") and type(eid.link) is tuple
+        assert (eid[0], eid[1], eid[2]) == ("D", "E", 1)
+        assert link_of(eid) == link_key("E", "D") and type(link_of(eid)) is tuple
 
     def test_parse_round_trip(self):
-        eid = EdgeId.parse("D~E#1")
-        assert eid == EdgeId("D", "E", 1)
-        assert EdgeId.parse(str(eid)) == eid
+        eid = parse_edge("D~E#1")
+        assert eid == EdgeId("D", "E", 1) and type(eid) is tuple
+        assert parse_edge(edge_str(eid)) == eid
+        assert parse_edge("E~D#1") == eid  # read in either node order
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match=r"^self-loop edge A$"):
@@ -69,11 +73,13 @@ class TestEdgeId:
 
     def test_is_the_plain_tuple(self):
         eid = EdgeId("E", "D", 1)
-        assert eid == ("D", "E", 1) and tuple(eid) == ("D", "E", 1)
+        assert eid == ("D", "E", 1) and tuple(eid) is eid and type(eid) is tuple
         assert hash(eid) == hash(("D", "E", 1))
         assert not hasattr(eid, "__dict__")
         with pytest.raises(AttributeError):
             eid.u = "A"
+        with pytest.raises(TypeError):
+            eid[0] = "A"
 
     def test_set_order_matches_plain_tuples(self):
         rng = random.Random(5)
@@ -85,22 +91,25 @@ class TestEdgeId:
     def test_sorted_by_u_v_index(self):
         edges = [EdgeId("B", "C", 0), EdgeId("A", "C", 1), EdgeId("C", "A", 0),
                  EdgeId("A", "B", 2), EdgeId("B", "A", 10)]
-        assert [str(e) for e in sorted(edges)] == [
+        assert [edge_str(e) for e in sorted(edges)] == [
             "A~B#2", "A~B#10", "A~C#0", "A~C#1", "B~C#0"]
 
     def test_repr_unchanged(self):
-        assert repr(EdgeId("B", "A", 3)) == "EdgeId(u='A', v='B', index=3)"
+        # the text form is edge_str's; repr is the plain tuple's
+        assert edge_str(EdgeId("B", "A", 3)) == "A~B#3"
+        assert repr(EdgeId("B", "A", 3)) == "('A', 'B', 3)"
 
     def test_pickle_and_copy_round_trip(self):
         eid = EdgeId("E", "D", 1)
         for again in (pickle.loads(pickle.dumps(eid)), copy.copy(eid), copy.deepcopy(eid)):
-            assert type(again) is EdgeId
-            assert again == eid and repr(again) == repr(eid)
+            assert type(again) is tuple
+            assert again == eid and edge_str(again) == edge_str(eid)
+            assert parse_edge(edge_str(again)) == eid
 
 
 def test_node_names_are_interned():
     """A graph keeps one str object per node name, in its node set, its
-    adjacency and its link keys, and EdgeId.parse and Walk.parse read names
+    adjacency and its link keys, and parse_edge and Walk.parse read names
     as those objects."""
     def fresh(name):  # an object of its own, not the interned one
         return "".join(list(name))
@@ -113,7 +122,7 @@ def test_node_names_are_interned():
     assert all(own[x] is x for link in g.bounds for x in link)
     w = Walk.parse(fresh("n1 n1~n2#0 n2 n2~n3#1 n3"))
     assert all(own[x] is x for x in w.nodes + tuple(x for e in w.edges for x in e[:2]))
-    assert all(own[x] is x for x in EdgeId.parse(fresh("n3~n2#1"))[:2])
+    assert all(own[x] is x for x in parse_edge(fresh("n3~n2#1"))[:2])
 
 
 class TestGraphFile:
@@ -315,8 +324,8 @@ def alternation_by_sets(nodes, edges) -> str | None:
     if len(nodes) != len(edges) + 1 or not nodes:
         return "walk must alternate nodes and edges"
     for i, e in enumerate(edges):
-        if {nodes[i], nodes[i + 1]} != {e.u, e.v}:
-            return f"edge {e} does not join {nodes[i]} and {nodes[i + 1]}"
+        if {nodes[i], nodes[i + 1]} != {e[0], e[1]}:
+            return f"edge {edge_str(e)} does not join {nodes[i]} and {nodes[i + 1]}"
     return None
 
 

@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every import in src/pxtmesh is
 used and sits at module level, no module guards an invariant with `assert`,
-which `python -O` strips, every function, method and class defined there is
-referenced by code somewhere else, and somewhere other than the tests, every
-field it declares is read somewhere, shortest routes are searched for in
+which `python -O` strips, no class derives from tuple, every function, method
+and class defined there is referenced by code somewhere else, and somewhere
+other than the tests, every field it declares is read somewhere, shortest
+routes are searched for in
 graph.py alone, plan.py alone decides protection sharing, and
 experiments.check_plan alone picks the rules a plan is judged by."""
 
@@ -107,6 +108,52 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert; raise a real exception instead"
+
+
+def _base_name(expr: ast.expr) -> str | None:
+    """The last name of a base-class or callee expression: `typing.NamedTuple`
+    and `tuple[str, int]` give NamedTuple and tuple."""
+    if isinstance(expr, ast.Subscript):
+        expr = expr.value
+    return getattr(expr, "attr", getattr(expr, "id", None))
+
+
+def tuple_classes(paths) -> list[str]:
+    """`module:line name` of each class that derives from tuple: one whose
+    base is named tuple or NamedTuple, or is a class of its own module found
+    so before it, and each namedtuple() call.  Such instances miss the
+    interpreter's exact-tuple fast paths, and the collector tracks them for
+    good."""
+    found = []
+    for path in paths:
+        derived = {"tuple", "NamedTuple"}
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and derived.intersection(map(_base_name, node.bases)):
+                derived.add(node.name)
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.Call) and _base_name(node.func) == "namedtuple":
+                found.append(f"{path.name}:{node.lineno} namedtuple")
+    return found
+
+
+def test_no_tuple_subclasses():
+    assert tuple_classes(sorted(SRC.glob("*.py"))) == [], \
+        "a class in src/pxtmesh derives from tuple; use the plain tuple"
+
+
+def test_tuple_subclass_check_sees_bases_and_factories(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import collections, typing\n"
+                   "class Plain(tuple): pass\n"
+                   "class Typed(tuple[str, int]): pass\n"
+                   "class Named(typing.NamedTuple):\n"
+                   "    x: int\n"
+                   "class Deeper(Plain): pass\n"
+                   "Pair = collections.namedtuple('Pair', 'a b')\n"
+                   "class Other(list): pass\n"
+                   "Edge = tuple[str, str, int]\n")
+    assert tuple_classes([mod]) == ["mod.py:2 Plain", "mod.py:3 Typed", "mod.py:4 Named",
+                                    "mod.py:6 Deeper", "mod.py:7 namedtuple"]
 
 
 # the building blocks of a shortest-route search -> the modules that may use

@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import importlib.util
 import itertools
@@ -20,6 +21,7 @@ from pxtmesh.experiments import PATTERNS, route_with_scheme, traffic_spec
 from pxtmesh.cdijkstra import NO_ARCS, Arc, ArcSet, SearchLimits, solve
 from pxtmesh.graph import (
     UNBOUNDED,
+    Edge,
     EdgeId,
     Graph,
     Walk,
@@ -46,7 +48,7 @@ from pxtmesh.router import (
     route_demand,
 )
 from pxtmesh.topologies import standard_topology
-from pxtmesh.traffic import generate
+from pxtmesh.traffic import generate, uniform
 
 from conftest import (
     conflicts_oracle,
@@ -62,6 +64,7 @@ from conftest import (
     walk,
 )
 from test_cdijkstra import assert_matches_frozenset_search, outcome
+from test_graph import grid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -370,8 +373,8 @@ def prohibited_edges(state: RouterState, working: Walk):
     avoid = _avoiding(working.nodes, plan.mode)
     conflicts = conflicts_oracle(plan, working)
 
-    def prohibited(e: EdgeId) -> bool:
-        return not (avoid(e.u, e.v) and may_share_oracle(plan, e, conflicts))
+    def prohibited(e: Edge) -> bool:
+        return not (avoid(*e[:2]) and may_share_oracle(plan, e, conflicts))
 
     return prohibited
 
@@ -385,7 +388,7 @@ class TestProhibitedEdges:
     @staticmethod
     def assert_build_aux_agrees(state, demand, working, edges):
         # each edge as a one-edge segment: build_aux admits the allowed ones
-        segments = [Walk((e.u, e.v), (e,)) for e in edges]
+        segments = [Walk(e[:2], (e,)) for e in edges]
         prohibited = prohibited_edges(state, working)
         assert admitted(build_aux(state, demand, working, list(map(whole, segments)))) == \
             [s for s in segments if not prohibited(s.edges[0])]
@@ -548,7 +551,7 @@ def protection_oracle(graph, base_text, demand, working, mode="node"):
         for i in range(len(nodes) - 1):
             u, v = nodes[i], nodes[i + 1]
             options = [e for e in base._blockers
-                       if base.role(e) == "protection" and {e.u, e.v} == {u, v}]
+                       if base.role(e) == "protection" and set(e[:2]) == {u, v}]
             if base.has_free_edge(u, v):
                 options.append(base.fresh_edge(u, v))
             hop_options.append(options)
@@ -885,11 +888,59 @@ def out_list_shapes(aux, position) -> dict[str, list[tuple]]:
                 for a in aux.graph.out[n]] for n in aux.graph.nodes}
 
 
+# fixtures whose neighbor orders close most of their trails
+RING_RICH = ["tietze", "cycle12plus3"]
+
+
+def route_ring_rich(monkeypatch, name: str) -> int:
+    """Route the neighbor order of fixture `name` through router.build_aux
+    as patched so far: the number of wrapping cuts, which run past a ring's
+    end, that it was offered.  Each working is one link, so node and link
+    mode route alike."""
+    checked, wrapping = router.build_aux, 0
+
+    def counting_build_aux(state, demand, working, cuts):
+        nonlocal wrapping
+        wrapping += sum(b > w.length for w, _, b in cuts)
+        return checked(state, demand, working, cuts)
+
+    monkeypatch.setattr(router, "build_aux", counting_build_aux)
+    g = standard_topology(name)
+    state = RouterState(g)
+    for d in generate(g, traffic_spec("neighbor", name, 0)):
+        route_demand(state, d)
+    return wrapping
+
+
 @pytest.mark.parametrize("mode", ["node", "link"])
 def test_lazy_aux_graph_matches_eager_build(monkeypatch, mode):
     """The lazy aux graph is the eager one with edges renumbered: the same
     edges in the same order, the same rivals and out-lists, and the same
     search, counters and protection route."""
+    skeletons, made, total, _ = check_lazy_aux(monkeypatch, lambda: routed_random_plans(mode))
+    # the skeleton is rebuilt only when a link fills, which only tight graphs see
+    rebuilds = {tight: [len(seen) - 1 for state, seen in skeletons.items()
+                        if tight == any(state.graph.capacity(u, v) is not UNBOUNDED
+                                        for u, v in state.graph.links())]
+                for tight in (False, True)}
+    assert rebuilds[False] == [0, 0] and min(rebuilds[True]) > 0, rebuilds
+    # the search made fewer out-lists than there are nodes
+    assert made < total
+
+
+@pytest.mark.parametrize("name", RING_RICH)
+def test_lazy_aux_graph_matches_eager_build_on_rings(monkeypatch, name):
+    skeletons, made, total, wrapping = check_lazy_aux(
+        monkeypatch, lambda: route_ring_rich(monkeypatch, name))
+    # unbounded links never fill, so the one skeleton serves every demand
+    assert [len(seen) for seen in skeletons.values()] == [1]
+    assert made < total and wrapping > 100, (made, total, wrapping)
+
+
+def check_lazy_aux(monkeypatch, route):
+    """Call `route` with each lazy aux graph checked against the eager build:
+    the skeletons each RouterState used, the out-lists the searches made and
+    the nodes their graphs had, and what `route` returned."""
     real_build_aux = router.build_aux
     skeletons = collections.defaultdict(list)  # state -> skeletons it used
     made = total = 0
@@ -924,15 +975,8 @@ def test_lazy_aux_graph_matches_eager_build(monkeypatch, mode):
         return real_build_aux(state, demand, working, cuts)
 
     monkeypatch.setattr(router, "build_aux", checked_build_aux)
-    routed_random_plans(mode)
-    # the skeleton is rebuilt only when a link fills, which only tight graphs see
-    rebuilds = {tight: [len(seen) - 1 for state, seen in skeletons.items()
-                        if tight == any(state.graph.capacity(u, v) is not UNBOUNDED
-                                        for u, v in state.graph.links())]
-                for tight in (False, True)}
-    assert rebuilds[False] == [0, 0] and min(rebuilds[True]) > 0, rebuilds
-    # the search made fewer out-lists than there are nodes
-    assert made < total
+    result = route()
+    return skeletons, made, total, result
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])
@@ -1043,6 +1087,20 @@ def test_rejected_cut_builds_no_walk(monkeypatch, mode):
     """build_aux makes a segment Walk for each admitted cut, by one
     `Walk._trusted` call unless the cut is its whole trail walk, and none
     for a cut it refuses."""
+    counts, _ = check_walks_built(monkeypatch, lambda: routed_random_plans(mode))
+    assert min(counts.values()) > 50, counts
+
+
+@pytest.mark.parametrize("name", RING_RICH)
+def test_rejected_cut_builds_no_walk_on_rings(monkeypatch, name):
+    counts, wrapping = check_walks_built(monkeypatch, lambda: route_ring_rich(monkeypatch, name))
+    assert min(counts.values()) > 50 and wrapping > 100, (counts, wrapping)
+
+
+def check_walks_built(monkeypatch, route):
+    """Call `route` with build_aux checked to build one Walk per admitted
+    cut that is not a whole trail walk: how many it built, took uncut and
+    refused, and what `route` returned."""
     real_build_aux, real_trusted = router.build_aux, Walk._trusted
     calls = 0
     counts = collections.Counter()
@@ -1066,8 +1124,7 @@ def test_rejected_cut_builds_no_walk(monkeypatch, mode):
 
     monkeypatch.setattr(Walk, "_trusted", classmethod(counting_trusted))
     monkeypatch.setattr(router, "build_aux", checked_build_aux)
-    routed_random_plans(mode)
-    assert min(counts.values()) > 50, counts
+    return counts, route()
 
 
 def routed_random_plans(mode, seeds=range(4), demands=40):
@@ -1087,6 +1144,22 @@ def routed_random_plans(mode, seeds=range(4), demands=40):
 @pytest.mark.parametrize("mode", ["node", "link"])
 def test_segment_admission_matches_prohibited_oracle(monkeypatch, mode):
     """build_aux admits exactly the segments with no prohibited edge."""
+    counts, _ = check_segment_admission(
+        monkeypatch, lambda: routed_random_plans(mode, seeds=range(6), demands=60))
+    assert min(counts.values()) > 100, counts
+
+
+@pytest.mark.parametrize("name", RING_RICH)
+def test_segment_admission_matches_prohibited_oracle_on_rings(monkeypatch, name):
+    counts, wrapping = check_segment_admission(
+        monkeypatch, lambda: route_ring_rich(monkeypatch, name))
+    assert min(counts.values()) > 100 and wrapping > 100, (counts, wrapping)
+
+
+def check_segment_admission(monkeypatch, route):
+    """Call `route` with build_aux checked against `prohibited_edges`: how
+    many segments it admitted, kept apart from the working, and refused
+    only by the sharing verdict, and what `route` returned."""
     real_build_aux = router.build_aux
     counts = {"admitted": 0, "apart": 0, "shared": 0}
 
@@ -1099,15 +1172,14 @@ def test_segment_admission_matches_prohibited_oracle(monkeypatch, mode):
         assert admitted(aux) == expect
         counts["admitted"] += len(expect)
         for s in subtrails:
-            if not all(avoid(e.u, e.v) for e in s.edges):
+            if not all(avoid(*e[:2]) for e in s.edges):
                 counts["apart"] += 1
             elif s not in expect:  # refused only by the sharing verdict
                 counts["shared"] += 1
         return aux
 
     monkeypatch.setattr(router, "build_aux", checked_build_aux)
-    routed_random_plans(mode, seeds=range(6), demands=60)
-    assert min(counts.values()) > 100, counts
+    return counts, route()
 
 
 @pytest.mark.parametrize("mode", ["node", "link"])
@@ -1378,6 +1450,34 @@ def test_cached_horizons_match_scratch(mode, tight):
     # from a node back to it; rings that repeat a node do not arise here,
     # test_segments_of_any_trail_match_full_scan cuts those
     assert {(False, False), (False, True), (True, False)} <= set(seen)
+
+
+@pytest.mark.parametrize("mode", ["node", "link"])
+@pytest.mark.parametrize("name", ["cycle12plus3", "grid3x4", "icosahedron", "k66", "tietze",
+                                  "grid5x5"])
+def test_routing_leaves_no_cyclic_garbage(name, mode):
+    """Routing makes no reference cycles: with the collector off, a whole
+    order routed and its RouterState dropped, a full collection finds
+    nothing unreachable, so what the router leaves goes by reference counts
+    alone."""
+    if name == "grid5x5":
+        g, spec = grid(5), uniform(1, seed=3)
+    else:
+        g, spec = standard_topology(name), traffic_spec("uniform", name, 0)
+    demands = generate(g, spec)
+    gc.collect()
+    gc.disable()
+    try:
+        state = RouterState(g, mode=mode)
+        for d in demands:
+            route_demand(state, d)
+        plan = state.plan
+        del state
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(plan.entries) == len(demands) >= 300
+    assert unreachable == 0
 
 
 O_SCRIPT = """

@@ -43,3 +43,18 @@ def test_phase_times_prints_each_phase_and_the_routed_plan():
 def test_phase_times_refuses_bad_sizes(args):
     run = run_tool("phase_times.py", *args)
     assert run.returncode == 2 and "must be at least" in run.stderr
+
+
+def test_plan_memory_prints_bytes_and_tracked_objects_per_entry():
+    run = run_tool("plan_memory.py", "--side", "3", "--seed", "4")
+    assert run.returncode == 0, run.stderr
+    bytes_line, tracked_line = run.stdout.splitlines()
+    assert bytes_line.startswith("3x3 link seed 4: 36 entries, ")
+    assert bytes_line.endswith(" B per entry") and int(bytes_line.split()[-4]) > 0
+    head, _, listed = tracked_line.partition(" (")
+    total = float(head.removeprefix("gc-tracked per entry: "))
+    per_type = {name: float(k) for k, name in (item.split() for item in
+                                               listed.removesuffix(")").split(", "))}
+    # each entry holds two walks and itself; each trail adds a canonical walk
+    assert per_type["PlanEntry"] == 1.0 and per_type["Walk"] >= 2.0
+    assert total == pytest.approx(sum(per_type.values()), abs=0.01 * len(per_type))

@@ -1,4 +1,4 @@
-"""Print the memory a routed PXT plan retains per entry, as tracemalloc counts it.
+"""Print the memory a routed PXT plan retains per entry, and what the collector tracks.
 
     python3 tools/plan_memory.py [--side N] [--seed S] [--top K] [CHECKOUT]
 
@@ -10,11 +10,16 @@ the demands are built and before the RouterState is made; the state is then
 dropped, so only the plan and what it references stay, and after a full
 collection the traced bytes still held are divided by the routed entries.
 With --top K the K source lines that hold the most of them are listed.
+The second line gives the objects the cyclic collector tracks per entry, by
+type: those tracked after routing and that collection, less those tracked
+before routing, as `gc.get_objects()` lists them; a full collection scans
+every one of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import gc
 import sys
 import tracemalloc
@@ -44,6 +49,7 @@ def main(argv: list[str]) -> int:
     g = grid(graph, args.side)
     demands = traffic.generate(g, traffic.uniform(1, seed=args.seed))
     gc.collect()
+    before = collections.Counter(map(type, gc.get_objects()))
     tracemalloc.start()
     state = router.RouterState(g, mode="link")
     for d in demands:
@@ -51,12 +57,17 @@ def main(argv: list[str]) -> int:
     plan = state.plan
     del state
     gc.collect()
+    tracked = collections.Counter(map(type, gc.get_objects()))
+    tracked.subtract(before)
     retained = tracemalloc.get_traced_memory()[0]
     snapshot = tracemalloc.take_snapshot() if args.top else None
     tracemalloc.stop()
     n = len(plan.entries)
     print(f"{args.side}x{args.side} link seed {args.seed}: {n} entries, "
           f"{retained} B retained, {retained / n:.0f} B per entry")
+    by_type = sorted(((k, t.__qualname__) for t, k in tracked.items() if k), reverse=True)
+    print(f"gc-tracked per entry: {sum(tracked.values()) / n:.2f} ("
+          + ", ".join(f"{k / n:.2f} {name}" for k, name in by_type) + ")")
     for stat in snapshot.statistics("lineno")[:args.top] if snapshot else ():
         frame = stat.traceback[0]
         print(f"  {stat.size / n:7.0f} B/entry  {Path(frame.filename).name}:{frame.lineno}")
